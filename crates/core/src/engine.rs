@@ -49,7 +49,7 @@ use qits_tdd::{
 };
 
 use crate::error::QitsError;
-use crate::image::{try_image, ImageStats, Strategy};
+use crate::image::{try_image_into, ImageStats, Strategy};
 use crate::mc::{fixpoint_with, ReachabilityResult};
 use crate::qts::{Operations, QuantumTransitionSystem};
 use crate::subspace::Subspace;
@@ -79,18 +79,23 @@ pub trait ImageStrategy: fmt::Debug + Send {
     /// to record which kernel [`Auto`] chose per benchmark instance.
     fn select(&self, ops: &Operations) -> Strategy;
 
-    /// Computes the image of `input` under `ops`, honouring the manager's
-    /// GC safepoint contract (the default delegates to [`try_image`] with
-    /// the kernel [`ImageStrategy::select`] picks, which polls safepoints
-    /// with `input` among the mark roots — collection never moves a node,
-    /// so `input` is a plain shared borrow).
+    /// Absorbs the image of `input` under `ops` into `target`, honouring
+    /// the manager's GC safepoint contract, and returns the call's stats
+    /// (`output_dim` counts the vectors added to `target`). The default
+    /// delegates to [`try_image_into`] with the kernel
+    /// [`ImageStrategy::select`] picks, which polls safepoints with
+    /// `input` and `target` among the mark roots — collection never moves
+    /// a node, so `input` is a plain shared borrow. The engine's image
+    /// methods pass a fresh zero target; the reachability fixpoint passes
+    /// its frontier as `input` and the reachable space as `target`.
     fn compute(
         &self,
         m: &mut TddManager,
         ops: &Operations,
         input: &Subspace,
-    ) -> Result<(Subspace, ImageStats), QitsError> {
-        try_image(m, ops, input, self.select(ops))
+        target: &mut Subspace,
+    ) -> Result<ImageStats, QitsError> {
+        try_image_into(m, ops, input, target, self.select(ops))
     }
 }
 
@@ -179,6 +184,18 @@ impl ImageStrategy for Auto {
             }
         }
     }
+}
+
+/// The image of `input` under `ops`, absorbed into a fresh zero subspace.
+fn fresh_image(
+    m: &mut TddManager,
+    ops: &Operations,
+    input: &Subspace,
+    strategy: &dyn ImageStrategy,
+) -> Result<(Subspace, ImageStats), QitsError> {
+    let mut img = Subspace::zero(input.n_qubits());
+    let stats = strategy.compute(m, ops, input, &mut img)?;
+    Ok((img, stats))
 }
 
 /// Callback receiving `(strategy name, stats)` after every image
@@ -562,7 +579,7 @@ impl Engine {
     pub fn image(&mut self) -> Result<(Subspace, ImageStats), QitsError> {
         let (m, qts, strategy) = (&mut self.m, &self.qts, &*self.strategy);
         let result =
-            Self::guard_exhaustion(|| strategy.compute(m, qts.operations(), qts.initial()));
+            Self::guard_exhaustion(|| fresh_image(m, qts.operations(), qts.initial(), strategy));
         let name = self.strategy.name();
         let (img, stats) = result?;
         self.record(&name, &stats);
@@ -576,7 +593,7 @@ impl Engine {
     ) -> Result<(Subspace, ImageStats), QitsError> {
         let (m, qts) = (&mut self.m, &self.qts);
         let result =
-            Self::guard_exhaustion(|| strategy.compute(m, qts.operations(), qts.initial()));
+            Self::guard_exhaustion(|| fresh_image(m, qts.operations(), qts.initial(), strategy));
         let name = strategy.name();
         let (img, stats) = result?;
         self.record(&name, &stats);
@@ -606,7 +623,7 @@ impl Engine {
             roots.extend(s.protect(&mut self.m));
         }
         let (m, qts, strategy) = (&mut self.m, &self.qts, &*self.strategy);
-        let result = Self::guard_exhaustion(|| strategy.compute(m, qts.operations(), input));
+        let result = Self::guard_exhaustion(|| fresh_image(m, qts.operations(), input, strategy));
         self.m.unprotect_all(roots);
         let name = self.strategy.name();
         let (img, stats) = result?;
@@ -618,10 +635,12 @@ impl Engine {
     // Model checking.
     // ------------------------------------------------------------------
 
-    /// Computes the reachable subspace by iterating `S <- S v T(S)` until
-    /// the dimension stabilises (see [`crate::mc::reachable_space`] for
-    /// the fixpoint semantics). GC roots — the system and the working
-    /// space — are managed internally between and inside iterations.
+    /// Computes the reachable subspace by semi-naive iteration: each
+    /// iteration images only the frontier the previous one added and
+    /// absorbs the result straight into the space, until nothing is added
+    /// (see [`crate::mc`] for the fixpoint semantics). GC roots — the
+    /// system, the frontier, and the working space — are managed
+    /// internally between and inside iterations.
     pub fn reachable_space(
         &mut self,
         max_iterations: usize,
@@ -637,13 +656,15 @@ impl Engine {
     }
 
     /// Continues a reachability fixpoint from a checkpoint restored by
-    /// [`Engine::warm_start`]: iterates `S <- S v T(S)` starting from the
-    /// checkpointed space instead of `S0`, then folds the checkpoint's
-    /// iteration/GC counters into the returned result — so a run that was
-    /// snapshotted mid-fixpoint, restarted, and resumed reports the same
-    /// totals as one that never stopped. Sound because the closure is
-    /// monotone: the checkpointed `S_j` contains `S0`, so resuming walks
-    /// exactly the tail of the original iteration chain.
+    /// [`Engine::warm_start`]: iterates from the checkpointed space instead
+    /// of `S0`, with the whole space as the first frontier, then folds the
+    /// checkpoint's iteration/GC counters into the returned result — so a
+    /// run that was snapshotted mid-fixpoint, restarted, and resumed
+    /// reports the same totals as one that never stopped. Sound because
+    /// the closure is monotone: the checkpointed `S_j` contains `S0`, so
+    /// its first image yields the `S_{j+1}` the uninterrupted run reached,
+    /// and resuming walks exactly the tail of the original iteration
+    /// chain.
     ///
     /// `max_iterations` bounds the *additional* iterations of this call.
     pub fn resume_reachable_space(

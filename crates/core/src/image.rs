@@ -70,10 +70,13 @@ pub struct ImageStats {
     pub elapsed: Duration,
     /// Number of Kraus branches processed across all operations.
     pub branches: usize,
-    /// Dimension of the computed image.
+    /// Vectors this computation added to its target subspace: the image
+    /// dimension for [`crate::Engine::image`] (a fresh zero target), and
+    /// the size of the next frontier in a reachability fixpoint (the
+    /// reachable space as target).
     pub output_dim: usize,
     /// Nodes still live when the computation finished: everything
-    /// reachable from the input and output subspaces (and any registered
+    /// reachable from the input and target subspaces (and any registered
     /// GC roots).
     pub live_nodes: usize,
     /// Arena slots allocated in the main manager when the computation
@@ -183,7 +186,7 @@ impl ImageStats {
 
 /// Polls an in-image GC safepoint: at this point of a serial strategy,
 /// `holders` are exactly the structures that must survive — the input and
-/// output subspaces, the network's gate tensors, and the operator/block
+/// target subspaces, the network's gate tensors, and the operator/block
 /// tensors built so far. Everything else in the arena is garbage a
 /// collection may sweep.
 fn safepoint(m: &mut TddManager, stats: &mut ImageStats, holders: &[&dyn EdgeHolder]) {
@@ -198,27 +201,49 @@ fn safepoint(m: &mut TddManager, stats: &mut ImageStats, holders: &[&dyn EdgeHol
 }
 
 /// Computes the image `T(S)` of subspace `input` under the given
-/// operations, with the chosen strategy.
+/// operations, with the chosen strategy, into a fresh subspace.
+///
+/// The kernel itself is [`try_image_into`]; this passes it a zero target.
+///
+/// # Errors
+///
+/// As [`try_image_into`].
+pub fn try_image(
+    m: &mut TddManager,
+    operations: &[Operation],
+    input: &Subspace,
+    strategy: Strategy,
+) -> Result<(Subspace, ImageStats), QitsError> {
+    let mut out = Subspace::zero(input.n_qubits());
+    let stats = try_image_into(m, operations, input, &mut out, strategy)?;
+    Ok((out, stats))
+}
+
+/// The image kernel: absorbs `T(input)` into `target`.
 ///
 /// Every Kraus branch `E` of every operation is applied to every basis
-/// state `|psi>` of `input`; the results are joined with the symbolic
-/// Gram–Schmidt procedure. This realises Algorithm 1 of the paper, with
-/// the operator-application step swapped per strategy.
+/// state `|psi>` of `input`, and each result is absorbed straight into
+/// `target` by one Gram–Schmidt step ([`Subspace::absorb`]). This realises
+/// Algorithm 1 of the paper, with the operator-application step swapped
+/// per strategy. With a zero target the result is the image itself
+/// ([`try_image`], [`crate::Engine::image`]); a reachability fixpoint
+/// passes the frontier as `input` and the reachable space as `target`, so
+/// every image vector is orthogonalised once, against the whole space.
+/// [`ImageStats::output_dim`] counts the vectors the call added.
 ///
 /// # Garbage collection
 ///
 /// The three serial strategies poll **GC safepoints** mid-call — between
 /// addition-partition slices, between contraction-partition blocks, and
-/// after every Gram–Schmidt residual of the output's basis extension. If
-/// the manager has a [`qits_tdd::GcPolicy`] installed and the policy asks
-/// for it, a safepoint sweeps everything not reachable from the
-/// strategy's live set (the input, the output so far, the network's gate
-/// tensors, and the operator/block tensors), so the node store stays
-/// pinned to the live set *inside* one `image()` call instead of growing
-/// for its whole duration. Collection never moves a node, so `input` is
-/// read-only: its edges are bit-identical before, during, and after the
-/// call. With no policy installed (the default) no safepoint ever
-/// collects and the call behaves exactly as before.
+/// after every Gram–Schmidt residual absorbed into the target. If the
+/// manager has a [`qits_tdd::GcPolicy`] installed and the policy asks for
+/// it, a safepoint sweeps everything not reachable from the strategy's
+/// live set (the input, the target, the network's gate tensors, and the
+/// operator/block tensors), so the node store stays pinned to the live
+/// set *inside* one call instead of growing for its whole duration.
+/// Collection never moves a node, so `input` is read-only: its edges are
+/// bit-identical before, during, and after the call. With no policy
+/// installed (the default) no safepoint ever collects.
 ///
 /// Callers holding **other** long-lived diagrams on the same manager
 /// (another subspace, a transition system whose initial subspace is not
@@ -232,18 +257,19 @@ fn safepoint(m: &mut TddManager, stats: &mut ImageStats, holders: &[&dyn EdgeHol
 ///
 /// Returns [`QitsError::ZeroQubitSystem`] for an empty register,
 /// [`QitsError::EmptyOperationSet`] when `operations` is empty,
-/// [`QitsError::RegisterMismatch`] when any operation's width differs
-/// from the input's (checked in release builds — this used to be a
-/// `debug_assert`), [`QitsError::EmptyKrausSet`] for an operation with
-/// zero Kraus operators, [`QitsError::DimensionOverflow`] when an
-/// addition partition's `k` cannot index its `2^k` slices, and
+/// [`QitsError::RegisterMismatch`] when any operation's width, or the
+/// target's, differs from the input's (checked in release builds),
+/// [`QitsError::EmptyKrausSet`] for an operation with zero Kraus
+/// operators, [`QitsError::DimensionOverflow`] when an addition
+/// partition's `k` cannot index its `2^k` slices, and
 /// [`QitsError::WorkerFailure`] when a parallel worker thread panics.
-pub fn try_image(
+pub fn try_image_into(
     m: &mut TddManager,
     operations: &[Operation],
     input: &Subspace,
+    target: &mut Subspace,
     strategy: Strategy,
-) -> Result<(Subspace, ImageStats), QitsError> {
+) -> Result<ImageStats, QitsError> {
     let n = input.n_qubits();
     if n == 0 {
         return Err(QitsError::ZeroQubitSystem);
@@ -265,6 +291,13 @@ pub fn try_image(
             });
         }
     }
+    if target.n_qubits() != n {
+        return Err(QitsError::RegisterMismatch {
+            expected: n,
+            found: target.n_qubits(),
+            context: "the image target subspace".to_string(),
+        });
+    }
     if let Strategy::Addition { k } | Strategy::AdditionParallel { k } = strategy {
         if k >= usize::BITS as usize {
             return Err(QitsError::DimensionOverflow { bits: k as u32 });
@@ -272,7 +305,7 @@ pub fn try_image(
     }
     let start = Instant::now();
     let manager_before = m.stats();
-    let mut out = Subspace::zero(n);
+    let dim_before = target.dim();
     let mut stats = ImageStats::default();
 
     for (op_i, op) in operations.iter().enumerate() {
@@ -299,9 +332,9 @@ pub fn try_image(
                         let (phi, peak) =
                             apply_tensors(m, std::slice::from_ref(&op_tensor), &net, psi);
                         stats.max_nodes = stats.max_nodes.max(peak);
-                        out.absorb(m, phi);
+                        target.absorb(m, phi);
                         if !(final_branch && i + 1 == input.dim()) {
-                            safepoint(m, &mut stats, &[input, &out, &op_tensor, &net]);
+                            safepoint(m, &mut stats, &[input, &*target, &op_tensor, &net]);
                         }
                     }
                 }
@@ -327,7 +360,7 @@ pub fn try_image(
                             edge: part.edge,
                             vars: net.external_vars(),
                         });
-                        safepoint(m, &mut stats, &[input, &out, &op_tensors, &net]);
+                        safepoint(m, &mut stats, &[input, &*target, &op_tensors, &net]);
                     }
                     for i in 0..input.dim() {
                         let psi = input.basis()[i];
@@ -339,9 +372,9 @@ pub fn try_image(
                             total = m.add(total, phi);
                             stats.max_nodes = stats.max_nodes.max(m.node_count(total));
                         }
-                        out.absorb(m, total);
+                        target.absorb(m, total);
                         if !(final_branch && i + 1 == input.dim()) {
-                            safepoint(m, &mut stats, &[input, &out, &op_tensors, &net]);
+                            safepoint(m, &mut stats, &[input, &*target, &op_tensors, &net]);
                         }
                     }
                 }
@@ -359,15 +392,15 @@ pub fn try_image(
                             edge: outcome.edge,
                             vars: keep,
                         });
-                        safepoint(m, &mut stats, &[input, &out, &block_tensors, &net]);
+                        safepoint(m, &mut stats, &[input, &*target, &block_tensors, &net]);
                     }
                     for i in 0..input.dim() {
                         let psi = input.basis()[i];
                         let (phi, peak) = apply_tensors(m, &block_tensors, &net, psi);
                         stats.max_nodes = stats.max_nodes.max(peak);
-                        out.absorb(m, phi);
+                        target.absorb(m, phi);
                         if !(final_branch && i + 1 == input.dim()) {
-                            safepoint(m, &mut stats, &[input, &out, &block_tensors, &net]);
+                            safepoint(m, &mut stats, &[input, &*target, &block_tensors, &net]);
                         }
                     }
                 }
@@ -394,7 +427,7 @@ pub fn try_image(
                             stats.max_nodes = stats.max_nodes.max(*peak);
                             stats.max_nodes = stats.max_nodes.max(m.node_count(total));
                         }
-                        out.absorb(m, total);
+                        target.absorb(m, total);
                     }
                 }
             }
@@ -407,15 +440,13 @@ pub fn try_image(
     stats.reclaimed_nodes += moved.nodes_reclaimed;
     stats.safepoints += moved.safepoints_polled;
     stats.safepoint_collections += moved.safepoint_collections;
-    stats.output_dim = out.dim();
+    stats.output_dim = target.dim() - dim_before;
     // Live-vs-allocated accounting: the live set is what a collection run
-    // right now would keep (input + output + registered roots); the arena
+    // right now would keep (input + target + registered roots); the arena
     // additionally holds every uncollected intermediate.
-    let mut live_edges: Vec<Edge> = Vec::with_capacity(input.dim() + out.dim() + 2);
-    live_edges.extend_from_slice(input.basis());
-    live_edges.push(input.projector());
-    live_edges.extend_from_slice(out.basis());
-    live_edges.push(out.projector());
+    let mut live_edges: Vec<Edge> = Vec::with_capacity(input.dim() + target.dim() + 2);
+    input.gc_edges(&mut |e| live_edges.push(e));
+    target.gc_edges(&mut |e| live_edges.push(e));
     stats.live_nodes = m.live_node_count(&live_edges);
     stats.allocated_nodes = m.arena_len();
     stats.peak_arena = m.stats().peak_arena;
@@ -432,7 +463,7 @@ pub fn try_image(
     stats.swaps = moved.swaps;
     stats.sift_passes = moved.sift_passes;
     stats.elapsed = start.elapsed();
-    Ok((out, stats))
+    Ok(stats)
 }
 
 /// Infallible shim over [`try_image`], kept as the strategy-agreement
@@ -700,6 +731,31 @@ mod tests {
         let (img, stats) = image(&mut m, qts.operations(), &zero, Strategy::Basic);
         assert_eq!(img.dim(), 0);
         assert_eq!(stats.output_dim, 0);
+    }
+
+    #[test]
+    fn image_into_a_target_counts_only_what_it_adds() {
+        // T(S) = S for the Grover invariant: absorbing T(S) into S itself
+        // adds nothing.
+        let mut m = TddManager::new();
+        let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::grover(3));
+        let ops = qts.operations().clone();
+        for s in STRATEGIES {
+            let mut target = qts.initial().clone();
+            let st = try_image_into(&mut m, &ops, qts.initial(), &mut target, s).unwrap();
+            assert_eq!(st.output_dim, 0, "{s}");
+            assert_eq!(target.dim(), qts.initial().dim(), "{s}");
+        }
+        let mut wider = Subspace::zero(4);
+        let err = try_image_into(&mut m, &ops, qts.initial(), &mut wider, Strategy::Basic);
+        assert!(matches!(
+            err.unwrap_err(),
+            crate::error::QitsError::RegisterMismatch {
+                expected: 3,
+                found: 4,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -83,7 +83,7 @@ mod subspace;
 
 pub use engine::{Auto, Engine, EngineBuilder, ImageStrategy, StatsSink};
 pub use error::QitsError;
-pub use image::{image, try_image, ImageStats, Strategy};
+pub use image::{image, try_image, try_image_into, ImageStats, Strategy};
 pub use pool::{
     run_job, EnginePool, EngineSpec, ImageOutcome, Job, JobHandle, JobOutput, JobRequest,
     JobTicket, MemoKey, MemoStats, PoolBuilder, PoolStats, PoolStatsSink, Priority, ReachOutcome,

@@ -2,18 +2,34 @@
 //! image computation, and invariant checking — the application that
 //! motivates image computation in the first place (Section I).
 //!
+//! # Semi-naive iteration
+//!
+//! The reachable space is the least fixpoint `S0 v T(S0) v T^2(S0) v ...`.
+//! The transformer is linear on subspaces, `T(A v B) = T(A) v T(B)`, so
+//! with `S_j = S_{j-1} v Δ_j`, where the frontier `Δ_j` is spanned by the
+//! basis kets iteration `j` added, `T(S_j) = T(S_{j-1}) v T(Δ_j)`, and
+//! `T(S_{j-1})` already lies in `S_j`. Only the frontier ever needs an
+//! image: each iteration images `Δ` (initially `S0`), absorbs every image
+//! vector straight into `S` by one Gram–Schmidt step, and takes the kets
+//! it added as the next frontier; the fixpoint is reached when nothing
+//! was added. This is the frontier-set trick of BDD reachability (Burch,
+//! Clarke, McMillan et al., 1990). It computes the same chain `S_j` as
+//! iterating `S <- S v T(S)` on the whole space, so the dimensions and
+//! iteration counts are those of the whole-space iteration.
+//!
 //! # Garbage collection
 //!
-//! A reachability fixpoint iterates `S <- S v T(S)` on one manager, and
-//! without reclamation every dead intermediate of every iteration stays
+//! A reachability fixpoint runs many images on one manager, and without
+//! reclamation every dead intermediate of every iteration stays
 //! resident. The drivers here are GC-aware on two levels when the manager
 //! has a [`qits_tdd::GcPolicy`] installed:
 //!
-//! * **inside** each `image()` call, the serial strategies poll their own
-//!   safepoints (see [`crate::image`]); the drivers keep the transition
-//!   system and any invariant under check alive across those collections
-//!   by rooting them ([`qits_tdd::TddManager::protect`]) for the duration
-//!   of the call;
+//! * **inside** each image call, the serial strategies poll their own
+//!   safepoints (see [`crate::image`]) with the frontier and the reachable
+//!   space among the mark roots; the drivers keep the transition system
+//!   and any invariant under check alive across those collections by
+//!   rooting them ([`qits_tdd::TddManager::protect`]) for the duration of
+//!   the call;
 //! * **between** iterations, the drivers poll the same safepoint entry
 //!   ([`qits_tdd::TddManager::maybe_collect_at_safepoint`]) with the full
 //!   live set as [`qits_tdd::EdgeHolder`]s — the system, the working
@@ -41,7 +57,8 @@ pub struct ReachabilityResult {
     pub iterations: usize,
     /// Whether the fixpoint was reached (false: `max_iterations` hit).
     pub converged: bool,
-    /// Per-iteration statistics.
+    /// Per-iteration statistics; each one's `output_dim` is the size of
+    /// the frontier that iteration added.
     pub stats: Vec<ImageStats>,
     /// Garbage collections performed by the driver: between iterations
     /// plus the in-image safepoint collections of every `image()` call.
@@ -51,14 +68,8 @@ pub struct ReachabilityResult {
     pub reclaimed_nodes: u64,
 }
 
-/// Whether a subspace already spans its whole `2^n`-dimensional space, so
-/// any image is necessarily contained in it and the fixpoint is reached.
-fn space_is_full(s: &Subspace) -> bool {
-    s.n_qubits() < usize::BITS && s.dim() == 1usize << s.n_qubits()
-}
-
-/// Computes the reachable subspace of `qts` by iterating
-/// `S <- S v T(S)` until the dimension stabilises.
+/// Computes the reachable subspace of `qts` by semi-naive iteration (see
+/// the module docs) until an iteration adds nothing.
 ///
 /// The dimension is bounded by `2^n`, so with enough iterations this
 /// always converges; `max_iterations` guards runtime. A space that has
@@ -112,17 +123,20 @@ pub fn reachable_space_keeping(
 }
 
 /// The fixpoint core behind every reachability driver — free-function
-/// shims and [`crate::Engine`] alike: iterates `S <- S v T(S)` with the
-/// image computed through an [`ImageStrategy`] object, rooting the system
-/// and the `kept` subspaces across in-image safepoints and polling the
-/// between-iteration safepoint with the full live set.
+/// shims and [`crate::Engine`] alike: semi-naive iteration (see the module
+/// docs) with each frontier's image absorbed into the reachable space
+/// through an [`ImageStrategy`] object, rooting the system and the `kept`
+/// subspaces across in-image safepoints and polling the between-iteration
+/// safepoint with the full live set.
 ///
 /// `start` overrides the starting space (default: the system's initial
 /// subspace) — the resume path of [`crate::Engine::resume_reachable_space`].
-/// Restarting the iteration from any intermediate `S_j` is sound because
-/// the closure is monotone: `S_j` already contains `S0`, so
-/// `S <- S v T(S)` from `S_j` walks exactly the tail of the original
-/// chain and converges to the same least fixpoint.
+/// The first frontier is the whole starting space. Resuming from a
+/// checkpointed `S_j` with `Δ = S_j` is sound because the closure is
+/// monotone: `S_j` already contains `S0` and lies inside the fixpoint, so
+/// the first resumed iteration yields `S_j v T(S_j) = S_{j+1}` — the same
+/// space the uninterrupted run reached — and the rest walks exactly the
+/// tail of the original chain. It only costs that one whole-space image.
 pub(crate) fn fixpoint_with(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
@@ -133,26 +147,31 @@ pub(crate) fn fixpoint_with(
 ) -> Result<ReachabilityResult, QitsError> {
     let ops = qts.operations().clone();
     let mut space = start.unwrap_or_else(|| qts.initial().clone());
+    // Basis kets from this index on are the frontier.
+    let mut frontier_start = 0;
     let mut stats = Vec::new();
     let mut converged = false;
     let mut iterations = 0;
     let mut collections = 0usize;
     let mut reclaimed_nodes = 0u64;
     while iterations < max_iterations {
-        if space_is_full(&space) {
+        if space.is_full() {
             // The space cannot grow further: skip the final image.
             converged = true;
             break;
         }
-        // The image call may collect at its internal safepoints; the
-        // system's initial subspace and the kept subspaces are live but
-        // not part of the call, so root them across it.
-        let (img, st) = {
+        let frontier = space.tail(m, frontier_start);
+        let dim_before = space.dim();
+        // The image call may collect at its internal safepoints, which
+        // keep the frontier and the space; the system's initial subspace
+        // and the kept subspaces are live but not part of the call, so
+        // root them across it.
+        let st = {
             let mut roots = qts.protect(m);
             for s in kept {
                 roots.extend(s.protect(m));
             }
-            let result = strategy.compute(m, &ops, &space);
+            let result = strategy.compute(m, &ops, &frontier, &mut space);
             m.unprotect_all(roots);
             result?
         };
@@ -164,15 +183,14 @@ pub(crate) fn fixpoint_with(
         reclaimed_nodes += st.reclaimed_nodes;
         iterations += 1;
         stats.push(st);
-        let joined = space.join(m, &img);
-        if joined.dim() == space.dim() {
+        if space.dim() == dim_before {
             converged = true;
             break;
         }
-        space = joined;
-        // Re-check fullness right after the join: saturating on the very
-        // last permitted iteration is still a proven fixpoint.
-        if space_is_full(&space) {
+        frontier_start = dim_before;
+        // Re-check fullness right after the absorb: saturating on the
+        // very last permitted iteration is still a proven fixpoint.
+        if space.is_full() {
             converged = true;
             break;
         }
@@ -318,6 +336,35 @@ mod tests {
         assert!(r.converged);
         assert_eq!(r.iterations, 0, "full space needs no image computation");
         assert_eq!(r.space.dim(), 4);
+    }
+
+    #[test]
+    fn output_dim_counts_each_frontier() {
+        // Every iteration's `output_dim` is the frontier it added to the
+        // space. The walk fills its register, so every iteration added
+        // kets and saturation, not an empty frontier, ended the run.
+        let mut m = TddManager::new();
+        let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::qrw(3, 0.5));
+        let r = reachable_space(&mut m, &qts, Strategy::Contraction { k1: 2, k2: 2 }, 40);
+        assert!(r.converged);
+        assert_eq!(r.space.dim(), 8);
+        let added: usize = r.stats.iter().map(|st| st.output_dim).sum();
+        assert_eq!(qts.initial().dim() + added, 8);
+        assert!(r.stats.iter().all(|st| st.output_dim > 0));
+    }
+
+    #[test]
+    fn ghz_goes_projector_free_and_the_walk_keeps_its_projector() {
+        let strategy = Strategy::Contraction { k1: 2, k2: 2 };
+        let mut m = TddManager::new();
+        let ghz = QuantumTransitionSystem::from_spec(&mut m, &generators::ghz(5));
+        let r = reachable_space(&mut m, &ghz, strategy, 40);
+        assert!(r.converged);
+        assert!(!r.space.keeps_projector());
+        let walk = QuantumTransitionSystem::from_spec(&mut m, &generators::qrw(4, 0.5));
+        let r = reachable_space(&mut m, &walk, strategy, 40);
+        assert!(r.converged);
+        assert!(r.space.keeps_projector());
     }
 
     #[test]

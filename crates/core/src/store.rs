@@ -35,7 +35,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use qits_num::Cplx;
-use qits_tdd::{CacheStats, Edge};
+use qits_tdd::{CacheStats, Edge, TddManager};
 
 use crate::engine::Engine;
 use crate::error::QitsError;
@@ -54,12 +54,14 @@ pub use qits_store::{
 // ----------------------------------------------------------------------
 
 /// Appends a subspace's edges (basis kets, then projector) to the dump's
-/// root table and returns the descriptor indexing them.
-fn push_subspace_roots(s: &Subspace, roots: &mut Vec<Edge>) -> SubspaceDump {
+/// root table and returns the descriptor indexing them. A subspace that
+/// dropped its projector has it materialised here, so the format always
+/// carries one.
+fn push_subspace_roots(m: &mut TddManager, s: &Subspace, roots: &mut Vec<Edge>) -> SubspaceDump {
     let start = roots.len() as u32;
     let basis = (0..s.dim() as u32).map(|i| start + i).collect();
     roots.extend_from_slice(s.basis());
-    roots.push(s.projector());
+    roots.push(s.projector(m));
     SubspaceDump {
         n_qubits: s.n_qubits(),
         basis,
@@ -68,8 +70,13 @@ fn push_subspace_roots(s: &Subspace, roots: &mut Vec<Edge>) -> SubspaceDump {
 }
 
 /// Reassembles a subspace from its descriptor against the restored root
-/// table. Out-of-range indices are [`QitsError::StoreCorrupt`].
-fn restore_subspace(d: &SubspaceDump, roots: &[Edge]) -> Result<Subspace, QitsError> {
+/// table; the projector is kept or dropped by the usual node-count rule.
+/// Out-of-range indices are [`QitsError::StoreCorrupt`].
+fn restore_subspace(
+    m: &TddManager,
+    d: &SubspaceDump,
+    roots: &[Edge],
+) -> Result<Subspace, QitsError> {
     let fetch = |i: u32| {
         roots
             .get(i as usize)
@@ -85,7 +92,8 @@ fn restore_subspace(d: &SubspaceDump, roots: &[Edge]) -> Result<Subspace, QitsEr
     for &i in &d.basis {
         basis.push(fetch(i)?);
     }
-    Ok(Subspace::from_parts(d.n_qubits, basis, fetch(d.projector)?))
+    let projector = fetch(d.projector)?;
+    Ok(Subspace::from_parts(m, d.n_qubits, basis, projector))
 }
 
 // ----------------------------------------------------------------------
@@ -117,12 +125,16 @@ impl Engine {
     /// fingerprint (when the session was built from an
     /// [`crate::EngineSpec`]). All diagrams are dumped in one
     /// topologically-ordered node table, shared subgraphs included once.
-    pub fn snapshot(&self, label: &str, progress: Option<&ReachabilityResult>) -> Snapshot {
+    /// A subspace that dropped its projector has it materialised on this
+    /// session's manager for the dump (see [`Subspace::projector`]).
+    pub fn snapshot(&mut self, label: &str, progress: Option<&ReachabilityResult>) -> Snapshot {
         let mut roots: Vec<Edge> = Vec::new();
-        let mut subspaces = vec![push_subspace_roots(self.initial(), &mut roots)];
+        let initial = self.initial().clone();
+        let m = self.manager_mut();
+        let mut subspaces = vec![push_subspace_roots(m, &initial, &mut roots)];
         let reach = progress.map(|r| {
             let idx = subspaces.len() as u32;
-            subspaces.push(push_subspace_roots(&r.space, &mut roots));
+            subspaces.push(push_subspace_roots(m, &r.space, &mut roots));
             ReachDump {
                 space: idx,
                 iterations: r.iterations as u64,
@@ -142,7 +154,7 @@ impl Engine {
     /// [`Engine::snapshot`] straight to a file (atomically: written to a
     /// temporary sibling, then renamed into place).
     pub fn save_snapshot(
-        &self,
+        &mut self,
         path: impl AsRef<Path>,
         label: &str,
         progress: Option<&ReachabilityResult>,
@@ -178,7 +190,7 @@ impl Engine {
         // instead of failing later, after state was already mutated.
         let mut restored = Vec::with_capacity(snap.subspaces.len());
         for sd in &snap.subspaces {
-            restored.push(restore_subspace(sd, &roots)?);
+            restored.push(restore_subspace(self.manager(), sd, &roots)?);
         }
         match &snap.reach {
             None => Ok(None),
@@ -573,7 +585,7 @@ mod tests {
 
     #[test]
     fn warm_start_rejects_dangling_subspace_indices() {
-        let engine = EngineBuilder::new()
+        let mut engine = EngineBuilder::new()
             .build_from_spec(&generators::ghz(3))
             .unwrap();
         let mut snap = engine.snapshot("bad", None);

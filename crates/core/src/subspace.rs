@@ -1,10 +1,20 @@
 //! Hilbert-space subspaces, represented symbolically.
 //!
-//! A subspace is stored as an orthonormal basis of TDD kets *and* the TDD
-//! of its projector, maintained together exactly as in the paper's
-//! Section IV: the Gram–Schmidt join keeps `P = sum |v><v|` in lock-step
-//! with the basis, and the basis-decomposition of a given projector peels
-//! off columns located by the leftmost non-zero path of the projector TDD.
+//! A subspace is an orthonormal basis of TDD kets plus, while it is the
+//! cheaper of the two, the TDD of its projector `P = sum |v><v|` (the
+//! paper's Section IV). Both answer the one question every join and
+//! membership test asks — the residual `psi - P psi` — at different
+//! costs: applying `P` walks `node_count(P)` nodes, modified Gram–Schmidt
+//! (MGS) against the basis walks every basis ket. Floating-point noise
+//! defeats the projector's node sharing on entangled spaces (a GHZ
+//! fixpoint's projector reaches tens of thousands of nodes while no basis
+//! ket exceeds a few hundred), whereas a walk's projector stays far
+//! smaller than its basis. So a subspace keeps `P` only while it is no
+//! larger than the basis (see [`Subspace`] for the exact rule), answers by
+//! MGS past that point, and materialises `P` on demand
+//! ([`Subspace::projector`]) for the callers that need the operator
+//! itself. The rule follows node counts the manager reports; there is no
+//! option or tuned constant.
 
 use std::collections::BTreeMap;
 
@@ -21,7 +31,8 @@ use crate::error::QitsError;
 /// from full contractions, so the rank decision uses a coarser cutoff.
 pub const RANK_TOLERANCE: f64 = 1e-9;
 
-/// A (closed) subspace of an `n`-qubit state space.
+/// A (closed) subspace of an `n`-qubit state space: an orthonormal basis
+/// and, while it is the cheaper residual, the projector it sums to.
 ///
 /// Kets live on the position-0 wire variables `x_i = Var::wire(i, 0)`; the
 /// projector uses `x_i` as column and `y_i = Var::wire(i, 1)` as row
@@ -31,10 +42,38 @@ pub const RANK_TOLERANCE: f64 = 1e-9;
 /// All edges are owned by the [`TddManager`] passed to each method; using
 /// a subspace with a different manager is a logic error.
 ///
+/// # Projector or basis
+///
+/// Every [`Subspace::absorb`] extends the basis by one Gram–Schmidt step,
+/// residual first, and then settles the projector by node counts the
+/// manager reports. Call the new ket `v` and the projector of the basis
+/// before it `P`:
+///
+/// * a kept `P` is compared with the grown basis: while `node_count(P)`
+///   does not exceed the summed node counts of the basis kets (`v`
+///   included), it is extended to `P + |v><v|`; otherwise it is dropped
+///   and its node count remembered;
+/// * a dropped `P` is rebuilt from the basis and judged the same way once
+///   the basis has grown to the size the projector had when it was
+///   dropped — so a space whose projector becomes compact again (a walk
+///   filling its register) gets it back, while one whose projector keeps
+///   outgrowing the basis (a GHZ fixpoint) stays projector-free.
+///
+/// A subspace made from a whole projector ([`Subspace::from_projector`],
+/// [`Subspace::full`], [`Subspace::complement`], a restored snapshot)
+/// keeps it iff it is no larger than the basis.
+///
+/// Residuals, [`Subspace::project`] and [`Subspace::contains`] apply `P`
+/// when it is kept and run modified Gram–Schmidt against the basis
+/// otherwise; the answers agree up to the rank tolerance.
+/// [`Subspace::projector`] returns the kept `P`, or builds `sum |v><v|`
+/// from the basis on each call — for [`Subspace::complement`], the
+/// snapshot store, and figure reproductions.
+///
 /// # Garbage collection
 ///
-/// A subspace holds long-lived edges (the basis kets and the projector),
-/// so it participates in the manager's root-tracked GC (see
+/// A subspace holds long-lived edges (the basis kets and the kept
+/// projector), so it participates in the manager's root-tracked GC (see
 /// [`qits_tdd::gc`]). Collection never moves a node, so there is no
 /// relocation step: a subspace that was kept alive across a collection —
 /// by rooting it with [`Subspace::protect`], or by passing it as an
@@ -66,7 +105,32 @@ pub const RANK_TOLERANCE: f64 = 1e-9;
 pub struct Subspace {
     n_qubits: u32,
     basis: Vec<Edge>,
-    projector: Edge,
+    /// `sum node_count(v)` over the basis: the nodes an MGS residual walks.
+    basis_nodes: usize,
+    projector: Projector,
+}
+
+/// The projector half of a [`Subspace`].
+#[derive(Debug, Clone, Copy)]
+enum Projector {
+    /// `P = sum |v><v|` and its node count, updated by every absorb.
+    Kept { p: Edge, nodes: usize },
+    /// Dropped when it had this many nodes; rebuilt and judged again once
+    /// the basis has at least as many.
+    Dropped { nodes: usize },
+}
+
+impl Projector {
+    /// `p`, the projector of a whole basis of `basis_nodes` nodes: kept
+    /// iff it is no larger, else dropped with its size remembered.
+    fn judge(m: &TddManager, p: Edge, basis_nodes: usize) -> Projector {
+        let nodes = m.node_count(p);
+        if nodes <= basis_nodes {
+            Projector::Kept { p, nodes }
+        } else {
+            Projector::Dropped { nodes }
+        }
+    }
 }
 
 impl Subspace {
@@ -75,7 +139,11 @@ impl Subspace {
         Subspace {
             n_qubits,
             basis: Vec::new(),
-            projector: Edge::ZERO,
+            basis_nodes: 0,
+            projector: Projector::Kept {
+                p: Edge::ZERO,
+                nodes: 0,
+            },
         }
     }
 
@@ -99,16 +167,38 @@ impl Subspace {
         s
     }
 
-    /// Reassembles a subspace from parts restored off disk. The caller
-    /// (the snapshot loader in [`crate::store`]) guarantees the basis is
+    /// Reassembles a subspace from parts restored off disk, keeping the
+    /// projector iff it is no larger than the basis. The caller (the
+    /// snapshot loader in [`crate::store`]) guarantees the basis is
     /// orthonormal and the projector is its sum of outer products — both
     /// held by construction, since dumps are taken from live subspaces
     /// and the TDD round trip is value-exact.
-    pub(crate) fn from_parts(n_qubits: u32, basis: Vec<Edge>, projector: Edge) -> Subspace {
+    pub(crate) fn from_parts(
+        m: &TddManager,
+        n_qubits: u32,
+        basis: Vec<Edge>,
+        projector: Edge,
+    ) -> Subspace {
+        let basis_nodes = basis.iter().map(|&v| m.node_count(v)).sum();
         Subspace {
             n_qubits,
             basis,
-            projector,
+            basis_nodes,
+            projector: Projector::judge(m, projector, basis_nodes),
+        }
+    }
+
+    /// The subspace spanned by the basis kets from index `from` on — the
+    /// frontier a fixpoint iteration images. It is only ever an input, so
+    /// no projector is built for it; one would be built and judged on its
+    /// first absorb, like any dropped projector whose size is unknown.
+    pub(crate) fn tail(&self, m: &TddManager, from: usize) -> Subspace {
+        let basis = self.basis[from..].to_vec();
+        Subspace {
+            n_qubits: self.n_qubits,
+            basis_nodes: basis.iter().map(|&v| m.node_count(v)).sum(),
+            basis,
+            projector: Projector::Dropped { nodes: 0 },
         }
     }
 
@@ -127,18 +217,33 @@ impl Subspace {
         &self.basis
     }
 
-    /// The projector TDD over interleaved `(x_i, y_i)` variables.
-    pub fn projector(&self) -> Edge {
-        self.projector
+    /// Whether the subspace spans its whole `2^n`-dimensional space, so it
+    /// contains every ket of its register.
+    pub fn is_full(&self) -> bool {
+        self.n_qubits < usize::BITS && self.basis.len() == 1usize << self.n_qubits
     }
 
-    /// Registers every edge of the subspace (basis kets and projector) as
-    /// a GC root, returning the ids for a later
+    /// Whether the projector is currently kept (rather than rebuilt by
+    /// [`Subspace::projector`] on each call).
+    pub fn keeps_projector(&self) -> bool {
+        matches!(self.projector, Projector::Kept { .. })
+    }
+
+    /// The projector TDD over interleaved `(x_i, y_i)` variables: the
+    /// kept one, or `sum |v><v|` built from the basis.
+    pub fn projector(&self, m: &mut TddManager) -> Edge {
+        match self.projector {
+            Projector::Kept { p, .. } => p,
+            Projector::Dropped { .. } => self.build_projector(m),
+        }
+    }
+
+    /// Registers every edge of the subspace (basis kets and the kept
+    /// projector) as a GC root, returning the ids for a later
     /// [`TddManager::unprotect_all`].
     pub fn protect(&self, m: &mut TddManager) -> Vec<RootId> {
         let mut ids = Vec::with_capacity(self.basis.len() + 1);
-        ids.extend(self.basis.iter().map(|&e| m.protect(e)));
-        ids.push(m.protect(self.projector));
+        self.gc_edges(&mut |e| ids.push(m.protect(e)));
         ids
     }
 }
@@ -148,37 +253,79 @@ impl EdgeHolder for Subspace {
         for &e in &self.basis {
             visit(e);
         }
-        visit(self.projector);
+        if let Projector::Kept { p, .. } = self.projector {
+            visit(p);
+        }
     }
 }
 
 impl Subspace {
     /// Applies the projector to a ket: `P |psi>`.
     pub fn project(&self, m: &mut TddManager, psi: Edge) -> Edge {
-        if self.basis.is_empty() {
+        match self.projector {
+            Projector::Kept { p, .. } => self.apply(m, p, psi),
+            Projector::Dropped { .. } => {
+                let u = self.mgs_residual(m, psi);
+                m.sub(psi, u)
+            }
+        }
+    }
+
+    /// The Gram–Schmidt residual `psi - P psi`: through the kept
+    /// projector, or by modified Gram–Schmidt against the basis.
+    fn residual(&self, m: &mut TddManager, psi: Edge) -> Edge {
+        match self.projector {
+            Projector::Kept { p, .. } => {
+                let proj = self.apply(m, p, psi);
+                m.sub(psi, proj)
+            }
+            Projector::Dropped { .. } => self.mgs_residual(m, psi),
+        }
+    }
+
+    /// `p |psi>` with the result renamed back onto the ket variables.
+    fn apply(&self, m: &mut TddManager, p: Edge, psi: Edge) -> Edge {
+        if p.is_zero() {
             return Edge::ZERO;
         }
         let xs = Self::ket_vars(self.n_qubits);
-        let projected = m.contract(self.projector, psi, &xs);
+        let projected = m.contract(p, psi, &xs);
         let map: BTreeMap<Var, Var> = (0..self.n_qubits)
             .map(|q| (Var::row(q), Var::ket(q)))
             .collect();
         m.rename_monotone(projected, &map)
     }
 
+    /// Modified Gram–Schmidt: removes each basis direction in turn from
+    /// the running residual.
+    fn mgs_residual(&self, m: &mut TddManager, psi: Edge) -> Edge {
+        let xs = Self::ket_vars(self.n_qubits);
+        let mut u = psi;
+        for &v in &self.basis {
+            if u.is_zero() {
+                break;
+            }
+            let c = m.inner_product(v, u, &xs);
+            let along = m.scale(v, c);
+            u = m.sub(u, along);
+        }
+        u
+    }
+
     /// Gram–Schmidt step: extends the basis by (the normalised residual
     /// of) `psi` if it adds a new dimension. Returns `true` if the
-    /// dimension grew.
+    /// dimension grew; a full space returns `false` without a residual.
     ///
     /// This is the paper's subspace-join primitive: `u = psi - P psi`;
-    /// if `u` is non-zero, normalise it, add it to the basis, and update
-    /// `P += |u><u|`.
+    /// if `u` is non-zero, normalise it and add it to the basis. The
+    /// projector is then settled as the type docs describe: `P += |u><u|`
+    /// while it is no larger than the grown basis, dropped otherwise, and
+    /// rebuilt once the basis has outgrown the last dropped projector.
     pub fn absorb(&mut self, m: &mut TddManager, psi: Edge) -> bool {
-        if psi.is_zero() {
+        if psi.is_zero() || self.is_full() {
             return false;
         }
-        let proj = self.project(m, psi);
-        let u = m.sub(psi, proj);
+        let u = self.residual(m, psi);
         if u.is_zero() {
             return false;
         }
@@ -188,9 +335,30 @@ impl Subspace {
             return false;
         }
         let v = m.scale(u, Cplx::real(1.0 / n2.sqrt()));
+        let basis_nodes = self.basis_nodes + m.node_count(v);
+        // The projector of the basis before `v`, if kept or due a rebuild.
+        let before = match self.projector {
+            Projector::Kept { p, nodes } => Some((p, nodes)),
+            Projector::Dropped { nodes } if basis_nodes >= nodes => {
+                let p = self.build_projector(m);
+                Some((p, m.node_count(p)))
+            }
+            Projector::Dropped { .. } => None,
+        };
         self.basis.push(v);
-        let outer = self.outer(m, v);
-        self.projector = m.add(self.projector, outer);
+        self.basis_nodes = basis_nodes;
+        match before {
+            Some((p, nodes)) if nodes <= basis_nodes => {
+                let outer = self.outer(m, v);
+                let p = m.add(p, outer);
+                self.projector = Projector::Kept {
+                    p,
+                    nodes: m.node_count(p),
+                };
+            }
+            Some((_, nodes)) => self.projector = Projector::Dropped { nodes },
+            None => {}
+        }
         true
     }
 
@@ -238,6 +406,16 @@ impl Subspace {
         m.contract(bra, ket_rows, &[])
     }
 
+    /// `sum |v><v|` over the basis, in basis order.
+    fn build_projector(&self, m: &mut TddManager) -> Edge {
+        let mut p = Edge::ZERO;
+        for &v in &self.basis {
+            let outer = self.outer(m, v);
+            p = m.add(p, outer);
+        }
+        p
+    }
+
     /// The join `self v other` (smallest subspace containing both).
     pub fn join(&self, m: &mut TddManager, other: &Subspace) -> Subspace {
         assert_eq!(self.n_qubits, other.n_qubits, "join needs equal registers");
@@ -250,8 +428,7 @@ impl Subspace {
 
     /// Whether a (normalised) ket lies in the subspace.
     pub fn contains(&self, m: &mut TddManager, psi: Edge) -> bool {
-        let proj = self.project(m, psi);
-        let u = m.sub(psi, proj);
+        let u = self.residual(m, psi);
         if u.is_zero() {
             return true;
         }
@@ -275,11 +452,7 @@ impl Subspace {
     /// [`Subspace::complement`]. Cost is `O(4^n)` basis kets; intended for
     /// the small registers model-checking properties are stated on.
     pub fn full(m: &mut TddManager, n_qubits: u32) -> Subspace {
-        let mut identity = Edge::ONE;
-        for q in 0..n_qubits {
-            let id = m.identity(Var::ket(q), Var::row(q));
-            identity = m.contract(identity, id, &[]);
-        }
+        let identity = Self::identity(m, n_qubits);
         Subspace::from_projector(m, n_qubits, identity)
     }
 
@@ -288,19 +461,27 @@ impl Subspace {
     /// Safety properties are often stated as "never reach `Bad`"; checking
     /// them as an invariant needs `Bad`'s complement.
     pub fn complement(&self, m: &mut TddManager) -> Subspace {
+        let identity = Self::identity(m, self.n_qubits);
+        let p = self.projector(m);
+        let comp = m.sub(identity, p);
+        Subspace::from_projector(m, self.n_qubits, comp)
+    }
+
+    /// The identity over interleaved `(x_i, y_i)` variables.
+    fn identity(m: &mut TddManager, n_qubits: u32) -> Edge {
         let mut identity = Edge::ONE;
-        for q in 0..self.n_qubits {
+        for q in 0..n_qubits {
             let id = m.identity(Var::ket(q), Var::row(q));
             identity = m.contract(identity, id, &[]);
         }
-        let comp = m.sub(identity, self.projector);
-        Subspace::from_projector(m, self.n_qubits, comp)
+        identity
     }
 
     /// Reconstructs a subspace from a projector TDD via the paper's
     /// Section IV-A basis decomposition: repeatedly locate the leftmost
     /// non-zero path, slice out that column, normalise it into a basis
-    /// vector, and subtract its outer product.
+    /// vector, and subtract its outer product. The given projector is then
+    /// kept iff it is no larger than the basis.
     ///
     /// # Panics
     ///
@@ -345,10 +526,11 @@ impl Subspace {
                 (0..n_qubits).map(|q| (Var::row(q), Var::ket(q))).collect();
             let ket = m.rename_monotone(v, &map);
             s.basis.push(ket);
+            s.basis_nodes += m.node_count(ket);
             let outer = s.outer(m, ket);
             p = m.sub(p, outer);
         }
-        s.projector = projector;
+        s.projector = Projector::judge(m, projector, s.basis_nodes);
         s
     }
 }
@@ -487,7 +669,8 @@ mod tests {
         let ppm = m.product_ket(&vars, &[states::PLUS, states::PLUS, states::MINUS]);
         let oom = m.product_ket(&vars, &[states::ONE, states::ONE, states::MINUS]);
         let s = Subspace::from_states(&mut m, 3, &[ppm, oom]);
-        let decomposed = Subspace::from_projector(&mut m, 3, s.projector());
+        let p = s.projector(&mut m);
+        let decomposed = Subspace::from_projector(&mut m, 3, p);
         assert_eq!(decomposed.dim(), 2);
         assert!(decomposed.equals(&mut m, &s));
         // First recovered vector: normalised first non-zero column =
@@ -538,6 +721,8 @@ mod tests {
             &[states::PLUS, states::MINUS, states::ONE],
         );
         assert!(s.contains(&mut m, probe));
+        assert!(s.is_full());
+        assert!(!s.clone().absorb(&mut m, probe));
     }
 
     #[test]
@@ -577,6 +762,84 @@ mod tests {
         let k1 = ket(&mut m, 1, &[true]);
         let s = Subspace::from_states(&mut m, 1, &[k0, k1]);
         let expect = m.identity(Var::ket(0), Var::row(0));
-        assert_eq!(s.projector(), expect);
+        assert_eq!(s.projector(&mut m), expect);
+    }
+
+    /// A 3-qubit subspace whose projector outgrows its basis: GHZ-like
+    /// superpositions with irrational phases.
+    fn entangled(m: &mut TddManager) -> (Subspace, Vec<Edge>) {
+        let vars = Subspace::ket_vars(3);
+        let mut states = Vec::new();
+        for (i, bits) in [
+            [false, false, false],
+            [true, false, true],
+            [false, true, true],
+        ]
+        .iter()
+        .enumerate()
+        {
+            let a = m.basis_ket(&vars, bits);
+            let flipped: Vec<bool> = bits.iter().map(|b| !b).collect();
+            let b = m.basis_ket(&vars, &flipped);
+            let phase = m.scale(b, Cplx::from_polar(1.0, 0.7 + i as f64));
+            states.push(m.add(a, phase));
+        }
+        (Subspace::from_states(m, 3, &states), states)
+    }
+
+    #[test]
+    fn projector_is_dropped_once_it_outgrows_the_basis() {
+        let mut m = TddManager::new();
+        let (s, _) = entangled(&mut m);
+        assert_eq!(s.dim(), 3);
+        assert!(!s.keeps_projector());
+        // The on-demand projector is the sum of the basis outer products:
+        // applying it agrees with the modified Gram–Schmidt projection.
+        let p = s.projector(&mut m);
+        let vars = Subspace::ket_vars(3);
+        let probe = m.product_ket(&vars, &[states::PLUS, states::ZERO, states::MINUS]);
+        let by_mgs = s.project(&mut m, probe);
+        let by_p = s.apply(&mut m, p, probe);
+        let diff = m.sub(by_mgs, by_p);
+        assert!(diff.is_zero() || m.norm_sqr(diff, &vars) < 1e-16);
+        assert!(m.node_count(p) > s.basis().iter().map(|&v| m.node_count(v)).sum());
+    }
+
+    #[test]
+    fn projector_free_answers_match_the_projector() {
+        let mut m = TddManager::new();
+        let (s, states) = entangled(&mut m);
+        let vars = Subspace::ket_vars(3);
+        for &e in &states {
+            assert!(s.contains(&mut m, e));
+        }
+        let outside = m.basis_ket(&vars, &[true, true, false]);
+        assert!(!s.contains(&mut m, outside));
+        assert!(!s.clone().absorb(&mut m, states[1]));
+        // The complement goes through the materialised projector.
+        let c = s.complement(&mut m);
+        assert_eq!(c.dim(), 5);
+        for &b in c.basis() {
+            assert!(!s.contains(&mut m, b));
+        }
+    }
+
+    #[test]
+    fn a_compact_projector_comes_back() {
+        // The entangled states outgrow their projector; completing the
+        // space with computational basis kets makes it compact again
+        // (the identity, at full dimension), so it is rebuilt and kept.
+        let mut m = TddManager::new();
+        let (mut s, _) = entangled(&mut m);
+        assert!(!s.keeps_projector());
+        for x in 0..8usize {
+            let bits: Vec<bool> = (0..3).map(|q| (x >> (2 - q)) & 1 == 1).collect();
+            let k = ket(&mut m, 3, &bits);
+            s.absorb(&mut m, k);
+        }
+        assert_eq!(s.dim(), 8);
+        assert!(s.keeps_projector());
+        let identity = Subspace::full(&mut m, 3).projector(&mut m);
+        assert_eq!(s.projector(&mut m), identity);
     }
 }

@@ -127,7 +127,11 @@ impl ComplexTable {
         let (bx, by) = self.bucket_of(c);
         for dx in -1..=1i64 {
             for dy in -1..=1i64 {
-                if let Some(entries) = self.buckets.get(&(bx + dx, by + dy)) {
+                // Grid indices saturate for values past ~2^63 grid cells
+                // (about 1.8e9 at the default tolerance), so the
+                // neighbourhood must saturate too.
+                let key = (bx.saturating_add(dx), by.saturating_add(dy));
+                if let Some(entries) = self.buckets.get(&key) {
                     for &i in entries {
                         if self.values[i as usize].approx_eq_with(c, self.tol) {
                             return CIdx(i);
@@ -200,6 +204,19 @@ mod tests {
         let a = t.intern(Cplx::new(x, 0.0));
         let b = t.intern(Cplx::new(x + 0.9e-10, 0.0)); // crosses the boundary
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn values_past_the_grid_range_still_intern() {
+        // A weight ratio above ~1.8e9 (an `add` of a tiny residual and a
+        // large edge) has a saturated grid index; looking up its
+        // neighbourhood must not overflow.
+        let mut t = ComplexTable::new();
+        let big = Cplx::new(1e12, -1e12);
+        let a = t.intern(big);
+        assert_eq!(t.intern(big), a);
+        assert_ne!(t.intern(Cplx::new(2e12, -1e12)), a);
+        assert!(t.value(a).approx_eq_with(big, 0.0));
     }
 
     #[test]

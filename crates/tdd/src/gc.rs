@@ -3,12 +3,13 @@
 //! The node store of a [`TddManager`] only accumulates between collections:
 //! every operation hash-conses new nodes and nothing is freed in place. The
 //! paper's headline workload — reachability via repeated image computation,
-//! iterating `S <- S v T(S)` on one manager — therefore accumulates every
-//! dead intermediate of every slice, block, and Gram–Schmidt residual, and
-//! long fixpoints become memory-bound before they are time-bound. This
-//! module is the reclamation subsystem that fixes that, in the style of
-//! mature decision-diagram managers: explicit root tracking plus
-//! mark-and-sweep over the backed unique table (the private `table` module).
+//! a chain of images joined into one subspace on one manager — therefore
+//! accumulates every dead intermediate of every slice, block, and
+//! Gram–Schmidt residual, and long fixpoints become memory-bound before
+//! they are time-bound. This module is the reclamation subsystem that
+//! fixes that, in the style of mature decision-diagram managers: explicit
+//! root tracking plus mark-and-sweep over the backed unique table (the
+//! private `table` module).
 //!
 //! # The generational-handle contract
 //!

@@ -1,5 +1,9 @@
 //! Tensor operations on TDDs: addition, contraction, slicing, conjugation,
 //! scaling, renaming, and inner products.
+//!
+//! In debug builds every public operation here checks that its operand
+//! edges are live ([`TddManager::is_live`]) and panics with "stale handle"
+//! otherwise: a handle a collection swept is misuse, reported as such.
 
 use std::collections::BTreeMap;
 
@@ -12,6 +16,19 @@ use crate::manager::TddManager;
 use crate::node::Edge;
 
 impl TddManager {
+    /// Debug-build guard at the entry of every public operation: an edge
+    /// whose node was swept by a collection reports as a stale handle
+    /// here, instead of as whatever unrelated invariant its slot's reuse
+    /// breaks deeper in the recursion.
+    #[inline]
+    fn debug_assert_live(&self, e: Edge) {
+        debug_assert!(
+            self.is_live(e),
+            "stale handle: {e:?} was swept by a garbage collection (root it \
+             with protect() or pass its holder to the collecting call)"
+        );
+    }
+
     // ------------------------------------------------------------------
     // Addition.
     // ------------------------------------------------------------------
@@ -22,6 +39,8 @@ impl TddManager {
     /// operand is treated as a variable the tensor does not depend on
     /// (standard reduced-diagram semantics).
     pub fn add(&mut self, a: Edge, b: Edge) -> Edge {
+        self.debug_assert_live(a);
+        self.debug_assert_live(b);
         self.stats.add_calls += 1;
         self.add_rec(a, b)
     }
@@ -85,6 +104,8 @@ impl TddManager {
 
     /// Point-wise difference `a - b`.
     pub fn sub(&mut self, a: Edge, b: Edge) -> Edge {
+        self.debug_assert_live(a);
+        self.debug_assert_live(b);
         let nb = self.scale(b, Cplx::NEG_ONE);
         self.add(a, nb)
     }
@@ -109,6 +130,8 @@ impl TddManager {
     ///
     /// Panics if `sum` is not strictly ascending.
     pub fn contract(&mut self, a: Edge, b: Edge, sum: &[Var]) -> Edge {
+        self.debug_assert_live(a);
+        self.debug_assert_live(b);
         assert!(
             sum.windows(2).all(|w| w[0] < w[1]),
             "summation variables must be strictly ascending"
@@ -196,6 +219,7 @@ impl TddManager {
     ///
     /// Slicing a diagram that does not depend on `var` returns it unchanged.
     pub fn slice(&mut self, e: Edge, var: Var, value: bool) -> Edge {
+        self.debug_assert_live(e);
         self.stats.slice_calls += 1;
         self.slice_rec(e, var, value)
     }
@@ -230,12 +254,14 @@ impl TddManager {
 
     /// Multiplies the whole tensor by the scalar `c`.
     pub fn scale(&mut self, e: Edge, c: Cplx) -> Edge {
+        self.debug_assert_live(e);
         let w = self.intern(c);
         self.mul_weight(e, w)
     }
 
     /// Complex-conjugates every entry (used to form bras from kets).
     pub fn conj(&mut self, e: Edge) -> Edge {
+        self.debug_assert_live(e);
         self.stats.conj_calls += 1;
         self.conj_rec(e)
     }
@@ -271,6 +297,7 @@ impl TddManager {
     ///
     /// Panics (in debug) if the renaming violates the natural order.
     pub fn rename_monotone(&mut self, e: Edge, map: &BTreeMap<Var, Var>) -> Edge {
+        self.debug_assert_live(e);
         debug_assert!(
             map.iter()
                 .collect::<Vec<_>>()
@@ -361,6 +388,8 @@ impl TddManager {
     /// Panics if `vars` is not strictly ascending or misses a support
     /// variable of either operand.
     pub fn inner_product(&mut self, a: Edge, b: Edge, vars: &[Var]) -> Cplx {
+        self.debug_assert_live(a);
+        self.debug_assert_live(b);
         let ca = self.conj(a);
         let r = self.contract(ca, b, vars);
         assert!(
@@ -372,6 +401,7 @@ impl TddManager {
 
     /// Squared norm `<e|e>` over `vars`.
     pub fn norm_sqr(&mut self, e: Edge, vars: &[Var]) -> f64 {
+        self.debug_assert_live(e);
         self.inner_product(e, e, vars).re
     }
 }

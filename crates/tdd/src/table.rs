@@ -62,6 +62,11 @@ struct Slot {
     /// GC mark bit (meaningful between a mark phase and the end of its
     /// sweep).
     marked: bool,
+    /// Whether a live index entry points at the slot. False for the
+    /// terminal, for dead slots, and for a slot a level swap left
+    /// shadowed (see [`UniqueTable::insert_index_entry`]) — sweeping such
+    /// a slot frees no index entry.
+    indexed: bool,
     node: Node,
 }
 
@@ -158,6 +163,7 @@ impl UniqueTable {
             gen: 0,
             dead: false,
             marked: true,
+            indexed: false,
             node: Node {
                 var: TERMINAL_VAR,
                 low: Edge::ZERO,
@@ -323,6 +329,7 @@ impl UniqueTable {
                 debug_assert!(s.dead);
                 s.dead = false;
                 s.marked = born_marked;
+                s.indexed = true;
                 s.node = node;
                 i
             }
@@ -338,6 +345,7 @@ impl UniqueTable {
                     gen: 0,
                     dead: false,
                     marked: born_marked,
+                    indexed: true,
                     node,
                 });
                 i
@@ -463,9 +471,9 @@ impl UniqueTable {
     }
 
     /// Sweeps at most `budget` slots: each unmarked live slot is freed by
-    /// bumping its generation (its index entry becomes a tombstone in
-    /// place — the index itself is untouched). Returns the slots reclaimed
-    /// and whether the sweep completed.
+    /// bumping its generation (its index entry, if it has one, becomes a
+    /// tombstone in place — the index itself is untouched). Returns the
+    /// slots reclaimed and whether the sweep completed.
     pub(crate) fn sweep_step(&mut self, budget: usize) -> (usize, bool) {
         let SweepState::InProgress { mut next, end } = self.sweep else {
             return (0, true);
@@ -479,9 +487,12 @@ impl UniqueTable {
                 s.gen = s.gen.wrapping_add(1);
                 self.free.push(next);
                 self.generation_bumps += 1;
-                self.tombstones += 1;
-                self.tombstones_created += 1;
-                self.live_entries -= 1;
+                if s.indexed {
+                    s.indexed = false;
+                    self.tombstones += 1;
+                    self.tombstones_created += 1;
+                    self.live_entries -= 1;
+                }
                 reclaimed += 1;
             }
             next += 1;
@@ -552,6 +563,9 @@ impl UniqueTable {
     /// it **shadowed** (see [`UniqueTable::insert_index_entry`]) — live,
     /// readable through its handles, but not interned.
     pub(crate) fn remove_index_entry(&mut self, slot: u32) {
+        if !self.slots[slot as usize].indexed {
+            return;
+        }
         let node = self.slots[slot as usize].node;
         let gen = self.slots[slot as usize].gen;
         let h = hash_node(&node);
@@ -560,7 +574,8 @@ impl UniqueTable {
         loop {
             let e = self.entries[pos];
             if e.slot == EMPTY {
-                // Shadowed slot: nothing to unlink.
+                // No entry to unlink (cannot happen while `indexed` is
+                // kept in step with the index).
                 return;
             }
             if e.slot == slot && e.gen == gen {
@@ -569,6 +584,7 @@ impl UniqueTable {
             pos = (pos + 1) & mask;
         }
         self.entries[pos] = TOMB_CELL;
+        self.slots[slot as usize].indexed = false;
         self.live_entries -= 1;
         self.tombstones += 1;
         self.tombstones_created += 1;
@@ -619,6 +635,7 @@ impl UniqueTable {
             }
             None => self.rh_insert(entry),
         }
+        self.slots[slot as usize].indexed = true;
         self.live_entries += 1;
         true
     }
@@ -778,6 +795,26 @@ mod tests {
             assert!(!created);
             assert_eq!(found, *id);
         }
+    }
+
+    #[test]
+    fn sweeping_a_shadowed_slot_frees_no_index_entry() {
+        let mut t = UniqueTable::new(usize::MAX);
+        let (a, _) = t.get_or_insert(leaf_node(0, true)).unwrap();
+        let (b, _) = t.get_or_insert(leaf_node(1, true)).unwrap();
+        // Rewrite `b` into `a`'s content, as a level swap can: the twin
+        // is already interned, so `b` stays live but shadowed.
+        t.remove_index_entry(b.idx);
+        t.set_node_at_slot(b.idx, leaf_node(0, true));
+        assert!(!t.insert_index_entry(b.idx));
+        assert_eq!((t.live_entries, t.tombstone_count()), (1, 1));
+        // A collection that keeps neither frees both slots but only the
+        // one index entry `a` had.
+        t.begin_mark();
+        t.begin_sweep();
+        assert_eq!(t.sweep_step(usize::MAX), (2, true));
+        assert!(!t.is_live(a) && !t.is_live(b));
+        assert_eq!((t.live_entries, t.tombstone_count()), (0, 2));
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn main() {
     let ppm = m.product_ket(&vars, &[states::PLUS, states::PLUS, states::MINUS]);
     let oom = m.product_ket(&vars, &[states::ONE, states::ONE, states::MINUS]);
     let s = Subspace::from_states(&mut m, 3, &[ppm, oom]);
-    let p = s.projector();
+    let p = s.projector(&mut m);
 
     println!("P = 1/6 *");
     for row in 0..8usize {

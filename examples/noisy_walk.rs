@@ -42,7 +42,9 @@ fn main() {
     );
     assert!(inside && img.dim() == 1);
 
-    // Reachability: the walk eventually spreads over the cycle.
+    // Reachability: the walk eventually spreads over the cycle. Each
+    // iteration images only the frontier the previous one added, so the
+    // per-iteration count is the frontier it adds in turn.
     let reach = engine.reachable_space(32).expect("fixpoint runs");
     println!(
         "reachable space dim {} after {} iterations (converged: {})",
@@ -52,7 +54,7 @@ fn main() {
     );
     for (i, st) in reach.stats.iter().enumerate() {
         println!(
-            "  iteration {:>2}: image dim {:>3}, max #node {:>6}, {:?}",
+            "  iteration {:>2}: frontier added {:>3}, max #node {:>6}, {:?}",
             i + 1,
             st.output_dim,
             st.max_nodes,

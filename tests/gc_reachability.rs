@@ -326,3 +326,26 @@ fn parallel_workers_collect_under_policy() {
     }
     assert!(imported.equals(&mut m_plain, &img_plain));
 }
+
+/// Typed misuse: a subspace that a collection swept (it was neither
+/// rooted nor passed to `collect_retaining`) fails fast in debug builds
+/// at the first operation its edges enter, naming the problem — not on
+/// an unrelated assertion deep inside the contraction.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "stale handle")]
+fn reusing_a_swept_subspace_reports_a_stale_handle() {
+    let mut m = TddManager::new();
+    let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::ghz(3));
+    let vars = Subspace::ket_vars(3);
+    let plus = (Cplx::FRAC_1_SQRT_2, Cplx::FRAC_1_SQRT_2);
+    let zero = (Cplx::ONE, Cplx::ZERO);
+    let one = (Cplx::ZERO, Cplx::ONE);
+    let k = m.product_ket(&vars, &[plus, zero, one]);
+    let swept = Subspace::from_states(&mut m, 3, &[k]);
+    // Only the system survives: every node of `swept` is reclaimed.
+    let out = m.collect_retaining(&[&qts]);
+    assert!(out.reclaimed > 0);
+    let probe = m.basis_ket(&vars, &[true, false, true]);
+    swept.contains(&mut m, probe);
+}

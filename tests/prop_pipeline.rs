@@ -149,7 +149,8 @@ proptest! {
             prop_assert!(resid < 1e-12, "projector not idempotent: {resid}");
         }
         // Round-trip through the projector decomposition of Section IV-A.
-        let back = Subspace::from_projector(&mut m, n, s.projector());
+        let p = s.projector(&mut m);
+        let back = Subspace::from_projector(&mut m, n, p);
         prop_assert_eq!(back.dim(), s.dim());
         prop_assert!(back.equals(&mut m, &s));
     }

@@ -30,7 +30,7 @@ fn increment_qts(m: &mut TddManager) -> QuantumTransitionSystem {
 /// Every projector amplitude of `space`, as a dense assignment-indexed
 /// vector read straight off the diagram with `eval`.
 fn projector_amplitudes(m: &mut TddManager, space: &Subspace, n: u32) -> Vec<Cplx> {
-    let p = space.projector();
+    let p = space.projector(m);
     let vars: Vec<Var> = Subspace::ket_vars(n)
         .into_iter()
         .chain(Subspace::row_vars(n))

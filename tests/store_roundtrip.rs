@@ -31,6 +31,7 @@ use proptest::strategy::Strategy as _;
 use qits::store::{decode_tdd_dump, encode_tdd_dump, ByteReader, ByteWriter, Snapshot};
 use qits::{
     EngineBuilder, EnginePool, EngineSpec, Job, JobOutput, QitsError, StaticOrder, Strategy,
+    Subspace,
 };
 use qits_circuit::generators::{self, QtsSpec};
 use qits_circuit::{Circuit, Gate, Operation};
@@ -150,13 +151,18 @@ fn eval_close(
 }
 
 /// The roots worth persisting from a partially-run engine: the initial
-/// subspace and the reachability frontier, bases and projectors both.
-fn engine_roots(initial: &qits::Subspace, frontier: &qits::Subspace) -> Vec<Edge> {
+/// subspace and the reachability frontier, bases and projectors both
+/// (materialised where a subspace dropped its projector).
+fn engine_roots(
+    m: &mut TddManager,
+    initial: &qits::Subspace,
+    frontier: &qits::Subspace,
+) -> Vec<Edge> {
     let mut roots: Vec<Edge> = Vec::new();
     roots.extend_from_slice(initial.basis());
-    roots.push(initial.projector());
+    roots.push(initial.projector(m));
     roots.extend_from_slice(frontier.basis());
-    roots.push(frontier.projector());
+    roots.push(frontier.projector(m));
     roots
 }
 
@@ -177,7 +183,8 @@ proptest! {
             .strategy(Strategy::Contraction { k1: 2, k2: 2 });
         let mut engine = spec.build().expect("engine builds");
         let partial = engine.reachable_space(2).expect("partial fixpoint");
-        let roots = engine_roots(engine.initial(), &partial.space);
+        let initial = engine.initial().clone();
+        let roots = engine_roots(engine.manager_mut(), &initial, &partial.space);
         let dump = engine.manager().dump(&roots);
 
         // Byte-level codec identity.
@@ -266,6 +273,52 @@ fn engine_warm_start_resumes_to_the_same_fixpoint() {
     let continued = second.resume_reachable_space(&resumed, 64).unwrap();
     let straight = spec.build().unwrap().reachable_space(64).unwrap();
     assert!(continued.converged && straight.converged);
+    assert_eq!(continued.space.dim(), straight.space.dim());
+    assert_eq!(continued.iterations, straight.iterations);
+}
+
+/// A GHZ checkpoint whose working space dropped its projector: the
+/// snapshot writes the materialised projector (the format always carries
+/// one), the restore judges it by the same node-count rule and stays
+/// projector-free, and resuming — with the whole restored space as the
+/// first frontier — reaches the same fixpoint as a straight run.
+#[test]
+fn projector_free_checkpoint_round_trips_and_resumes() {
+    let spec = EngineSpec::new(generators::ghz(5)).strategy(Strategy::Contraction { k1: 2, k2: 2 });
+    let mut first = spec.build().unwrap();
+    let partial = first.reachable_space(8).unwrap();
+    assert!(!partial.converged);
+    assert!(
+        !partial.space.keeps_projector(),
+        "the GHZ working space must have dropped its projector"
+    );
+    let path = tmp("projector-free.qsnap");
+    first
+        .save_snapshot(&path, "ghz checkpoint", Some(&partial))
+        .unwrap();
+
+    // The checkpoint's projector root is the projector of its basis.
+    let snap = Snapshot::read_from(&path).unwrap();
+    let mut m = TddManager::new();
+    let roots = m.load_dump(snap.tdd.as_ref().unwrap()).unwrap();
+    let reach = &snap.subspaces[snap.reach.as_ref().unwrap().space as usize];
+    let from_p = Subspace::from_projector(&mut m, 5, roots[reach.projector as usize]);
+    assert_eq!(from_p.dim(), partial.space.dim());
+    for &i in &reach.basis {
+        assert!(from_p.contains(&mut m, roots[i as usize]));
+    }
+
+    let mut second = spec.build().unwrap();
+    let resumed = second
+        .warm_start_from(&path)
+        .unwrap()
+        .expect("snapshot carries reachability progress");
+    assert_eq!(resumed.space.dim(), partial.space.dim());
+    assert!(!resumed.space.keeps_projector());
+    let continued = second.resume_reachable_space(&resumed, 64).unwrap();
+    let straight = spec.build().unwrap().reachable_space(64).unwrap();
+    assert!(straight.converged);
+    assert_eq!(continued.converged, straight.converged);
     assert_eq!(continued.space.dim(), straight.space.dim());
     assert_eq!(continued.iterations, straight.iterations);
 }
