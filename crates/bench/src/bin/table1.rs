@@ -30,10 +30,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use qits_bench::{
-    auto_selected, ci_report_json, fmt_count, fmt_secs, maybe_run_one, read_ci_checkpoint,
-    run_case_subprocess, run_image_gc, run_pool_throughput, run_reorder_ab, run_serve_soak,
-    run_store_measurement, spec_for, strategy_for, write_ci_checkpoint, CiRow, SoakConfig,
-    CI_POOL_CASE, METHODS, REORDER_AB_ORDER,
+    ci_report_json, fmt_count, fmt_secs, maybe_run_one, read_ci_checkpoint, run_case_subprocess,
+    run_image_gc, run_pool_throughput, run_reorder_ab, run_serve_soak, run_store_measurement,
+    spec_for, strategy_for, write_ci_checkpoint, CiRow, SoakConfig, CI_POOL_CASE, METHODS,
+    REORDER_AB_ORDER,
 };
 use qits_tdd::GcPolicy;
 
@@ -231,7 +231,7 @@ fn full_rows() -> Vec<Row> {
 fn case_summary(row: &CiRow) -> String {
     format!(
         "ci:   ok  {:.3}s  max#node {}  live/alloc {}/{}  \
-         safepoints {} ({} collected, {} nodes reclaimed)  auto→{}",
+         safepoints {} ({} collected, {} nodes reclaimed)",
         row.subprocess.secs,
         row.subprocess.max_nodes,
         row.subprocess.live_nodes,
@@ -239,7 +239,6 @@ fn case_summary(row: &CiRow) -> String {
         row.gc.safepoints,
         row.gc.safepoint_collections,
         row.gc.safepoint_reclaimed,
-        row.auto_selected,
     )
 }
 
@@ -327,7 +326,6 @@ fn run_ci_smoke(timeout: Duration, resume: Option<&Path>, halt_after: Option<usi
             method: method.into(),
             subprocess: case,
             gc,
-            auto_selected: auto_selected(family, n),
             reorder,
         };
         println!("{}", case_summary(&row));

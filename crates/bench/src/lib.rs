@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 
 use qits::store::{ByteReader, ByteWriter, MemoEntry, Snapshot, StoreError};
 use qits::{
-    mc, Auto, Engine, EngineBuilder, EnginePool, EngineSpec, ImageStats, ImageStrategy, Job,
-    ReorderPolicy, StaticOrder, Strategy, Subspace,
+    mc, Engine, EngineBuilder, EnginePool, EngineSpec, ImageStats, Job, ReorderPolicy, StaticOrder,
+    Strategy, Subspace,
 };
 use qits_circuit::generators::{self, QtsSpec};
 use qits_tdd::GcPolicy;
@@ -374,15 +374,6 @@ pub fn run_pool_throughput(
 /// cold session — on a 4-worker pool and a 32-job batch.
 pub const CI_POOL_CASE: (&str, u32, &str, usize, usize) = ("grover-elem", 9, "basic", 4, 32);
 
-/// The kernel the [`Auto`] selector picks for a benchmark instance —
-/// recorded per CI case in `BENCH_ci.json` so the selector's decisions
-/// are tracked as a perf artifact over time.
-pub fn auto_selected(family: &str, n: u32) -> String {
-    let spec = spec_for(family, n);
-    let ops = qits::Operations::new(spec.n_qubits, spec.operations.clone());
-    Auto::default().select(&ops).to_string()
-}
-
 /// Formats a node count compactly (`1234567` → `"1.2M"`), table style.
 pub fn fmt_count(n: u64) -> String {
     if n >= 10_000_000 {
@@ -517,10 +508,6 @@ pub struct CiRow {
     pub subprocess: CaseMeasurement,
     /// The in-process aggressive-GC measurement with safepoint counters.
     pub gc: ImageStats,
-    /// The kernel the `Auto` strategy selector would run for this
-    /// instance (see [`auto_selected`]) — tracked so selector drift shows
-    /// up in the perf trajectory.
-    pub auto_selected: String,
     /// The sifting-on-vs-off node-count A/B (see [`run_reorder_ab`]).
     pub reorder: ReorderMeasurement,
 }
@@ -727,7 +714,6 @@ pub fn write_ci_checkpoint(path: &Path, rows: &[CiRow]) -> Result<(), StoreError
         w.put_str(&row.family);
         w.put_u32(row.n);
         w.put_str(&row.method);
-        w.put_str(&row.auto_selected);
         encode_case(&mut w, &row.subprocess);
         qits::store::encode_image_stats(&mut w, &row.gc);
         encode_reorder(&mut w, &row.reorder);
@@ -755,7 +741,6 @@ pub fn read_ci_checkpoint(path: &Path) -> Result<Vec<CiRow>, StoreError> {
         let family = r.get_str()?;
         let n = r.get_u32()?;
         let method = r.get_str()?;
-        let auto_selected = r.get_str()?;
         let subprocess = decode_case(&mut r)?;
         let gc = qits::store::decode_image_stats(&mut r)?;
         let reorder = decode_reorder(&mut r)?;
@@ -765,7 +750,6 @@ pub fn read_ci_checkpoint(path: &Path) -> Result<Vec<CiRow>, StoreError> {
             method,
             subprocess,
             gc,
-            auto_selected,
             reorder,
         });
     }
@@ -797,14 +781,15 @@ pub fn read_ci_checkpoint(path: &Path) -> Result<Vec<CiRow>, StoreError> {
 /// [`run_store_measurement`]); v8 extends `cases` with the scenario
 /// frontend's generator families (`adder`, `repcode`, `cliffordt` — see
 /// [`CI_CASES`]), so the perf trajectory covers the workloads scenario
-/// files drive.
+/// files drive; v9 drops the per-case name of the kernel the retired
+/// shape selector would pick.
 pub fn ci_report_json(
     rows: &[CiRow],
     pool: &PoolMeasurement,
     serve: &ServeMeasurement,
     store: &StoreMeasurement,
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"qits-bench-ci/8\",\n");
+    let mut out = String::from("{\n  \"schema\": \"qits-bench-ci/9\",\n");
     let ut = UniqueTableHealth::from_rows(rows);
     out.push_str(&format!(
         concat!(
@@ -884,8 +869,7 @@ pub fn ci_report_json(
         out.push_str(&format!(
             concat!(
                 "    {{\n",
-                "      \"family\": \"{}\", \"n\": {}, \"method\": \"{}\", ",
-                "\"auto_selected\": \"{}\",\n",
+                "      \"family\": \"{}\", \"n\": {}, \"method\": \"{}\",\n",
                 "      \"subprocess\": {{\"secs\": {:.6}, \"max_nodes\": {}, ",
                 "\"cont_hit_rate\": {:.6}, \"live_nodes\": {}, ",
                 "\"allocated_nodes\": {}, \"reclaimed_nodes\": {}}},\n",
@@ -901,7 +885,6 @@ pub fn ci_report_json(
             r.family,
             r.n,
             r.method,
-            r.auto_selected,
             sub.secs,
             sub.max_nodes,
             sub.cont_hit_rate,
@@ -987,7 +970,6 @@ mod tests {
                 reclaimed_nodes: 2,
             },
             gc,
-            auto_selected: auto_selected("ghz", 4),
             reorder: ReorderMeasurement {
                 live_off: 10,
                 live_on: 8,
@@ -1005,7 +987,6 @@ mod tests {
         assert_eq!(back[0].subprocess, rows[0].subprocess);
         assert_eq!(back[0].gc, rows[0].gc);
         assert_eq!(back[0].reorder, rows[0].reorder);
-        assert_eq!(back[0].auto_selected, rows[0].auto_selected);
         // Bit-identity is what makes a resumed BENCH row identical.
         assert_eq!(
             back[0].subprocess.secs.to_bits(),
@@ -1113,7 +1094,6 @@ mod tests {
                 reclaimed_nodes: stats.reclaimed_nodes,
             },
             gc,
-            auto_selected: auto_selected(family, n),
             reorder,
         }];
         // A tiny pool measurement keeps this test fast; the real CI case
@@ -1138,7 +1118,7 @@ mod tests {
              restored memo: {store:?}"
         );
         let json = ci_report_json(&rows, &pool, &serve, &store);
-        assert!(json.contains("\"schema\": \"qits-bench-ci/8\""));
+        assert!(json.contains("\"schema\": \"qits-bench-ci/9\""));
         assert!(json.contains("\"pool\": {\"family\": \"ghz\""));
         assert!(json.contains("\"serve\": {\"workers\": 2, \"jobs\": 100"));
         assert!(json.contains("\"store\": {\"snapshot_bytes\""));
@@ -1160,7 +1140,6 @@ mod tests {
         );
         assert!(health.tombstone_ratio <= 1.0);
         assert!(json.contains("\"safepoint_collections\""));
-        assert!(json.contains("\"auto_selected\""));
         assert!(json.contains(&format!("\"family\": \"{family}\"")));
         // Balanced braces: crude structural sanity for the hand-rolled JSON.
         assert_eq!(
@@ -1179,16 +1158,6 @@ mod tests {
         assert_eq!(plain.space.dim(), gc.space.dim());
         assert!(gc.reclaimed_nodes > 0);
         assert!(e_gc.manager().arena_len() < e_plain.manager().arena_len());
-    }
-
-    #[test]
-    fn auto_selected_matches_the_table_one_crossover() {
-        // Wide-shallow families sit on the addition side, deep ones on
-        // the contraction side.
-        assert!(auto_selected("ghz", 50).starts_with("addition"));
-        assert!(auto_selected("bv", 50).starts_with("addition"));
-        assert!(auto_selected("qft", 9).starts_with("contraction"));
-        assert!(auto_selected("grover-elem", 9).starts_with("contraction"));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | `--workers <k>` | available parallelism | pool worker threads |
 //! | `--queue-depth <d>` | unbounded | admission bound (`QueueFull` beyond it) |
 //! | `--memo <cap>` | off | result-memo capacity in entries |
-//! | `--strategy <s>` | `auto` | `auto`, `basic`, `addition`, `contraction` |
+//! | `--strategy <s>` | `contraction` | `basic`, `addition` (`k = 1`), `contraction` (`k1 = k2 = 4`) |
 //! | `--warm-start <path>` | off | warm-start workers and preload the memo from a snapshot file |
 
 use std::io::{self, BufReader, Write};
@@ -34,7 +34,7 @@ struct Options {
     workers: Option<usize>,
     queue_depth: Option<usize>,
     memo: Option<usize>,
-    strategy: String,
+    strategy: Strategy,
     warm_start: Option<String>,
 }
 
@@ -46,7 +46,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         workers: None,
         queue_depth: None,
         memo: None,
-        strategy: "auto".to_string(),
+        strategy: Strategy::default(),
         warm_start: None,
     };
     let mut i = 0;
@@ -85,7 +85,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .map_err(|_| "--memo needs an integer".to_string())?,
                 )
             }
-            "--strategy" => opts.strategy = value("--strategy")?,
+            "--strategy" => opts.strategy = value("--strategy")?.parse()?,
             "--warm-start" => opts.warm_start = Some(value("--warm-start")?),
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -123,14 +123,7 @@ fn spec_for(opts: &Options) -> Result<EngineSpec, String> {
             other => return Err(format!("unknown family '{other}'")),
         },
     };
-    let spec = EngineSpec::new(system);
-    Ok(match opts.strategy.as_str() {
-        "auto" => spec,
-        "basic" => spec.strategy(Strategy::Basic),
-        "addition" => spec.strategy(Strategy::Addition { k: 1 }),
-        "contraction" => spec.strategy(Strategy::Contraction { k1: 4, k2: 4 }),
-        other => return Err(format!("unknown strategy '{other}'")),
-    })
+    Ok(EngineSpec::new(system).strategy(opts.strategy))
 }
 
 fn main() -> ExitCode {

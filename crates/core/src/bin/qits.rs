@@ -14,8 +14,8 @@
 //! | `check <file>` | parse only; print a `scenario` summary line |
 //! | `export --family <f>` | synthesize a sample scenario for a generator family (`adder`, `repcode`, `cliffordt`) and print it (or write `--out`) |
 //!
-//! `run` flags: `--strategy auto|basic|addition|contraction` (default
-//! `auto` — the Table I crossover picks per job), `--workers <k>` (run the
+//! `run` flags: `--strategy basic|addition|contraction` (default
+//! `contraction`, the paper's `k1 = k2 = 4`), `--workers <k>` (run the
 //! properties on a `k`-worker [`qits::EnginePool`] instead of a serial
 //! engine), `--memo <cap>` (pool result-memo capacity), `--warm-start
 //! <path>` (warm-start pool workers and memo from a snapshot file — implies
@@ -33,7 +33,7 @@ use qits_circuit::{generators, Circuit, Gate};
 
 struct RunOptions {
     file: String,
-    strategy: String,
+    strategy: Strategy,
     workers: Option<usize>,
     memo: Option<usize>,
     warm_start: Option<String>,
@@ -42,7 +42,7 @@ struct RunOptions {
 fn parse_run_args(args: &[String]) -> Result<RunOptions, String> {
     let mut opts = RunOptions {
         file: String::new(),
-        strategy: "auto".to_string(),
+        strategy: Strategy::default(),
         workers: None,
         memo: None,
         warm_start: None,
@@ -55,7 +55,7 @@ fn parse_run_args(args: &[String]) -> Result<RunOptions, String> {
             args.get(i).cloned().ok_or(format!("{name} needs a value"))
         };
         match flag {
-            "--strategy" => opts.strategy = value("--strategy")?,
+            "--strategy" => opts.strategy = value("--strategy")?.parse()?,
             "--workers" => {
                 opts.workers = Some(
                     value("--workers")?
@@ -81,17 +81,6 @@ fn parse_run_args(args: &[String]) -> Result<RunOptions, String> {
         return Err("run needs a scenario file".to_string());
     }
     Ok(opts)
-}
-
-fn engine_spec(scenario: &Scenario, strategy: &str) -> Result<EngineSpec, String> {
-    let spec = EngineSpec::new(scenario.to_spec());
-    Ok(match strategy {
-        "auto" => spec,
-        "basic" => spec.strategy(Strategy::Basic),
-        "addition" => spec.strategy(Strategy::Addition { k: 1 }),
-        "contraction" => spec.strategy(Strategy::Contraction { k1: 4, k2: 4 }),
-        other => return Err(format!("unknown strategy '{other}'")),
-    })
 }
 
 fn property_name(p: &Property) -> &'static str {
@@ -148,7 +137,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let text =
         std::fs::read_to_string(&opts.file).map_err(|e| format!("reading '{}': {e}", opts.file))?;
     let scenario = parse_scenario(&text).map_err(|e| format!("{}: {e}", opts.file))?;
-    let spec = engine_spec(&scenario, &opts.strategy)?;
+    let spec = EngineSpec::new(scenario.to_spec()).strategy(opts.strategy);
 
     let jobs: Vec<Job> = scenario
         .properties

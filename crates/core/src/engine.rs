@@ -17,12 +17,10 @@
 //! node-store exhaustion surfaces as a [`QitsError::ArenaExhausted`]
 //! value rather than a panic.
 //!
-//! Strategy dispatch goes through the [`ImageStrategy`] trait, making the
-//! method set an open extension point: the four built-in kernels (the
-//! [`Strategy`] enum) implement it directly, [`Auto`] picks between the
-//! addition and contraction partitions from circuit shape (the Table I
-//! crossover), and downstream code can implement the trait to plug in new
-//! methods without touching this crate.
+//! The session runs one image kernel, named by the [`Strategy`] enum: the
+//! contraction partition at the paper's Table I setting (`k1 = k2 = 4`)
+//! unless the builder picks another. `Basic` and `Addition` stay
+//! selectable as the paper's baselines.
 //!
 //! ```
 //! use qits::{EngineBuilder, Strategy};
@@ -42,161 +40,17 @@ use std::fmt;
 
 use qits_circuit::generators::QtsSpec;
 use qits_circuit::tensorize::{static_order, StaticOrder};
-use qits_circuit::{Circuit, Element, Operation};
+use qits_circuit::{Circuit, Operation};
 use qits_tdd::{
     ArenaExhausted, Edge, EdgeHolder, GcOutcome, GcPolicy, OperationCancelled, ReorderPolicy,
     TddManager,
 };
 
 use crate::error::QitsError;
-use crate::image::{try_image_into, ImageStats, Strategy};
+use crate::image::{try_image, ImageStats, Strategy};
 use crate::mc::{fixpoint_with, ReachabilityResult};
 use crate::qts::{Operations, QuantumTransitionSystem};
 use crate::subspace::Subspace;
-
-/// A pluggable image-computation method.
-///
-/// Implementations pick (or are) a way of computing `T(S)`. The built-in
-/// [`Strategy`] enum implements this trait by running its own kernel;
-/// [`Auto`] implements it by inspecting the operations' circuit shape and
-/// delegating to the kernel Table I says should win. Custom
-/// implementations may override [`ImageStrategy::compute`] entirely —
-/// the engine only ever dispatches through the trait.
-///
-/// `Send` is a supertrait: a strategy travels with its [`Engine`] session,
-/// and sessions move between threads — [`crate::EnginePool`] workers each
-/// own one. Strategies are configuration, not shared mutable state, so
-/// every reasonable implementation is `Send` already; the bound makes a
-/// thread-affine regression a compile error.
-pub trait ImageStrategy: fmt::Debug + Send {
-    /// Human-readable name, used by stats sinks, logs, and the CI perf
-    /// artifact.
-    fn name(&self) -> String;
-
-    /// The built-in kernel this strategy would run for the given
-    /// operations. [`Auto`]'s whole behaviour lives here; fixed
-    /// strategies return themselves. Also the hook the CI artifact uses
-    /// to record which kernel [`Auto`] chose per benchmark instance.
-    fn select(&self, ops: &Operations) -> Strategy;
-
-    /// Absorbs the image of `input` under `ops` into `target`, honouring
-    /// the manager's GC safepoint contract, and returns the call's stats
-    /// (`output_dim` counts the vectors added to `target`). The default
-    /// delegates to [`try_image_into`] with the kernel
-    /// [`ImageStrategy::select`] picks, which polls safepoints with
-    /// `input` and `target` among the mark roots — collection never moves
-    /// a node, so `input` is a plain shared borrow. The engine's image
-    /// methods pass a fresh zero target; the reachability fixpoint passes
-    /// its frontier as `input` and the reachable space as `target`.
-    fn compute(
-        &self,
-        m: &mut TddManager,
-        ops: &Operations,
-        input: &Subspace,
-        target: &mut Subspace,
-    ) -> Result<ImageStats, QitsError> {
-        try_image_into(m, ops, input, target, self.select(ops))
-    }
-}
-
-impl ImageStrategy for Strategy {
-    fn name(&self) -> String {
-        self.to_string()
-    }
-
-    fn select(&self, _ops: &Operations) -> Strategy {
-        *self
-    }
-}
-
-/// Strategy auto-selection from circuit shape, per Table I's crossover.
-///
-/// The paper's evaluation splits the benchmark families in two: on
-/// **wide, shallow** circuits (GHZ, Bernstein–Vazirani — gate count linear
-/// in the register) the addition partition keeps every slice tiny and is
-/// at least competitive, while on **deep** circuits (Grover iterations,
-/// QFT — gate count superlinear, many crossing gates) the contraction
-/// partition dominates because the monolithic/sliced operator blows up
-/// where per-block pre-contractions stay small. `Auto` measures gates per
-/// qubit across the operation set and picks the side of that crossover.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Auto {
-    /// Slice count exponent handed to [`Strategy::Addition`].
-    pub addition_k: usize,
-    /// Band width handed to [`Strategy::Contraction`].
-    pub k1: u32,
-    /// Segment length handed to [`Strategy::Contraction`].
-    pub k2: u32,
-    /// Gates-per-qubit threshold: at or below it the circuit counts as
-    /// shallow (addition side), above it as deep (contraction side).
-    pub depth_threshold: f64,
-}
-
-impl Default for Auto {
-    /// The paper's Table I parameters (`k = 1`, `k1 = k2 = 4`) with the
-    /// shallow/deep cut at 2.5 gate layers per qubit — GHZ and BV sit
-    /// well below it, Grover and QFT instances well above.
-    fn default() -> Self {
-        Auto {
-            addition_k: 1,
-            k1: 4,
-            k2: 4,
-            depth_threshold: 2.5,
-        }
-    }
-}
-
-impl Auto {
-    /// Mean gates per qubit per operation — the shape statistic the
-    /// selector thresholds. Projectors count one gate per measured qubit;
-    /// a channel counts as a single (noise) gate regardless of arity.
-    pub fn gates_per_qubit(ops: &Operations) -> f64 {
-        let mut gates = 0usize;
-        for op in ops.iter() {
-            for e in op.elements() {
-                gates += match e {
-                    Element::Gate(_) => 1,
-                    Element::Projector { qubits, .. } => qubits.len(),
-                    Element::Channel { .. } => 1,
-                }
-            }
-        }
-        let per_op = gates as f64 / ops.len().max(1) as f64;
-        per_op / f64::from(ops.n_qubits().max(1))
-    }
-}
-
-impl ImageStrategy for Auto {
-    fn name(&self) -> String {
-        format!(
-            "auto(k={},k1={},k2={},depth<={})",
-            self.addition_k, self.k1, self.k2, self.depth_threshold
-        )
-    }
-
-    fn select(&self, ops: &Operations) -> Strategy {
-        if Self::gates_per_qubit(ops) <= self.depth_threshold {
-            Strategy::Addition { k: self.addition_k }
-        } else {
-            Strategy::Contraction {
-                k1: self.k1,
-                k2: self.k2,
-            }
-        }
-    }
-}
-
-/// The image of `input` under `ops`, absorbed into a fresh zero subspace.
-fn fresh_image(
-    m: &mut TddManager,
-    ops: &Operations,
-    input: &Subspace,
-    strategy: &dyn ImageStrategy,
-) -> Result<(Subspace, ImageStats), QitsError> {
-    let mut img = Subspace::zero(input.n_qubits());
-    let stats = strategy.compute(m, ops, input, &mut img)?;
-    Ok((img, stats))
-}
 
 /// Callback receiving `(strategy name, stats)` after every image
 /// computation an engine performs (fixpoint iterations included).
@@ -213,7 +67,7 @@ pub type StatsSink = Box<dyn FnMut(&str, &ImageStats) + Send>;
 /// capacity, GC policy, the image strategy, and an optional stats sink.
 ///
 /// ```
-/// use qits::{Auto, EngineBuilder};
+/// use qits::{EngineBuilder, Strategy};
 /// use qits_circuit::generators;
 /// use qits_tdd::GcPolicy;
 ///
@@ -221,7 +75,7 @@ pub type StatsSink = Box<dyn FnMut(&str, &ImageStats) + Send>;
 ///     .tolerance(1e-12)
 ///     .cache_capacity(1 << 14)
 ///     .gc_policy(Some(GcPolicy::default()))
-///     .strategy(Auto::default())
+///     .strategy(Strategy::Basic)
 ///     .build_from_spec(&generators::ghz(4))
 ///     .unwrap();
 /// assert_eq!(engine.n_qubits(), 4);
@@ -233,7 +87,7 @@ pub struct EngineBuilder {
     gc_policy: Option<GcPolicy>,
     reorder: ReorderPolicy,
     order: StaticOrder,
-    strategy: Box<dyn ImageStrategy>,
+    strategy: Strategy,
     sink: Option<StatsSink>,
 }
 
@@ -245,7 +99,7 @@ impl Default for EngineBuilder {
 
 impl EngineBuilder {
     /// A builder with the default tolerance, default cache capacity, GC
-    /// off, and the [`Auto`] strategy.
+    /// off, and the default [`Strategy`] (contraction, `k1 = k2 = 4`).
     pub fn new() -> Self {
         EngineBuilder {
             tolerance: qits_num::DEFAULT_TOLERANCE,
@@ -254,7 +108,7 @@ impl EngineBuilder {
             gc_policy: None,
             reorder: ReorderPolicy::Off,
             order: StaticOrder::Natural,
-            strategy: Box::new(Auto::default()),
+            strategy: Strategy::default(),
             sink: None,
         }
     }
@@ -324,17 +178,9 @@ impl EngineBuilder {
         self
     }
 
-    /// The image strategy the session dispatches through (default:
-    /// [`Auto`]).
-    pub fn strategy(mut self, strategy: impl ImageStrategy + 'static) -> Self {
-        self.strategy = Box::new(strategy);
-        self
-    }
-
-    /// [`EngineBuilder::strategy`] for an already-boxed strategy object —
-    /// the form a strategy factory (e.g. [`crate::EngineSpec`]'s, which
-    /// stamps one strategy per pool worker) naturally produces.
-    pub fn strategy_boxed(mut self, strategy: Box<dyn ImageStrategy>) -> Self {
+    /// The image kernel the session runs (default: contraction,
+    /// `k1 = k2 = 4`).
+    pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
         self
     }
@@ -439,7 +285,7 @@ impl EngineBuilder {
 pub struct Engine {
     m: TddManager,
     qts: QuantumTransitionSystem,
-    strategy: Box<dyn ImageStrategy>,
+    strategy: Strategy,
     sink: Option<StatsSink>,
     /// The [`crate::EngineSpec::fingerprint`] this session was stamped
     /// from, when it was built through a spec. Recorded into snapshots
@@ -454,7 +300,7 @@ impl fmt::Debug for Engine {
             .field("n_qubits", &self.qts.n_qubits())
             .field("operations", &self.qts.operations().len())
             .field("initial_dim", &self.qts.initial().dim())
-            .field("strategy", &self.strategy.name())
+            .field("strategy", &self.strategy.to_string())
             .field("arena_len", &self.m.arena_len())
             .finish_non_exhaustive()
     }
@@ -520,25 +366,23 @@ impl Engine {
         self.fingerprint = Some(fingerprint);
     }
 
-    /// The configured strategy object.
-    pub fn strategy(&self) -> &dyn ImageStrategy {
-        &*self.strategy
+    /// The session's image kernel.
+    pub fn strategy(&self) -> Strategy {
+        self.strategy
     }
 
-    /// Replaces the session's strategy.
-    pub fn set_strategy(&mut self, strategy: impl ImageStrategy + 'static) {
-        self.strategy = Box::new(strategy);
+    /// Replaces the session's image kernel.
+    pub fn set_strategy(&mut self, strategy: Strategy) {
+        self.strategy = strategy;
     }
 
-    /// The concrete built-in kernel the configured strategy would run for
-    /// this session's operations — [`Auto`]'s choice made observable.
-    pub fn selected_kernel(&self) -> Strategy {
-        self.strategy.select(self.qts.operations())
-    }
-
-    fn record(&mut self, name: &str, stats: &ImageStats) {
+    /// Hands every image's stats to the sink, under the kernel's name.
+    fn record(&mut self, strategy: Strategy, stats: &[ImageStats]) {
         if let Some(sink) = self.sink.as_mut() {
-            sink(name, stats);
+            let name = strategy.to_string();
+            for st in stats {
+                sink(&name, st);
+            }
         }
     }
 
@@ -577,26 +421,15 @@ impl Engine {
     /// mid-image collection untouched (it is among the kernel's mark
     /// roots); no caller-side rooting needed.
     pub fn image(&mut self) -> Result<(Subspace, ImageStats), QitsError> {
-        let (m, qts, strategy) = (&mut self.m, &self.qts, &*self.strategy);
-        let result =
-            Self::guard_exhaustion(|| fresh_image(m, qts.operations(), qts.initial(), strategy));
-        let name = self.strategy.name();
-        let (img, stats) = result?;
-        self.record(&name, &stats);
-        Ok((img, stats))
+        self.image_with(self.strategy)
     }
 
     /// [`Engine::image`] with a one-off strategy override.
-    pub fn image_with(
-        &mut self,
-        strategy: &dyn ImageStrategy,
-    ) -> Result<(Subspace, ImageStats), QitsError> {
+    pub fn image_with(&mut self, strategy: Strategy) -> Result<(Subspace, ImageStats), QitsError> {
         let (m, qts) = (&mut self.m, &self.qts);
-        let result =
-            Self::guard_exhaustion(|| fresh_image(m, qts.operations(), qts.initial(), strategy));
-        let name = strategy.name();
-        let (img, stats) = result?;
-        self.record(&name, &stats);
+        let (img, stats) =
+            Self::guard_exhaustion(|| try_image(m, qts.operations(), qts.initial(), strategy))?;
+        self.record(strategy, std::slice::from_ref(&stats));
         Ok((img, stats))
     }
 
@@ -622,12 +455,11 @@ impl Engine {
         for s in kept {
             roots.extend(s.protect(&mut self.m));
         }
-        let (m, qts, strategy) = (&mut self.m, &self.qts, &*self.strategy);
-        let result = Self::guard_exhaustion(|| fresh_image(m, qts.operations(), input, strategy));
+        let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
+        let result = Self::guard_exhaustion(|| try_image(m, qts.operations(), input, strategy));
         self.m.unprotect_all(roots);
-        let name = self.strategy.name();
         let (img, stats) = result?;
-        self.record(&name, &stats);
+        self.record(strategy, std::slice::from_ref(&stats));
         Ok((img, stats))
     }
 
@@ -645,13 +477,10 @@ impl Engine {
         &mut self,
         max_iterations: usize,
     ) -> Result<ReachabilityResult, QitsError> {
-        let (m, qts, strategy) = (&mut self.m, &self.qts, &*self.strategy);
+        let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
         let r =
             Self::guard_exhaustion(|| fixpoint_with(m, qts, strategy, max_iterations, &[], None))?;
-        let name = self.strategy.name();
-        for st in &r.stats {
-            self.record(&name, st);
-        }
+        self.record(strategy, &r.stats);
         Ok(r)
     }
 
@@ -680,17 +509,14 @@ impl Engine {
             });
         }
         let start = resumed.space.clone();
-        let (m, qts, strategy) = (&mut self.m, &self.qts, &*self.strategy);
+        let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
         let mut r = Self::guard_exhaustion(|| {
             fixpoint_with(m, qts, strategy, max_iterations, &[], Some(start))
         })?;
         r.iterations += resumed.iterations;
         r.collections += resumed.collections;
         r.reclaimed_nodes += resumed.reclaimed_nodes;
-        let name = self.strategy.name();
-        for st in &r.stats {
-            self.record(&name, st);
-        }
+        self.record(strategy, &r.stats);
         Ok(r)
     }
 
@@ -709,15 +535,12 @@ impl Engine {
                 context: "the invariant subspace".to_string(),
             });
         }
-        let (m, qts, strategy) = (&mut self.m, &self.qts, &*self.strategy);
+        let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
         let r = Self::guard_exhaustion(|| {
             fixpoint_with(m, qts, strategy, max_iterations, &[invariant], None)
         })?;
         let holds = r.space.is_subspace_of(&mut self.m, invariant);
-        let name = self.strategy.name();
-        for st in &r.stats {
-            self.record(&name, st);
-        }
+        self.record(strategy, &r.stats);
         Ok((holds, r))
     }
 
@@ -954,34 +777,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_selects_addition_for_wide_and_contraction_for_deep() {
-        let auto = Auto::default();
-        let ghz = generators::ghz(8);
-        let wide = Operations::new(ghz.n_qubits, ghz.operations.clone());
-        assert_eq!(auto.select(&wide), Strategy::Addition { k: 1 });
-        let qft = generators::qft(6);
-        let deep = Operations::new(qft.n_qubits, qft.operations.clone());
-        assert_eq!(auto.select(&deep), Strategy::Contraction { k1: 4, k2: 4 });
-    }
-
-    #[test]
-    fn auto_engine_computes_the_same_image_as_its_selected_kernel() {
-        let spec = generators::ghz(4);
-        let mut auto_engine = EngineBuilder::new()
-            .strategy(Auto::default())
-            .build_from_spec(&spec)
-            .unwrap();
-        let kernel = auto_engine.selected_kernel();
-        let (img_auto, _) = auto_engine.image().unwrap();
-        let mut kernel_engine = EngineBuilder::new()
-            .strategy(kernel)
-            .build_from_spec(&spec)
-            .unwrap();
-        let (img_kernel, _) = kernel_engine.image().unwrap();
-        assert_eq!(img_auto.dim(), img_kernel.dim());
-    }
-
-    #[test]
     fn image_of_keeping_protects_bystanders_under_gc() {
         let mut engine = EngineBuilder::new()
             .gc_policy(Some(GcPolicy::aggressive()))
@@ -1057,6 +852,6 @@ mod tests {
             .unwrap();
         let text = format!("{engine:?}");
         assert!(text.contains("n_qubits: 3"));
-        assert!(text.contains("auto"));
+        assert!(text.contains("contraction(k1=4,k2=4)"), "{text}");
     }
 }

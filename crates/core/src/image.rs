@@ -15,6 +15,10 @@ use crate::error::{panic_detail, QitsError};
 use crate::subspace::Subspace;
 
 /// Which image-computation method to run (the three columns of Table I).
+///
+/// The default is the contraction partition at the paper's Table I
+/// setting, `k1 = k2 = 4` — the method Table I shows to be fastest.
+/// `Basic` and `Addition` stay selectable as the paper's baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Algorithm 1: contract each Kraus circuit into one monolithic
@@ -55,6 +59,28 @@ impl std::fmt::Display for Strategy {
             Strategy::Addition { k } => write!(f, "addition(k={k})"),
             Strategy::Contraction { k1, k2 } => write!(f, "contraction(k1={k1},k2={k2})"),
             Strategy::AdditionParallel { k } => write!(f, "addition-parallel(k={k})"),
+        }
+    }
+}
+
+impl Default for Strategy {
+    fn default() -> Self {
+        Strategy::Contraction { k1: 4, k2: 4 }
+    }
+}
+
+/// The command-line names of the Table I methods, at the paper's
+/// parameters: `basic`, `addition` (`k = 1`) and `contraction`
+/// (`k1 = k2 = 4`).
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "basic" => Ok(Strategy::Basic),
+            "addition" => Ok(Strategy::Addition { k: 1 }),
+            "contraction" => Ok(Strategy::default()),
+            other => Err(format!("unknown strategy '{other}'")),
         }
     }
 }
@@ -867,5 +893,21 @@ mod tests {
             Strategy::Contraction { k1: 4, k2: 4 }.to_string(),
             "contraction(k1=4,k2=4)"
         );
+    }
+
+    #[test]
+    fn strategy_names_parse_to_their_kernels() {
+        assert_eq!("basic".parse(), Ok(Strategy::Basic));
+        assert_eq!("addition".parse(), Ok(Strategy::Addition { k: 1 }));
+        assert_eq!(
+            "contraction".parse(),
+            Ok(Strategy::Contraction { k1: 4, k2: 4 })
+        );
+        for bad in ["auto", ""] {
+            assert_eq!(
+                bad.parse::<Strategy>(),
+                Err(format!("unknown strategy '{bad}'"))
+            );
+        }
     }
 }

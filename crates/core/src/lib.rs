@@ -24,13 +24,13 @@
 //! The public API is the session-based [`Engine`], configured through
 //! [`EngineBuilder`]: one object owns the TDD manager, the transition
 //! system, the GC policy, and all root bookkeeping, its methods return
-//! `Result<_, QitsError>` instead of panicking, and strategy dispatch
-//! goes through the pluggable [`ImageStrategy`] trait ([`Auto`] picks the
-//! addition or contraction partition from circuit shape, per Table I's
-//! crossover). Sessions are `Send`, and query-batched workloads run
-//! through the serving layer ([`EnginePool`], re-exported in [`serve`]):
-//! a pool of engine-owning workers behind a sharded work queue of typed
-//! jobs, with per-job fault isolation and aggregated [`PoolStats`].
+//! `Result<_, QitsError>` instead of panicking, and it runs the
+//! contraction partition at Table I's `k1 = k2 = 4` unless the builder
+//! names another [`Strategy`]. Sessions are `Send`, and query-batched
+//! workloads run through the serving layer ([`EnginePool`], re-exported
+//! in [`serve`]): a pool of engine-owning workers behind a sharded work
+//! queue of typed jobs, with per-job fault isolation and aggregated
+//! [`PoolStats`].
 //!
 //! # Quickstart
 //!
@@ -81,13 +81,13 @@ mod pool;
 mod qts;
 mod subspace;
 
-pub use engine::{Auto, Engine, EngineBuilder, ImageStrategy, StatsSink};
+pub use engine::{Engine, EngineBuilder, StatsSink};
 pub use error::QitsError;
 pub use image::{image, try_image, try_image_into, ImageStats, Strategy};
 pub use pool::{
     run_job, EnginePool, EngineSpec, ImageOutcome, Job, JobHandle, JobOutput, JobRequest,
     JobTicket, MemoKey, MemoStats, PoolBuilder, PoolStats, PoolStatsSink, Priority, ReachOutcome,
-    ResultMemo, ServiceHandle, StrategyFactory, WorkerStats,
+    ResultMemo, ServiceHandle, WorkerStats,
 };
 pub use qts::{Operations, QuantumTransitionSystem};
 pub use subspace::{Subspace, RANK_TOLERANCE};
@@ -112,7 +112,7 @@ pub mod serve {
     pub use crate::pool::{
         run_job, EnginePool, EngineSpec, ImageOutcome, Job, JobHandle, JobOutput, JobRequest,
         JobTicket, MemoKey, MemoStats, PoolBuilder, PoolStats, PoolStatsSink, Priority,
-        ReachOutcome, ResultMemo, ServiceHandle, StrategyFactory, WorkerStats,
+        ReachOutcome, ResultMemo, ServiceHandle, WorkerStats,
     };
     pub use qits_tdd::CancelToken;
 }

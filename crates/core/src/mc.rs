@@ -42,9 +42,8 @@
 
 use qits_tdd::{EdgeHolder, TddManager};
 
-use crate::engine::ImageStrategy;
 use crate::error::QitsError;
-use crate::image::{ImageStats, Strategy};
+use crate::image::{try_image_into, ImageStats, Strategy};
 use crate::qts::QuantumTransitionSystem;
 use crate::subspace::Subspace;
 
@@ -99,7 +98,7 @@ pub fn try_reachable_space(
     strategy: Strategy,
     max_iterations: usize,
 ) -> Result<ReachabilityResult, QitsError> {
-    fixpoint_with(m, qts, &strategy, max_iterations, &[], None)
+    fixpoint_with(m, qts, strategy, max_iterations, &[], None)
 }
 
 /// [`reachable_space`], additionally keeping `kept` subspaces alive
@@ -118,16 +117,16 @@ pub fn reachable_space_keeping(
     max_iterations: usize,
     kept: &[&Subspace],
 ) -> ReachabilityResult {
-    fixpoint_with(m, qts, &strategy, max_iterations, kept, None)
+    fixpoint_with(m, qts, strategy, max_iterations, kept, None)
         .unwrap_or_else(|e| panic!("reachable_space_keeping: {e}"))
 }
 
 /// The fixpoint core behind every reachability driver — free-function
 /// shims and [`crate::Engine`] alike: semi-naive iteration (see the module
-/// docs) with each frontier's image absorbed into the reachable space
-/// through an [`ImageStrategy`] object, rooting the system and the `kept`
-/// subspaces across in-image safepoints and polling the between-iteration
-/// safepoint with the full live set.
+/// docs) with each frontier's image absorbed into the reachable space by
+/// [`try_image_into`], rooting the system and the `kept` subspaces across
+/// in-image safepoints and polling the between-iteration safepoint with
+/// the full live set.
 ///
 /// `start` overrides the starting space (default: the system's initial
 /// subspace) — the resume path of [`crate::Engine::resume_reachable_space`].
@@ -140,7 +139,7 @@ pub fn reachable_space_keeping(
 pub(crate) fn fixpoint_with(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
-    strategy: &dyn ImageStrategy,
+    strategy: Strategy,
     max_iterations: usize,
     kept: &[&Subspace],
     start: Option<Subspace>,
@@ -171,7 +170,7 @@ pub(crate) fn fixpoint_with(
             for s in kept {
                 roots.extend(s.protect(m));
             }
-            let result = strategy.compute(m, &ops, &frontier, &mut space);
+            let result = try_image_into(m, &ops, &frontier, &mut space, strategy);
             m.unprotect_all(roots);
             result?
         };
@@ -245,7 +244,7 @@ pub fn try_check_invariant(
     strategy: Strategy,
     max_iterations: usize,
 ) -> Result<(bool, ReachabilityResult), QitsError> {
-    let reach = fixpoint_with(m, qts, &strategy, max_iterations, &[invariant], None)?;
+    let reach = fixpoint_with(m, qts, strategy, max_iterations, &[invariant], None)?;
     let holds = reach.space.is_subspace_of(m, invariant);
     Ok((holds, reach))
 }

@@ -95,9 +95,9 @@ use qits_num::Cplx;
 use qits_tdd::{CancelToken, GcPolicy, ManagerStats, ReorderPolicy};
 use qits_tensor::Var;
 
-use crate::engine::{Auto, Engine, EngineBuilder, ImageStrategy};
+use crate::engine::{Engine, EngineBuilder};
 use crate::error::{panic_detail, QitsError};
-use crate::image::ImageStats;
+use crate::image::{ImageStats, Strategy};
 use crate::mc::ReachabilityResult;
 use crate::subspace::Subspace;
 
@@ -113,14 +113,8 @@ pub type JobHandle = JobTicket;
 // The shared engine spec.
 // ----------------------------------------------------------------------
 
-/// Produces one boxed strategy per engine built from an [`EngineSpec`] —
-/// each pool worker gets its own strategy object, so strategies need no
-/// shared state and no `Sync` bound beyond the factory's own.
-pub type StrategyFactory = Arc<dyn Fn() -> Box<dyn ImageStrategy> + Send + Sync>;
-
 /// A cloneable, thread-shareable description of an [`Engine`] session:
-/// every [`EngineBuilder`] knob plus the transition-system spec, with the
-/// strategy held as a factory so each built engine owns a private copy.
+/// every [`EngineBuilder`] knob plus the transition-system spec.
 ///
 /// This is the contract between an [`EnginePool`] and its workers — the
 /// pool hands every worker the same spec, each worker builds (and, after
@@ -137,8 +131,7 @@ pub struct EngineSpec {
     gc_policy: Option<GcPolicy>,
     reorder: ReorderPolicy,
     static_order: StaticOrder,
-    strategy: StrategyFactory,
-    strategy_name: String,
+    strategy: Strategy,
 }
 
 impl fmt::Debug for EngineSpec {
@@ -152,14 +145,15 @@ impl fmt::Debug for EngineSpec {
             .field("gc_policy", &self.gc_policy)
             .field("reorder", &self.reorder)
             .field("static_order", &self.static_order)
-            .field("strategy", &self.strategy_name)
+            .field("strategy", &self.strategy.to_string())
             .finish()
     }
 }
 
 impl EngineSpec {
     /// A spec with the builder defaults: default tolerance and cache
-    /// capacity, GC off, the [`Auto`] strategy.
+    /// capacity, GC off, the default [`Strategy`] (contraction,
+    /// `k1 = k2 = 4`).
     pub fn new(system: QtsSpec) -> Self {
         EngineSpec {
             system,
@@ -169,8 +163,7 @@ impl EngineSpec {
             gc_policy: None,
             reorder: ReorderPolicy::Off,
             static_order: StaticOrder::Natural,
-            strategy: Arc::new(|| Box::new(Auto::default())),
-            strategy_name: Auto::default().name(),
+            strategy: Strategy::default(),
         }
     }
 
@@ -218,12 +211,9 @@ impl EngineSpec {
         self
     }
 
-    /// Session strategy of every built engine. The strategy is cloned
-    /// per engine, so each worker dispatches through a private copy
-    /// (`Sync` is only needed of the prototype held by the factory).
-    pub fn strategy(mut self, strategy: impl ImageStrategy + Clone + Sync + 'static) -> Self {
-        self.strategy_name = strategy.name();
-        self.strategy = Arc::new(move || Box::new(strategy.clone()));
+    /// Image kernel of every built engine.
+    pub fn strategy(mut self, strategy: Strategy) -> Self {
+        self.strategy = strategy;
         self
     }
 
@@ -233,8 +223,8 @@ impl EngineSpec {
     }
 
     /// Name of the configured strategy (for logs and stats).
-    pub fn strategy_name(&self) -> &str {
-        &self.strategy_name
+    pub fn strategy_name(&self) -> String {
+        self.strategy.to_string()
     }
 
     /// A canonical 128-bit fingerprint of everything that determines this
@@ -262,7 +252,7 @@ impl EngineSpec {
         memo::fnv128(&[
             format!("{:?}", self.system).as_bytes(),
             config.as_bytes(),
-            self.strategy_name.as_bytes(),
+            self.strategy.to_string().as_bytes(),
         ])
     }
 
@@ -272,7 +262,7 @@ impl EngineSpec {
             .gc_policy(self.gc_policy)
             .reorder(self.reorder)
             .static_order(self.static_order)
-            .strategy_boxed((self.strategy)());
+            .strategy(self.strategy);
         if let Some(cap) = self.cache_capacity {
             b = b.cache_capacity(cap);
         }

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use qits::{Auto, EngineBuilder, ImageStrategy, Strategy};
+use qits::{EngineBuilder, Strategy};
 use qits_circuit::generators;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         Strategy::Contraction { k1: 4, k2: 4 },
     ] {
         let (img, stats) = engine
-            .image_with(&strategy)
+            .image_with(strategy)
             .expect("image computation succeeds");
         let initial = engine.initial().clone();
         let invariant = img.equals(engine.manager_mut(), &initial);
@@ -57,16 +57,13 @@ fn main() {
     );
     assert!(out.reclaimed > 0, "three image computations leave garbage");
 
-    // The relocated session is fully usable: re-verify the invariant.
-    let kernel = Strategy::Contraction { k1: 4, k2: 4 };
-    let (img, _) = engine.image_with(&kernel).expect("post-gc image");
+    // The relocated session is fully usable: re-verify the invariant
+    // with the session's default kernel (contraction, k1 = k2 = 4).
+    let (img, _) = engine.image().expect("post-gc image");
     let initial = engine.initial().clone();
     assert!(img.equals(engine.manager_mut(), &initial));
-    println!("post-gc image computation still verifies T(S) = S");
-
-    // The Auto selector routes this deep circuit to the same kernel:
     println!(
-        "auto selector would run: {}",
-        Auto::default().select(engine.operations())
+        "post-gc {} image still verifies T(S) = S",
+        engine.strategy()
     );
 }

@@ -1,17 +1,17 @@
 //! Acceptance tests for the session-based engine API: error paths return
 //! `Err` (never panic, release builds included), the engine agrees
-//! bit-for-bit with the free-function baseline across all four built-in
-//! strategies with GC forced at every safepoint, and the `Auto` selector
-//! picks the Table-I side of the crossover on one wide and one deep paper
-//! circuit.
+//! bit-for-bit with the free-function baseline across the built-in
+//! strategies with GC forced at every safepoint, and both session
+//! constructors default to the contraction partition at `k1 = k2 = 4`.
+
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 // `qits::Strategy` shadows the proptest trait of the same name.
 use proptest::strategy::Strategy as _;
 
 use qits::{
-    image, Auto, EngineBuilder, ImageStrategy, Operations, QitsError, QuantumTransitionSystem,
-    Strategy, Subspace,
+    image, EngineBuilder, EngineSpec, QitsError, QuantumTransitionSystem, Strategy, Subspace,
 };
 use qits_circuit::{generators, Circuit, Gate, Operation};
 use qits_num::Cplx;
@@ -166,36 +166,27 @@ fn slice_count_overflow_is_err() {
 }
 
 // ----------------------------------------------------------------------
-// Auto selector: pinned choices on paper circuits.
+// The default kernel.
 // ----------------------------------------------------------------------
 
 #[test]
-fn auto_picks_addition_on_the_wide_shallow_paper_circuit() {
-    // GHZ is the paper's wide family: one gate layer per qubit.
-    let spec = generators::ghz(50);
-    let ops = Operations::new(spec.n_qubits, spec.operations.clone());
-    assert_eq!(Auto::default().select(&ops), Strategy::Addition { k: 1 });
-}
-
-#[test]
-fn auto_picks_contraction_on_the_deep_paper_circuit() {
-    // QFT is the paper's deep family: O(n^2) gates on n qubits.
-    let spec = generators::qft(8);
-    let ops = Operations::new(spec.n_qubits, spec.operations.clone());
-    assert_eq!(
-        Auto::default().select(&ops),
-        Strategy::Contraction { k1: 4, k2: 4 }
-    );
-}
-
-#[test]
-fn engine_exposes_the_selected_kernel() {
-    let engine = EngineBuilder::new()
-        .strategy(Auto::default())
-        .build_from_spec(&generators::qft(8))
+fn builder_and_spec_default_to_the_table_one_contraction_partition() {
+    // GHZ is the paper's wide, shallow family, where a choice by circuit
+    // shape would pick the addition partition: the default must not
+    // depend on shape, on the serial and the pooled construction path.
+    let seen: Arc<Mutex<Vec<String>>> = Arc::default();
+    let sink = seen.clone();
+    let mut engine = EngineBuilder::new()
+        .stats_sink(move |name, _| sink.lock().unwrap().push(name.to_string()))
+        .build_from_spec(&generators::ghz(8))
         .unwrap();
+    engine.image().unwrap();
+    assert_eq!(*seen.lock().unwrap(), ["contraction(k1=4,k2=4)"]);
+
+    let spec = EngineSpec::new(generators::ghz(8));
+    assert_eq!(spec.strategy_name(), "contraction(k1=4,k2=4)");
     assert_eq!(
-        engine.selected_kernel(),
+        spec.build().unwrap().strategy(),
         Strategy::Contraction { k1: 4, k2: 4 }
     );
 }
@@ -244,20 +235,20 @@ proptest! {
     /// function (grow-only arena) compute bit-for-bit identical images —
     /// every basis vector imports to the exact same canonical edge —
     /// across random circuits, random initial subspaces, and all four
-    /// built-in strategies plus the `Auto` selector.
+    /// built-in strategies, the default contraction setting included.
     #[test]
     fn engine_agrees_with_free_function_baseline_under_forced_gc(
         circuit in arb_circuit(3, 8),
         amps in proptest::collection::vec(proptest::collection::vec(arb_amp(), 3), 1..3),
     ) {
-        let strategies: Vec<Box<dyn ImageStrategy>> = vec![
-            Box::new(Strategy::Basic),
-            Box::new(Strategy::Addition { k: 1 }),
-            Box::new(Strategy::Contraction { k1: 2, k2: 2 }),
-            Box::new(Strategy::AdditionParallel { k: 1 }),
-            Box::new(Auto::default()),
+        let strategies = [
+            Strategy::Basic,
+            Strategy::Addition { k: 1 },
+            Strategy::Contraction { k1: 2, k2: 2 },
+            Strategy::Contraction { k1: 4, k2: 4 },
+            Strategy::AdditionParallel { k: 1 },
         ];
-        for strategy in &strategies {
+        for strategy in strategies {
             // Free-function baseline on its own grow-only manager.
             let mut m = TddManager::new();
             let op = Operation::from_circuit("rand", &circuit);
@@ -266,8 +257,7 @@ proptest! {
             let init = Subspace::from_states(&mut m, 3, &states);
             let mut qts = QuantumTransitionSystem::new(3, vec![op.clone()], init);
             let ops = qts.operations().clone();
-            let kernel = strategy.select(&ops);
-            let (img_base, _) = image(&mut m, &ops, qts.initial_mut(), kernel);
+            let (img_base, _) = image(&mut m, &ops, qts.initial_mut(), strategy);
 
             // Engine session with GC forced at every safepoint.
             let mut engine = EngineBuilder::new()
@@ -279,13 +269,13 @@ proptest! {
                     Subspace::from_states(m, 3, &states)
                 })
                 .unwrap();
-            let (img_engine, _) = engine.image_with(strategy.as_ref()).unwrap();
+            let (img_engine, _) = engine.image_with(strategy).unwrap();
 
             prop_assert_eq!(
                 img_base.dim(),
                 img_engine.dim(),
                 "{}: dimension differs from the baseline",
-                strategy.name()
+                strategy
             );
             for (&b_base, &b_eng) in img_base.basis().iter().zip(img_engine.basis()) {
                 let imported = m.import(engine.manager(), b_eng);
@@ -293,7 +283,7 @@ proptest! {
                     imported,
                     b_base,
                     "{}: basis vector differs bit-for-bit from the baseline",
-                    strategy.name()
+                    strategy
                 );
             }
         }

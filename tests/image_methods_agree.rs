@@ -36,7 +36,7 @@ fn check_all_agree_inner(spec: &QtsSpec, force_gc: bool) {
     let mut engine = EngineBuilder::new().build_from_spec(spec).unwrap();
     let mut reference: Option<Subspace> = None;
     for s in strategies() {
-        let (img, stats) = engine.image_with(&s).unwrap();
+        let (img, stats) = engine.image_with(s).unwrap();
         assert_eq!(img.dim(), stats.output_dim);
         if force_gc {
             // The engine retains its own system; the computed images ride

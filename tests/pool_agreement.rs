@@ -1,8 +1,8 @@
 //! Differential suite for `EnginePool`: a batch of mixed jobs pushed
 //! through the pool (2 and 4 workers) must agree with running each job
 //! on a fresh serial `Engine` built from the same `EngineSpec` — across
-//! all four built-in strategies plus `Auto`, with GC forced at every
-//! safepoint (`GcPolicy::aggressive()`).
+//! all four built-in strategies, the default contraction setting
+//! included, with GC forced at every safepoint (`GcPolicy::aggressive()`).
 //!
 //! Discrete outputs (dimensions, iteration counts, verdicts, error
 //! values) must match **exactly**. Amplitudes are compared to a `1e-9`
@@ -23,9 +23,7 @@ use proptest::prelude::*;
 // `qits::Strategy` shadows the proptest trait of the same name.
 use proptest::strategy::Strategy as _;
 
-use qits::{
-    run_job, Auto, EnginePool, EngineSpec, ImageStrategy, Job, JobOutput, QitsError, Strategy,
-};
+use qits::{run_job, EnginePool, EngineSpec, Job, JobOutput, QitsError, Strategy};
 use qits_circuit::generators::QtsSpec;
 use qits_circuit::{Circuit, Gate, Operation};
 use qits_num::Cplx;
@@ -175,19 +173,14 @@ fn check_pool_against_serial(
     Ok(())
 }
 
-fn check_strategy(
-    system: &QtsSpec,
-    strategy: impl ImageStrategy + Clone + Sync + 'static,
-    jobs: &[Job],
-) -> Result<(), String> {
-    let name = strategy.name();
+fn check_strategy(system: &QtsSpec, strategy: Strategy, jobs: &[Job]) -> Result<(), String> {
     // Forced aggressive GC: every safepoint of every job on every worker
     // collects, so a rooting mistake in the pool path cannot hide.
     let spec = EngineSpec::new(system.clone())
         .strategy(strategy)
         .gc_policy(Some(GcPolicy::aggressive()));
     for workers in [2, 4] {
-        check_pool_against_serial(&spec, workers, jobs).map_err(|e| format!("[{name}] {e}"))?;
+        check_pool_against_serial(&spec, workers, jobs).map_err(|e| format!("[{strategy}] {e}"))?;
     }
     Ok(())
 }
@@ -227,7 +220,7 @@ proptest! {
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
         let r = check_strategy(&system, Strategy::AdditionParallel { k: 1 }, &jobs);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
-        let r = check_strategy(&system, Auto::default(), &jobs);
+        let r = check_strategy(&system, Strategy::Contraction { k1: 4, k2: 4 }, &jobs);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 }

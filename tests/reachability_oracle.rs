@@ -302,7 +302,7 @@ fn check_against_oracle(
     Ok(())
 }
 
-// One property per kernel: each draws its own systems, and the three run
+// One property per kernel: each draws its own systems, and the four run
 // in parallel.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -344,5 +344,19 @@ proptest! {
     ) {
         let sys = system(n, &raw_ops, &projector, &initial);
         check_against_oracle(Strategy::Contraction { k1: 2, k2: 2 }, &sys, holding, &picks)?;
+    }
+
+    /// The engines' default kernel, at the paper's Table I setting.
+    #[test]
+    fn default_contraction_reachability_matches_the_dense_oracle(
+        n in 2u32..6,
+        raw_ops in proptest::collection::vec(arb_op(), 1..3),
+        projector in arb_op(),
+        initial in proptest::collection::vec(proptest::collection::vec(arb_amp(), 5), 1..3),
+        holding in any::<bool>(),
+        picks in proptest::collection::vec(any::<bool>(), 32),
+    ) {
+        let sys = system(n, &raw_ops, &projector, &initial);
+        check_against_oracle(Strategy::Contraction { k1: 4, k2: 4 }, &sys, holding, &picks)?;
     }
 }
