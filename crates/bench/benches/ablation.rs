@@ -1,11 +1,7 @@
-//! Ablation benchmarks for the design decisions DESIGN.md calls out:
-//!
-//! 1. **Primitive multi-controlled tensors vs elementary gates** — `qits`
-//!    keeps `C^k(X)` as one linear-size tensor; compiling it away
-//!    (Toffoli ladders, Clifford+T) multiplies the gate count and changes
-//!    which partition wins.
-//! 2. **Serial vs parallel addition partition** — the paper notes the
-//!    slices contract independently; measure what the threading buys.
+//! Ablation benchmark for one design decision: **primitive
+//! multi-controlled tensors vs elementary gates**. `qits` keeps `C^k(X)` as
+//! one linear-size tensor; compiling it away (Toffoli ladders, Clifford+T)
+//! multiplies the gate count and changes which partition wins.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -29,22 +25,5 @@ fn ablation_gate_lowering(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_parallel_addition(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/parallel_addition");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_millis(1200));
-    let spec = spec_for("qft", 10);
-    for k in [1usize, 2, 3] {
-        group.bench_with_input(BenchmarkId::new("serial", k), &spec, |b, spec| {
-            b.iter(|| run_image(spec, Strategy::Addition { k }))
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", k), &spec, |b, spec| {
-            b.iter(|| run_image(spec, Strategy::AdditionParallel { k }))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, ablation_gate_lowering, ablation_parallel_addition);
+criterion_group!(benches, ablation_gate_lowering);
 criterion_main!(benches);

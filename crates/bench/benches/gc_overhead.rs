@@ -49,35 +49,5 @@ fn gc_overhead_reachability(c: &mut Criterion) {
     group.finish();
 }
 
-fn gc_overhead_parallel_workers(c: &mut Criterion) {
-    // The parallel addition partition collects inside each worker between
-    // basis-state applications; measure the policy's cost there too.
-    // Grover's dimension-2 initial subspace gives each worker a
-    // between-state collection point.
-    let mut group = c.benchmark_group("gc_overhead/addition_parallel");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_millis(1200));
-    let spec = spec_for("grover", 8);
-    for (label, policy) in [("off", None), ("aggressive", Some(GcPolicy::aggressive()))] {
-        group.bench_with_input(BenchmarkId::new("grover8", label), &policy, |b, p| {
-            b.iter(|| {
-                use qits::EngineBuilder;
-                let mut engine = EngineBuilder::new()
-                    .gc_policy(*p)
-                    .strategy(Strategy::AdditionParallel { k: 2 })
-                    .build_from_spec(&spec)
-                    .expect("benchmark spec must form a valid system");
-                engine.image().expect("bench image must compute")
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    gc_overhead_reachability,
-    gc_overhead_parallel_workers
-);
+criterion_group!(benches, gc_overhead_reachability);
 criterion_main!(benches);

@@ -157,11 +157,10 @@ pub fn strategy_for(method: &str) -> Strategy {
 }
 
 /// One measured image computation: builds a fresh engine session (with
-/// the default GC watermark installed, so the parallel strategies'
-/// workers may reclaim mid-run), runs the image of the spec's initial
-/// subspace, and finishes with the end-of-run collection a fixpoint
-/// driver would do here — its reclaim count is what the `recl` table
-/// column reports.
+/// the default GC watermark installed, so the kernel's safepoints may
+/// reclaim mid-run), runs the image of the spec's initial subspace, and
+/// finishes with the end-of-run collection a fixpoint driver would do
+/// here — its reclaim count is what the `recl` table column reports.
 ///
 /// `live_nodes`/`allocated_nodes`/`elapsed` are snapshotted by the image
 /// kernel *before* that final sweep, so the timing and node columns

@@ -48,7 +48,7 @@ use qits_tdd::{
 
 use crate::error::QitsError;
 use crate::image::{try_image, ImageStats, Strategy};
-use crate::mc::{fixpoint_with, ReachabilityResult};
+use crate::mc::{fixpoint_with, try_check_invariant, try_reachable_space, ReachabilityResult};
 use crate::qts::{Operations, QuantumTransitionSystem};
 use crate::subspace::Subspace;
 
@@ -478,8 +478,7 @@ impl Engine {
         max_iterations: usize,
     ) -> Result<ReachabilityResult, QitsError> {
         let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
-        let r =
-            Self::guard_exhaustion(|| fixpoint_with(m, qts, strategy, max_iterations, &[], None))?;
+        let r = Self::guard_exhaustion(|| try_reachable_space(m, qts, strategy, max_iterations))?;
         self.record(strategy, &r.stats);
         Ok(r)
     }
@@ -522,24 +521,17 @@ impl Engine {
 
     /// Checks the safety property "every reachable state stays inside
     /// `invariant`", keeping the invariant rooted across the whole run.
-    /// Returns the verdict plus the witnessing reachability result.
+    /// Returns the verdict plus the witnessing reachability result (see
+    /// [`crate::mc::try_check_invariant`]).
     pub fn check_invariant(
         &mut self,
         invariant: &Subspace,
         max_iterations: usize,
     ) -> Result<(bool, ReachabilityResult), QitsError> {
-        if invariant.n_qubits() != self.qts.n_qubits() {
-            return Err(QitsError::RegisterMismatch {
-                expected: self.qts.n_qubits(),
-                found: invariant.n_qubits(),
-                context: "the invariant subspace".to_string(),
-            });
-        }
         let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
-        let r = Self::guard_exhaustion(|| {
-            fixpoint_with(m, qts, strategy, max_iterations, &[invariant], None)
+        let (holds, r) = Self::guard_exhaustion(|| {
+            try_check_invariant(m, qts, invariant, strategy, max_iterations)
         })?;
-        let holds = r.space.is_subspace_of(&mut self.m, invariant);
         self.record(strategy, &r.stats);
         Ok((holds, r))
     }
@@ -588,11 +580,14 @@ impl Engine {
     /// that every state fits the session register (the check
     /// [`Subspace::try_absorb`] performs).
     pub fn subspace_from_states(&mut self, states: &[Edge]) -> Result<Subspace, QitsError> {
-        let mut s = Subspace::zero(self.qts.n_qubits());
-        for &e in states {
-            s.try_absorb(&mut self.m, e)?;
-        }
-        Ok(s)
+        let (m, n) = (&mut self.m, self.qts.n_qubits());
+        Self::guard_exhaustion(|| {
+            let mut s = Subspace::zero(n);
+            for &e in states {
+                s.try_absorb(m, e)?;
+            }
+            Ok(s)
+        })
     }
 }
 
@@ -819,6 +814,42 @@ mod tests {
         assert_eq!(engine.initial().dim(), 2);
         engine.manager_mut().set_node_capacity(usize::MAX);
         assert!(engine.image().is_ok());
+    }
+
+    #[test]
+    fn arena_exhaustion_after_the_fixpoint_is_an_error_not_a_panic() {
+        // The containment test of `check_invariant` and the absorbs of
+        // `subspace_from_states` build nodes outside any image kernel; a
+        // node cap hit there must come back as an error too.
+        use qits_circuit::tensorize::states;
+        let mut engine = EngineBuilder::new()
+            .build_from_spec(&generators::qrw(3, 0.3))
+            .unwrap();
+        assert!(engine.reachable_space(20).unwrap().converged);
+        let vars = Subspace::ket_vars(3);
+        let m = engine.manager_mut();
+        let bad_ket = m.basis_ket(&vars, &[true, false, false]);
+        let safe = Subspace::from_states(m, 3, &[bad_ket]).complement(m);
+        let fresh = m.product_ket(&vars, &[states::PLUS, states::ZERO, states::MINUS]);
+        // Clamp the node store to what exists now: the converged fixpoint
+        // reruns from the unique table, so the first fresh node is needed
+        // by the containment test.
+        let cap = m.arena_len();
+        m.set_node_capacity(cap);
+        let exhausted = QitsError::ArenaExhausted {
+            allocated: cap,
+            capacity: cap,
+        };
+        assert_eq!(engine.check_invariant(&safe, 20).unwrap_err(), exhausted);
+        assert_eq!(
+            engine.subspace_from_states(&[fresh]).unwrap_err(),
+            exhausted
+        );
+        // Lifting the cap, the same session answers the question.
+        engine.manager_mut().set_node_capacity(usize::MAX);
+        let (holds, r) = engine.check_invariant(&safe, 20).unwrap();
+        assert!(r.converged);
+        assert!(!holds, "the walk reaches |100>");
     }
 
     #[test]

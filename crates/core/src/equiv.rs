@@ -73,7 +73,8 @@ pub fn operator_fidelity(m: &mut TddManager, a: Edge, b: Edge, n_qubits: u32) ->
 }
 
 /// Whether two circuits on the same register implement the same operator
-/// *up to global phase*.
+/// *up to global phase*. [`crate::Engine::equivalent_up_to_phase`] wraps
+/// this with the session's rooting and arena/cancel guard.
 ///
 /// Polls a GC safepoint between the two operator contractions (holding the
 /// first operator live), so batch equivalence checking on one manager with
@@ -86,21 +87,11 @@ pub fn operator_fidelity(m: &mut TddManager, a: Edge, b: Edge, n_qubits: u32) ->
 /// [`qits_tdd::EdgeHolder`] becomes detectably stale
 /// ([`qits_tdd::TddManager::is_live`] returns false) — nodes are never
 /// moved, but swept slots are recycled under a new generation. Without a
-/// policy (the default), the function never collects and behaves exactly
-/// as before.
+/// policy (the default), the function never collects.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the register widths differ;
-/// [`try_equivalent_up_to_phase`] reports that as a [`QitsError`] value
-/// instead (and is what [`crate::Engine::equivalent_up_to_phase`] calls).
-pub fn equivalent_up_to_phase(m: &mut TddManager, a: &Circuit, b: &Circuit) -> bool {
-    try_equivalent_up_to_phase(m, a, b)
-        .unwrap_or_else(|e| panic!("equivalence needs equal registers: {e}"))
-}
-
-/// Fallible [`equivalent_up_to_phase`]: register mismatch is an `Err`,
-/// not a panic.
+/// [`QitsError::RegisterMismatch`] when the register widths differ.
 pub fn try_equivalent_up_to_phase(
     m: &mut TddManager,
     a: &Circuit,
@@ -114,21 +105,14 @@ pub fn try_equivalent_up_to_phase(
 }
 
 /// Whether two circuits implement *exactly* the same operator (global
-/// phase included): proportional with ratio 1.
+/// phase included): proportional with ratio 1. [`crate::Engine::equivalent`]
+/// wraps this with the session's rooting and arena/cancel guard.
 ///
-/// Safepoint behaviour matches [`equivalent_up_to_phase`].
+/// Safepoint behaviour matches [`try_equivalent_up_to_phase`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the register widths differ; [`try_equivalent_exactly`] is
-/// the fallible form.
-pub fn equivalent_exactly(m: &mut TddManager, a: &Circuit, b: &Circuit) -> bool {
-    try_equivalent_exactly(m, a, b)
-        .unwrap_or_else(|e| panic!("equivalence needs equal registers: {e}"))
-}
-
-/// Fallible [`equivalent_exactly`]: register mismatch is an `Err`, not a
-/// panic.
+/// [`QitsError::RegisterMismatch`] when the register widths differ.
 pub fn try_equivalent_exactly(
     m: &mut TddManager,
     a: &Circuit,
@@ -170,7 +154,7 @@ mod tests {
         let mut m = TddManager::new();
         let a = circuit(1, vec![Gate::h(0), Gate::x(0), Gate::h(0)]);
         let b = circuit(1, vec![Gate::z(0)]);
-        assert!(equivalent_exactly(&mut m, &a, &b));
+        assert!(try_equivalent_exactly(&mut m, &a, &b).unwrap());
     }
 
     #[test]
@@ -178,7 +162,7 @@ mod tests {
         let mut m = TddManager::new();
         let a = circuit(2, vec![Gate::swap(0, 1)]);
         let b = circuit(2, vec![Gate::cx(0, 1), Gate::cx(1, 0), Gate::cx(0, 1)]);
-        assert!(equivalent_exactly(&mut m, &a, &b));
+        assert!(try_equivalent_exactly(&mut m, &a, &b).unwrap());
     }
 
     #[test]
@@ -187,8 +171,8 @@ mod tests {
         let theta = 0.731;
         let a = circuit(1, vec![Gate::single(GateKind::Rz(theta), 0)]);
         let b = circuit(1, vec![Gate::phase(0, theta)]);
-        assert!(equivalent_up_to_phase(&mut m, &a, &b));
-        assert!(!equivalent_exactly(&mut m, &a, &b));
+        assert!(try_equivalent_up_to_phase(&mut m, &a, &b).unwrap());
+        assert!(!try_equivalent_exactly(&mut m, &a, &b).unwrap());
     }
 
     #[test]
@@ -196,7 +180,7 @@ mod tests {
         let mut m = TddManager::new();
         let a = circuit(1, vec![Gate::h(0), Gate::h(0)]);
         let b = circuit(1, vec![]);
-        assert!(equivalent_exactly(&mut m, &a, &b));
+        assert!(try_equivalent_exactly(&mut m, &a, &b).unwrap());
     }
 
     #[test]
@@ -204,7 +188,7 @@ mod tests {
         let mut m = TddManager::new();
         let a = circuit(2, vec![Gate::cx(0, 1)]);
         let b = circuit(2, vec![Gate::cx(1, 0)]);
-        assert!(!equivalent_up_to_phase(&mut m, &a, &b));
+        assert!(!try_equivalent_up_to_phase(&mut m, &a, &b).unwrap());
     }
 
     #[test]
@@ -218,7 +202,7 @@ mod tests {
             }
             c
         };
-        assert!(equivalent_exactly(&mut m, &a, &b));
+        assert!(try_equivalent_exactly(&mut m, &a, &b).unwrap());
     }
 
     #[test]
@@ -229,10 +213,10 @@ mod tests {
         m.set_gc_policy(Some(qits_tdd::GcPolicy::aggressive()));
         let a = circuit(2, vec![Gate::swap(0, 1)]);
         let b = circuit(2, vec![Gate::cx(0, 1), Gate::cx(1, 0), Gate::cx(0, 1)]);
-        assert!(equivalent_exactly(&mut m, &a, &b));
-        assert!(equivalent_up_to_phase(&mut m, &a, &b));
+        assert!(try_equivalent_exactly(&mut m, &a, &b).unwrap());
+        assert!(try_equivalent_up_to_phase(&mut m, &a, &b).unwrap());
         let c = circuit(2, vec![Gate::cx(1, 0)]);
-        assert!(!equivalent_up_to_phase(&mut m, &a, &c));
+        assert!(!try_equivalent_up_to_phase(&mut m, &a, &c).unwrap());
         assert!(m.stats().safepoint_collections > 0, "safepoint must fire");
     }
 
@@ -252,6 +236,6 @@ mod tests {
         let mut m = TddManager::new();
         let a = circuit(2, vec![Gate::cz(0, 1)]);
         let b = circuit(2, vec![Gate::h(1), Gate::cx(0, 1), Gate::h(1)]);
-        assert!(equivalent_exactly(&mut m, &a, &b));
+        assert!(try_equivalent_exactly(&mut m, &a, &b).unwrap());
     }
 }

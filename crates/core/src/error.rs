@@ -1,14 +1,10 @@
 //! The crate's typed error: failures are values, not panics.
 //!
-//! Every fallible entry point of the engine-facing API —
-//! [`crate::Engine`]'s methods, [`crate::try_image`],
-//! [`crate::mc::try_reachable_space`], the `try_*` equivalence checkers —
-//! returns `Result<_, QitsError>`. The historical free functions
-//! ([`crate::image`], [`crate::mc::reachable_space`]) remain as thin shims
-//! that panic on these same conditions with the error's `Display` text, so
-//! legacy call sites keep their signatures while the conditions themselves
-//! are detected in **release builds** too (they used to be `debug_assert`s
-//! or silent acceptance).
+//! Every public entry point that can fail — [`crate::Engine`]'s methods
+//! and the kernels they wrap ([`crate::try_image`],
+//! [`crate::mc::try_reachable_space`], [`crate::mc::try_check_invariant`],
+//! the `try_*` equivalence checkers) — returns `Result<_, QitsError>`, and
+//! detects its conditions in **release builds** too.
 
 use std::fmt;
 
@@ -19,8 +15,8 @@ use std::fmt;
 /// register agreement between operations and subspaces (Definition 2
 /// requires every `T_sigma` to act on the system's Hilbert space), Kraus
 /// sets being non-empty (a quantum operation has at least one operator),
-/// slice counts staying addressable, and the parallel addition partition's
-/// worker threads finishing.
+/// and slice counts staying addressable — plus the session, serving and
+/// snapshot failures layered on top.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum QitsError {
@@ -61,11 +57,6 @@ pub enum QitsError {
         allocated: usize,
         /// The configured bound that was hit.
         capacity: usize,
-    },
-    /// A worker thread of the parallel addition partition panicked.
-    WorkerFailure {
-        /// The worker's panic message, when it carried one.
-        detail: String,
     },
     /// A job submitted to an [`crate::EnginePool`] panicked inside its
     /// worker, or its worker died before delivering a result. The failure
@@ -164,9 +155,6 @@ impl fmt::Display for QitsError {
                     "node arena exhausted: {allocated} slots allocated of capacity {capacity}"
                 )
             }
-            QitsError::WorkerFailure { detail } => {
-                write!(f, "an image-computation worker thread failed: {detail}")
-            }
             QitsError::JobFailure { detail } => {
                 write!(f, "a pool job failed in its worker: {detail}")
             }
@@ -235,7 +223,7 @@ impl From<qits_tdd::DumpError> for QitsError {
     }
 }
 
-/// Extracts a human-readable message from a worker thread's panic payload.
+/// Extracts a human-readable message from a pool job's panic payload.
 pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -274,12 +262,6 @@ mod tests {
                     capacity: 64,
                 },
                 "exhausted",
-            ),
-            (
-                QitsError::WorkerFailure {
-                    detail: "boom".into(),
-                },
-                "boom",
             ),
             (
                 QitsError::JobFailure {

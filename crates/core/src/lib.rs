@@ -58,8 +58,11 @@
 //! the session's system (plus any subspaces passed as `kept`) alive.
 //! Collection never moves a node, so inputs are plain `&Subspace` borrows
 //! and survivors stay bit-identical; unrooted diagrams become detectably
-//! stale instead of dangling. The pre-engine free functions ([`image`],
-//! the [`mc`] drivers) remain as thin shims over the same kernels.
+//! stale instead of dangling. Underneath, each question has one fallible
+//! kernel over a raw manager — [`try_image`],
+//! [`mc::try_reachable_space`], [`mc::try_check_invariant`] and the
+//! `try_*` checkers in [`equiv`] — and each engine method wraps one of
+//! them with that rooting, the arena/cancel guard and the stats sink.
 //!
 //! On top of the pool sits an **async serving front** ([`serve`]):
 //! cloneable [`ServiceHandle`]s admit [`JobRequest`]s without blocking,
@@ -83,7 +86,7 @@ mod subspace;
 
 pub use engine::{Engine, EngineBuilder, StatsSink};
 pub use error::QitsError;
-pub use image::{image, try_image, try_image_into, ImageStats, Strategy};
+pub use image::{try_image, ImageStats, Strategy};
 pub use pool::{
     run_job, EnginePool, EngineSpec, ImageOutcome, Job, JobHandle, JobOutput, JobRequest,
     JobTicket, MemoKey, MemoStats, PoolBuilder, PoolStats, PoolStatsSink, Priority, ReachOutcome,

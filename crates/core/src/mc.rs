@@ -24,12 +24,11 @@
 //! resident. The drivers here are GC-aware on two levels when the manager
 //! has a [`qits_tdd::GcPolicy`] installed:
 //!
-//! * **inside** each image call, the serial strategies poll their own
-//!   safepoints (see [`crate::image`]) with the frontier and the reachable
-//!   space among the mark roots; the drivers keep the transition system
-//!   and any invariant under check alive across those collections by
-//!   rooting them ([`qits_tdd::TddManager::protect`]) for the duration of
-//!   the call;
+//! * **inside** each image call, the kernel polls its own safepoints (see
+//!   [`crate::try_image`]) with the frontier and the reachable space among
+//!   the mark roots; the drivers keep the transition system and any
+//!   invariant under check alive across those collections by rooting them
+//!   ([`qits_tdd::TddManager::protect`]) for the duration of the call;
 //! * **between** iterations, the drivers poll the same safepoint entry
 //!   ([`qits_tdd::TddManager::maybe_collect_at_safepoint`]) with the full
 //!   live set as [`qits_tdd::EdgeHolder`]s — the system, the working
@@ -60,7 +59,7 @@ pub struct ReachabilityResult {
     /// the frontier that iteration added.
     pub stats: Vec<ImageStats>,
     /// Garbage collections performed by the driver: between iterations
-    /// plus the in-image safepoint collections of every `image()` call.
+    /// plus the in-image safepoint collections of every image call.
     pub collections: usize,
     /// Nodes reclaimed by those collections (in-image safepoint reclaim
     /// included).
@@ -76,22 +75,9 @@ pub struct ReachabilityResult {
 /// space is contained in it by construction, so the final image
 /// computation is skipped.
 ///
-/// This is an infallible shim over [`try_reachable_space`] (it panics
-/// where that returns `Err`), kept for legacy call sites and the
-/// strategy-agreement baseline; [`crate::Engine::reachable_space`] is the
-/// fallible session API.
-pub fn reachable_space(
-    m: &mut TddManager,
-    qts: &QuantumTransitionSystem,
-    strategy: Strategy,
-    max_iterations: usize,
-) -> ReachabilityResult {
-    try_reachable_space(m, qts, strategy, max_iterations)
-        .unwrap_or_else(|e| panic!("reachable_space: {e}"))
-}
-
-/// Fallible reachability: every condition the image kernel reports as a
-/// [`QitsError`] surfaces here instead of panicking.
+/// Every condition the image kernel reports as a [`QitsError`] surfaces
+/// here. [`crate::Engine::reachable_space`] wraps this with the session's
+/// rooting, arena/cancel guard and stats sink.
 pub fn try_reachable_space(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
@@ -101,32 +87,12 @@ pub fn try_reachable_space(
     fixpoint_with(m, qts, strategy, max_iterations, &[], None)
 }
 
-/// [`reachable_space`], additionally keeping `kept` subspaces alive
-/// across every collection of the run. This is how [`check_invariant`]
-/// carries the invariant through a GC'd run; callers holding other
-/// subspaces on the same manager can do the same.
-///
-/// # Panics
-///
-/// Panics where the fallible drivers ([`try_reachable_space`],
-/// [`crate::Engine::reachable_space`]) return `Err`.
-pub fn reachable_space_keeping(
-    m: &mut TddManager,
-    qts: &QuantumTransitionSystem,
-    strategy: Strategy,
-    max_iterations: usize,
-    kept: &[&Subspace],
-) -> ReachabilityResult {
-    fixpoint_with(m, qts, strategy, max_iterations, kept, None)
-        .unwrap_or_else(|e| panic!("reachable_space_keeping: {e}"))
-}
-
-/// The fixpoint core behind every reachability driver — free-function
-/// shims and [`crate::Engine`] alike: semi-naive iteration (see the module
-/// docs) with each frontier's image absorbed into the reachable space by
-/// [`try_image_into`], rooting the system and the `kept` subspaces across
-/// in-image safepoints and polling the between-iteration safepoint with
-/// the full live set.
+/// The fixpoint core behind [`try_reachable_space`],
+/// [`try_check_invariant`] and [`crate::Engine::resume_reachable_space`]:
+/// semi-naive iteration (see the module docs) with each frontier's image
+/// absorbed into the reachable space by the image kernel, rooting the
+/// system and the `kept` subspaces across in-image safepoints and polling
+/// the between-iteration safepoint with the full live set.
 ///
 /// `start` overrides the starting space (default: the system's initial
 /// subspace) — the resume path of [`crate::Engine::resume_reachable_space`].
@@ -174,10 +140,6 @@ pub(crate) fn fixpoint_with(
             m.unprotect_all(roots);
             result?
         };
-        // `reclaimed_nodes` must cover the same collections `collections`
-        // counts: the in-image total includes worker-manager reclaim
-        // (parallel strategies), which `safepoint_reclaimed` alone — a
-        // main-manager counter — would miss.
         collections += st.safepoint_collections as usize;
         reclaimed_nodes += st.reclaimed_nodes;
         iterations += 1;
@@ -215,28 +177,18 @@ pub(crate) fn fixpoint_with(
 }
 
 /// Checks the safety property "every reachable state stays inside
-/// `invariant`".
+/// `invariant`", keeping the invariant rooted across the whole run.
 ///
 /// Returns the verdict plus the reachability result that witnessed it.
 /// A `false` verdict with `converged = false` means the analysis was
 /// truncated and the verdict is only valid for the explored prefix.
+/// [`crate::Engine::check_invariant`] wraps this with the session's
+/// rooting, arena/cancel guard and stats sink.
 ///
-/// Infallible shim over [`try_check_invariant`] (panics where that
-/// errors); [`crate::Engine::check_invariant`] is the session API.
-pub fn check_invariant(
-    m: &mut TddManager,
-    qts: &QuantumTransitionSystem,
-    invariant: &Subspace,
-    strategy: Strategy,
-    max_iterations: usize,
-) -> (bool, ReachabilityResult) {
-    try_check_invariant(m, qts, invariant, strategy, max_iterations)
-        .unwrap_or_else(|e| panic!("check_invariant: {e}"))
-}
-
-/// Fallible invariant checking: the verdict plus the reachability result
-/// that witnessed it, or the [`QitsError`] the underlying image
-/// computation hit.
+/// # Errors
+///
+/// [`QitsError::RegisterMismatch`] when the invariant's width differs from
+/// the system's, and every condition the image kernel reports.
 pub fn try_check_invariant(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
@@ -244,6 +196,13 @@ pub fn try_check_invariant(
     strategy: Strategy,
     max_iterations: usize,
 ) -> Result<(bool, ReachabilityResult), QitsError> {
+    if invariant.n_qubits() != qts.n_qubits() {
+        return Err(QitsError::RegisterMismatch {
+            expected: qts.n_qubits(),
+            found: invariant.n_qubits(),
+            context: "the invariant subspace".to_string(),
+        });
+    }
     let reach = fixpoint_with(m, qts, strategy, max_iterations, &[invariant], None)?;
     let holds = reach.space.is_subspace_of(m, invariant);
     Ok((holds, reach))
@@ -252,7 +211,7 @@ pub fn try_check_invariant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::image;
+    use crate::image::try_image;
     use qits_circuit::generators;
     use qits_circuit::tensorize::states;
     use qits_tdd::GcPolicy;
@@ -262,7 +221,8 @@ mod tests {
         // The Grover initial subspace is invariant: 1 iteration suffices.
         let mut m = TddManager::new();
         let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::grover(3));
-        let r = reachable_space(&mut m, &qts, Strategy::Contraction { k1: 2, k2: 2 }, 10);
+        let r =
+            try_reachable_space(&mut m, &qts, Strategy::Contraction { k1: 2, k2: 2 }, 10).unwrap();
         assert!(r.converged);
         assert_eq!(r.iterations, 1);
         assert!(r.space.equals(&mut m, qts.initial()));
@@ -274,17 +234,19 @@ mod tests {
         // reachable space saturates at the full 2^n dimension eventually.
         let mut m = TddManager::new();
         let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::qrw(3, 0.5));
-        let r = reachable_space(&mut m, &qts, Strategy::Contraction { k1: 2, k2: 2 }, 20);
+        let r =
+            try_reachable_space(&mut m, &qts, Strategy::Contraction { k1: 2, k2: 2 }, 20).unwrap();
         assert!(r.converged);
         assert!(r.space.dim() > qts.initial().dim());
         // Fixpoint really is a fixpoint.
         let ops = qts.operations().clone();
-        let (img, _) = image(
+        let (img, _) = try_image(
             &mut m,
             &ops,
             &r.space,
             Strategy::Contraction { k1: 2, k2: 2 },
-        );
+        )
+        .unwrap();
         assert!(img.is_subspace_of(&mut m, &r.space));
     }
 
@@ -295,23 +257,25 @@ mod tests {
         // the final join must still report convergence.
         let mut probe = TddManager::new();
         let qts_probe = QuantumTransitionSystem::from_spec(&mut probe, &generators::qrw(3, 0.5));
-        let full_run = reachable_space(
+        let full_run = try_reachable_space(
             &mut probe,
             &qts_probe,
             Strategy::Contraction { k1: 2, k2: 2 },
             20,
-        );
+        )
+        .unwrap();
         assert!(full_run.converged);
         assert_eq!(full_run.space.dim(), 8, "walk must fill the space");
 
         let mut m = TddManager::new();
         let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::qrw(3, 0.5));
-        let tight = reachable_space(
+        let tight = try_reachable_space(
             &mut m,
             &qts,
             Strategy::Contraction { k1: 2, k2: 2 },
             full_run.iterations,
-        );
+        )
+        .unwrap();
         assert_eq!(tight.space.dim(), 8);
         assert!(
             tight.converged,
@@ -331,7 +295,7 @@ mod tests {
             c
         });
         let qts = QuantumTransitionSystem::new(2, vec![op], full);
-        let r = reachable_space(&mut m, &qts, Strategy::Basic, 10);
+        let r = try_reachable_space(&mut m, &qts, Strategy::Basic, 10).unwrap();
         assert!(r.converged);
         assert_eq!(r.iterations, 0, "full space needs no image computation");
         assert_eq!(r.space.dim(), 4);
@@ -344,7 +308,8 @@ mod tests {
         // kets and saturation, not an empty frontier, ended the run.
         let mut m = TddManager::new();
         let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::qrw(3, 0.5));
-        let r = reachable_space(&mut m, &qts, Strategy::Contraction { k1: 2, k2: 2 }, 40);
+        let r =
+            try_reachable_space(&mut m, &qts, Strategy::Contraction { k1: 2, k2: 2 }, 40).unwrap();
         assert!(r.converged);
         assert_eq!(r.space.dim(), 8);
         let added: usize = r.stats.iter().map(|st| st.output_dim).sum();
@@ -357,11 +322,11 @@ mod tests {
         let strategy = Strategy::Contraction { k1: 2, k2: 2 };
         let mut m = TddManager::new();
         let ghz = QuantumTransitionSystem::from_spec(&mut m, &generators::ghz(5));
-        let r = reachable_space(&mut m, &ghz, strategy, 40);
+        let r = try_reachable_space(&mut m, &ghz, strategy, 40).unwrap();
         assert!(r.converged);
         assert!(!r.space.keeps_projector());
         let walk = QuantumTransitionSystem::from_spec(&mut m, &generators::qrw(4, 0.5));
-        let r = reachable_space(&mut m, &walk, strategy, 40);
+        let r = try_reachable_space(&mut m, &walk, strategy, 40).unwrap();
         assert!(r.converged);
         assert!(r.space.keeps_projector());
     }
@@ -371,10 +336,10 @@ mod tests {
         // The reachable space itself always satisfies the invariant check.
         let mut m = TddManager::new();
         let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::ghz(3));
-        let r = reachable_space(&mut m, &qts, Strategy::Basic, 20);
+        let r = try_reachable_space(&mut m, &qts, Strategy::Basic, 20).unwrap();
         assert!(r.converged);
         let inv = r.space.clone();
-        let (holds, r2) = check_invariant(&mut m, &qts, &inv, Strategy::Basic, 20);
+        let (holds, r2) = try_check_invariant(&mut m, &qts, &inv, Strategy::Basic, 20).unwrap();
         assert!(holds);
         assert!(r2.converged);
         assert_eq!(r2.space.dim(), r.space.dim());
@@ -388,15 +353,40 @@ mod tests {
         let vars = Subspace::ket_vars(3);
         let zero_ket = m.product_ket(&vars, &[states::ZERO; 3]);
         let only_zero = Subspace::from_states(&mut m, 3, &[zero_ket]);
-        let (holds, _) = check_invariant(&mut m, &qts, &only_zero, Strategy::Basic, 10);
+        let (holds, _) =
+            try_check_invariant(&mut m, &qts, &only_zero, Strategy::Basic, 10).unwrap();
         assert!(!holds);
+    }
+
+    #[test]
+    fn invariant_on_another_register_is_a_mismatch() {
+        // An invariant on a narrower or wider register asks about another
+        // system: refuse it before the fixpoint runs.
+        let mut m = TddManager::new();
+        let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::ghz(3));
+        for width in [2, 5] {
+            let inv = Subspace::full(&mut m, width);
+            let err = try_check_invariant(&mut m, &qts, &inv, Strategy::Basic, 10).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    QitsError::RegisterMismatch {
+                        expected: 3,
+                        found,
+                        ..
+                    } if found == width
+                ),
+                "width {width}: {err}"
+            );
+        }
     }
 
     #[test]
     fn max_iterations_truncates() {
         let mut m = TddManager::new();
         let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::qrw(4, 0.5));
-        let r = reachable_space(&mut m, &qts, Strategy::Contraction { k1: 2, k2: 2 }, 1);
+        let r =
+            try_reachable_space(&mut m, &qts, Strategy::Contraction { k1: 2, k2: 2 }, 1).unwrap();
         assert!(!r.converged);
         assert_eq!(r.iterations, 1);
     }
@@ -410,12 +400,12 @@ mod tests {
 
         let mut m_plain = TddManager::new();
         let qts_plain = QuantumTransitionSystem::from_spec(&mut m_plain, &spec);
-        let r_plain = reachable_space(&mut m_plain, &qts_plain, strategy, 20);
+        let r_plain = try_reachable_space(&mut m_plain, &qts_plain, strategy, 20).unwrap();
 
         let mut m_gc = TddManager::new();
         let qts_gc = QuantumTransitionSystem::from_spec(&mut m_gc, &spec);
         m_gc.set_gc_policy(Some(GcPolicy::aggressive()));
-        let r_gc = reachable_space(&mut m_gc, &qts_gc, strategy, 20);
+        let r_gc = try_reachable_space(&mut m_gc, &qts_gc, strategy, 20).unwrap();
 
         assert!(r_gc.converged);
         assert_eq!(r_plain.space.dim(), r_gc.space.dim());
@@ -434,7 +424,7 @@ mod tests {
             .clone()
             .is_subspace_of(&mut m_gc, &r_gc.space));
         let ops = qts_gc.operations().clone();
-        let (img, _) = image(&mut m_gc, &ops, &r_gc.space, strategy);
+        let (img, _) = try_image(&mut m_gc, &ops, &r_gc.space, strategy).unwrap();
         assert!(img.is_subspace_of(&mut m_gc, &r_gc.space));
     }
 
@@ -447,13 +437,14 @@ mod tests {
         let bad_ket = m.basis_ket(&vars, &[true, false, false]);
         let bad = Subspace::from_states(&mut m, 3, &[bad_ket]);
         let safe = bad.complement(&mut m);
-        let (holds, r) = check_invariant(
+        let (holds, r) = try_check_invariant(
             &mut m,
             &qts,
             &safe,
             Strategy::Contraction { k1: 2, k2: 2 },
             20,
-        );
+        )
+        .unwrap();
         assert!(r.converged);
         assert!(!holds, "the walk eventually reaches the bad state");
         assert!(r.collections > 0);

@@ -84,8 +84,9 @@ pub use stats::{ManagerStats, ProbeHistogram, PROBE_BUCKETS};
 
 // Thread-safety contract, checked at compile time: a manager (and every
 // handle into it) is plain owned data, so whole sessions can move between
-// threads — the property `qits`'s parallel addition workers and its
-// `EnginePool` worker threads are built on. A field that smuggles in
+// threads — the property `qits`'s `EnginePool` worker threads are built
+// on — and, having no interior mutability, can be read through shared
+// borrows from several threads. A field that smuggles in
 // `Rc`/`RefCell`/raw-pointer state breaks this assertion, not a user at
 // runtime.
 const _: () = {

@@ -65,7 +65,6 @@ fn image_stats_cache_counters_cover_all_strategies() {
         Strategy::Basic,
         Strategy::Addition { k: 1 },
         Strategy::Contraction { k1: 2, k2: 2 },
-        Strategy::AdditionParallel { k: 1 },
     ] {
         let mut engine = EngineBuilder::new()
             .strategy(strategy)

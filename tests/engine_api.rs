@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 use qits::{
-    image, EngineBuilder, EngineSpec, QitsError, QuantumTransitionSystem, Strategy, Subspace,
+    try_image, EngineBuilder, EngineSpec, QitsError, QuantumTransitionSystem, Strategy, Subspace,
 };
 use qits_circuit::{generators, Circuit, Gate, Operation};
 use qits_num::Cplx;
@@ -231,11 +231,12 @@ fn arb_amp() -> impl proptest::strategy::Strategy<Value = (Cplx, Cplx)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The engine (GC forced at every safepoint) and the `image` free
-    /// function (grow-only arena) compute bit-for-bit identical images —
-    /// every basis vector imports to the exact same canonical edge —
-    /// across random circuits, random initial subspaces, and all four
-    /// built-in strategies, the default contraction setting included.
+    /// The engine (GC forced at every safepoint) and the `try_image`
+    /// kernel on a raw manager (grow-only arena) compute bit-for-bit
+    /// identical images — every basis vector imports to the exact same
+    /// canonical edge — across random circuits, random initial subspaces,
+    /// and all three built-in strategies, the default contraction setting
+    /// included.
     #[test]
     fn engine_agrees_with_free_function_baseline_under_forced_gc(
         circuit in arb_circuit(3, 8),
@@ -246,7 +247,6 @@ proptest! {
             Strategy::Addition { k: 1 },
             Strategy::Contraction { k1: 2, k2: 2 },
             Strategy::Contraction { k1: 4, k2: 4 },
-            Strategy::AdditionParallel { k: 1 },
         ];
         for strategy in strategies {
             // Free-function baseline on its own grow-only manager.
@@ -257,7 +257,7 @@ proptest! {
             let init = Subspace::from_states(&mut m, 3, &states);
             let mut qts = QuantumTransitionSystem::new(3, vec![op.clone()], init);
             let ops = qts.operations().clone();
-            let (img_base, _) = image(&mut m, &ops, qts.initial_mut(), strategy);
+            let (img_base, _) = try_image(&mut m, &ops, qts.initial_mut(), strategy).unwrap();
 
             // Engine session with GC forced at every safepoint.
             let mut engine = EngineBuilder::new()
@@ -301,7 +301,7 @@ fn engine_reachability_matches_free_function_driver() {
 
     let mut m = TddManager::new();
     let qts = QuantumTransitionSystem::from_spec(&mut m, &spec);
-    let base = qits::mc::reachable_space(&mut m, &qts, strategy, 30);
+    let base = qits::mc::try_reachable_space(&mut m, &qts, strategy, 30).unwrap();
 
     let mut engine = EngineBuilder::new()
         .strategy(strategy)

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 // `qits::Strategy` shadows the proptest trait of the same name.
 use proptest::strategy::Strategy as _;
 
-use qits::{image, mc, QuantumTransitionSystem, Strategy, Subspace};
+use qits::{mc, try_image, QuantumTransitionSystem, Strategy, Subspace};
 use qits_circuit::{generators, Circuit, Gate, Operation};
 use qits_num::Cplx;
 use qits_tdd::{GcPolicy, TddManager};
@@ -162,7 +162,7 @@ proptest! {
         let op = Operation::from_circuit("rand", &circuit);
         let qts = QuantumTransitionSystem::new(3, vec![op], init);
         let ops = qts.operations().clone();
-        let (img, _) = image(&mut m, &ops, qts.initial(), Strategy::Basic);
+        let (img, _) = try_image(&mut m, &ops, qts.initial(), Strategy::Basic).unwrap();
         let probe = m.product_ket(&vars, &probe_amps);
 
         let in_image_before = img.contains(&mut m, probe);
@@ -175,7 +175,7 @@ proptest! {
         prop_assert_eq!(qts.initial().clone().contains(&mut m, probe), in_initial_before);
         // The image is still the image: recomputing it after the sweep
         // agrees with the held copy.
-        let (img2, _) = image(&mut m, &ops, qts.initial(), Strategy::Basic);
+        let (img2, _) = try_image(&mut m, &ops, qts.initial(), Strategy::Basic).unwrap();
         prop_assert!(img2.equals(&mut m, &img));
     }
 }
@@ -194,7 +194,7 @@ fn aggressive_gc_keeps_store_bounded_by_live_set() {
     let mut collected = 0u64;
     let rebuilds_before = m.stats().unique_rebuilds;
     for _ in 0..10 {
-        let (img, _) = image(&mut m, &ops, &space, strategy);
+        let (img, _) = try_image(&mut m, &ops, &space, strategy).unwrap();
         space = space.join(&mut m, &img);
         // Force a collection every iteration, as aggressively as possible.
         let out = m.collect_retaining(&[&qts, &space]);
@@ -218,7 +218,7 @@ fn aggressive_gc_keeps_store_bounded_by_live_set() {
         "collection must never rebuild the unique index"
     );
     // The held fixpoint state is still sound.
-    let (img, _) = image(&mut m, &ops, &space, strategy);
+    let (img, _) = try_image(&mut m, &ops, &space, strategy).unwrap();
     assert!(img.is_subspace_of(&mut m, &space) || space.join(&mut m, &img).dim() > space.dim());
 }
 
@@ -249,12 +249,12 @@ fn ten_iteration_fixpoint_reclaims_and_stays_below_grow_only() {
 
     let mut m_plain = TddManager::new();
     let qts_plain = increment_qts(&mut m_plain);
-    let r_plain = mc::reachable_space(&mut m_plain, &qts_plain, strategy, 30);
+    let r_plain = mc::try_reachable_space(&mut m_plain, &qts_plain, strategy, 30).unwrap();
 
     let mut m_gc = TddManager::new();
     let qts_gc = increment_qts(&mut m_gc);
     m_gc.set_gc_policy(Some(GcPolicy::aggressive()));
-    let r_gc = mc::reachable_space(&mut m_gc, &qts_gc, strategy, 30);
+    let r_gc = mc::try_reachable_space(&mut m_gc, &qts_gc, strategy, 30).unwrap();
 
     assert!(r_gc.converged);
     assert!(
@@ -282,49 +282,6 @@ fn ten_iteration_fixpoint_reclaims_and_stays_below_grow_only() {
         independent.absorb(&mut m_gc, imported);
     }
     assert!(r_gc.space.clone().equals(&mut m_gc, &independent));
-}
-
-/// The parallel addition partition inherits the policy into its worker
-/// managers and reclaims there without changing the image. Grover's
-/// initial subspace has dimension 2, so each worker applies its slice
-/// operator to two states — the between-state collection point fires.
-#[test]
-fn parallel_workers_collect_under_policy() {
-    let spec = generators::grover(4);
-
-    let mut m_plain = TddManager::new();
-    let qts_plain = QuantumTransitionSystem::from_spec(&mut m_plain, &spec);
-    let ops_plain = qts_plain.operations().clone();
-    let (img_plain, stats_plain) = image(
-        &mut m_plain,
-        &ops_plain,
-        qts_plain.initial(),
-        Strategy::AdditionParallel { k: 2 },
-    );
-    assert_eq!(stats_plain.reclaimed_nodes, 0);
-
-    let mut m_gc = TddManager::new();
-    m_gc.set_gc_policy(Some(GcPolicy::aggressive()));
-    let qts_gc = QuantumTransitionSystem::from_spec(&mut m_gc, &spec);
-    let ops_gc = qts_gc.operations().clone();
-    let (img_gc, stats_gc) = image(
-        &mut m_gc,
-        &ops_gc,
-        qts_gc.initial(),
-        Strategy::AdditionParallel { k: 2 },
-    );
-    assert!(
-        stats_gc.reclaimed_nodes > 0,
-        "workers must collect under the inherited policy"
-    );
-    assert_eq!(img_plain.dim(), img_gc.dim());
-    // Same image: import the GC run's basis and check mutual containment.
-    let mut imported = Subspace::zero(4);
-    for &b in img_gc.basis() {
-        let e = m_plain.import(&m_gc, b);
-        imported.absorb(&mut m_plain, e);
-    }
-    assert!(imported.equals(&mut m_plain, &img_plain));
 }
 
 /// Typed misuse: a subspace that a collection swept (it was neither

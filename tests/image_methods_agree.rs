@@ -15,8 +15,6 @@ fn strategies() -> Vec<Strategy> {
         Strategy::Contraction { k1: 2, k2: 2 },
         Strategy::Contraction { k1: 4, k2: 4 },
         Strategy::Contraction { k1: 3, k2: 1 },
-        Strategy::AdditionParallel { k: 1 },
-        Strategy::AdditionParallel { k: 2 },
     ]
 }
 

@@ -218,8 +218,6 @@ proptest! {
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
         let r = check_strategy(&system, Strategy::Contraction { k1: 2, k2: 2 }, &jobs);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
-        let r = check_strategy(&system, Strategy::AdditionParallel { k: 1 }, &jobs);
-        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
         let r = check_strategy(&system, Strategy::Contraction { k1: 4, k2: 4 }, &jobs);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }

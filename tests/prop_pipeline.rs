@@ -8,7 +8,7 @@ use proptest::prelude::*;
 // prelude glob; re-import the trait anonymously for method resolution.
 use proptest::strategy::Strategy as _;
 
-use qits::{image, QuantumTransitionSystem, Strategy, Subspace};
+use qits::{try_image, QuantumTransitionSystem, Strategy, Subspace};
 use qits_circuit::{sim, Circuit, Gate, Operation};
 use qits_num::{linalg, Cplx};
 use qits_tdd::TddManager;
@@ -111,7 +111,7 @@ proptest! {
             Strategy::Contraction { k1: 1, k2: 2 },
         ] {
             let ops = qts.operations().clone();
-            let (img, _) = image(&mut m, &ops, qts.initial_mut(), strategy);
+            let (img, _) = try_image(&mut m, &ops, qts.initial_mut(), strategy).unwrap();
             prop_assert_eq!(img.dim(), expect.len(), "dim mismatch ({})", strategy);
             for &b in img.basis() {
                 let v = dense_of_ket(&m, n, b);

@@ -59,14 +59,14 @@ fn forced_sifting_fixpoint_matches_grow_only_bit_for_bit() {
 
     let mut m_plain = TddManager::new();
     let qts_plain = increment_qts(&mut m_plain);
-    let r_plain = mc::reachable_space(&mut m_plain, &qts_plain, strategy, 30);
+    let r_plain = mc::try_reachable_space(&mut m_plain, &qts_plain, strategy, 30).unwrap();
 
     let mut m_dvo = TddManager::new();
     let qts_dvo = increment_qts(&mut m_dvo);
     m_dvo.set_gc_policy(Some(
         GcPolicy::aggressive().with_reorder(ReorderPolicy::EveryCollection),
     ));
-    let r_dvo = mc::reachable_space(&mut m_dvo, &qts_dvo, strategy, 30);
+    let r_dvo = mc::try_reachable_space(&mut m_dvo, &qts_dvo, strategy, 30).unwrap();
 
     assert!(r_plain.converged && r_dvo.converged);
     assert_eq!(r_plain.iterations, r_dvo.iterations);

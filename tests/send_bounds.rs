@@ -1,9 +1,9 @@
 //! Compile-time thread-safety contract of the session stack.
 //!
-//! `EnginePool` moves whole `Engine` sessions onto worker threads, and the
-//! parallel addition partition shares a `&TddManager` across scoped
-//! threads. Both rely on auto-derived `Send`/`Sync`: nothing in the stack
-//! may grow an `Rc`, `RefCell`, raw pointer, or other thread-affine field.
+//! `EnginePool` moves whole `Engine` sessions onto worker threads and
+//! shares a system's `Arc`-held operations between them. Both rely on
+//! auto-derived `Send`/`Sync`: nothing in the stack may grow an `Rc`,
+//! `RefCell`, raw pointer, or other thread-affine field.
 //! These assertions make such a regression a **compile error in this test
 //! target** — with a named witness per type — rather than a distant
 //! trait-bound failure inside the pool internals.
@@ -28,9 +28,9 @@ fn session_types_are_send() {
 
 #[test]
 fn shared_read_side_is_sync() {
-    // Shared by reference across threads (the addition partition passes
-    // `&TddManager` into scoped workers; `Operations` is the Arc-shared
-    // read view of a system).
+    // Shareable by reference across threads: `Operations` is the
+    // Arc-shared read view of a system, and a manager and its handles
+    // carry no interior mutability, so read-only borrows may cross too.
     assert_sync::<TddManager>();
     assert_sync::<Operations>();
     assert_sync::<Subspace>();
