@@ -22,6 +22,17 @@
 //! unless the builder picks another. `Basic` and `Addition` stay
 //! selectable as the paper's baselines.
 //!
+//! The session compiles each Kraus branch of its system once, on the first
+//! image that reaches it: the branch's tensor network, the strategy's
+//! operator tensors (the whole operator, the addition slices, or the
+//! contraction blocks), and the index sets and rename map every state
+//! application needs. Every later image, fixpoint iteration, resume and
+//! pool job reuses them. A collection retains them next to the system —
+//! at every safepoint, in [`Engine::collect`], and across the equivalence
+//! checks — without registering a root, and [`Engine::set_strategy`]
+//! drops them. A collection run through [`Engine::manager_mut`] that does
+//! not retain them is caught at the next call, which compiles them again.
+//!
 //! ```
 //! use qits::{EngineBuilder, Strategy};
 //! use qits_circuit::generators;
@@ -41,14 +52,15 @@ use std::fmt;
 use qits_circuit::generators::QtsSpec;
 use qits_circuit::tensorize::{static_order, StaticOrder};
 use qits_circuit::{Circuit, Operation};
+use qits_num::Cplx;
 use qits_tdd::{
     ArenaExhausted, Edge, EdgeHolder, GcOutcome, GcPolicy, OperationCancelled, ReorderPolicy,
-    TddManager,
+    RootId, TddManager,
 };
 
 use crate::error::QitsError;
-use crate::image::{try_image, ImageStats, Strategy};
-use crate::mc::{fixpoint_with, try_check_invariant, try_reachable_space, ReachabilityResult};
+use crate::image::{try_image, try_image_into, Compiled, ImageStats, Strategy};
+use crate::mc::{check_invariant_with, fixpoint_with, ReachabilityResult};
 use crate::qts::{Operations, QuantumTransitionSystem};
 use crate::subspace::Subspace;
 
@@ -240,7 +252,7 @@ impl EngineBuilder {
         Ok(Engine {
             m,
             qts,
-            strategy: self.strategy,
+            compiled: Compiled::new(self.strategy),
             sink: self.sink,
             fingerprint: None,
         })
@@ -260,7 +272,7 @@ impl EngineBuilder {
         Ok(Engine {
             m,
             qts,
-            strategy: self.strategy,
+            compiled: Compiled::new(self.strategy),
             sink: self.sink,
             fingerprint: None,
         })
@@ -285,7 +297,8 @@ impl EngineBuilder {
 pub struct Engine {
     m: TddManager,
     qts: QuantumTransitionSystem,
-    strategy: Strategy,
+    /// The session strategy and the system's branches compiled for it.
+    compiled: Compiled,
     sink: Option<StatsSink>,
     /// The [`crate::EngineSpec::fingerprint`] this session was stamped
     /// from, when it was built through a spec. Recorded into snapshots
@@ -300,7 +313,7 @@ impl fmt::Debug for Engine {
             .field("n_qubits", &self.qts.n_qubits())
             .field("operations", &self.qts.operations().len())
             .field("initial_dim", &self.qts.initial().dim())
-            .field("strategy", &self.strategy.to_string())
+            .field("strategy", &self.strategy().to_string())
             .field("arena_len", &self.m.arena_len())
             .finish_non_exhaustive()
     }
@@ -368,12 +381,30 @@ impl Engine {
 
     /// The session's image kernel.
     pub fn strategy(&self) -> Strategy {
-        self.strategy
+        self.compiled.strategy()
     }
 
-    /// Replaces the session's image kernel.
+    /// Replaces the session's image kernel, dropping the branches compiled
+    /// for the old one; the next image compiles them for the new one.
     pub fn set_strategy(&mut self, strategy: Strategy) {
-        self.strategy = strategy;
+        self.compiled = Compiled::new(strategy);
+    }
+
+    /// Drops the compiled branches if a collection that did not retain
+    /// them — one run through [`Engine::manager_mut`] — swept any of their
+    /// tensors. Called at the start of every method that uses them.
+    fn revalidate(&mut self) {
+        self.compiled.drop_if_stale(&self.m);
+    }
+
+    /// Roots the system and the compiled branches across a call whose
+    /// safepoints do not hold them; release with
+    /// [`TddManager::unprotect_all`].
+    fn protect_session(&mut self) -> Vec<RootId> {
+        let mut roots = self.qts.protect(&mut self.m);
+        let m = &mut self.m;
+        self.compiled.gc_edges(&mut |e| roots.push(m.protect(e)));
+        roots
     }
 
     /// Hands every image's stats to the sink, under the kernel's name.
@@ -421,14 +452,39 @@ impl Engine {
     /// mid-image collection untouched (it is among the kernel's mark
     /// roots); no caller-side rooting needed.
     pub fn image(&mut self) -> Result<(Subspace, ImageStats), QitsError> {
-        self.image_with(self.strategy)
+        let initial = self.qts.initial().clone();
+        self.image_in_session(&initial)
     }
 
-    /// [`Engine::image`] with a one-off strategy override.
+    /// Images `input` with the session strategy and compiled branches. The
+    /// kernel's safepoints hold the input, the image and the compiled
+    /// branches; the caller roots anything else that must survive them.
+    fn image_in_session(&mut self, input: &Subspace) -> Result<(Subspace, ImageStats), QitsError> {
+        self.revalidate();
+        let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
+        let mut img = Subspace::zero(input.n_qubits());
+        let stats = Self::guard_exhaustion(|| {
+            try_image_into(m, qts.operations(), input, &mut img, compiled)
+        })?;
+        self.record(self.strategy(), std::slice::from_ref(&stats));
+        Ok((img, stats))
+    }
+
+    /// [`Engine::image`] with a one-off strategy override. Another
+    /// strategy than the session's compiles into a cache of its own,
+    /// dropped after the call; the session's compiled branches stay rooted
+    /// across it.
     pub fn image_with(&mut self, strategy: Strategy) -> Result<(Subspace, ImageStats), QitsError> {
+        if strategy == self.strategy() {
+            return self.image();
+        }
+        self.revalidate();
+        let roots = self.protect_session();
         let (m, qts) = (&mut self.m, &self.qts);
-        let (img, stats) =
-            Self::guard_exhaustion(|| try_image(m, qts.operations(), qts.initial(), strategy))?;
+        let result =
+            Self::guard_exhaustion(|| try_image(m, qts.operations(), qts.initial(), strategy));
+        self.m.unprotect_all(roots);
+        let (img, stats) = result?;
         self.record(strategy, std::slice::from_ref(&stats));
         Ok((img, stats))
     }
@@ -455,12 +511,9 @@ impl Engine {
         for s in kept {
             roots.extend(s.protect(&mut self.m));
         }
-        let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
-        let result = Self::guard_exhaustion(|| try_image(m, qts.operations(), input, strategy));
+        let result = self.image_in_session(input);
         self.m.unprotect_all(roots);
-        let (img, stats) = result?;
-        self.record(strategy, std::slice::from_ref(&stats));
-        Ok((img, stats))
+        result
     }
 
     // ------------------------------------------------------------------
@@ -477,9 +530,11 @@ impl Engine {
         &mut self,
         max_iterations: usize,
     ) -> Result<ReachabilityResult, QitsError> {
-        let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
-        let r = Self::guard_exhaustion(|| try_reachable_space(m, qts, strategy, max_iterations))?;
-        self.record(strategy, &r.stats);
+        self.revalidate();
+        let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
+        let r =
+            Self::guard_exhaustion(|| fixpoint_with(m, qts, max_iterations, &[], None, compiled))?;
+        self.record(self.strategy(), &r.stats);
         Ok(r)
     }
 
@@ -507,15 +562,16 @@ impl Engine {
                 context: "the restored reachability space".to_string(),
             });
         }
+        self.revalidate();
         let start = resumed.space.clone();
-        let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
+        let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
         let mut r = Self::guard_exhaustion(|| {
-            fixpoint_with(m, qts, strategy, max_iterations, &[], Some(start))
+            fixpoint_with(m, qts, max_iterations, &[], Some(start), compiled)
         })?;
         r.iterations += resumed.iterations;
         r.collections += resumed.collections;
         r.reclaimed_nodes += resumed.reclaimed_nodes;
-        self.record(strategy, &r.stats);
+        self.record(self.strategy(), &r.stats);
         Ok(r)
     }
 
@@ -528,11 +584,12 @@ impl Engine {
         invariant: &Subspace,
         max_iterations: usize,
     ) -> Result<(bool, ReachabilityResult), QitsError> {
-        let (m, qts, strategy) = (&mut self.m, &self.qts, self.strategy);
+        self.revalidate();
+        let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
         let (holds, r) = Self::guard_exhaustion(|| {
-            try_check_invariant(m, qts, invariant, strategy, max_iterations)
+            check_invariant_with(m, qts, invariant, max_iterations, compiled)
         })?;
-        self.record(strategy, &r.stats);
+        self.record(self.strategy(), &r.stats);
         Ok((holds, r))
     }
 
@@ -543,10 +600,12 @@ impl Engine {
     /// Whether two circuits implement exactly the same operator (global
     /// phase included), on this session's manager. The equivalence
     /// checkers poll a GC safepoint between the two operator
-    /// contractions; the engine roots its own system across the call so a
-    /// collection there cannot sweep the session state.
+    /// contractions; the engine roots its own system and compiled branches
+    /// across the call so a collection there cannot sweep the session
+    /// state.
     pub fn equivalent(&mut self, a: &Circuit, b: &Circuit) -> Result<bool, QitsError> {
-        let roots = self.qts.protect(&mut self.m);
+        self.revalidate();
+        let roots = self.protect_session();
         let m = &mut self.m;
         let result = Self::guard_exhaustion(|| crate::equiv::try_equivalent_exactly(m, a, b));
         self.m.unprotect_all(roots);
@@ -556,7 +615,8 @@ impl Engine {
     /// Whether two circuits implement the same operator up to global
     /// phase. Safepoint rooting matches [`Engine::equivalent`].
     pub fn equivalent_up_to_phase(&mut self, a: &Circuit, b: &Circuit) -> Result<bool, QitsError> {
-        let roots = self.qts.protect(&mut self.m);
+        self.revalidate();
+        let roots = self.protect_session();
         let m = &mut self.m;
         let result = Self::guard_exhaustion(|| crate::equiv::try_equivalent_up_to_phase(m, a, b));
         self.m.unprotect_all(roots);
@@ -568,10 +628,12 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Runs an explicit garbage collection, retaining the session's
-    /// system plus every subspace in `kept` (all untouched — collection
-    /// never moves a node). Anything else on the manager is swept.
+    /// system, its compiled branches, and every subspace in `kept` (all
+    /// untouched — collection never moves a node). Anything else on the
+    /// manager is swept.
     pub fn collect(&mut self, kept: &[&Subspace]) -> GcOutcome {
-        let mut holders: Vec<&dyn EdgeHolder> = vec![&self.qts];
+        self.revalidate();
+        let mut holders: Vec<&dyn EdgeHolder> = vec![&self.qts, &self.compiled];
         holders.extend(kept.iter().map(|s| *s as &dyn EdgeHolder));
         self.m.collect_retaining(&holders)
     }
@@ -585,6 +647,43 @@ impl Engine {
             let mut s = Subspace::zero(n);
             for &e in states {
                 s.try_absorb(m, e)?;
+            }
+            Ok(s)
+        })
+    }
+
+    /// Spans a subspace from product states on the session register, one
+    /// `(alpha, beta)` amplitude pair per qubit per state (the
+    /// [`QtsSpec`] convention) — how a pool job builds its invariant.
+    ///
+    /// # Errors
+    ///
+    /// [`QitsError::RegisterMismatch`] for a state whose length is not the
+    /// register width, and [`QitsError::ArenaExhausted`] when the node cap
+    /// is hit while the states are built.
+    pub fn subspace_from_product_states(
+        &mut self,
+        states: &[Vec<(Cplx, Cplx)>],
+    ) -> Result<Subspace, QitsError> {
+        let n = self.qts.n_qubits();
+        if let Some((i, amps)) = states
+            .iter()
+            .enumerate()
+            .find(|(_, amps)| amps.len() != n as usize)
+        {
+            return Err(QitsError::RegisterMismatch {
+                expected: n,
+                found: u32::try_from(amps.len()).unwrap_or(u32::MAX),
+                context: format!("product state {i}"),
+            });
+        }
+        let m = &mut self.m;
+        Self::guard_exhaustion(|| {
+            let vars = Subspace::ket_vars(n);
+            let mut s = Subspace::zero(n);
+            for amps in states {
+                let ket = m.product_ket(&vars, amps);
+                s.absorb(m, ket);
             }
             Ok(s)
         })

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use qits_circuit::Operation;
+use qits_circuit::{Circuit, Operation};
 use qits_tdd::{CacheStats, Edge, EdgeHolder, TddManager};
 use qits_tensor::{Var, VarSet};
 use qits_tensornet::{
@@ -92,8 +92,9 @@ pub struct ImageStats {
     /// reachable space as target).
     pub output_dim: usize,
     /// Nodes still live when the computation finished: everything
-    /// reachable from the input and target subspaces (and any registered
-    /// GC roots).
+    /// reachable from the input and target subspaces, the compiled
+    /// operators of the session (or, for a one-off image, of the call) and
+    /// any registered GC roots — exactly what a collection would keep.
     pub live_nodes: usize,
     /// Arena slots allocated in the manager when the computation finished
     /// — live nodes plus uncollected garbage.
@@ -194,11 +195,201 @@ impl ImageStats {
     }
 }
 
+/// The Kraus branches of one list of operations, compiled for one
+/// strategy: each branch's tensor network plus the operator tensors the
+/// strategy applies to every input state. None of it depends on the
+/// states — the point of pre-contracting blocks in Section V-B — so each
+/// branch is compiled once, by the first image that reaches it, and every
+/// later image, fixpoint iteration and pool job reuses it.
+///
+/// The cache belongs to its caller: [`crate::Engine`] keeps one for its
+/// system and session strategy, a fixpoint run one for its whole run, and
+/// [`try_image`] a fresh one per call. It is a GC holder, never a
+/// registered root: every safepoint that runs while it is in use holds it
+/// next to the other live structures.
+#[derive(Debug)]
+pub(crate) struct Compiled {
+    strategy: Strategy,
+    /// Compiled branches, in operation-then-branch order. Filled in that
+    /// order, so its length is the number of branches compiled so far.
+    branches: Vec<Branch>,
+}
+
+/// One compiled Kraus branch.
+#[derive(Debug)]
+struct Branch {
+    /// The branch circuit's tensor network.
+    net: TensorNetwork,
+    /// The strategy's operator tensors: the whole operator (`Basic`), the
+    /// `2^k` slice operators (`Addition`), or the pre-contracted blocks
+    /// (`Contraction`).
+    operators: Vec<NetTensor>,
+    /// Peak live node count of the compilation, folded into every image's
+    /// [`ImageStats::max_nodes`] so the figure does not depend on whether
+    /// the call compiled the branch or reused it.
+    build_peak: usize,
+    /// The indices a state enters the network on: the circuit inputs.
+    in_vars: VarSet,
+    /// The indices an application keeps: the circuit outputs.
+    out_vars: VarSet,
+    /// Renames the advanced outputs back to ket variables.
+    rename: BTreeMap<Var, Var>,
+}
+
+impl Compiled {
+    /// An empty cache for `strategy`.
+    pub(crate) fn new(strategy: Strategy) -> Compiled {
+        Compiled {
+            strategy,
+            branches: Vec::new(),
+        }
+    }
+
+    /// The strategy the branches are compiled for.
+    pub(crate) fn strategy(&self) -> Strategy {
+        self.strategy
+    }
+
+    /// Drops every compiled branch if a collection that did not hold the
+    /// cache swept any of its tensors; the next image compiles them again.
+    /// One liveness check per cached tensor.
+    pub(crate) fn drop_if_stale(&mut self, m: &TddManager) {
+        let mut stale = false;
+        self.gc_edges(&mut |e| stale |= !m.is_live(e));
+        if stale {
+            self.branches.clear();
+        }
+    }
+
+    /// Compiles one branch circuit: lowers it to a tensor network and
+    /// builds the strategy's operator tensors, polling the in-image
+    /// safepoint after every slice or block with everything built so far
+    /// among the holders.
+    fn compile(
+        &self,
+        m: &mut TddManager,
+        circuit: &Circuit,
+        stats: &mut ImageStats,
+        input: &Subspace,
+        target: &Subspace,
+    ) -> Branch {
+        let net = TensorNetwork::from_circuit(m, circuit);
+        let mut build_peak = 0;
+        let mut operators: Vec<NetTensor> = Vec::new();
+        match self.strategy {
+            Strategy::Basic => {
+                let whole = contract_network(m, net.tensors(), &net.external_vars());
+                build_peak = whole.max_nodes;
+                operators.push(NetTensor {
+                    edge: whole.edge,
+                    vars: net.external_vars(),
+                });
+            }
+            Strategy::Addition { k } => {
+                let graph = InteractionGraph::of(&net);
+                let cut_vars = graph.highest_degree_vars(k);
+                let k = cut_vars.len();
+                for bits in 0..(1usize << k) {
+                    let cuts: Vec<(Var, bool)> = cut_vars
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| (v, (bits >> (k - 1 - i)) & 1 == 1))
+                        .collect();
+                    // Slice lazily, one part at a time, so the
+                    // between-slice safepoint has nothing pending to
+                    // protect beyond the parts already contracted.
+                    let sliced = net.slice_all(m, &cuts);
+                    let part = contract_network(m, sliced.tensors(), &net.external_vars());
+                    drop(sliced);
+                    build_peak = build_peak.max(part.max_nodes);
+                    operators.push(NetTensor {
+                        edge: part.edge,
+                        vars: net.external_vars(),
+                    });
+                    safepoint(m, stats, &[input, target, self, &operators, &net]);
+                }
+            }
+            Strategy::Contraction { k1, k2 } => {
+                let blocks = contraction_blocks(circuit, k1, k2);
+                let keeps = block_keep_vars(&net, &blocks);
+                for (block, keep) in blocks.blocks.iter().zip(keeps) {
+                    let members: Vec<NetTensor> =
+                        block.iter().map(|&gi| net.tensors()[gi].clone()).collect();
+                    let outcome = contract_network(m, &members, &keep);
+                    drop(members);
+                    build_peak = build_peak.max(outcome.max_nodes);
+                    operators.push(NetTensor {
+                        edge: outcome.edge,
+                        vars: keep,
+                    });
+                    safepoint(m, stats, &[input, target, self, &operators, &net]);
+                }
+            }
+        }
+        let n = net.n_qubits();
+        Branch {
+            in_vars: VarSet::from_iter(net.in_vars()),
+            out_vars: VarSet::from_iter(net.out_vars()),
+            rename: (0..n)
+                .filter(|&q| net.out_var(q) != net.in_var(q))
+                .map(|q| (net.out_var(q), Var::ket(q)))
+                .collect(),
+            net,
+            operators,
+            build_peak,
+        }
+    }
+}
+
+impl EdgeHolder for Compiled {
+    fn gc_edges(&self, visit: &mut dyn FnMut(Edge)) {
+        for b in &self.branches {
+            b.net.gc_edges(visit);
+            b.operators.gc_edges(visit);
+        }
+    }
+}
+
+impl Branch {
+    /// Applies the branch operator to a ket: the slice images summed for
+    /// the addition partition, one contraction through every operator
+    /// tensor otherwise. Returns the image ket and the peak node count.
+    fn apply(&self, m: &mut TddManager, strategy: Strategy, psi: Edge) -> (Edge, usize) {
+        if let Strategy::Addition { .. } = strategy {
+            let mut total = Edge::ZERO;
+            let mut peak = 0;
+            for part in &self.operators {
+                let (phi, part_peak) = self.apply_tensors(m, std::slice::from_ref(part), psi);
+                total = m.add(total, phi);
+                peak = peak.max(part_peak).max(m.node_count(total));
+            }
+            (total, peak)
+        } else {
+            self.apply_tensors(m, &self.operators, psi)
+        }
+    }
+
+    /// Contracts `[psi, t_1, ..., t_k]` keeping the circuit outputs, then
+    /// renames the outputs back to ket variables. Returns the image ket
+    /// and the peak node count.
+    fn apply_tensors(&self, m: &mut TddManager, tensors: &[NetTensor], psi: Edge) -> (Edge, usize) {
+        let mut list = Vec::with_capacity(tensors.len() + 1);
+        list.push(NetTensor {
+            edge: psi,
+            vars: self.in_vars.clone(),
+        });
+        list.extend_from_slice(tensors);
+        let outcome = contract_network(m, &list, &self.out_vars);
+        let ket = m.rename_monotone(outcome.edge, &self.rename);
+        (ket, outcome.max_nodes.max(m.node_count(ket)))
+    }
+}
+
 /// Polls an in-image GC safepoint: at this point of a strategy,
 /// `holders` are exactly the structures that must survive — the input and
-/// target subspaces, the network's gate tensors, and the operator/block
-/// tensors built so far. Everything else in the arena is garbage a
-/// collection may sweep.
+/// target subspaces, the compiled branches, and the network and operator
+/// tensors of a branch being compiled. Everything else in the arena is
+/// garbage a collection may sweep.
 fn safepoint(m: &mut TddManager, stats: &mut ImageStats, holders: &[&dyn EdgeHolder]) {
     let before = m.stats().nodes_reclaimed;
     if let Some(out) = m.maybe_collect_at_safepoint(holders) {
@@ -220,6 +411,12 @@ fn safepoint(m: &mut TddManager, stats: &mut ImageStats, holders: &[&dyn EdgeHol
 /// A reachability fixpoint runs the same kernel with the reachable space
 /// in place of the fresh subspace (see [`crate::mc`]).
 ///
+/// Each branch is compiled — lowered to a tensor network, and its
+/// operator, slices or blocks contracted — when the call first reaches
+/// it. A one-off call compiles into a cache of its own and drops it at
+/// the end; [`crate::Engine`] and the fixpoint drivers keep theirs, so
+/// every later image reuses the compiled branches.
+///
 /// # Garbage collection
 ///
 /// Every strategy polls **GC safepoints** mid-call — between
@@ -227,9 +424,9 @@ fn safepoint(m: &mut TddManager, stats: &mut ImageStats, holders: &[&dyn EdgeHol
 /// after every Gram–Schmidt residual absorbed into the image. If the
 /// manager has a [`qits_tdd::GcPolicy`] installed and the policy asks for
 /// it, a safepoint sweeps everything not reachable from the strategy's
-/// live set (the input, the image so far, the network's gate tensors, and
-/// the operator/block tensors), so the node store stays pinned to the live
-/// set *inside* one call instead of growing for its whole duration.
+/// live set (the input, the image so far, and the compiled branches'
+/// network and operator tensors), so the node store stays pinned to the
+/// live set *inside* one call instead of growing for its whole duration.
 /// Collection never moves a node, so `input` is read-only: its edges are
 /// bit-identical before, during, and after the call. With no policy
 /// installed (the default) no safepoint ever collects.
@@ -258,16 +455,21 @@ pub fn try_image(
     strategy: Strategy,
 ) -> Result<(Subspace, ImageStats), QitsError> {
     let mut out = Subspace::zero(input.n_qubits());
-    let stats = try_image_into(m, operations, input, &mut out, strategy)?;
+    let stats = try_image_into(m, operations, input, &mut out, &mut Compiled::new(strategy))?;
     Ok((out, stats))
 }
 
 /// The image kernel behind [`try_image`]: absorbs `T(input)` into `target`
-/// instead of a fresh subspace. A reachability fixpoint passes the
+/// instead of a fresh subspace, with the branches of `operations` compiled
+/// into `compiled` (for its strategy). A reachability fixpoint passes the
 /// frontier as `input` and the reachable space as `target`, so every image
 /// vector is orthogonalised once, against the whole space; the safepoints
-/// keep `target` among their mark roots. [`ImageStats::output_dim`]
-/// counts the vectors the call added.
+/// keep `target` and `compiled` among their mark roots.
+/// [`ImageStats::output_dim`] counts the vectors the call added.
+///
+/// `compiled` must come from earlier calls with the same `operations` (or
+/// be empty): its `i`-th branch stands for the `i`-th branch in
+/// operation-then-branch order.
 ///
 /// # Errors
 ///
@@ -278,8 +480,9 @@ pub(crate) fn try_image_into(
     operations: &[Operation],
     input: &Subspace,
     target: &mut Subspace,
-    strategy: Strategy,
+    compiled: &mut Compiled,
 ) -> Result<ImageStats, QitsError> {
+    let strategy = compiled.strategy;
     let n = input.n_qubits();
     if n == 0 {
         return Err(QitsError::ZeroQubitSystem);
@@ -318,102 +521,35 @@ pub(crate) fn try_image_into(
     let dim_before = target.dim();
     let mut stats = ImageStats::default();
 
+    // Index of the current branch in operation-then-branch order.
+    let mut flat = 0;
     for (op_i, op) in operations.iter().enumerate() {
-        let branches = op.kraus_branches();
-        let n_branches = branches.len();
-        for (b_i, branch) in branches.into_iter().enumerate() {
+        let n_branches = op.branch_count();
+        // The branch circuits, enumerated only if a branch of this
+        // operation still needs compiling.
+        let mut circuits = None;
+        for b_i in 0..n_branches {
             // After the very last Gram–Schmidt residual of the very last
             // branch nothing runs that could benefit from a collection,
             // so that one per-state poll is skipped.
             let final_branch = op_i + 1 == operations.len() && b_i + 1 == n_branches;
             stats.branches += 1;
-            let net = TensorNetwork::from_circuit(m, &branch);
-            match strategy {
-                Strategy::Basic => {
-                    let whole = contract_network(m, net.tensors(), &net.external_vars());
-                    stats.max_nodes = stats.max_nodes.max(whole.max_nodes);
-                    let op_tensor = NetTensor {
-                        edge: whole.edge,
-                        vars: net.external_vars(),
-                    };
-                    for i in 0..input.dim() {
-                        let psi = input.basis()[i];
-                        let (phi, peak) =
-                            apply_tensors(m, std::slice::from_ref(&op_tensor), &net, psi);
-                        stats.max_nodes = stats.max_nodes.max(peak);
-                        target.absorb(m, phi);
-                        if !(final_branch && i + 1 == input.dim()) {
-                            safepoint(m, &mut stats, &[input, &*target, &op_tensor, &net]);
-                        }
-                    }
-                }
-                Strategy::Addition { k } => {
-                    let graph = InteractionGraph::of(&net);
-                    let cut_vars = graph.highest_degree_vars(k);
-                    let k = cut_vars.len();
-                    let mut op_tensors: Vec<NetTensor> = Vec::with_capacity(1 << k);
-                    for bits in 0..(1usize << k) {
-                        let cuts: Vec<(Var, bool)> = cut_vars
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &v)| (v, (bits >> (k - 1 - i)) & 1 == 1))
-                            .collect();
-                        // Slice lazily, one part at a time, so the
-                        // between-slice safepoint has nothing pending to
-                        // protect beyond the parts already contracted.
-                        let sliced = net.slice_all(m, &cuts);
-                        let part = contract_network(m, sliced.tensors(), &net.external_vars());
-                        drop(sliced);
-                        stats.max_nodes = stats.max_nodes.max(part.max_nodes);
-                        op_tensors.push(NetTensor {
-                            edge: part.edge,
-                            vars: net.external_vars(),
-                        });
-                        safepoint(m, &mut stats, &[input, &*target, &op_tensors, &net]);
-                    }
-                    for i in 0..input.dim() {
-                        let psi = input.basis()[i];
-                        let mut total = Edge::ZERO;
-                        for part in &op_tensors {
-                            let (phi, peak) =
-                                apply_tensors(m, std::slice::from_ref(part), &net, psi);
-                            stats.max_nodes = stats.max_nodes.max(peak);
-                            total = m.add(total, phi);
-                            stats.max_nodes = stats.max_nodes.max(m.node_count(total));
-                        }
-                        target.absorb(m, total);
-                        if !(final_branch && i + 1 == input.dim()) {
-                            safepoint(m, &mut stats, &[input, &*target, &op_tensors, &net]);
-                        }
-                    }
-                }
-                Strategy::Contraction { k1, k2 } => {
-                    let blocks = contraction_blocks(&branch, k1, k2);
-                    let keeps = block_keep_vars(&net, &blocks);
-                    let mut block_tensors: Vec<NetTensor> = Vec::with_capacity(blocks.blocks.len());
-                    for (block, keep) in blocks.blocks.iter().zip(keeps) {
-                        let members: Vec<NetTensor> =
-                            block.iter().map(|&gi| net.tensors()[gi].clone()).collect();
-                        let outcome = contract_network(m, &members, &keep);
-                        drop(members);
-                        stats.max_nodes = stats.max_nodes.max(outcome.max_nodes);
-                        block_tensors.push(NetTensor {
-                            edge: outcome.edge,
-                            vars: keep,
-                        });
-                        safepoint(m, &mut stats, &[input, &*target, &block_tensors, &net]);
-                    }
-                    for i in 0..input.dim() {
-                        let psi = input.basis()[i];
-                        let (phi, peak) = apply_tensors(m, &block_tensors, &net, psi);
-                        stats.max_nodes = stats.max_nodes.max(peak);
-                        target.absorb(m, phi);
-                        if !(final_branch && i + 1 == input.dim()) {
-                            safepoint(m, &mut stats, &[input, &*target, &block_tensors, &net]);
-                        }
-                    }
+            if compiled.branches.len() == flat {
+                let circuits = circuits.get_or_insert_with(|| op.kraus_branches());
+                let branch = compiled.compile(m, &circuits[b_i], &mut stats, input, target);
+                compiled.branches.push(branch);
+            }
+            stats.max_nodes = stats.max_nodes.max(compiled.branches[flat].build_peak);
+            for i in 0..input.dim() {
+                let psi = input.basis()[i];
+                let (phi, peak) = compiled.branches[flat].apply(m, strategy, psi);
+                stats.max_nodes = stats.max_nodes.max(peak);
+                target.absorb(m, phi);
+                if !(final_branch && i + 1 == input.dim()) {
+                    safepoint(m, &mut stats, &[input, &*target, &*compiled]);
                 }
             }
+            flat += 1;
         }
     }
 
@@ -425,11 +561,13 @@ pub(crate) fn try_image_into(
     stats.safepoint_collections = moved.safepoint_collections;
     stats.output_dim = target.dim() - dim_before;
     // Live-vs-allocated accounting: the live set is what a collection run
-    // right now would keep (input + target + registered roots); the arena
-    // additionally holds every uncollected intermediate.
+    // right now would keep (input + target + the compiled branches +
+    // registered roots); the arena additionally holds every uncollected
+    // intermediate.
     let mut live_edges: Vec<Edge> = Vec::with_capacity(input.dim() + target.dim() + 2);
     input.gc_edges(&mut |e| live_edges.push(e));
     target.gc_edges(&mut |e| live_edges.push(e));
+    compiled.gc_edges(&mut |e| live_edges.push(e));
     stats.live_nodes = m.live_node_count(&live_edges);
     stats.allocated_nodes = m.arena_len();
     stats.peak_arena = m.stats().peak_arena;
@@ -447,33 +585,6 @@ pub(crate) fn try_image_into(
     stats.sift_passes = moved.sift_passes;
     stats.elapsed = start.elapsed();
     Ok(stats)
-}
-
-/// Applies a list of operator tensors to a ket: contracts
-/// `[psi, t_1, ..., t_k]` keeping the circuit outputs, then renames the
-/// outputs back to ket variables. Returns the image ket and the peak node
-/// count.
-fn apply_tensors(
-    m: &mut TddManager,
-    tensors: &[NetTensor],
-    net: &TensorNetwork,
-    psi: Edge,
-) -> (Edge, usize) {
-    let n = net.n_qubits();
-    let mut list = Vec::with_capacity(tensors.len() + 1);
-    list.push(NetTensor {
-        edge: psi,
-        vars: VarSet::from_iter(net.in_vars()),
-    });
-    list.extend_from_slice(tensors);
-    let keep: VarSet = VarSet::from_iter(net.out_vars());
-    let outcome = contract_network(m, &list, &keep);
-    let map: BTreeMap<Var, Var> = (0..n)
-        .filter(|&q| net.out_var(q) != net.in_var(q))
-        .map(|q| (net.out_var(q), Var::ket(q)))
-        .collect();
-    let ket = m.rename_monotone(outcome.edge, &map);
-    (ket, outcome.max_nodes.max(m.node_count(ket)))
 }
 
 #[cfg(test)]
@@ -644,12 +755,25 @@ mod tests {
         let ops = qts.operations().clone();
         for s in STRATEGIES {
             let mut target = qts.initial().clone();
-            let st = try_image_into(&mut m, &ops, qts.initial(), &mut target, s).unwrap();
+            let st = try_image_into(
+                &mut m,
+                &ops,
+                qts.initial(),
+                &mut target,
+                &mut Compiled::new(s),
+            )
+            .unwrap();
             assert_eq!(st.output_dim, 0, "{s}");
             assert_eq!(target.dim(), qts.initial().dim(), "{s}");
         }
         let mut wider = Subspace::zero(4);
-        let err = try_image_into(&mut m, &ops, qts.initial(), &mut wider, Strategy::Basic);
+        let err = try_image_into(
+            &mut m,
+            &ops,
+            qts.initial(),
+            &mut wider,
+            &mut Compiled::new(Strategy::Basic),
+        );
         assert!(matches!(
             err.unwrap_err(),
             crate::error::QitsError::RegisterMismatch {

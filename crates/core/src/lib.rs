@@ -61,8 +61,9 @@
 //! stale instead of dangling. Underneath, each question has one fallible
 //! kernel over a raw manager — [`try_image`],
 //! [`mc::try_reachable_space`], [`mc::try_check_invariant`] and the
-//! `try_*` checkers in [`equiv`] — and each engine method wraps one of
-//! them with that rooting, the arena/cancel guard and the stats sink.
+//! `try_*` checkers in [`equiv`] — and each engine method runs one of
+//! them with that rooting, the arena/cancel guard, the stats sink and the
+//! Kraus branches the session compiled on its first image.
 //!
 //! On top of the pool sits an **async serving front** ([`serve`]):
 //! cloneable [`ServiceHandle`]s admit [`JobRequest`]s without blocking,

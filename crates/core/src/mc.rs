@@ -25,14 +25,20 @@
 //! has a [`qits_tdd::GcPolicy`] installed:
 //!
 //! * **inside** each image call, the kernel polls its own safepoints (see
-//!   [`crate::try_image`]) with the frontier and the reachable space among
-//!   the mark roots; the drivers keep the transition system and any
-//!   invariant under check alive across those collections by rooting them
-//!   ([`qits_tdd::TddManager::protect`]) for the duration of the call;
+//!   [`crate::try_image`]) with the frontier, the reachable space and the
+//!   compiled branches among the mark roots; the drivers keep the
+//!   transition system and any invariant under check alive across those
+//!   collections by rooting them ([`qits_tdd::TddManager::protect`]) for
+//!   the duration of the call;
 //! * **between** iterations, the drivers poll the same safepoint entry
 //!   ([`qits_tdd::TddManager::maybe_collect_at_safepoint`]) with the full
 //!   live set as [`qits_tdd::EdgeHolder`]s — the system, the working
-//!   space, and the kept subspaces.
+//!   space, the kept subspaces, and the compiled branches.
+//!
+//! A run compiles each Kraus branch once, on its first image, and every
+//! later iteration reuses the compiled network and operator tensors (see
+//! [`crate::try_image`]); [`crate::Engine`] keeps them for the whole
+//! session.
 //!
 //! Collection never moves a node, so callers' structures are untouched by
 //! a run — every edge they held going in is bit-identical coming out.
@@ -42,7 +48,7 @@
 use qits_tdd::{EdgeHolder, TddManager};
 
 use crate::error::QitsError;
-use crate::image::{try_image_into, ImageStats, Strategy};
+use crate::image::{try_image_into, Compiled, ImageStats, Strategy};
 use crate::qts::QuantumTransitionSystem;
 use crate::subspace::Subspace;
 
@@ -76,15 +82,24 @@ pub struct ReachabilityResult {
 /// computation is skipped.
 ///
 /// Every condition the image kernel reports as a [`QitsError`] surfaces
-/// here. [`crate::Engine::reachable_space`] wraps this with the session's
-/// rooting, arena/cancel guard and stats sink.
+/// here. The run compiles the system's branches once, for all its
+/// iterations. [`crate::Engine::reachable_space`] runs the same fixpoint
+/// with the session's compiled branches, rooting, arena/cancel guard and
+/// stats sink.
 pub fn try_reachable_space(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
     strategy: Strategy,
     max_iterations: usize,
 ) -> Result<ReachabilityResult, QitsError> {
-    fixpoint_with(m, qts, strategy, max_iterations, &[], None)
+    fixpoint_with(
+        m,
+        qts,
+        max_iterations,
+        &[],
+        None,
+        &mut Compiled::new(strategy),
+    )
 }
 
 /// The fixpoint core behind [`try_reachable_space`],
@@ -92,7 +107,9 @@ pub fn try_reachable_space(
 /// semi-naive iteration (see the module docs) with each frontier's image
 /// absorbed into the reachable space by the image kernel, rooting the
 /// system and the `kept` subspaces across in-image safepoints and polling
-/// the between-iteration safepoint with the full live set.
+/// the between-iteration safepoint with the full live set. The branches of
+/// the system's operations are compiled into `compiled` (for its
+/// strategy) by the first image that reaches them.
 ///
 /// `start` overrides the starting space (default: the system's initial
 /// subspace) — the resume path of [`crate::Engine::resume_reachable_space`].
@@ -105,10 +122,10 @@ pub fn try_reachable_space(
 pub(crate) fn fixpoint_with(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
-    strategy: Strategy,
     max_iterations: usize,
     kept: &[&Subspace],
     start: Option<Subspace>,
+    compiled: &mut Compiled,
 ) -> Result<ReachabilityResult, QitsError> {
     let ops = qts.operations().clone();
     let mut space = start.unwrap_or_else(|| qts.initial().clone());
@@ -136,7 +153,7 @@ pub(crate) fn fixpoint_with(
             for s in kept {
                 roots.extend(s.protect(m));
             }
-            let result = try_image_into(m, &ops, &frontier, &mut space, strategy);
+            let result = try_image_into(m, &ops, &frontier, &mut space, compiled);
             m.unprotect_all(roots);
             result?
         };
@@ -155,11 +172,11 @@ pub(crate) fn fixpoint_with(
             converged = true;
             break;
         }
-        // Between iterations every intermediate (images, slices, residuals)
-        // is garbage; only the system, the working space, and the kept
-        // subspaces are live. This is a safepoint like the in-image ones:
-        // poll the policy through the same entry.
-        let mut holders: Vec<&dyn EdgeHolder> = vec![qts, &space];
+        // Between iterations every intermediate (images, residuals) is
+        // garbage; only the system, the working space, the kept subspaces
+        // and the compiled branches are live. This is a safepoint like the
+        // in-image ones: poll the policy through the same entry.
+        let mut holders: Vec<&dyn EdgeHolder> = vec![qts, &space, &*compiled];
         holders.extend(kept.iter().map(|s| *s as &dyn EdgeHolder));
         if let Some(out) = m.maybe_collect_at_safepoint(&holders) {
             collections += 1;
@@ -182,8 +199,9 @@ pub(crate) fn fixpoint_with(
 /// Returns the verdict plus the reachability result that witnessed it.
 /// A `false` verdict with `converged = false` means the analysis was
 /// truncated and the verdict is only valid for the explored prefix.
-/// [`crate::Engine::check_invariant`] wraps this with the session's
-/// rooting, arena/cancel guard and stats sink.
+/// [`crate::Engine::check_invariant`] runs the same check with the
+/// session's compiled branches, rooting, arena/cancel guard and stats
+/// sink.
 ///
 /// # Errors
 ///
@@ -196,6 +214,24 @@ pub fn try_check_invariant(
     strategy: Strategy,
     max_iterations: usize,
 ) -> Result<(bool, ReachabilityResult), QitsError> {
+    check_invariant_with(
+        m,
+        qts,
+        invariant,
+        max_iterations,
+        &mut Compiled::new(strategy),
+    )
+}
+
+/// [`try_check_invariant`] with the branches compiled into (or reused
+/// from) `compiled` — the session cache of [`crate::Engine`].
+pub(crate) fn check_invariant_with(
+    m: &mut TddManager,
+    qts: &QuantumTransitionSystem,
+    invariant: &Subspace,
+    max_iterations: usize,
+    compiled: &mut Compiled,
+) -> Result<(bool, ReachabilityResult), QitsError> {
     if invariant.n_qubits() != qts.n_qubits() {
         return Err(QitsError::RegisterMismatch {
             expected: qts.n_qubits(),
@@ -203,7 +239,7 @@ pub fn try_check_invariant(
             context: "the invariant subspace".to_string(),
         });
     }
-    let reach = fixpoint_with(m, qts, strategy, max_iterations, &[invariant], None)?;
+    let reach = fixpoint_with(m, qts, max_iterations, &[invariant], None, compiled)?;
     let holds = reach.space.is_subspace_of(m, invariant);
     Ok((holds, reach))
 }

@@ -334,9 +334,8 @@ pub enum Job {
         n_qubits: u32,
         /// Product states spanning the invariant, one `(alpha, beta)`
         /// amplitude pair per qubit per state (the [`QtsSpec`]
-        /// convention). A row whose length differs from `n_qubits`
-        /// panics in the worker and surfaces as
-        /// [`QitsError::JobFailure`], isolated to this job.
+        /// convention). A row whose length differs from `n_qubits` fails
+        /// the job with [`QitsError::RegisterMismatch`].
         states: Vec<Vec<(Cplx, Cplx)>>,
         /// Iteration bound for the underlying reachability run.
         max_iterations: usize,
@@ -512,16 +511,16 @@ pub fn run_job(engine: &mut Engine, job: &Job) -> Result<JobOutput, QitsError> {
             states,
             max_iterations,
         } => {
-            // Materialise the invariant on the worker's manager. A row of
-            // the wrong length panics in `product_ket` (surfaced by the
-            // pool as JobFailure); a coherent-but-mismatched width errors
-            // in `check_invariant` as RegisterMismatch.
-            let vars = Subspace::ket_vars(*n_qubits);
-            let mut inv = Subspace::zero(*n_qubits);
-            for amps in states {
-                let ket = engine.manager_mut().product_ket(&vars, amps);
-                inv.absorb(engine.manager_mut(), ket);
+            // The invariant lives on the system's register: a claimed
+            // width or a row of another width is a RegisterMismatch.
+            if *n_qubits != engine.n_qubits() {
+                return Err(QitsError::RegisterMismatch {
+                    expected: engine.n_qubits(),
+                    found: *n_qubits,
+                    context: "the invariant subspace".to_string(),
+                });
             }
+            let inv = engine.subspace_from_product_states(states)?;
             let (holds, r) = engine.check_invariant(&inv, *max_iterations)?;
             Ok(JobOutput::Invariant {
                 holds,

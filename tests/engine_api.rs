@@ -1,8 +1,11 @@
 //! Acceptance tests for the session-based engine API: error paths return
 //! `Err` (never panic, release builds included), the engine agrees
 //! bit-for-bit with the free-function baseline across the built-in
-//! strategies with GC forced at every safepoint, and both session
-//! constructors default to the contraction partition at `k1 = k2 = 4`.
+//! strategies with GC forced at every safepoint, both session
+//! constructors default to the contraction partition at `k1 = k2 = 4`,
+//! and the branches a session compiles once are reused, retained by its
+//! collections, rebuilt when a foreign collection swept them, and dropped
+//! with the strategy.
 
 use std::sync::{Arc, Mutex};
 
@@ -11,8 +14,10 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 use qits::{
-    try_image, EngineBuilder, EngineSpec, QitsError, QuantumTransitionSystem, Strategy, Subspace,
+    run_job, try_image, Engine, EngineBuilder, EngineSpec, ImageStats, Job, JobOutput, QitsError,
+    QuantumTransitionSystem, Strategy, Subspace,
 };
+use qits_circuit::tensorize::states;
 use qits_circuit::{generators, Circuit, Gate, Operation};
 use qits_num::Cplx;
 use qits_tdd::{GcPolicy, TddManager};
@@ -329,4 +334,298 @@ fn engine_leaves_no_roots_behind() {
         engine.reachable_space(10).unwrap();
         assert_eq!(engine.manager().root_count(), 0, "policy {policy:?}");
     }
+}
+
+// ----------------------------------------------------------------------
+// Invariant jobs: malformed rows and node caps are errors.
+// ----------------------------------------------------------------------
+
+#[test]
+fn invariant_job_with_a_short_row_is_a_register_mismatch() {
+    let mut engine = EngineSpec::new(generators::qrw(3, 0.25)).build().unwrap();
+    let short = vec![vec![states::ZERO; 2]];
+    let err = run_job(&mut engine, &Job::invariant(3, short, 8)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            QitsError::RegisterMismatch {
+                expected: 3,
+                found: 2,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    // A claimed width other than the system's is refused the same way.
+    let wide = vec![vec![states::ZERO; 5]];
+    let err = run_job(&mut engine, &Job::invariant(5, wide, 8)).unwrap_err();
+    assert!(matches!(
+        err,
+        QitsError::RegisterMismatch {
+            expected: 3,
+            found: 5,
+            ..
+        }
+    ));
+    // The session stays usable.
+    let full = basis_rows(3, &(0..8).collect::<Vec<_>>());
+    let out = run_job(&mut engine, &Job::invariant(3, full, 32)).unwrap();
+    assert_eq!(out.invariant_holds(), Some(true));
+}
+
+#[test]
+fn arena_exhaustion_while_building_an_invariant_is_an_error() {
+    let mut engine = EngineSpec::new(generators::qrw(3, 0.25)).build().unwrap();
+    // Amplitudes no diagram of the session carries yet: the first ket
+    // needs fresh nodes, and the store has room for none.
+    let fresh = vec![vec![(Cplx::new(0.6, 0.0), Cplx::new(0.0, 0.8)); 3]];
+    let cap = engine.manager().arena_len();
+    engine.manager_mut().set_node_capacity(cap);
+    let err = run_job(&mut engine, &Job::invariant(3, fresh.clone(), 32)).unwrap_err();
+    assert_eq!(
+        err,
+        QitsError::ArenaExhausted {
+            allocated: cap,
+            capacity: cap
+        }
+    );
+    engine.manager_mut().set_node_capacity(usize::MAX);
+    let out = run_job(&mut engine, &Job::invariant(3, fresh, 32)).unwrap();
+    assert_eq!(out.invariant_holds(), Some(false));
+}
+
+// ----------------------------------------------------------------------
+// The session compiles each branch once.
+// ----------------------------------------------------------------------
+
+/// Whether `a` (on `ea`'s manager) and `b` (on `eb`'s) span the same
+/// space: `a`'s basis is imported into `eb`'s manager and compared there.
+fn same_space(ea: &Engine, a: &Subspace, eb: &mut Engine, b: &Subspace) -> bool {
+    let kets: Vec<_> = a
+        .basis()
+        .iter()
+        .map(|&k| eb.manager_mut().import(ea.manager(), k))
+        .collect();
+    let imported = eb.subspace_from_states(&kets).unwrap();
+    imported.equals(eb.manager_mut(), b)
+}
+
+/// The basis product states `|b>` of an `n`-qubit register, for every
+/// `b` in `bits`.
+fn basis_rows(n: usize, bits: &[usize]) -> Vec<Vec<(Cplx, Cplx)>> {
+    bits.iter()
+        .map(|&b| {
+            (0..n)
+                .map(|q| {
+                    if (b >> (n - 1 - q)) & 1 == 1 {
+                        states::ONE
+                    } else {
+                        states::ZERO
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Contraction-cache lookups an image issued.
+fn lookups(st: &ImageStats) -> u64 {
+    st.cont_cache.hits + st.cont_cache.misses
+}
+
+/// Dimension, verdict and iteration count of a job's answer.
+fn answer(out: &JobOutput) -> (usize, Option<bool>, usize) {
+    match out {
+        JobOutput::Image(o) => (o.dim, None, 0),
+        JobOutput::Reachability(r) => (r.dim, None, r.iterations),
+        JobOutput::Invariant { holds, reach } => (reach.dim, Some(*holds), reach.iterations),
+        JobOutput::Equivalence { equivalent } => (0, Some(*equivalent), 0),
+    }
+}
+
+#[test]
+fn one_gc_engine_answers_interleaved_jobs_like_fresh_engines() {
+    // The pool-worker pattern: one long-lived session under aggressive GC
+    // answers a mix of jobs, reusing its compiled branches, and every
+    // answer matches a fresh GC-off session's.
+    let spec = generators::qrw(3, 0.25);
+    let mut worker = EngineSpec::new(spec.clone())
+        .gc_policy(Some(GcPolicy::aggressive()))
+        .build()
+        .unwrap();
+    let mut swap = Circuit::new(2);
+    swap.push(Gate::swap(0, 1));
+    let mut cx3 = Circuit::new(2);
+    cx3.push(Gate::cx(0, 1));
+    cx3.push(Gate::cx(1, 0));
+    cx3.push(Gate::cx(0, 1));
+    let all: Vec<usize> = (0..8).collect();
+    let jobs = [
+        Job::reachability(32),
+        Job::image(),
+        Job::invariant(3, basis_rows(3, &all), 32),
+        Job::equivalence(swap.clone(), cx3),
+        Job::invariant(3, basis_rows(3, &[0, 1, 2]), 32),
+        Job::equivalence(swap, Circuit::new(2)),
+        Job::image(),
+        Job::reachability(32),
+    ];
+    let mut verdicts = Vec::new();
+    for round in 0..2 {
+        for (i, job) in jobs.iter().enumerate() {
+            let got = run_job(&mut worker, job).unwrap();
+            assert_eq!(worker.manager().root_count(), 0, "round {round}, job {i}");
+            let mut fresh = EngineSpec::new(spec.clone()).build().unwrap();
+            let want = run_job(&mut fresh, job).unwrap();
+            assert_eq!(answer(&got), answer(&want), "round {round}, job {i}");
+            verdicts.push(answer(&got).1);
+        }
+        // `image_of` on a subspace the job stream never built.
+        let rows = basis_rows(3, &[5, 6]);
+        let input = worker.subspace_from_product_states(&rows).unwrap();
+        let (got, st) = worker.image_of(&input).unwrap();
+        assert_eq!(worker.manager().root_count(), 0, "round {round}, image_of");
+        let mut fresh = EngineSpec::new(spec.clone()).build().unwrap();
+        let fresh_input = fresh.subspace_from_product_states(&rows).unwrap();
+        let (want, _) = fresh.image_of(&fresh_input).unwrap();
+        assert_eq!(got.dim(), want.dim(), "round {round}, image_of");
+        assert!(
+            same_space(&worker, &got, &mut fresh, &want),
+            "round {round}"
+        );
+        assert!(st.safepoint_collections > 0, "the worker must collect");
+    }
+    // The stream covers both verdicts of both kinds of question.
+    for v in [Some(true), Some(false)] {
+        assert!(verdicts.contains(&v), "{v:?} missing from {verdicts:?}");
+    }
+}
+
+#[test]
+fn a_warm_image_reuses_the_compiled_branches() {
+    // With the operation caches off every contraction recurses in full,
+    // so only skipping the block contractions can make the warm image
+    // issue fewer lookups; with them on, it issues fewer as well.
+    for cache_capacity in [0, 1 << 16] {
+        let mut engine = EngineBuilder::new()
+            .cache_capacity(cache_capacity)
+            .build_from_spec(&generators::qrw(4, 0.25))
+            .unwrap();
+        let (first, cold) = engine.image().unwrap();
+        let (second, warm) = engine.image().unwrap();
+        assert!(
+            lookups(&warm) < lookups(&cold),
+            "capacity {cache_capacity}: a warm image must skip the block \
+             contractions: {} vs {}",
+            lookups(&warm),
+            lookups(&cold)
+        );
+        assert_eq!(warm.branches, cold.branches);
+        assert_eq!(warm.max_nodes, cold.max_nodes);
+        assert!(second.equals(engine.manager_mut(), &first));
+    }
+}
+
+#[test]
+fn session_collections_keep_the_compiled_branches() {
+    // Every collection the session runs itself retains the compiled
+    // branches, so the image after it skips compilation and issues fewer
+    // contraction lookups than the image after a collection through
+    // `manager_mut()` that swept them.
+    let spec = generators::qrw(4, 0.25);
+    let mut swap = Circuit::new(2);
+    swap.push(Gate::swap(0, 1));
+    let image_lookups = |policy: Option<GcPolicy>, between: &dyn Fn(&mut Engine)| {
+        let mut engine = EngineBuilder::new()
+            .gc_policy(policy)
+            .build_from_spec(&spec)
+            .unwrap();
+        engine.image().unwrap();
+        between(&mut engine);
+        lookups(&engine.image().unwrap().1)
+    };
+    let sweep = |e: &mut Engine| {
+        let system = e.qts().clone();
+        e.manager_mut().collect_retaining(&[&system]);
+    };
+    for policy in [None, Some(GcPolicy::aggressive())] {
+        let swept = image_lookups(policy, &sweep);
+        let kept = [
+            image_lookups(policy, &|e| {
+                e.collect(&[]);
+            }),
+            image_lookups(policy, &|e| assert!(e.equivalent(&swap, &swap).unwrap())),
+            image_lookups(policy, &|e| {
+                e.image_with(Strategy::Basic).unwrap();
+            }),
+        ];
+        for (what, lookups) in ["collect", "equivalent", "image_with"].iter().zip(kept) {
+            assert!(
+                lookups < swept,
+                "{policy:?}: the image after {what} recompiled: {lookups} vs {swept}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_swept_compile_cache_is_rebuilt_not_read() {
+    // A collection through `manager_mut()` that retains the system but
+    // not the compiled branches sweeps them; the next calls notice and
+    // compile again instead of reading swept nodes.
+    let spec = generators::qrw(4, 0.25);
+    let mut engine = EngineBuilder::new().build_from_spec(&spec).unwrap();
+    engine.image().unwrap();
+    let (_, warm) = engine.image().unwrap();
+    let system = engine.qts().clone();
+    let out = engine.manager_mut().collect_retaining(&[&system]);
+    assert!(out.reclaimed > 0);
+    let (img, rebuilt) = engine.image().unwrap();
+    assert!(
+        lookups(&rebuilt) > lookups(&warm),
+        "the image after the sweep must recompile: {} vs {}",
+        lookups(&rebuilt),
+        lookups(&warm)
+    );
+    let mut fresh = EngineBuilder::new().build_from_spec(&spec).unwrap();
+    let (want, _) = fresh.image().unwrap();
+    assert!(same_space(&engine, &img, &mut fresh, &want));
+
+    engine.manager_mut().collect_retaining(&[&system]);
+    let r = engine.reachable_space(64).unwrap();
+    let want = fresh.reachable_space(64).unwrap();
+    assert_eq!(
+        (r.space.dim(), r.iterations, r.converged),
+        (want.space.dim(), want.iterations, want.converged)
+    );
+    assert!(same_space(&engine, &r.space, &mut fresh, &want.space));
+}
+
+#[test]
+fn set_strategy_drops_the_compiled_branches() {
+    let spec = generators::qrw(3, 0.25);
+    let seen: Arc<Mutex<Vec<String>>> = Arc::default();
+    let seen2 = seen.clone();
+    let mut engine = EngineBuilder::new()
+        .stats_sink(move |name, _| seen2.lock().unwrap().push(name.to_string()))
+        .build_from_spec(&spec)
+        .unwrap();
+    engine.image().unwrap();
+    engine.set_strategy(Strategy::Basic);
+    let (img, st) = engine.image().unwrap();
+    let mut basic = EngineBuilder::new()
+        .strategy(Strategy::Basic)
+        .build_from_spec(&spec)
+        .unwrap();
+    let (want, want_st) = basic.image().unwrap();
+    assert_eq!(img.dim(), want.dim());
+    // The whole operator was built: the peak is the monolithic one, not
+    // the contraction blocks'.
+    assert_eq!(st.max_nodes, want_st.max_nodes);
+    assert!(same_space(&engine, &img, &mut basic, &want));
+    let names = seen.lock().unwrap();
+    assert_eq!(
+        names.as_slice(),
+        ["contraction(k1=4,k2=4)".to_string(), "basic".to_string()]
+    );
 }

@@ -8,10 +8,10 @@
 //! * N >> workers jobs with one deliberately malformed job (register
 //!   mismatch): that job alone is `Err`, every other job completes, and
 //!   the pool stays usable afterwards;
-//! * a job that *panics* in its worker (invariant row shorter than its
-//!   claimed register hits `product_ket`'s length assert) surfaces as
-//!   `QitsError::JobFailure` and the worker rebuilds its engine and
-//!   keeps serving;
+//! * a job that *panics* in its worker (an equivalence job over a
+//!   two-qubit gate whose matrix is 2x2, which tensorization indexes past)
+//!   surfaces as `QitsError::JobFailure` and the worker rebuilds its
+//!   engine and keeps serving;
 //! * shutdown drains the queue — every handle of a pre-shutdown batch
 //!   resolves `Ok` even when shutdown is called with the queue still full;
 //! * `PoolStats` aggregation: fleet totals equal the sum of the
@@ -21,7 +21,8 @@
 use std::sync::{Arc, Mutex};
 
 use qits::{EnginePool, EngineSpec, Job, PoolStats, QitsError, Strategy};
-use qits_num::Cplx;
+use qits_circuit::{Circuit, Gate, GateKind};
+use qits_num::{Cplx, Mat};
 use qits_tdd::GcPolicy;
 
 fn worker_count() -> usize {
@@ -104,9 +105,16 @@ fn a_panicking_job_is_isolated_as_job_failure() {
     let jobs: Vec<Job> = (0..total)
         .map(|i| {
             if i == bad_index {
-                // Claims 3 qubits but supplies a 2-amplitude row:
-                // `product_ket` panics inside the worker.
-                Job::invariant(3, vec![zero_state(2)], 4)
+                // A two-qubit gate base carrying a 2x2 matrix: `Gate::new`
+                // checks only the target count, so tensorizing it indexes
+                // past the matrix and panics inside the worker.
+                let mut bad = Circuit::new(2);
+                bad.push(Gate::new(
+                    GateKind::Custom2(Mat::identity(2)),
+                    vec![0, 1],
+                    vec![],
+                ));
+                Job::equivalence(bad, Circuit::new(2))
             } else {
                 Job::image()
             }
