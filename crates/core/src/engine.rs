@@ -33,6 +33,19 @@
 //! drops them. A collection run through [`Engine::manager_mut`] that does
 //! not retain them is caught at the next call, which compiles them again.
 //!
+//! The session keeps its system's reachability chain the same way (see
+//! [`crate::mc`]): the furthest space `S_L` of the semi-naive iteration
+//! from `S0`, `dim S_j` after each iteration and whether `S_L` is the
+//! fixpoint. [`Engine::reachable_space`] and [`Engine::check_invariant`]
+//! read every bound `b <= L` off it and extend it for a larger one, so
+//! the images of a fixpoint are computed once per session, and every
+//! answer equals a fresh session's. The chain is held wherever the
+//! compiled branches are, and dropped with them by
+//! [`Engine::set_strategy`] and by a collection through
+//! [`Engine::manager_mut`] that swept it; an extension that fails (an
+//! exhausted node store, a cancellation) drops it too, rather than keep
+//! a half-absorbed frontier.
+//!
 //! ```
 //! use qits::{EngineBuilder, Strategy};
 //! use qits_circuit::generators;
@@ -60,7 +73,7 @@ use qits_tdd::{
 
 use crate::error::QitsError;
 use crate::image::{try_image, try_image_into, Compiled, ImageStats, Strategy};
-use crate::mc::{check_invariant_with, fixpoint_with, ReachabilityResult};
+use crate::mc::{check_invariant_with, fixpoint_with, Chain, ReachabilityResult};
 use crate::qts::{Operations, QuantumTransitionSystem};
 use crate::subspace::Subspace;
 
@@ -385,20 +398,32 @@ impl Engine {
     }
 
     /// Replaces the session's image kernel, dropping the branches compiled
-    /// for the old one; the next image compiles them for the new one.
+    /// for the old one and the reachability chain; the next image compiles
+    /// them for the new one, and the next fixpoint starts from `S0`.
     pub fn set_strategy(&mut self, strategy: Strategy) {
         self.compiled = Compiled::new(strategy);
     }
 
-    /// Drops the compiled branches if a collection that did not retain
-    /// them — one run through [`Engine::manager_mut`] — swept any of their
-    /// tensors. Called at the start of every method that uses them.
+    /// Drops the compiled branches or the chain if a collection that did
+    /// not retain them — one run through [`Engine::manager_mut`] — swept
+    /// any of their edges. Called at the start of every method that uses
+    /// them.
     fn revalidate(&mut self) {
         self.compiled.drop_if_stale(&self.m);
     }
 
-    /// Roots the system and the compiled branches across a call whose
-    /// safepoints do not hold them; release with
+    /// Takes the session's chain out of the compiled state for a fixpoint
+    /// to extend, or starts one at `S0`. The caller parks it again only if
+    /// the fixpoint succeeds: an error or unwind drops it.
+    fn take_chain(&mut self) -> Chain {
+        self.compiled
+            .chain
+            .take()
+            .unwrap_or_else(|| Chain::new(self.qts.initial().clone()))
+    }
+
+    /// Roots the system and the compiled branches and chain across a call
+    /// whose safepoints do not hold them; release with
     /// [`TddManager::unprotect_all`].
     fn protect_session(&mut self) -> Vec<RootId> {
         let mut roots = self.qts.protect(&mut self.m);
@@ -523,24 +548,31 @@ impl Engine {
     /// Computes the reachable subspace by semi-naive iteration: each
     /// iteration images only the frontier the previous one added and
     /// absorbs the result straight into the space, until nothing is added
-    /// (see [`crate::mc`] for the fixpoint semantics). GC roots — the
-    /// system, the frontier, and the working space — are managed
-    /// internally between and inside iterations.
+    /// (see [`crate::mc`] for the fixpoint semantics). The session's chain
+    /// answers a bound it already reaches without an image and is
+    /// extended for a larger one; the result's `stats` list only the
+    /// images this call computed. GC roots — the system, the frontier, and
+    /// the working space — are managed internally between and inside
+    /// iterations.
     pub fn reachable_space(
         &mut self,
         max_iterations: usize,
     ) -> Result<ReachabilityResult, QitsError> {
         self.revalidate();
+        let mut chain = self.take_chain();
         let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
-        let r =
-            Self::guard_exhaustion(|| fixpoint_with(m, qts, max_iterations, &[], None, compiled))?;
+        let r = Self::guard_exhaustion(|| {
+            fixpoint_with(m, qts, max_iterations, &[], compiled, &mut chain)
+        })?;
+        self.compiled.chain = Some(chain);
         self.record(self.strategy(), &r.stats);
         Ok(r)
     }
 
     /// Continues a reachability fixpoint from a checkpoint restored by
     /// [`Engine::warm_start`]: iterates from the checkpointed space instead
-    /// of `S0`, with the whole space as the first frontier, then folds the
+    /// of `S0` on a chain of its own (the session's chain stays as it
+    /// is), with the whole space as the first frontier, then folds the
     /// checkpoint's iteration/GC counters into the returned result — so a
     /// run that was snapshotted mid-fixpoint, restarted, and resumed
     /// reports the same totals as one that never stopped. Sound because
@@ -563,10 +595,10 @@ impl Engine {
             });
         }
         self.revalidate();
-        let start = resumed.space.clone();
+        let mut chain = Chain::new(resumed.space.clone());
         let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
         let mut r = Self::guard_exhaustion(|| {
-            fixpoint_with(m, qts, max_iterations, &[], Some(start), compiled)
+            fixpoint_with(m, qts, max_iterations, &[], compiled, &mut chain)
         })?;
         r.iterations += resumed.iterations;
         r.collections += resumed.collections;
@@ -578,17 +610,20 @@ impl Engine {
     /// Checks the safety property "every reachable state stays inside
     /// `invariant`", keeping the invariant rooted across the whole run.
     /// Returns the verdict plus the witnessing reachability result (see
-    /// [`crate::mc::try_check_invariant`]).
+    /// [`crate::mc::try_check_invariant`]), read off or extending the
+    /// session's chain like [`Engine::reachable_space`].
     pub fn check_invariant(
         &mut self,
         invariant: &Subspace,
         max_iterations: usize,
     ) -> Result<(bool, ReachabilityResult), QitsError> {
         self.revalidate();
+        let mut chain = self.take_chain();
         let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
         let (holds, r) = Self::guard_exhaustion(|| {
-            check_invariant_with(m, qts, invariant, max_iterations, compiled)
+            check_invariant_with(m, qts, invariant, max_iterations, compiled, &mut chain)
         })?;
+        self.compiled.chain = Some(chain);
         self.record(self.strategy(), &r.stats);
         Ok((holds, r))
     }
@@ -628,9 +663,9 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Runs an explicit garbage collection, retaining the session's
-    /// system, its compiled branches, and every subspace in `kept` (all
-    /// untouched — collection never moves a node). Anything else on the
-    /// manager is swept.
+    /// system, its compiled branches and chain, and every subspace in
+    /// `kept` (all untouched — collection never moves a node). Anything
+    /// else on the manager is swept.
     pub fn collect(&mut self, kept: &[&Subspace]) -> GcOutcome {
         self.revalidate();
         let mut holders: Vec<&dyn EdgeHolder> = vec![&self.qts, &self.compiled];

@@ -40,11 +40,14 @@ pub enum QitsError {
     },
     /// A system on zero qubits has no state space to compute images in.
     ZeroQubitSystem,
-    /// A partition parameter would index more than `usize::BITS` worth of
-    /// slices/states: `2^bits` overflows the machine word.
+    /// A size of `2^bits` exceeds what the operation supports: an
+    /// addition partition's `2^k` slices overflow the machine word, or a
+    /// densified image answer ([`crate::Job::Image`]) would hold more than
+    /// `2^20` amplitudes.
     DimensionOverflow {
-        /// The bit count that overflowed (e.g. the addition partition's
-        /// `k`).
+        /// The bit count of the refused size (the addition partition's
+        /// `k`, or `n + ⌈log2 dim⌉` for a densified image of dimension
+        /// `dim` on `n` qubits).
         bits: u32,
     },
     /// The manager's node store hit its configured capacity
@@ -143,7 +146,7 @@ impl fmt::Display for QitsError {
             QitsError::DimensionOverflow { bits } => {
                 write!(
                     f,
-                    "2^{bits} overflows the machine word (dimension overflow)"
+                    "2^{bits} exceeds the supported size (dimension overflow)"
                 )
             }
             QitsError::ArenaExhausted {

@@ -12,6 +12,7 @@ use qits_tensornet::{
 };
 
 use crate::error::QitsError;
+use crate::mc::Chain;
 use crate::subspace::Subspace;
 
 /// Which image-computation method to run (the three columns of Table I).
@@ -93,8 +94,9 @@ pub struct ImageStats {
     pub output_dim: usize,
     /// Nodes still live when the computation finished: everything
     /// reachable from the input and target subspaces, the compiled
-    /// operators of the session (or, for a one-off image, of the call) and
-    /// any registered GC roots — exactly what a collection would keep.
+    /// operators of the session (or, for a one-off image, of the call),
+    /// the session's reachability chain and any registered GC roots —
+    /// exactly what a collection would keep.
     pub live_nodes: usize,
     /// Arena slots allocated in the manager when the computation finished
     /// — live nodes plus uncollected garbage.
@@ -206,13 +208,18 @@ impl ImageStats {
 /// system and session strategy, a fixpoint run one for its whole run, and
 /// [`try_image`] a fresh one per call. It is a GC holder, never a
 /// registered root: every safepoint that runs while it is in use holds it
-/// next to the other live structures.
+/// next to the other live structures. The engine also parks its system's
+/// reachability chain here between fixpoints, so whatever holds the
+/// compiled branches holds the chain too.
 #[derive(Debug)]
 pub(crate) struct Compiled {
     strategy: Strategy,
     /// Compiled branches, in operation-then-branch order. Filled in that
     /// order, so its length is the number of branches compiled so far.
     branches: Vec<Branch>,
+    /// The session's reachability chain (see [`crate::mc`]): `None` until
+    /// the first fixpoint, and while one extends it.
+    pub(crate) chain: Option<Chain>,
 }
 
 /// One compiled Kraus branch.
@@ -242,6 +249,7 @@ impl Compiled {
         Compiled {
             strategy,
             branches: Vec::new(),
+            chain: None,
         }
     }
 
@@ -251,13 +259,20 @@ impl Compiled {
     }
 
     /// Drops every compiled branch if a collection that did not hold the
-    /// cache swept any of its tensors; the next image compiles them again.
-    /// One liveness check per cached tensor.
+    /// cache swept any of its tensors, and the chain if it swept any of
+    /// the chain's kets; the next call computes them again. One liveness
+    /// check per cached edge.
     pub(crate) fn drop_if_stale(&mut self, m: &TddManager) {
-        let mut stale = false;
-        self.gc_edges(&mut |e| stale |= !m.is_live(e));
-        if stale {
+        let swept = |h: &dyn EdgeHolder| {
+            let mut stale = false;
+            h.gc_edges(&mut |e| stale |= !m.is_live(e));
+            stale
+        };
+        if self.branches.iter().any(|b| swept(b)) {
             self.branches.clear();
+        }
+        if self.chain.as_ref().is_some_and(|c| swept(c)) {
+            self.chain = None;
         }
     }
 
@@ -344,9 +359,18 @@ impl Compiled {
 impl EdgeHolder for Compiled {
     fn gc_edges(&self, visit: &mut dyn FnMut(Edge)) {
         for b in &self.branches {
-            b.net.gc_edges(visit);
-            b.operators.gc_edges(visit);
+            b.gc_edges(visit);
         }
+        if let Some(chain) = &self.chain {
+            chain.gc_edges(visit);
+        }
+    }
+}
+
+impl EdgeHolder for Branch {
+    fn gc_edges(&self, visit: &mut dyn FnMut(Edge)) {
+        self.net.gc_edges(visit);
+        self.operators.gc_edges(visit);
     }
 }
 
@@ -561,9 +585,9 @@ pub(crate) fn try_image_into(
     stats.safepoint_collections = moved.safepoint_collections;
     stats.output_dim = target.dim() - dim_before;
     // Live-vs-allocated accounting: the live set is what a collection run
-    // right now would keep (input + target + the compiled branches +
-    // registered roots); the arena additionally holds every uncollected
-    // intermediate.
+    // right now would keep (input + target + the compiled branches and
+    // chain + registered roots); the arena additionally holds every
+    // uncollected intermediate.
     let mut live_edges: Vec<Edge> = Vec::with_capacity(input.dim() + target.dim() + 2);
     input.gc_edges(&mut |e| live_edges.push(e));
     target.gc_edges(&mut |e| live_edges.push(e));

@@ -63,7 +63,10 @@
 //! [`mc::try_reachable_space`], [`mc::try_check_invariant`] and the
 //! `try_*` checkers in [`equiv`] — and each engine method runs one of
 //! them with that rooting, the arena/cancel guard, the stats sink and the
-//! Kraus branches the session compiled on its first image.
+//! Kraus branches the session compiled on its first image. The session
+//! also keeps its system's reachability chain, so every reachability
+//! bound and invariant after the first fixpoint is read off it or extends
+//! it (see [`mc`]).
 //!
 //! On top of the pool sits an **async serving front** ([`serve`]):
 //! cloneable [`ServiceHandle`]s admit [`JobRequest`]s without blocking,

@@ -17,6 +17,31 @@
 //! iterating `S <- S v T(S)` on the whole space, so the dimensions and
 //! iteration counts are those of the whole-space iteration.
 //!
+//! # The chain
+//!
+//! Every reachability bound and every invariant asks about the same chain
+//! `S0 ⊆ S1 ⊆ ... ⊆ S_L`, so the fixpoint core works on one: the furthest
+//! space `S_L` computed (its basis is `S0`'s followed by the frontiers
+//! `Δ_1, ..., Δ_L`, so each `S_j` is a prefix of it), `dim S_j` after each
+//! iteration, and whether `S_L` is the fixpoint. A bound `b <= L` is read
+//! off it — `S_b` is its first `dim S_b` kets, with the projector built on
+//! demand — and a larger bound extends it semi-naively from its last
+//! frontier. Either way the answer is the one a fresh run gives:
+//! `min(b, L)` iterations, converged iff the chain converged at some
+//! `L <= b` and `b >= 1`. [`ReachabilityResult::stats`] lists only the
+//! images the call computed.
+//!
+//! [`crate::Engine`] keeps its system's chain for the whole session, next
+//! to the compiled branches and held wherever they are held, so one
+//! fixpoint answers every later [`crate::Engine::reachable_space`],
+//! [`crate::Engine::check_invariant`] and pool reachability or invariant
+//! job. Changing the session strategy drops it, as does a collection run
+//! through [`crate::Engine::manager_mut`] that sweeps it, and so does an
+//! error or cancellation during an extension, which never leaves a
+//! half-absorbed frontier behind. [`try_reachable_space`],
+//! [`try_check_invariant`] and [`crate::Engine::resume_reachable_space`]
+//! run on a chain of their own that they drop at the end.
+//!
 //! # Garbage collection
 //!
 //! A reachability fixpoint runs many images on one manager, and without
@@ -32,8 +57,8 @@
 //!   the duration of the call;
 //! * **between** iterations, the drivers poll the same safepoint entry
 //!   ([`qits_tdd::TddManager::maybe_collect_at_safepoint`]) with the full
-//!   live set as [`qits_tdd::EdgeHolder`]s — the system, the working
-//!   space, the kept subspaces, and the compiled branches.
+//!   live set as [`qits_tdd::EdgeHolder`]s — the system, the chain, the
+//!   kept subspaces, and the compiled branches.
 //!
 //! A run compiles each Kraus branch once, on its first image, and every
 //! later iteration reuses the compiled network and operator tensors (see
@@ -45,31 +70,88 @@
 //! With no policy installed (the default), behaviour is identical to the
 //! grow-only node store.
 
-use qits_tdd::{EdgeHolder, TddManager};
+use qits_tdd::{Edge, EdgeHolder, TddManager};
 
 use crate::error::QitsError;
 use crate::image::{try_image_into, Compiled, ImageStats, Strategy};
 use crate::qts::QuantumTransitionSystem;
 use crate::subspace::Subspace;
 
-/// Result of a reachability analysis.
+/// Result of a reachability analysis bounded by `max_iterations`.
 #[derive(Debug, Clone)]
 pub struct ReachabilityResult {
-    /// The least fixpoint `S0 v T(S0) v T^2(S0) v ...`.
+    /// The space after `iterations` iterations: the least fixpoint
+    /// `S0 v T(S0) v T^2(S0) v ...` when `converged`.
     pub space: Subspace,
-    /// Number of image computations performed.
+    /// The iterations of the answer: how many images a fresh run from `S0`
+    /// computes under the same bound, whether or not this call computed
+    /// them (see [`ReachabilityResult::stats`]).
     pub iterations: usize,
     /// Whether the fixpoint was reached (false: `max_iterations` hit).
     pub converged: bool,
-    /// Per-iteration statistics; each one's `output_dim` is the size of
-    /// the frontier that iteration added.
+    /// The images this call computed, one per iteration it ran; each
+    /// one's `output_dim` is the size of the frontier that iteration
+    /// added. Empty when the answer was read off a session's chain.
     pub stats: Vec<ImageStats>,
-    /// Garbage collections performed by the driver: between iterations
-    /// plus the in-image safepoint collections of every image call.
+    /// Garbage collections this call performed: between iterations plus
+    /// the in-image safepoint collections of every image it computed.
     pub collections: usize,
     /// Nodes reclaimed by those collections (in-image safepoint reclaim
     /// included).
     pub reclaimed_nodes: u64,
+}
+
+/// The image chain `S0 ⊆ S1 ⊆ ... ⊆ S_L` of one system (see the module
+/// docs): the furthest space computed, the dimension after each
+/// iteration, and whether the last space is the fixpoint. Every bound
+/// `b <= L` is read off it, and a larger one extends it from its last
+/// frontier.
+#[derive(Debug, Clone)]
+pub(crate) struct Chain {
+    /// `S_L`. Its basis is the starting space's followed by the frontiers
+    /// `Δ_1, ..., Δ_L` in order, so `S_j` is spanned by its first
+    /// `dims[j]` kets.
+    space: Subspace,
+    /// `dims[j] = dim S_j` for `j = 0..=L`.
+    dims: Vec<usize>,
+    /// Whether `S_L` is the fixpoint: the start was full (`L = 0`), or
+    /// iteration `L` added nothing or filled the register.
+    converged: bool,
+}
+
+impl Chain {
+    /// A chain that starts at `start` and has computed no image yet; its
+    /// first frontier is the whole of `start`.
+    pub(crate) fn new(start: Subspace) -> Chain {
+        Chain {
+            dims: vec![start.dim()],
+            space: start,
+            converged: false,
+        }
+    }
+
+    /// `L`, the iterations computed so far.
+    fn len(&self) -> usize {
+        self.dims.len() - 1
+    }
+
+    /// The answer of a fresh run bounded by `b`, once the chain has been
+    /// extended to `b` or has converged: `S_min(b, L)`, converged iff the
+    /// chain converged within the bound and the bound allows an
+    /// iteration (a bound of 0 never converges).
+    fn answer_at(&self, m: &TddManager, b: usize) -> (Subspace, usize, bool) {
+        let l = self.len();
+        if b < l {
+            return (self.space.prefix(m, self.dims[b]), b, false);
+        }
+        (self.space.clone(), l, self.converged && b >= 1)
+    }
+}
+
+impl EdgeHolder for Chain {
+    fn gc_edges(&self, visit: &mut dyn FnMut(Edge)) {
+        self.space.gc_edges(visit);
+    }
 }
 
 /// Computes the reachable subspace of `qts` by semi-naive iteration (see
@@ -83,9 +165,10 @@ pub struct ReachabilityResult {
 ///
 /// Every condition the image kernel reports as a [`QitsError`] surfaces
 /// here. The run compiles the system's branches once, for all its
-/// iterations. [`crate::Engine::reachable_space`] runs the same fixpoint
-/// with the session's compiled branches, rooting, arena/cancel guard and
-/// stats sink.
+/// iterations, and builds a chain of its own that it drops at the end.
+/// [`crate::Engine::reachable_space`] runs the same fixpoint on the
+/// session's chain and compiled branches, with rooting, arena/cancel
+/// guard and stats sink.
 pub fn try_reachable_space(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
@@ -97,53 +180,60 @@ pub fn try_reachable_space(
         qts,
         max_iterations,
         &[],
-        None,
         &mut Compiled::new(strategy),
+        &mut Chain::new(qts.initial().clone()),
     )
 }
 
 /// The fixpoint core behind [`try_reachable_space`],
-/// [`try_check_invariant`] and [`crate::Engine::resume_reachable_space`]:
-/// semi-naive iteration (see the module docs) with each frontier's image
-/// absorbed into the reachable space by the image kernel, rooting the
-/// system and the `kept` subspaces across in-image safepoints and polling
-/// the between-iteration safepoint with the full live set. The branches of
-/// the system's operations are compiled into `compiled` (for its
-/// strategy) by the first image that reaches them.
+/// [`try_check_invariant`] and every [`crate::Engine`] fixpoint: extends
+/// `chain` to `max_iterations` iterations (or to its fixpoint, if that
+/// comes first), then reads the answer at `max_iterations` off it.
 ///
-/// `start` overrides the starting space (default: the system's initial
-/// subspace) — the resume path of [`crate::Engine::resume_reachable_space`].
-/// The first frontier is the whole starting space. Resuming from a
-/// checkpointed `S_j` with `Δ = S_j` is sound because the closure is
-/// monotone: `S_j` already contains `S0` and lies inside the fixpoint, so
-/// the first resumed iteration yields `S_j v T(S_j) = S_{j+1}` — the same
-/// space the uninterrupted run reached — and the rest walks exactly the
-/// tail of the original chain. It only costs that one whole-space image.
+/// Each iteration images the chain's last frontier and absorbs the image
+/// into the chain's space by the image kernel, rooting the system and the
+/// `kept` subspaces across in-image safepoints and polling the
+/// between-iteration safepoint with the full live set. The branches of
+/// the system's operations are compiled into `compiled` (for its
+/// strategy) by the first image that reaches them. A chain that already
+/// reaches the bound computes nothing: a bound below its length answers
+/// with the prefix subspace `S_b`.
+///
+/// An error or unwind leaves `chain` with a half-absorbed frontier: the
+/// caller must drop it. A chain started at a checkpointed `S_j` instead of
+/// `S0` resumes that run ([`crate::Engine::resume_reachable_space`]):
+/// its first frontier is the whole of `S_j`, which is sound because the
+/// closure is monotone — `S_j` already contains `S0` and lies inside the
+/// fixpoint, so the first resumed iteration yields `S_j v T(S_j) =
+/// S_{j+1}`, the space the uninterrupted run reached, and the rest walks
+/// exactly the tail of the original chain. It only costs that one
+/// whole-space image.
 pub(crate) fn fixpoint_with(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
     max_iterations: usize,
     kept: &[&Subspace],
-    start: Option<Subspace>,
     compiled: &mut Compiled,
+    chain: &mut Chain,
 ) -> Result<ReachabilityResult, QitsError> {
     let ops = qts.operations().clone();
-    let mut space = start.unwrap_or_else(|| qts.initial().clone());
-    // Basis kets from this index on are the frontier.
-    let mut frontier_start = 0;
     let mut stats = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
     let mut collections = 0usize;
     let mut reclaimed_nodes = 0u64;
-    while iterations < max_iterations {
-        if space.is_full() {
+    while !chain.converged && chain.len() < max_iterations {
+        if chain.space.is_full() {
             // The space cannot grow further: skip the final image.
-            converged = true;
+            chain.converged = true;
             break;
         }
-        let frontier = space.tail(m, frontier_start);
-        let dim_before = space.dim();
+        // The frontier: the kets the last iteration added, or the whole
+        // starting space before the first.
+        let from = match chain.len() {
+            0 => 0,
+            l => chain.dims[l - 1],
+        };
+        let frontier = chain.space.tail(m, from);
+        let dim_before = chain.space.dim();
         // The image call may collect at its internal safepoints, which
         // keep the frontier and the space; the system's initial subspace
         // and the kept subspaces are live but not part of the call, so
@@ -153,36 +243,32 @@ pub(crate) fn fixpoint_with(
             for s in kept {
                 roots.extend(s.protect(m));
             }
-            let result = try_image_into(m, &ops, &frontier, &mut space, compiled);
+            let result = try_image_into(m, &ops, &frontier, &mut chain.space, compiled);
             m.unprotect_all(roots);
             result?
         };
         collections += st.safepoint_collections as usize;
         reclaimed_nodes += st.reclaimed_nodes;
-        iterations += 1;
         stats.push(st);
-        if space.dim() == dim_before {
-            converged = true;
-            break;
-        }
-        frontier_start = dim_before;
-        // Re-check fullness right after the absorb: saturating on the
-        // very last permitted iteration is still a proven fixpoint.
-        if space.is_full() {
-            converged = true;
+        chain.dims.push(chain.space.dim());
+        // Nothing added is the fixpoint; so is a space that filled its
+        // register, even on the very last permitted iteration.
+        if chain.space.dim() == dim_before || chain.space.is_full() {
+            chain.converged = true;
             break;
         }
         // Between iterations every intermediate (images, residuals) is
-        // garbage; only the system, the working space, the kept subspaces
-        // and the compiled branches are live. This is a safepoint like the
+        // garbage; only the system, the chain, the kept subspaces and the
+        // compiled branches are live. This is a safepoint like the
         // in-image ones: poll the policy through the same entry.
-        let mut holders: Vec<&dyn EdgeHolder> = vec![qts, &space, &*compiled];
+        let mut holders: Vec<&dyn EdgeHolder> = vec![qts, &*chain, &*compiled];
         holders.extend(kept.iter().map(|s| *s as &dyn EdgeHolder));
         if let Some(out) = m.maybe_collect_at_safepoint(&holders) {
             collections += 1;
             reclaimed_nodes += out.reclaimed as u64;
         }
     }
+    let (space, iterations, converged) = chain.answer_at(m, max_iterations);
     Ok(ReachabilityResult {
         space,
         iterations,
@@ -199,9 +285,9 @@ pub(crate) fn fixpoint_with(
 /// Returns the verdict plus the reachability result that witnessed it.
 /// A `false` verdict with `converged = false` means the analysis was
 /// truncated and the verdict is only valid for the explored prefix.
-/// [`crate::Engine::check_invariant`] runs the same check with the
-/// session's compiled branches, rooting, arena/cancel guard and stats
-/// sink.
+/// [`crate::Engine::check_invariant`] runs the same check on the
+/// session's chain and compiled branches, with rooting, arena/cancel
+/// guard and stats sink.
 ///
 /// # Errors
 ///
@@ -220,17 +306,21 @@ pub fn try_check_invariant(
         invariant,
         max_iterations,
         &mut Compiled::new(strategy),
+        &mut Chain::new(qts.initial().clone()),
     )
 }
 
-/// [`try_check_invariant`] with the branches compiled into (or reused
-/// from) `compiled` — the session cache of [`crate::Engine`].
+/// [`try_check_invariant`] on a given chain, with the branches compiled
+/// into (or reused from) `compiled` — the session state of
+/// [`crate::Engine`]. As with [`fixpoint_with`], an error leaves the
+/// chain unusable.
 pub(crate) fn check_invariant_with(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
     invariant: &Subspace,
     max_iterations: usize,
     compiled: &mut Compiled,
+    chain: &mut Chain,
 ) -> Result<(bool, ReachabilityResult), QitsError> {
     if invariant.n_qubits() != qts.n_qubits() {
         return Err(QitsError::RegisterMismatch {
@@ -239,7 +329,7 @@ pub(crate) fn check_invariant_with(
             context: "the invariant subspace".to_string(),
         });
     }
-    let reach = fixpoint_with(m, qts, max_iterations, &[invariant], None, compiled)?;
+    let reach = fixpoint_with(m, qts, max_iterations, &[invariant], compiled, chain)?;
     let holds = reach.space.is_subspace_of(m, invariant);
     Ok((holds, reach))
 }

@@ -317,7 +317,9 @@ pub enum Job {
         /// [`ImageOutcome::amplitudes`] — the manager-independent
         /// representation differential tests compare bit-for-bit. Leave
         /// `false` for throughput workloads; the dense pass costs
-        /// `O(dim * 2^n)`.
+        /// `O(dim * 2^n)`. An answer of more than `2^20` amplitudes
+        /// (`dim · 2^n`) is refused with [`QitsError::DimensionOverflow`]
+        /// before any is evaluated.
         densify: bool,
     },
     /// Compute the reachable subspace by fixpoint iteration.
@@ -401,15 +403,18 @@ pub struct ImageOutcome {
 pub struct ReachOutcome {
     /// Dimension of the reachable subspace.
     pub dim: usize,
-    /// Image computations performed.
+    /// The iterations of the answer: how many images a fresh run from
+    /// `S0` computes under the job's bound (see
+    /// [`ReachabilityResult::iterations`]).
     pub iterations: usize,
     /// Whether the fixpoint was reached.
     pub converged: bool,
-    /// Garbage collections performed by the driver.
+    /// Garbage collections this job performed.
     pub collections: usize,
     /// Nodes reclaimed by those collections.
     pub reclaimed_nodes: u64,
-    /// Per-iteration kernel measurements.
+    /// The images this job computed, one per iteration it ran: empty when
+    /// the worker read the answer off its session's chain.
     pub stats: Vec<ImageStats>,
 }
 
@@ -538,17 +543,25 @@ pub fn run_job(engine: &mut Engine, job: &Job) -> Result<JobOutput, QitsError> {
     }
 }
 
+/// The most amplitudes a densified image answer holds, as a power of two:
+/// `dim · 2^n <= 2^20` (16 MiB of [`Cplx`]). See [`Job::Image::densify`].
+const DENSE_AMPLITUDE_BITS: u32 = 20;
+
 /// Evaluates every basis ket of a subspace densely; see
-/// [`Job::Image::densify`] for the index convention.
+/// [`Job::Image::densify`] for the index convention and the size bound.
 fn densify_basis(engine: &mut Engine, img: &Subspace) -> Result<Vec<Vec<Cplx>>, QitsError> {
     let n = img.n_qubits();
-    if n >= usize::BITS {
-        return Err(QitsError::DimensionOverflow { bits: n });
+    // The answer holds dim · 2^n amplitudes, more than 2^20 exactly when
+    // n + ⌈log2 dim⌉ > 20: refuse it before anything is allocated.
+    let bits = n.saturating_add(img.dim().next_power_of_two().trailing_zeros());
+    if img.dim() > 0 && bits > DENSE_AMPLITUDE_BITS {
+        return Err(QitsError::DimensionOverflow { bits });
     }
     let vars = Subspace::ket_vars(n);
-    let dim = 1usize << n;
     let mut rows = Vec::with_capacity(img.dim());
     for &ket in img.basis() {
+        // A ket exists, so the bound above holds n <= 20.
+        let dim = 1usize << n;
         let mut row = Vec::with_capacity(dim);
         for b in 0..dim {
             let asn: BTreeMap<Var, bool> = vars
@@ -580,8 +593,9 @@ pub struct WorkerStats {
     pub jobs_cancelled: u64,
     /// Jobs this worker shed at dequeue because their deadline had passed.
     pub jobs_expired: u64,
-    /// Image computations this worker ran (fixpoint iterations included),
-    /// counted through the engine's stats sink.
+    /// Image computations this worker ran (the fixpoint iterations it
+    /// computed included, not those read off its chain), counted through
+    /// the engine's stats sink.
     pub images: u64,
     /// Those image computations' stats, [`ImageStats::absorb`]-merged.
     pub image: ImageStats,
@@ -1387,5 +1401,18 @@ mod tests {
             1,
             "the sink must fire exactly once across shutdown + drop"
         );
+    }
+
+    #[test]
+    fn densify_past_the_amplitude_bound_is_refused() {
+        // ghz21's image is one ket of 2^21 amplitudes, one bit past the
+        // bound: refused before any is allocated, and the session answers
+        // on.
+        let mut engine = EngineSpec::new(generators::ghz(21)).build().unwrap();
+        let err = run_job(&mut engine, &Job::Image { densify: true }).unwrap_err();
+        assert_eq!(err, QitsError::DimensionOverflow { bits: 21 });
+        assert!(err.to_string().contains("2^21"), "{err}");
+        let out = run_job(&mut engine, &Job::image()).unwrap();
+        assert_eq!(out.image().unwrap().dim, 1);
     }
 }

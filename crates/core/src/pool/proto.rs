@@ -22,7 +22,7 @@
 //!
 //! | `"job"` value | runs |
 //! |---|---|
-//! | `{"type":"image","densify":false}` | [`Job::Image`] |
+//! | `{"type":"image","densify":false}` | [`Job::Image`] (`densify` answers at most `2^20` amplitudes) |
 //! | `{"type":"reachability","max_iterations":64}` | [`Job::Reachability`] |
 //! | `{"type":"invariant","n_qubits":2,"states":[[[1,0,0,0],[1,0,0,0]]],"max_iterations":64}` | [`Job::Invariant`] (each qubit is `[a_re,a_im,b_re,b_im]`) |
 //! | `{"type":"equivalence","a":"h 0; cx 0 1","b":"h 0; cx 0 1","up_to_phase":false}` | [`Job::Equivalence`] (circuits in the gate DSL below) |

@@ -109,7 +109,8 @@ pub struct ResumedReach {
     /// The working space `S_j` at checkpoint time (on the restoring
     /// session's manager).
     pub space: Subspace,
-    /// Image computations performed before the checkpoint.
+    /// The checkpointed answer's iterations (see
+    /// [`ReachabilityResult::iterations`]).
     pub iterations: usize,
     /// Whether the checkpointed run had already converged.
     pub converged: bool,

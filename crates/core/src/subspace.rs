@@ -193,9 +193,21 @@ impl Subspace {
     /// no projector is built for it; one would be built and judged on its
     /// first absorb, like any dropped projector whose size is unknown.
     pub(crate) fn tail(&self, m: &TddManager, from: usize) -> Subspace {
-        let basis = self.basis[from..].to_vec();
+        Self::spanned(m, self.n_qubits, self.basis[from..].to_vec())
+    }
+
+    /// The subspace spanned by the first `k` basis kets — an earlier space
+    /// of a reachability chain. Its projector is built on demand
+    /// ([`Subspace::projector`]) and judged on its first absorb, as for
+    /// [`Subspace::tail`].
+    pub(crate) fn prefix(&self, m: &TddManager, k: usize) -> Subspace {
+        Self::spanned(m, self.n_qubits, self.basis[..k].to_vec())
+    }
+
+    /// A projector-free subspace over part of an orthonormal basis.
+    fn spanned(m: &TddManager, n_qubits: u32, basis: Vec<Edge>) -> Subspace {
         Subspace {
-            n_qubits: self.n_qubits,
+            n_qubits,
             basis_nodes: basis.iter().map(|&v| m.node_count(v)).sum(),
             basis,
             projector: Projector::Dropped { nodes: 0 },
@@ -822,6 +834,19 @@ mod tests {
         for &b in c.basis() {
             assert!(!s.contains(&mut m, b));
         }
+    }
+
+    #[test]
+    fn a_prefix_spans_the_first_basis_kets() {
+        let mut m = TddManager::new();
+        let (s, states) = entangled(&mut m);
+        let prefix = s.prefix(&m, 2);
+        assert_eq!(prefix.basis(), &s.basis()[..2]);
+        assert!(!prefix.keeps_projector());
+        let first_two = Subspace::from_states(&mut m, 3, &states[..2]);
+        assert!(prefix.equals(&mut m, &first_two));
+        assert!(!prefix.contains(&mut m, states[2]));
+        assert!(s.prefix(&m, 0).basis().is_empty());
     }
 
     #[test]

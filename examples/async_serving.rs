@@ -62,6 +62,21 @@ fn main() {
         handle.workers()
     );
 
+    // --- Cancellation: the token trips at the 3rd GC safepoint the
+    // running computation polls, and the worker unwinds cooperatively.
+    // This runs first: once a worker has answered a reachability job it
+    // answers the next ones from its session's fixpoint chain, computing
+    // (and polling) nothing a token could interrupt.
+    let token = CancelToken::cancel_after(3);
+    let cancelled = handle
+        .try_submit(JobRequest::new(Job::reachability(64)).cancel_token(token.clone()))
+        .unwrap();
+    assert_eq!(cancelled.join().unwrap_err(), QitsError::Cancelled);
+    println!(
+        "cancel:   mid-run token tripped after {} safepoint polls\n",
+        token.polls()
+    );
+
     // --- Streamed results: submit a mixed-priority burst, consume in
     // completion order. The handle never blocks the submitting thread.
     let mut inflight: Vec<(usize, JobTicket)> = (0..8)
@@ -109,18 +124,6 @@ fn main() {
         .unwrap();
     assert_eq!(doomed.join().unwrap_err(), QitsError::DeadlineExpired);
     println!("\ndeadline: zero-budget job shed before running");
-
-    // --- Cancellation: the token trips at the 3rd GC safepoint the
-    // running computation polls, and the worker unwinds cooperatively.
-    let token = CancelToken::cancel_after(3);
-    let cancelled = handle
-        .try_submit(JobRequest::new(Job::reachability(64)).cancel_token(token.clone()))
-        .unwrap();
-    assert_eq!(cancelled.join().unwrap_err(), QitsError::Cancelled);
-    println!(
-        "cancel:   mid-run token tripped after {} safepoint polls",
-        token.polls()
-    );
 
     // --- The memo: the second identical query is answered from the
     // fleet-wide cache — bit-identical output, no worker involved.

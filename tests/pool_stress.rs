@@ -221,7 +221,28 @@ fn pool_stats_totals_are_the_sum_of_worker_counters() {
     assert!(stats.manager.safepoints_polled > 0);
     assert!(stats.manager.safepoint_collections > 0);
     assert!(stats.manager.nodes_reclaimed > 0);
-    assert!(stats.images >= n_jobs, "fixpoint jobs run >= 1 image each");
+    // Each image job computes one image. A worker's first reachability
+    // job computes its session's chain, L images for the L iterations a
+    // fresh engine needs, and reads every later one off it: the fixpoint
+    // images are L times the number k of workers that drew one.
+    let fresh = qrw_spec().build().unwrap().reachable_space(6).unwrap();
+    assert!(fresh.converged);
+    let l = fresh.iterations as u64;
+    let image_jobs = workers as u64 * 6;
+    let fixpoint_images = stats
+        .images
+        .checked_sub(image_jobs)
+        .expect("every image job computes an image");
+    assert_eq!(
+        fixpoint_images % l,
+        0,
+        "{fixpoint_images} fixpoint images are not whole chains of {l}"
+    );
+    let k = fixpoint_images / l;
+    assert!(
+        (1..=workers as u64).contains(&k),
+        "{k} chains computed by {workers} workers"
+    );
 
     // The shutdown sink observed the same totals.
     let seen = sink_seen.lock().unwrap();

@@ -372,3 +372,38 @@ fn serve_loop_survives_adversarial_lines() {
     assert_eq!(stats.jobs_completed, 2, "{stats:?}");
     assert_eq!(stats.jobs_failed, 0, "{stats:?}");
 }
+
+/// A densified image past the amplitude bound (ghz21: 2^21 amplitudes)
+/// comes back as an error event instead of wedging its worker, and the
+/// server keeps answering.
+#[test]
+fn serve_refuses_an_oversized_dense_image_and_answers_on() {
+    let deck = [
+        "{\"op\":\"submit\",\"id\":\"dense\",\"job\":{\"type\":\"image\",\"densify\":true}}",
+        "{\"op\":\"submit\",\"id\":\"after\",\"job\":{\"type\":\"image\"}}",
+        "{\"op\":\"shutdown\"}",
+    ];
+    let pool = EnginePool::builder(EngineSpec::new(qits_circuit::generators::ghz(21)))
+        .workers(1)
+        .build()
+        .expect("the ghz21 pool must build");
+    let sink = SharedSink::default();
+    proto::serve(pool.handle(), Cursor::new(deck.join("\n")), sink.clone())
+        .expect("serve must not error");
+    let stats = pool.shutdown();
+
+    let output = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    assert!(
+        output.contains("\"id\": \"dense\", \"status\": \"error\", \"error\": \"2^21 exceeds"),
+        "the oversized answer must be an error event:\n{output}"
+    );
+    assert!(
+        output.contains("\"id\": \"after\", \"status\": \"ok\""),
+        "the server must answer after the refusal:\n{output}"
+    );
+    assert_eq!(
+        (stats.jobs_completed, stats.jobs_failed),
+        (1, 1),
+        "{stats:?}"
+    );
+}
