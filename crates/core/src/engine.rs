@@ -633,11 +633,14 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Whether two circuits implement exactly the same operator (global
-    /// phase included), on this session's manager. The equivalence
-    /// checkers poll a GC safepoint between the two operator
-    /// contractions; the engine roots its own system and compiled branches
-    /// across the call so a collection there cannot sweep the session
-    /// state.
+    /// phase included), on this session's manager: one contraction of
+    /// their miter `tr(B†A)` from where the circuits meet, neither
+    /// operator built (see [`crate::equiv`]). The checker polls a GC
+    /// safepoint after every tensor it contracts; the engine roots its own
+    /// system, compiled branches and chain across the call, so a
+    /// collection there cannot sweep the session state, and an installed
+    /// [`qits_tdd::CancelToken`] stops the check at the next tensor with
+    /// [`QitsError::Cancelled`].
     pub fn equivalent(&mut self, a: &Circuit, b: &Circuit) -> Result<bool, QitsError> {
         self.revalidate();
         let roots = self.protect_session();
@@ -648,7 +651,8 @@ impl Engine {
     }
 
     /// Whether two circuits implement the same operator up to global
-    /// phase. Safepoint rooting matches [`Engine::equivalent`].
+    /// phase, by the same miter contraction. Safepoints, rooting and
+    /// cancellation match [`Engine::equivalent`].
     pub fn equivalent_up_to_phase(&mut self, a: &Circuit, b: &Circuit) -> Result<bool, QitsError> {
         self.revalidate();
         let roots = self.protect_session();

@@ -1,21 +1,65 @@
-//! Combinational circuit equivalence checking.
+//! Combinational circuit equivalence checking by one miter contraction.
 //!
 //! Equivalence checking of quantum circuits is the application area the
-//! paper's introduction builds on (its refs. \[1\]–\[4\]); it falls out of the
-//! same machinery: contract each circuit's tensor network into a canonical
-//! operator TDD, then compare. Two operators are proportional (equal up to
-//! global phase) iff Cauchy–Schwarz holds with equality for the
-//! Hilbert–Schmidt inner product, which needs three contractions and no
-//! structural diagram comparison.
+//! paper's introduction builds on (its refs. \[1\]–\[4\]), and it is the
+//! same kind of question as an image: a tensor-network contraction whose
+//! cost is set by the contraction order. The checker builds neither
+//! circuit's operator. It closes both circuits into one network whose
+//! value is the scalar `t = tr(B†A)`, the miter `U_b† U_a` of Burgholzer
+//! and Wille ("Advanced Equivalence Checking for Quantum Circuits", IEEE
+//! TCAD 2021), traced:
+//!
+//! * `a`'s gate tensors sit on the wire positions `0..=P_a` of the
+//!   [`qits_tensornet::TensorNetwork`] convention, where `P_a` is the
+//!   wire's final position in `a`;
+//! * `b`'s gate tensors are built on mirrored legs, `Var::wire(q, p)`
+//!   becoming `Var::wire(q, P_a + P_b − p)`, and conjugated, so `b`'s
+//!   output meets `a`'s at position `P_a` and `b`'s input lands at
+//!   `K = P_a + P_b`;
+//! * each wire with `K > 0` is closed by the delta `δ(wire(q, 0),
+//!   wire(q, K))`, and each wire no tensor touches contributes a factor 2.
+//!
+//! `tr(A†B)` is the conjugate of `tr(B†A)`, so either circuit can take
+//! the mirrored side; the longer one does (`b` on a tie), and the trace
+//! is conjugated when that is `a`.
+//!
+//! The contraction starts at the junction, where both circuits' last
+//! gates meet, and works outward, taking gates from each side in
+//! proportion to its gate count. Every index is summed at its last use
+//! and the closing deltas come last. When one circuit is a rewrite of the
+//! other, the intermediate stays near the identity. A GC safepoint is
+//! polled after every tensor, holding the accumulator and the tensors not
+//! yet contracted, so a collection or a tripped
+//! [`qits_tdd::CancelToken`] takes effect mid-check.
+//!
+//! Verdicts use a tolerance of `1e-8`. The squared norm `‖U‖² = tr(U†U)`
+//! is `2^n` when every gate is unitary and otherwise the miter of the
+//! circuit against itself. Two circuits are equal up to global phase when
+//! `|t|² / (‖A‖² ‖B‖²)` is 1 (Cauchy–Schwarz with equality; for
+//! operators that are not unitary this means proportional), and exactly
+//! equal when `t / ‖B‖²` is 1 as well. A norm below `1e-12 · 2^n` counts
+//! as zero: two zero operators are equivalent in both modes, and a zero
+//! operator is equivalent to no non-zero one.
 
 use std::collections::BTreeMap;
 
-use qits_circuit::Circuit;
+use qits_circuit::tensorize::GateLegs;
+use qits_circuit::{Circuit, GateKind};
+use qits_num::Cplx;
 use qits_tdd::{Edge, TddManager};
-use qits_tensor::Var;
-use qits_tensornet::{contract_network, TensorNetwork};
+use qits_tensor::{Var, VarSet};
+use qits_tensornet::{wire_legs, NetTensor};
 
 use crate::error::QitsError;
+
+/// How far a fidelity or a ratio may sit from 1 and still count as 1.
+const TOLERANCE: f64 = 1e-8;
+
+/// A squared norm at or below this fraction of a unitary's (`2^n`)
+/// counts as the zero operator: four orders of magnitude above the float
+/// noise of a trace on that scale. A rank-1 operator (squared norm 1)
+/// falls under it from 40 qubits on.
+const ZERO_NORM: f64 = 1e-12;
 
 fn check_registers(a: &Circuit, b: &Circuit) -> Result<u32, QitsError> {
     if a.n_qubits() != b.n_qubits() {
@@ -28,63 +72,158 @@ fn check_registers(a: &Circuit, b: &Circuit) -> Result<u32, QitsError> {
     Ok(a.n_qubits())
 }
 
-/// Contracts `circuit` into its operator TDD over the canonical variables
-/// `x_q = Var::wire(q, 0)` (columns) and `y_q = Var::wire(q, 1)` (rows).
-///
-/// Wires the circuit only touches diagonally keep a single index after
-/// contraction; they are expanded with an identity factor so operators of
-/// structurally different circuits become directly comparable.
-pub fn canonical_operator(m: &mut TddManager, circuit: &Circuit) -> Edge {
-    let net = TensorNetwork::from_circuit(m, circuit);
-    let whole = contract_network(m, net.tensors(), &net.external_vars());
-    let n = circuit.n_qubits();
-    // Monotone rename: every advanced output index drops to position 1.
-    let map: BTreeMap<Var, Var> = (0..n)
-        .filter(|&q| net.out_var(q) != net.in_var(q))
-        .map(|q| (net.out_var(q), Var::row(q)))
-        .collect();
-    let mut op = m.rename_monotone(whole.edge, &map);
-    // Expand diagonal wires: multiply by delta(x_q, y_q).
-    for q in 0..n {
-        if net.out_var(q) == net.in_var(q) {
-            let id = m.identity(Var::ket(q), Var::row(q));
-            op = m.contract(op, id, &[]);
-        }
+/// `legs` with every index `Var::wire(q, p)` moved to
+/// `Var::wire(q, ends[q] - p)`.
+fn mirrored(legs: &GateLegs, ends: &[u32]) -> GateLegs {
+    let mirror = |v: Var| Var::wire(v.qubit(), ends[v.qubit() as usize] - v.position());
+    GateLegs {
+        controls: legs
+            .controls
+            .iter()
+            .map(|&(v, on)| (mirror(v), on))
+            .collect(),
+        target_in: legs.target_in.iter().map(|&v| mirror(v)).collect(),
+        target_out: legs.target_out.iter().map(|&v| mirror(v)).collect(),
     }
-    op
 }
 
-/// The Hilbert–Schmidt fidelity
-/// `|<A, B>|^2 / (<A, A> <B, B>)` of two operator TDDs over the canonical
-/// `2n` variables: 1 exactly when the operators are proportional.
-///
-/// Returns 0 if either operator is zero.
-pub fn operator_fidelity(m: &mut TddManager, a: Edge, b: Edge, n_qubits: u32) -> f64 {
-    if a.is_zero() || b.is_zero() {
-        return 0.0;
+/// The junction-first schedule: both sides from their last gate back to
+/// their first, each side taking its turn in proportion to its length.
+fn junction_order(a: Vec<NetTensor>, b: Vec<NetTensor>) -> Vec<NetTensor> {
+    let (na, nb) = (a.len(), b.len());
+    let (mut a, mut b) = (a.into_iter().rev(), b.into_iter().rev());
+    let (mut ia, mut ib) = (0, 0);
+    let mut order = Vec::with_capacity(na + nb);
+    while ia + ib < na + nb {
+        // `a` goes next while its share with the next tensor taken does
+        // not exceed `b`'s with its next one taken.
+        if ib == nb || (ia < na && (ia + 1) * nb <= (ib + 1) * na) {
+            order.extend(a.next());
+            ia += 1;
+        } else {
+            order.extend(b.next());
+            ib += 1;
+        }
     }
-    let vars: Vec<Var> = (0..n_qubits)
-        .flat_map(|q| [Var::ket(q), Var::row(q)])
+    order
+}
+
+/// Contracts the closed miter network of `a` and `b` to `tr(B†A)`,
+/// polling a GC safepoint after every tensor.
+fn miter_trace(m: &mut TddManager, a: &Circuit, b: &Circuit) -> Cplx {
+    let (legs_a, pos_a) = wire_legs(a);
+    let (legs_b, pos_b) = wire_legs(b);
+    let ends: Vec<u32> = pos_a.iter().zip(&pos_b).map(|(pa, pb)| pa + pb).collect();
+    let side_a: Vec<NetTensor> = a
+        .gates()
+        .iter()
+        .zip(&legs_a)
+        .map(|(gate, legs)| NetTensor::gate(m, gate, legs))
         .collect();
-    let ab = m.inner_product(a, b, &vars);
-    let aa = m.inner_product(a, a, &vars).re;
-    let bb = m.inner_product(b, b, &vars).re;
-    ab.norm_sqr() / (aa * bb)
+    let side_b: Vec<NetTensor> = b
+        .gates()
+        .iter()
+        .zip(&legs_b)
+        .map(|(gate, legs)| {
+            let mut t = NetTensor::gate(m, gate, &mirrored(legs, &ends));
+            t.edge = m.conj(t.edge);
+            t
+        })
+        .collect();
+    let mut order = junction_order(side_a, side_b);
+    for (q, &k) in (0..a.n_qubits()).zip(&ends) {
+        if k > 0 {
+            let (input, end) = (Var::wire(q, 0), Var::wire(q, k));
+            order.push(NetTensor {
+                edge: m.identity(input, end),
+                vars: VarSet::from_iter([input, end]),
+            });
+        }
+    }
+    // Sum every index at its last use; the network is closed, so nothing
+    // stays open.
+    let mut last_use = BTreeMap::new();
+    for (i, t) in order.iter().enumerate() {
+        for v in t.vars.iter() {
+            last_use.insert(v, i);
+        }
+    }
+    let idle_wires = (0..a.n_qubits())
+        .filter(|&q| !last_use.contains_key(&Var::wire(q, 0)))
+        .count();
+    let mut sums: Vec<Vec<Var>> = vec![Vec::new(); order.len()];
+    for (v, i) in last_use {
+        sums[i].push(v);
+    }
+    let mut acc = Edge::ONE;
+    for (i, (t, sum)) in order.iter().zip(&sums).enumerate() {
+        acc = m.contract(acc, t.edge, sum);
+        let rest = &order[i + 1..];
+        m.maybe_collect_at_safepoint(&[&acc, &rest]);
+    }
+    debug_assert!(acc.is_terminal(), "a closed network contracts to a scalar");
+    m.weight_value(acc.weight)
+        .scale(2f64.powi(idle_wires as i32))
+}
+
+/// `tr(U†U)` for `circuit`: `2^n` when every gate is unitary (only custom
+/// bases can fail to be), otherwise the miter of the circuit against
+/// itself.
+fn norm_sqr(m: &mut TddManager, circuit: &Circuit, dim: f64) -> f64 {
+    let unitary = circuit.gates().iter().all(|g| match &g.kind {
+        GateKind::Custom1(u) | GateKind::Custom2(u) => u.is_unitary(),
+        _ => true,
+    });
+    if unitary {
+        dim
+    } else {
+        miter_trace(m, circuit, circuit).re
+    }
+}
+
+/// The verdict both public checkers share; `exactly` adds the global
+/// phase to the comparison.
+fn equivalent(
+    m: &mut TddManager,
+    a: &Circuit,
+    b: &Circuit,
+    exactly: bool,
+) -> Result<bool, QitsError> {
+    let n = check_registers(a, b)?;
+    let dim = 2f64.powi(n as i32);
+    let (aa, bb) = (norm_sqr(m, a, dim), norm_sqr(m, b, dim));
+    let (a_zero, b_zero) = (aa <= ZERO_NORM * dim, bb <= ZERO_NORM * dim);
+    if a_zero || b_zero {
+        return Ok(a_zero && b_zero);
+    }
+    // The longer circuit takes the mirrored side: on structurally
+    // unrelated pairs (the Draper adder against the ripple incrementer,
+    // random Clifford+T pairs) that creates fewer nodes than a fixed side.
+    let t = if a.len() > b.len() {
+        miter_trace(m, b, a).conj()
+    } else {
+        miter_trace(m, a, b)
+    };
+    let proportional = (t.norm_sqr() / (aa * bb) - 1.0).abs() < TOLERANCE;
+    Ok(proportional && (!exactly || t.scale(1.0 / bb).approx_eq_with(Cplx::ONE, TOLERANCE)))
 }
 
 /// Whether two circuits on the same register implement the same operator
-/// *up to global phase*. [`crate::Engine::equivalent_up_to_phase`] wraps
-/// this with the session's rooting and arena/cancel guard.
+/// *up to global phase*: one contraction of their closed miter network
+/// `tr(B†A)`, started where the circuits meet, plus one per circuit with
+/// a non-unitary gate for its norm (see the module docs).
+/// [`crate::Engine::equivalent_up_to_phase`] wraps this with the
+/// session's rooting and arena/cancel guard.
 ///
-/// Polls a GC safepoint between the two operator contractions (holding the
-/// first operator live), so batch equivalence checking on one manager with
-/// a [`qits_tdd::GcPolicy`] installed reclaims each circuit's contraction
-/// garbage instead of accumulating it.
+/// Polls a GC safepoint after every tensor it contracts, holding the
+/// accumulator and the tensors still to come, so batch equivalence
+/// checking on one manager with a [`qits_tdd::GcPolicy`] installed
+/// reclaims each check's garbage as it goes, and an installed
+/// [`qits_tdd::CancelToken`] stops a check at the next tensor.
 ///
-/// **GC hazard:** with a policy installed, that safepoint may collect, and
-/// any caller-held edge that is not a registered root (via
-/// [`qits_tdd::TddManager::protect`]) or passed as an
-/// [`qits_tdd::EdgeHolder`] becomes detectably stale
+/// **GC hazard:** with a policy installed, those safepoints may collect,
+/// and any caller-held edge that is not a registered root (via
+/// [`qits_tdd::TddManager::protect`]) becomes detectably stale
 /// ([`qits_tdd::TddManager::is_live`] returns false) — nodes are never
 /// moved, but swept slots are recycled under a new generation. Without a
 /// policy (the default), the function never collects.
@@ -97,18 +236,16 @@ pub fn try_equivalent_up_to_phase(
     a: &Circuit,
     b: &Circuit,
 ) -> Result<bool, QitsError> {
-    let n = check_registers(a, b)?;
-    let oa = canonical_operator(m, a);
-    m.maybe_collect_at_safepoint(&[&oa]);
-    let ob = canonical_operator(m, b);
-    Ok((operator_fidelity(m, oa, ob, n) - 1.0).abs() < 1e-8)
+    equivalent(m, a, b, false)
 }
 
 /// Whether two circuits implement *exactly* the same operator (global
-/// phase included): proportional with ratio 1. [`crate::Engine::equivalent`]
-/// wraps this with the session's rooting and arena/cancel guard.
+/// phase included): proportional, with `tr(B†A) / ‖B‖²` equal to 1.
+/// [`crate::Engine::equivalent`] wraps this with the session's rooting
+/// and arena/cancel guard.
 ///
-/// Safepoint behaviour matches [`try_equivalent_up_to_phase`].
+/// Contraction order, norms and safepoints match
+/// [`try_equivalent_up_to_phase`].
 ///
 /// # Errors
 ///
@@ -118,28 +255,13 @@ pub fn try_equivalent_exactly(
     a: &Circuit,
     b: &Circuit,
 ) -> Result<bool, QitsError> {
-    let n = check_registers(a, b)?;
-    let oa = canonical_operator(m, a);
-    m.maybe_collect_at_safepoint(&[&oa]);
-    let ob = canonical_operator(m, b);
-    if (operator_fidelity(m, oa, ob, n) - 1.0).abs() >= 1e-8 {
-        return Ok(false);
-    }
-    // Proportional; check the ratio at a witness entry.
-    let vars: Vec<Var> = (0..n).flat_map(|q| [Var::ket(q), Var::row(q)]).collect();
-    let asn = m
-        .first_nonzero_assignment(oa, &vars)
-        .expect("fidelity 1 implies non-zero");
-    let point: BTreeMap<Var, bool> = vars.iter().copied().zip(asn).collect();
-    let va = m.eval(oa, &point);
-    let vb = m.eval(ob, &point);
-    Ok(va.approx_eq_with(vb, 1e-8))
+    equivalent(m, a, b, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qits_circuit::{Gate, GateKind};
+    use qits_circuit::Gate;
 
     fn circuit(n: u32, gates: Vec<Gate>) -> Circuit {
         let mut c = Circuit::new(n);
@@ -207,8 +329,8 @@ mod tests {
 
     #[test]
     fn equivalence_checks_survive_aggressive_gc() {
-        // With a collect-at-every-opportunity policy, the between-operator
-        // safepoint fires and the verdicts must not change.
+        // With a collect-at-every-opportunity policy, the per-tensor
+        // safepoints fire and the verdicts must not change.
         let mut m = TddManager::new();
         m.set_gc_policy(Some(qits_tdd::GcPolicy::aggressive()));
         let a = circuit(2, vec![Gate::swap(0, 1)]);
@@ -222,12 +344,13 @@ mod tests {
 
     #[test]
     fn fidelity_of_orthogonal_paulis_is_zero() {
+        // tr(Z†X) = 0: the miter of two orthogonal Paulis traces to zero,
+        // so they are not equivalent even up to phase.
         let mut m = TddManager::new();
         let a = circuit(1, vec![Gate::x(0)]);
         let b = circuit(1, vec![Gate::z(0)]);
-        let oa = canonical_operator(&mut m, &a);
-        let ob = canonical_operator(&mut m, &b);
-        assert!(operator_fidelity(&mut m, oa, ob, 1).abs() < 1e-10);
+        assert!(miter_trace(&mut m, &a, &b).norm_sqr() < 1e-20);
+        assert!(!try_equivalent_up_to_phase(&mut m, &a, &b).unwrap());
     }
 
     #[test]
@@ -237,5 +360,64 @@ mod tests {
         let a = circuit(2, vec![Gate::cz(0, 1)]);
         let b = circuit(2, vec![Gate::h(1), Gate::cx(0, 1), Gate::h(1)]);
         assert!(try_equivalent_exactly(&mut m, &a, &b).unwrap());
+    }
+
+    #[test]
+    fn zero_operators_are_equivalent_to_each_other_only() {
+        // `proj 0 0; proj 0 1` is the zero operator. Equivalence is
+        // reflexive on it, and it matches no non-zero operator.
+        let mut m = TddManager::new();
+        let zero = circuit(2, vec![Gate::projector(0, false), Gate::projector(0, true)]);
+        let other_zero = circuit(
+            2,
+            vec![
+                Gate::projector(1, true),
+                Gate::h(0),
+                Gate::projector(1, false),
+            ],
+        );
+        let proj = circuit(2, vec![Gate::projector(0, false)]);
+        let empty = circuit(2, vec![]);
+        for (a, b, want) in [
+            (&zero, &zero, true),
+            (&zero, &other_zero, true),
+            (&zero, &proj, false),
+            (&proj, &zero, false),
+            (&zero, &empty, false),
+        ] {
+            assert_eq!(try_equivalent_up_to_phase(&mut m, a, b).unwrap(), want);
+            assert_eq!(try_equivalent_exactly(&mut m, a, b).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn the_trace_is_tr_b_dagger_a() {
+        // tr(S† T) = 1 + e^{iπ/4}·(−i) on one wire, times 2 for the idle
+        // second wire.
+        let mut m = TddManager::new();
+        let a = circuit(2, vec![Gate::single(GateKind::T, 0)]);
+        let b = circuit(2, vec![Gate::single(GateKind::S, 0)]);
+        let want = (Cplx::ONE + Cplx::from_polar(1.0, -std::f64::consts::FRAC_PI_4)).scale(2.0);
+        assert!(miter_trace(&mut m, &a, &b).approx_eq_with(want, 1e-12));
+    }
+
+    #[test]
+    fn the_schedule_starts_at_the_junction_in_proportion() {
+        let t = |i: u32| NetTensor {
+            edge: Edge::ONE,
+            vars: VarSet::from_iter([Var::wire(i, 0)]),
+        };
+        let qubit = |order: &[NetTensor]| -> Vec<u32> {
+            order
+                .iter()
+                .map(|t| t.vars.iter().next().unwrap().qubit())
+                .collect()
+        };
+        // `a` = qubits 0..4, `b` = qubits 10..12: both start from their
+        // last tensor, two of `a`'s per one of `b`'s.
+        let order = junction_order((0..4).map(t).collect(), (10..12).map(t).collect());
+        assert_eq!(qubit(&order), [3, 2, 11, 1, 0, 10]);
+        let order = junction_order(vec![], (10..12).map(t).collect());
+        assert_eq!(qubit(&order), [11, 10]);
     }
 }

@@ -27,5 +27,5 @@ mod partition;
 
 pub use engine::{block_keep_vars, contract_network, precontract_blocks, ContractionOutcome};
 pub use graph::InteractionGraph;
-pub use network::{NetTensor, TensorNetwork};
+pub use network::{wire_legs, NetTensor, TensorNetwork};
 pub use partition::{contraction_blocks, Blocks};

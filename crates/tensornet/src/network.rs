@@ -1,7 +1,7 @@
 //! Circuit → tensor network lowering.
 
 use qits_circuit::tensorize::{gate_tdd, GateLegs};
-use qits_circuit::Circuit;
+use qits_circuit::{Circuit, Gate};
 use qits_tdd::{Edge, EdgeHolder, RootId, TddManager};
 use qits_tensor::{Var, VarSet};
 
@@ -18,6 +18,16 @@ pub struct NetTensor {
     pub edge: Edge,
     /// The network indices of this tensor.
     pub vars: VarSet,
+}
+
+impl NetTensor {
+    /// The tensor of `gate` on `legs`, carrying every leg as an index.
+    pub fn gate(m: &mut TddManager, gate: &Gate, legs: &GateLegs) -> NetTensor {
+        NetTensor {
+            edge: gate_tdd(m, gate, legs),
+            vars: VarSet::from_iter(legs.all_vars()),
+        }
+    }
 }
 
 impl EdgeHolder for NetTensor {
@@ -64,49 +74,18 @@ impl TensorNetwork {
     /// Lowers a circuit to a tensor network, building one TDD per gate in
     /// the given manager.
     pub fn from_circuit(m: &mut TddManager, circuit: &Circuit) -> TensorNetwork {
-        let n = circuit.n_qubits();
-        let mut pos = vec![0u32; n as usize];
-        let mut tensors = Vec::with_capacity(circuit.len());
-        let mut gate_legs = Vec::with_capacity(circuit.len());
-        for gate in circuit.gates() {
-            let controls: Vec<(Var, bool)> = gate
-                .controls
-                .iter()
-                .map(|c| (Var::wire(c.qubit, pos[c.qubit as usize]), c.value))
-                .collect();
-            let target_in: Vec<Var> = gate
-                .targets
-                .iter()
-                .map(|&t| Var::wire(t, pos[t as usize]))
-                .collect();
-            let target_out: Vec<Var> = if gate.is_diagonal() {
-                target_in.clone()
-            } else {
-                gate.targets
-                    .iter()
-                    .map(|&t| {
-                        pos[t as usize] += 1;
-                        Var::wire(t, pos[t as usize])
-                    })
-                    .collect()
-            };
-            let legs = GateLegs {
-                controls,
-                target_in,
-                target_out,
-            };
-            let edge = gate_tdd(m, gate, &legs);
-            tensors.push(NetTensor {
-                edge,
-                vars: VarSet::from_iter(legs.all_vars()),
-            });
-            gate_legs.push(legs);
-        }
+        let (gate_legs, out_pos) = wire_legs(circuit);
+        let tensors = circuit
+            .gates()
+            .iter()
+            .zip(&gate_legs)
+            .map(|(gate, legs)| NetTensor::gate(m, gate, legs))
+            .collect();
         TensorNetwork {
-            n_qubits: n,
+            n_qubits: circuit.n_qubits(),
             tensors,
             gate_legs,
-            out_pos: pos,
+            out_pos,
         }
     }
 
@@ -198,6 +177,48 @@ impl TensorNetwork {
     }
 }
 
+/// The legs [`TensorNetwork::from_circuit`] gives each gate of `circuit`,
+/// plus the final position of every wire, without building a tensor.
+///
+/// A caller that tensorizes the gates itself (on renamed legs, say) starts
+/// from the same index convention as the network.
+pub fn wire_legs(circuit: &Circuit) -> (Vec<GateLegs>, Vec<u32>) {
+    let mut pos = vec![0u32; circuit.n_qubits() as usize];
+    let legs = circuit
+        .gates()
+        .iter()
+        .map(|gate| {
+            let controls: Vec<(Var, bool)> = gate
+                .controls
+                .iter()
+                .map(|c| (Var::wire(c.qubit, pos[c.qubit as usize]), c.value))
+                .collect();
+            let target_in: Vec<Var> = gate
+                .targets
+                .iter()
+                .map(|&t| Var::wire(t, pos[t as usize]))
+                .collect();
+            let target_out: Vec<Var> = if gate.is_diagonal() {
+                target_in.clone()
+            } else {
+                gate.targets
+                    .iter()
+                    .map(|&t| {
+                        pos[t as usize] += 1;
+                        Var::wire(t, pos[t as usize])
+                    })
+                    .collect()
+            };
+            GateLegs {
+                controls,
+                target_in,
+                target_out,
+            }
+        })
+        .collect();
+    (legs, pos)
+}
+
 impl EdgeHolder for TensorNetwork {
     fn gc_edges(&self, visit: &mut dyn FnMut(Edge)) {
         for t in &self.tensors {
@@ -209,7 +230,6 @@ impl EdgeHolder for TensorNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qits_circuit::Gate;
 
     #[test]
     fn wire_positions_advance_only_for_non_diagonal() {

@@ -131,10 +131,10 @@ fn check_invariant_register_mismatch_is_err() {
 
 #[test]
 fn equivalence_under_gc_does_not_corrupt_the_session() {
-    // The equivalence checkers poll a GC safepoint between the two
-    // operator contractions; the engine must pin its own system across
-    // it, or an aggressive policy sweeps the initial subspace and a later
-    // image() dereferences dangling edges.
+    // The equivalence checker polls a GC safepoint after every tensor it
+    // contracts; the engine must pin its own system across them, or an
+    // aggressive policy sweeps the initial subspace and a later image()
+    // dereferences dangling edges.
     let mut engine = EngineBuilder::new()
         .gc_policy(Some(GcPolicy::aggressive()))
         .build_from_spec(&generators::grover(3))
@@ -156,6 +156,28 @@ fn equivalence_under_gc_does_not_corrupt_the_session() {
     let initial = engine.initial().clone();
     assert!(img.equals(engine.manager_mut(), &initial));
     assert_eq!(engine.manager().root_count(), 0);
+}
+
+#[test]
+fn a_cancelled_equivalence_check_stops_at_the_tripping_safepoint() {
+    // The checker polls a safepoint after every tensor it contracts, so a
+    // token set to trip on the fifth poll stops the check right there,
+    // and the same session then answers the pair.
+    let adder = generators::qft_adder(8, 1).operations[0]
+        .kraus_branches()
+        .remove(0);
+    let ripple = generators::ripple_increment(8);
+    let mut engine = EngineBuilder::new().build_bare(8).unwrap();
+    let token = qits::CancelToken::cancel_after(5);
+    engine.set_cancel_token(Some(token.clone()));
+    assert_eq!(
+        engine.equivalent(&adder, &ripple).unwrap_err(),
+        QitsError::Cancelled
+    );
+    assert_eq!(token.polls(), 5);
+    assert_eq!(engine.manager().root_count(), 0);
+    engine.set_cancel_token(None);
+    assert!(engine.equivalent(&adder, &ripple).unwrap());
 }
 
 #[test]
