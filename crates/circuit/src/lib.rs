@@ -21,7 +21,7 @@
 //! * [`parse`] — the textual frontends: the gate DSL shared with
 //!   `qits-serve` and the scenario file format the `qits` CLI reads; every
 //!   malformed input is a typed [`parse::ParseError`], never a panic.
-//! * [`tensorize`] — gate → TDD construction, folding controls
+//! * [`tensorize`] — gate → TDD construction, adding controls
 //!   symbolically so a 99-control Toffoli never materialises a matrix.
 //! * [`sim`] — dense state-vector/operator reference semantics.
 //!

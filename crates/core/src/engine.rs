@@ -732,7 +732,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qits_circuit::generators;
+    use qits_circuit::{generators, Gate};
     use qits_tdd::GcPolicy;
     use std::sync::{Arc, Mutex};
 
@@ -859,6 +859,29 @@ mod tests {
         let (a, _) = natural.image().unwrap();
         let (b, _) = local.image().unwrap();
         assert_eq!(a.dim(), b.dim());
+    }
+
+    #[test]
+    fn equivalence_under_gate_locality_registers_mirrored_legs() {
+        // `b`'s mirrored first gate controls on `wire(1, 0)` and then
+        // `wire(0, 2)`, which the installed order has not seen: it lands
+        // above `wire(1, 0)` and moves it one level down mid-build.
+        let mut engine = EngineBuilder::new()
+            .static_order(StaticOrder::GateLocality)
+            .build_bare(3)
+            .unwrap();
+        let a = Circuit::new(3);
+        let mut b = Circuit::new(3);
+        for gate in [
+            Gate::mcx(&[1, 0], 2),
+            Gate::h(0),
+            Gate::h(0),
+            Gate::mcx(&[1, 0], 2),
+        ] {
+            b.push(gate);
+        }
+        assert!(engine.equivalent(&a, &b).unwrap());
+        assert!(engine.equivalent(&b, &a).unwrap());
     }
 
     #[test]

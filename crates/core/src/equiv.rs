@@ -34,12 +34,13 @@
 //!
 //! Verdicts use a tolerance of `1e-8`. The squared norm `‖U‖² = tr(U†U)`
 //! is `2^n` when every gate is unitary and otherwise the miter of the
-//! circuit against itself. Two circuits are equal up to global phase when
-//! `|t|² / (‖A‖² ‖B‖²)` is 1 (Cauchy–Schwarz with equality; for
-//! operators that are not unitary this means proportional), and exactly
-//! equal when `t / ‖B‖²` is 1 as well. A norm below `1e-12 · 2^n` counts
-//! as zero: two zero operators are equivalent in both modes, and a zero
-//! operator is equivalent to no non-zero one.
+//! circuit against itself. Two circuits are equal up to global phase,
+//! `A = e^{iφ} B`, when `|t|² / (‖A‖² ‖B‖²)` is 1 — Cauchy–Schwarz with
+//! equality, so `A = λB` for some scalar `λ` — and `‖A‖² / ‖B‖²` is 1,
+//! so `|λ| = 1`; the second test only bites when a gate is not unitary.
+//! They are exactly equal when `λ = t / ‖B‖²` is 1 as well. A norm below
+//! `1e-12 · 2^n` counts as zero: two zero operators are equivalent in
+//! both modes, and a zero operator is equivalent to no non-zero one.
 
 use std::collections::BTreeMap;
 
@@ -205,7 +206,10 @@ fn equivalent(
         miter_trace(m, a, b)
     };
     let proportional = (t.norm_sqr() / (aa * bb) - 1.0).abs() < TOLERANCE;
-    Ok(proportional && (!exactly || t.scale(1.0 / bb).approx_eq_with(Cplx::ONE, TOLERANCE)))
+    let same_norm = (aa / bb - 1.0).abs() < TOLERANCE;
+    Ok(proportional
+        && same_norm
+        && (!exactly || t.scale(1.0 / bb).approx_eq_with(Cplx::ONE, TOLERANCE)))
 }
 
 /// Whether two circuits on the same register implement the same operator
@@ -240,7 +244,7 @@ pub fn try_equivalent_up_to_phase(
 }
 
 /// Whether two circuits implement *exactly* the same operator (global
-/// phase included): proportional, with `tr(B†A) / ‖B‖²` equal to 1.
+/// phase included): equal up to phase, with `tr(B†A) / ‖B‖²` equal to 1.
 /// [`crate::Engine::equivalent`] wraps this with the session's rooting
 /// and arena/cancel guard.
 ///
@@ -262,6 +266,7 @@ pub fn try_equivalent_exactly(
 mod tests {
     use super::*;
     use qits_circuit::Gate;
+    use qits_num::Mat;
 
     fn circuit(n: u32, gates: Vec<Gate>) -> Circuit {
         let mut c = Circuit::new(n);
@@ -388,6 +393,22 @@ mod tests {
             assert_eq!(try_equivalent_up_to_phase(&mut m, a, b).unwrap(), want);
             assert_eq!(try_equivalent_exactly(&mut m, a, b).unwrap(), want);
         }
+    }
+
+    #[test]
+    fn up_to_phase_needs_a_unit_modulus_factor() {
+        // `P0 H P0 = P0 / √2`: a multiple of `P0`, but not a phase.
+        let mut m = TddManager::new();
+        let p0 = || Gate::projector(0, false);
+        let halved = circuit(1, vec![p0(), Gate::h(0), p0()]);
+        let proj = circuit(1, vec![p0()]);
+        assert!(!try_equivalent_up_to_phase(&mut m, &halved, &proj).unwrap());
+        assert!(!try_equivalent_up_to_phase(&mut m, &proj, &halved).unwrap());
+        // `e^{i} P0` is `P0` up to a global phase.
+        let phase = Mat::identity(2).scale(Cplx::from_polar(1.0, 1.0));
+        let phased = circuit(1, vec![p0(), Gate::custom1(0, phase)]);
+        assert!(try_equivalent_up_to_phase(&mut m, &phased, &proj).unwrap());
+        assert!(!try_equivalent_exactly(&mut m, &phased, &proj).unwrap());
     }
 
     #[test]

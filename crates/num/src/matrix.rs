@@ -3,7 +3,7 @@
 //! [`Mat`] backs two things in the workspace:
 //!
 //! 1. **Gate definitions** — every base gate in `qits-circuit` is a 2x2 or
-//!    4x4 [`Mat`] before controls are folded around it symbolically.
+//!    4x4 [`Mat`] before controls are added around it symbolically.
 //! 2. **Brute-force oracles** — test suites build the full `2^n x 2^n`
 //!    operator of a small circuit with [`Mat::kron`] / [`Mat::matmul`] and
 //!    compare against the symbolic TDD pipeline.

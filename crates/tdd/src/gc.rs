@@ -75,6 +75,7 @@
 use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 
+use crate::hash::FastSet;
 use crate::manager::TddManager;
 use crate::node::{Edge, NodeId};
 
@@ -597,7 +598,7 @@ impl TddManager {
     /// registry plus `extra` — the live set a collection run right now
     /// would keep. `O(live)`; does not modify the manager.
     pub fn live_node_count(&self, extra: &[Edge]) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FastSet::default();
         let mut stack: Vec<NodeId> = self
             .roots
             .iter()

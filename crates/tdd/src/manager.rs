@@ -9,6 +9,7 @@ use crate::cache::{CacheLookup, CacheSizes, OpCaches, RenameId, SumId, DEFAULT_C
 use crate::cancel::CancelToken;
 use crate::cnum::{CIdx, ComplexTable};
 use crate::gc::{GcPolicy, RootRegistry};
+use crate::hash::FastSet;
 use crate::node::{Edge, Node, NodeId, TERMINAL};
 use crate::order::VarOrder;
 use crate::stats::ManagerStats;
@@ -851,7 +852,7 @@ impl TddManager {
 
     /// The set of variables the diagram actually depends on.
     pub fn support(&self, e: Edge) -> VarSet {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FastSet::default();
         let mut vars = Vec::new();
         let mut stack = vec![e.node];
         while let Some(n) = stack.pop() {
@@ -870,7 +871,7 @@ impl TddManager {
     ///
     /// This is the "#node" metric of the paper's Table I.
     pub fn node_count(&self, e: Edge) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FastSet::default();
         let mut stack = vec![e.node];
         let mut count = 0usize;
         while let Some(n) = stack.pop() {

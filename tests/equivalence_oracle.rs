@@ -7,8 +7,10 @@
 //! adder against the ripple-carry incrementer. Every check runs on one
 //! long-lived session, as a pool worker's would.
 //!
-//! "Up to phase" is the checker's Cauchy–Schwarz rule, so for operators
-//! that are not unitary it means proportional; the oracle asks the same.
+//! "Up to phase" means equal up to a unit-modulus factor, `A = e^{iφ} B`,
+//! for operators that are not unitary too: a multiple by a factor whose
+//! modulus is not 1 is equivalent in neither mode. The oracle asks the
+//! same.
 //!
 //! A count guard pins the point of the middle-out order: over serve-style
 //! pairs, checks on one manager create fewer than half the nodes that
@@ -115,7 +117,8 @@ fn max_abs(m: &Mat) -> f64 {
 }
 
 /// The dense verdicts `(exactly, up to phase)`: equal matrices, and
-/// proportional ones (two zero matrices are both).
+/// matrices equal up to a unit-modulus factor (two zero matrices are
+/// both).
 fn dense_verdicts(a: &Circuit, b: &Circuit) -> (bool, bool) {
     let (ma, mb) = (sim::circuit_matrix(a), sim::circuit_matrix(b));
     let scale = max_abs(&ma).max(max_abs(&mb)).max(1.0);
@@ -138,7 +141,8 @@ fn dense_verdicts(a: &Circuit, b: &Circuit) -> (bool, bool) {
         .max_by(|&i, &j| mb.as_slice()[i].abs().total_cmp(&mb.as_slice()[j].abs()))
         .unwrap();
     let ratio = ma.as_slice()[k] / mb.as_slice()[k];
-    (exactly, close(&ma, &mb.scale(ratio)))
+    let unit = (ratio.abs() - 1.0).abs() <= DENSE_TOLERANCE;
+    (exactly, unit && close(&ma, &mb.scale(ratio)))
 }
 
 /// Asserts both checker verdicts on `engine` against the oracle and
@@ -251,7 +255,7 @@ fn projectors_and_non_unitary_gates_match_the_dense_verdicts() {
     let mut engine = session();
     let mut rng = Rng(4);
     let mut seen = [0usize; 4];
-    for case in 0..80 {
+    for case in 0..100 {
         let n = 1 + rng.below(3);
         let mut a = Circuit::new(n);
         for _ in 0..2 + rng.below(6) {
@@ -263,7 +267,10 @@ fn projectors_and_non_unitary_gates_match_the_dense_verdicts() {
                 _ => Gate::h(q),
             });
         }
-        let b = match case % 4 {
+        let scaled = |rng: &mut Rng, factor: Cplx| {
+            insert(rng, &a, &[Gate::custom1(0, Mat::identity(2).scale(factor))])
+        };
+        let b = match case % 5 {
             // The same operator.
             0 => a.clone(),
             // The same operator once a self-inverse pair is inserted.
@@ -271,15 +278,11 @@ fn projectors_and_non_unitary_gates_match_the_dense_verdicts() {
                 let q = rng.below(n);
                 insert(&mut rng, &a, &[Gate::h(q), Gate::h(q)])
             }
-            // A scalar multiple.
-            2 => insert(
-                &mut rng,
-                &a,
-                &[Gate::custom1(
-                    0,
-                    Mat::identity(2).scale(Cplx::from_polar(0.5, 1.0)),
-                )],
-            ),
+            // A scalar multiple: not a phase, so equivalent in neither
+            // mode.
+            2 => scaled(&mut rng, Cplx::from_polar(0.5, 1.0)),
+            // A global phase.
+            3 => scaled(&mut rng, Cplx::from_polar(1.0, 1.0)),
             // Unrelated.
             _ => circuit(n, [Gate::projector(rng.below(n), false)]),
         };
