@@ -161,7 +161,7 @@ fn qft_impl(n: u32, swaps: bool) -> QtsSpec {
     for i in 0..n {
         c.push(Gate::h(i));
         for j in i + 1..n {
-            let theta = std::f64::consts::PI / f64::from(1u32 << (j - i));
+            let theta = std::f64::consts::PI / 2f64.powi((j - i) as i32);
             c.push(Gate::cp(j, i, theta));
         }
     }
@@ -252,7 +252,7 @@ pub fn qft_adder(n: u32, a: u64) -> QtsSpec {
     for i in 0..n {
         c.push(Gate::h(i));
         for j in i + 1..n {
-            let theta = std::f64::consts::PI / f64::from(1u32 << (j - i));
+            let theta = std::f64::consts::PI / 2f64.powi((j - i) as i32);
             c.push(Gate::cp(j, i, theta));
         }
     }
@@ -265,7 +265,7 @@ pub fn qft_adder(n: u32, a: u64) -> QtsSpec {
     }
     for i in (0..n).rev() {
         for j in (i + 1..n).rev() {
-            let theta = -std::f64::consts::PI / f64::from(1u32 << (j - i));
+            let theta = -std::f64::consts::PI / 2f64.powi((j - i) as i32);
             c.push(Gate::cp(j, i, theta));
         }
         c.push(Gate::h(i));
@@ -567,6 +567,22 @@ mod tests {
         for amp in &out {
             assert!((amp.norm_sqr() - 0.125).abs() < 1e-10);
         }
+    }
+
+    #[test]
+    fn qft_angles_keep_halving_past_32_qubits() {
+        // The rotation between qubits 40 apart is pi / 2^40, not a
+        // 32-bit shift that overflows (or wraps round to pi / 2^8).
+        let branch = &qft(41).operations[0].kraus_branches()[0];
+        let smallest = branch
+            .gates()
+            .iter()
+            .find(|g| g.targets == [0] && g.controls.iter().any(|c| c.qubit == 40))
+            .expect("a controlled phase from qubit 40 onto qubit 0");
+        assert!(matches!(
+            smallest.kind,
+            GateKind::Phase(theta) if theta == std::f64::consts::PI / 2f64.powi(40)
+        ));
     }
 
     #[test]

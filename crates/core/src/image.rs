@@ -487,7 +487,7 @@ pub fn try_image(
 /// instead of a fresh subspace, with the branches of `operations` compiled
 /// into `compiled` (for its strategy). A reachability fixpoint passes the
 /// frontier as `input` and the reachable space as `target`, so every image
-/// vector is orthogonalised once, against the whole space; the safepoints
+/// vector is absorbed once, straight into the whole space; the safepoints
 /// keep `target` and `compiled` among their mark roots.
 /// [`ImageStats::output_dim`] counts the vectors the call added.
 ///

@@ -12,7 +12,10 @@
 //! image: each iteration images `Δ` (initially `S0`), absorbs every image
 //! vector straight into `S` by one Gram–Schmidt step, and takes the kets
 //! it added as the next frontier; the fixpoint is reached when nothing
-//! was added. This is the frontier-set trick of BDD reachability (Burch,
+//! was added. The step's residual goes through `S`'s projector while it
+//! is kept and otherwise takes two rounds of classical Gram–Schmidt
+//! against `S`'s basis, each one batched float walk for the coefficients
+//! and one linear combination (see [`crate::Subspace`]). This is the frontier-set trick of BDD reachability (Burch,
 //! Clarke, McMillan et al., 1990). It computes the same chain `S_j` as
 //! iterating `S <- S v T(S)` on the whole space, so the dimensions and
 //! iteration counts are those of the whole-space iteration.

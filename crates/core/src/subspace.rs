@@ -4,17 +4,21 @@
 //! cheaper of the two, the TDD of its projector `P = sum |v><v|` (the
 //! paper's Section IV). Both answer the one question every join and
 //! membership test asks — the residual `psi - P psi` — at different
-//! costs: applying `P` walks `node_count(P)` nodes, modified Gram–Schmidt
-//! (MGS) against the basis walks every basis ket. Floating-point noise
-//! defeats the projector's node sharing on entangled spaces (a GHZ
-//! fixpoint's projector reaches tens of thousands of nodes while no basis
-//! ket exceeds a few hundred), whereas a walk's projector stays far
-//! smaller than its basis. So a subspace keeps `P` only while it is no
-//! larger than the basis (see [`Subspace`] for the exact rule), answers by
-//! MGS past that point, and materialises `P` on demand
-//! ([`Subspace::projector`]) for the callers that need the operator
-//! itself. The rule follows node counts the manager reports; there is no
-//! option or tuned constant.
+//! costs: applying `P` walks `node_count(P)` nodes, Gram–Schmidt against
+//! the basis walks every basis ket. Floating-point noise defeats the
+//! projector's node sharing on entangled spaces (a GHZ fixpoint's
+//! projector reaches tens of thousands of nodes while no basis ket
+//! exceeds a few hundred), whereas a walk's projector stays far smaller
+//! than its basis. So a subspace keeps `P` only while it is no larger
+//! than the basis (see [`Subspace`] for the exact rule), answers by
+//! classical Gram–Schmidt applied twice past that point, and
+//! materialises `P` on demand ([`Subspace::projector`]) for the callers
+//! that need the operator itself. Each Gram–Schmidt round takes every
+//! coefficient `<v_i|psi>` in one float walk
+//! ([`TddManager::inner_products`]) and removes them all in one linear
+//! combination ([`TddManager::lin_comb`]); the second round restores the
+//! orthogonality the first loses to rounding. The rule follows node
+//! counts the manager reports; there is no option or tuned constant.
 
 use std::collections::BTreeMap;
 
@@ -57,14 +61,16 @@ pub const RANK_TOLERANCE: f64 = 1e-9;
 ///   the basis has grown to the size the projector had when it was
 ///   dropped — so a space whose projector becomes compact again (a walk
 ///   filling its register) gets it back, while one whose projector keeps
-///   outgrowing the basis (a GHZ fixpoint) stays projector-free.
+///   outgrowing the basis (a GHZ fixpoint) stays projector-free. The
+///   rebuild gives up as soon as a partial sum of its outer products
+///   outgrows the grown basis, and remembers that sum's size instead.
 ///
 /// A subspace made from a whole projector ([`Subspace::from_projector`],
 /// [`Subspace::full`], [`Subspace::complement`], a restored snapshot)
 /// keeps it iff it is no larger than the basis.
 ///
 /// Residuals, [`Subspace::project`] and [`Subspace::contains`] apply `P`
-/// when it is kept and run modified Gram–Schmidt against the basis
+/// when it is kept and run classical Gram–Schmidt twice against the basis
 /// otherwise; the answers agree up to the rank tolerance.
 /// [`Subspace::projector`] returns the kept `P`, or builds `sum |v><v|`
 /// from the basis on each call — for [`Subspace::complement`], the
@@ -105,7 +111,8 @@ pub const RANK_TOLERANCE: f64 = 1e-9;
 pub struct Subspace {
     n_qubits: u32,
     basis: Vec<Edge>,
-    /// `sum node_count(v)` over the basis: the nodes an MGS residual walks.
+    /// `sum node_count(v)` over the basis: the nodes a Gram–Schmidt
+    /// residual walks.
     basis_nodes: usize,
     projector: Projector,
 }
@@ -246,7 +253,10 @@ impl Subspace {
     pub fn projector(&self, m: &mut TddManager) -> Edge {
         match self.projector {
             Projector::Kept { p, .. } => p,
-            Projector::Dropped { .. } => self.build_projector(m),
+            Projector::Dropped { .. } => {
+                let built = self.build_projector(m, usize::MAX);
+                built.expect("no partial sum exceeds usize::MAX nodes").0
+            }
         }
     }
 
@@ -277,21 +287,21 @@ impl Subspace {
         match self.projector {
             Projector::Kept { p, .. } => self.apply(m, p, psi),
             Projector::Dropped { .. } => {
-                let u = self.mgs_residual(m, psi);
+                let u = self.gram_schmidt_residual(m, psi);
                 m.sub(psi, u)
             }
         }
     }
 
     /// The Gram–Schmidt residual `psi - P psi`: through the kept
-    /// projector, or by modified Gram–Schmidt against the basis.
+    /// projector, or by Gram–Schmidt against the basis.
     fn residual(&self, m: &mut TddManager, psi: Edge) -> Edge {
         match self.projector {
             Projector::Kept { p, .. } => {
                 let proj = self.apply(m, p, psi);
                 m.sub(psi, proj)
             }
-            Projector::Dropped { .. } => self.mgs_residual(m, psi),
+            Projector::Dropped { .. } => self.gram_schmidt_residual(m, psi),
         }
     }
 
@@ -308,18 +318,23 @@ impl Subspace {
         m.rename_monotone(projected, &map)
     }
 
-    /// Modified Gram–Schmidt: removes each basis direction in turn from
-    /// the running residual.
-    fn mgs_residual(&self, m: &mut TddManager, psi: Edge) -> Edge {
+    /// Classical Gram–Schmidt, applied twice: each round takes every
+    /// coefficient `<v_i|u>` in one batched walk and removes them all from
+    /// `u` in one linear combination. One round leaves `u` orthogonal to
+    /// the basis only up to the rounding of its coefficients; the second
+    /// removes what that left behind.
+    fn gram_schmidt_residual(&self, m: &mut TddManager, psi: Edge) -> Edge {
         let xs = Self::ket_vars(self.n_qubits);
         let mut u = psi;
-        for &v in &self.basis {
-            if u.is_zero() {
+        for _ in 0..2 {
+            if u.is_zero() || self.basis.is_empty() {
                 break;
             }
-            let c = m.inner_product(v, u, &xs);
-            let along = m.scale(v, c);
-            u = m.sub(u, along);
+            let coefficients = m.inner_products(&self.basis, u, &xs);
+            let mut terms = Vec::with_capacity(self.basis.len() + 1);
+            terms.push((Cplx::ONE, u));
+            terms.extend(self.basis.iter().zip(coefficients).map(|(&v, c)| (-c, v)));
+            u = m.lin_comb(&terms);
         }
         u
     }
@@ -332,7 +347,8 @@ impl Subspace {
     /// if `u` is non-zero, normalise it and add it to the basis. The
     /// projector is then settled as the type docs describe: `P += |u><u|`
     /// while it is no larger than the grown basis, dropped otherwise, and
-    /// rebuilt once the basis has outgrown the last dropped projector.
+    /// rebuilt once the basis has outgrown the last dropped projector —
+    /// a rebuild that stops once its partial sum outgrows the basis.
     pub fn absorb(&mut self, m: &mut TddManager, psi: Edge) -> bool {
         if psi.is_zero() || self.is_full() {
             return false;
@@ -348,29 +364,29 @@ impl Subspace {
         }
         let v = m.scale(u, Cplx::real(1.0 / n2.sqrt()));
         let basis_nodes = self.basis_nodes + m.node_count(v);
-        // The projector of the basis before `v`, if kept or due a rebuild.
+        // The projector of the basis before `v` and its node count, if
+        // kept or rebuilt within the grown basis's size; otherwise the
+        // size to remember.
         let before = match self.projector {
-            Projector::Kept { p, nodes } => Some((p, nodes)),
+            Projector::Kept { p, nodes } => Ok((p, nodes)),
             Projector::Dropped { nodes } if basis_nodes >= nodes => {
-                let p = self.build_projector(m);
-                Some((p, m.node_count(p)))
+                self.build_projector(m, basis_nodes)
             }
-            Projector::Dropped { .. } => None,
+            Projector::Dropped { nodes } => Err(nodes),
         };
         self.basis.push(v);
         self.basis_nodes = basis_nodes;
-        match before {
-            Some((p, nodes)) if nodes <= basis_nodes => {
+        self.projector = match before {
+            Ok((p, nodes)) if nodes <= basis_nodes => {
                 let outer = self.outer(m, v);
                 let p = m.add(p, outer);
-                self.projector = Projector::Kept {
+                Projector::Kept {
                     p,
                     nodes: m.node_count(p),
-                };
+                }
             }
-            Some((_, nodes)) => self.projector = Projector::Dropped { nodes },
-            None => {}
-        }
+            Ok((_, nodes)) | Err(nodes) => Projector::Dropped { nodes },
+        };
         true
     }
 
@@ -418,14 +434,39 @@ impl Subspace {
         m.contract(bra, ket_rows, &[])
     }
 
-    /// `sum |v><v|` over the basis, in basis order.
-    fn build_projector(&self, m: &mut TddManager) -> Edge {
-        let mut p = Edge::ZERO;
-        for &v in &self.basis {
-            let outer = self.outer(m, v);
-            p = m.add(p, outer);
+    /// `sum |v><v|` over the basis, in basis order, and its node count —
+    /// or, once a partial sum has more than `limit` nodes, that partial
+    /// sum's node count.
+    ///
+    /// Outer products are added one at a time while each one grows the
+    /// partial sum, so a sum that outgrows `limit` is caught at the outer
+    /// product that takes it over. Once one leaves the sum no larger, the
+    /// projector has saturated and every further add would rebuild all of
+    /// it, so the next batch is twice as long and is summed in one linear
+    /// combination; the sum is checked after each batch.
+    fn build_projector(&self, m: &mut TddManager, limit: usize) -> Result<(Edge, usize), usize> {
+        let (mut p, mut nodes) = (Edge::ZERO, 0);
+        let (mut start, mut batch) = (0, 1);
+        while start < self.basis.len() {
+            let end = (start + batch).min(self.basis.len());
+            p = if batch == 1 {
+                let outer = self.outer(m, self.basis[start]);
+                m.add(p, outer)
+            } else {
+                let mut terms = vec![(Cplx::ONE, p)];
+                for &v in &self.basis[start..end] {
+                    terms.push((Cplx::ONE, self.outer(m, v)));
+                }
+                m.lin_comb(&terms)
+            };
+            let grown = m.node_count(p);
+            if grown > limit {
+                return Err(grown);
+            }
+            batch = if grown > nodes { 1 } else { 2 * batch };
+            (start, nodes) = (end, grown);
         }
-        p
+        Ok((p, nodes))
     }
 
     /// The join `self v other` (smallest subspace containing both).
@@ -810,9 +851,9 @@ mod tests {
         let p = s.projector(&mut m);
         let vars = Subspace::ket_vars(3);
         let probe = m.product_ket(&vars, &[states::PLUS, states::ZERO, states::MINUS]);
-        let by_mgs = s.project(&mut m, probe);
+        let by_gram_schmidt = s.project(&mut m, probe);
         let by_p = s.apply(&mut m, p, probe);
-        let diff = m.sub(by_mgs, by_p);
+        let diff = m.sub(by_gram_schmidt, by_p);
         assert!(diff.is_zero() || m.norm_sqr(diff, &vars) < 1e-16);
         assert!(m.node_count(p) > s.basis().iter().map(|&v| m.node_count(v)).sum());
     }
@@ -847,6 +888,37 @@ mod tests {
         assert!(prefix.equals(&mut m, &first_two));
         assert!(!prefix.contains(&mut m, states[2]));
         assert!(s.prefix(&m, 0).basis().is_empty());
+    }
+
+    #[test]
+    fn a_batched_projector_rebuild_is_the_sum_of_its_outer_products() {
+        // A full basis of entangled kets: the partial sums of its outer
+        // products stop growing well before the identity they end at, so
+        // the rebuild sums later outer products in batches.
+        let mut m = TddManager::new();
+        let n = 4;
+        let vars = Subspace::ket_vars(n);
+        let states: Vec<Edge> = (0..16usize)
+            .map(|x| {
+                let bits: Vec<bool> = (0..n).map(|q| (x >> q) & 1 == 1).collect();
+                let flipped: Vec<bool> = bits.iter().map(|b| !b).collect();
+                let a = m.basis_ket(&vars, &bits);
+                let b = m.basis_ket(&vars, &flipped);
+                let b = m.scale(b, Cplx::from_polar(0.5, 0.3 * x as f64));
+                m.add(a, b)
+            })
+            .collect();
+        let s = Subspace::from_states(&mut m, n, &states);
+        assert_eq!(s.dim(), 16);
+        let free = s.prefix(&m, 16);
+        let mut one_at_a_time = Edge::ZERO;
+        for &v in free.basis() {
+            let outer = free.outer(&mut m, v);
+            one_at_a_time = m.add(one_at_a_time, outer);
+        }
+        let batched = free.projector(&mut m);
+        assert_eq!(batched, one_at_a_time);
+        assert_eq!(batched, Subspace::full(&mut m, n).projector(&mut m));
     }
 
     #[test]

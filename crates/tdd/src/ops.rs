@@ -12,8 +12,9 @@ use qits_tensor::Var;
 
 use crate::cache::SumId;
 use crate::cnum::CIdx;
+use crate::hash::FastMap;
 use crate::manager::TddManager;
-use crate::node::Edge;
+use crate::node::{Edge, NodeId};
 
 impl TddManager {
     /// Debug-build guard at the entry of every public operation: an edge
@@ -381,28 +382,208 @@ impl TddManager {
     /// The variable list must cover the supports of both operands *and* any
     /// reduced-away qubit variables: a product state like `|+...+>` reduces
     /// to a bare scalar edge, and only the variable list tells the
-    /// contraction how many factors of 2 that hides.
+    /// recursion how many factors of 2 that hides.
+    ///
+    /// The result is a plain float, never interned or snapped: one
+    /// memoised walk over the node pairs of `a` and `b` multiplies their
+    /// weights out and accumulates the sum, without building the bra
+    /// `conj(a)` or any other diagram. See [`TddManager::inner_products`]
+    /// for several bras against one ket.
     ///
     /// # Panics
     ///
     /// Panics if `vars` is not strictly ascending or misses a support
     /// variable of either operand.
     pub fn inner_product(&mut self, a: Edge, b: Edge, vars: &[Var]) -> Cplx {
-        self.debug_assert_live(a);
+        self.inner_products(&[a], b, vars)[0]
+    }
+
+    /// `<a_i|b>` for every `a_i` in `bras`, over `vars` as in
+    /// [`TddManager::inner_product`]. One memo over node pairs serves the
+    /// whole batch, so sub-diagrams the bras share with each other are
+    /// walked against `b` once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars` is not strictly ascending or misses a support
+    /// variable of any operand.
+    pub fn inner_products(&mut self, bras: &[Edge], b: Edge, vars: &[Var]) -> Vec<Cplx> {
+        for &a in bras {
+            self.debug_assert_live(a);
+        }
         self.debug_assert_live(b);
-        let ca = self.conj(a);
-        let r = self.contract(ca, b, vars);
         assert!(
-            r.is_terminal(),
-            "inner product variable list must cover both supports"
+            vars.windows(2).all(|w| w[0] < w[1]),
+            "inner product variables must be strictly ascending"
         );
-        self.weight_value(r.weight)
+        // Register every variable before reading any level: under an
+        // installed order a first sighting shifts the levels below it.
+        for &v in vars {
+            self.level_of(v);
+        }
+        let mut levels: Vec<u32> = vars.iter().map(|&v| self.level_of(v)).collect();
+        levels.sort_unstable();
+        let mut memo = FastMap::default();
+        bras.iter()
+            .map(|&a| self.ip_edges(a, b, 0, &levels, &mut memo))
+            .collect()
+    }
+
+    /// `<a|b>` over the variables of the sorted `levels` from index `from`
+    /// on, all of which lie above or at the top level of the pair. The
+    /// ones strictly above it are the factor-2 rule's.
+    fn ip_edges(
+        &mut self,
+        a: Edge,
+        b: Edge,
+        from: usize,
+        levels: &[u32],
+        memo: &mut FastMap<(NodeId, NodeId), Cplx>,
+    ) -> Cplx {
+        if a.is_zero() || b.is_zero() {
+            return Cplx::ZERO;
+        }
+        let top = self.level_of_node(a.node).min(self.level_of_node(b.node));
+        let skipped = levels.partition_point(|&l| l < top) - from;
+        let w = self.weight_value(a.weight).conj() * self.weight_value(b.weight);
+        (w * self.ip_nodes(a.node, b.node, levels, memo)).scale(2f64.powi(skipped as i32))
+    }
+
+    /// `<a|b>` over the variables at or below the top level of the pair,
+    /// with both root weights 1. The value depends on the pair alone, so
+    /// one memo entry serves every path that reaches it.
+    fn ip_nodes(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        levels: &[u32],
+        memo: &mut FastMap<(NodeId, NodeId), Cplx>,
+    ) -> Cplx {
+        if a.is_terminal() && b.is_terminal() {
+            return Cplx::ONE;
+        }
+        if let Some(&r) = memo.get(&(a, b)) {
+            return r;
+        }
+        let (la, lb) = (self.level_of_node(a), self.level_of_node(b));
+        let lx = la.min(lb);
+        let Ok(at) = levels.binary_search(&lx) else {
+            panic!("inner product variable list must cover both supports");
+        };
+        let branches = |m: &TddManager, n: NodeId, ln: u32| {
+            if ln == lx {
+                let node = m.node(n);
+                [node.low, node.high]
+            } else {
+                [Edge {
+                    node: n,
+                    weight: CIdx::ONE,
+                }; 2]
+            }
+        };
+        let ([a0, a1], [b0, b1]) = (branches(self, a, la), branches(self, b, lb));
+        let r = self.ip_edges(a0, b0, at + 1, levels, memo)
+            + self.ip_edges(a1, b1, at + 1, levels, memo);
+        memo.insert((a, b), r);
+        r
     }
 
     /// Squared norm `<e|e>` over `vars`.
     pub fn norm_sqr(&mut self, e: Edge, vars: &[Var]) -> f64 {
-        self.debug_assert_live(e);
         self.inner_product(e, e, vars).re
+    }
+
+    // ------------------------------------------------------------------
+    // Linear combinations.
+    // ------------------------------------------------------------------
+
+    /// The linear combination `sum c_i * e_i`, built in one recursion over
+    /// all operands — the n-ary counterpart of a chain of
+    /// [`TddManager::scale`] and [`TddManager::add`], returning the same
+    /// canonical edge without materialising any partial sum.
+    ///
+    /// Each level merges the operands that reach the same node, factors
+    /// out the largest-magnitude weight and memoises on the nodes and the
+    /// interned ratios to it, so every ratio has magnitude at most 1 and
+    /// only an operand negligible against the largest one (below the
+    /// weight tolerance) is dropped — the rule [`TddManager::add`] applies
+    /// to two operands.
+    pub fn lin_comb(&mut self, terms: &[(Cplx, Edge)]) -> Edge {
+        let mut weighted = Vec::with_capacity(terms.len());
+        for &(c, e) in terms {
+            self.debug_assert_live(e);
+            if !e.is_zero() {
+                weighted.push((e.node, c * self.weight_value(e.weight)));
+            }
+        }
+        self.lin_comb_rec(weighted, &mut FastMap::default())
+    }
+
+    fn lin_comb_rec(
+        &mut self,
+        mut terms: Vec<(NodeId, Cplx)>,
+        memo: &mut FastMap<Vec<(NodeId, CIdx)>, Edge>,
+    ) -> Edge {
+        terms.sort_unstable_by_key(|&(n, _)| n);
+        terms.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        let Some(pivot) = terms
+            .iter()
+            .map(|&(_, w)| w)
+            .max_by(|x, y| x.norm_sqr().total_cmp(&y.norm_sqr()))
+        else {
+            return Edge::ZERO;
+        };
+        let scale = self.intern(pivot);
+        if scale.is_zero() {
+            return Edge::ZERO;
+        }
+        let mut key = Vec::with_capacity(terms.len());
+        for &(n, w) in &terms {
+            let r = self.intern(w / pivot);
+            if !r.is_zero() {
+                key.push((n, r));
+            }
+        }
+        match key[..] {
+            [] => return Edge::ZERO,
+            [(node, weight)] => return self.mul_weight(Edge { node, weight }, scale),
+            _ => {}
+        }
+        if let Some(&r) = memo.get(&key) {
+            return self.mul_weight(r, scale);
+        }
+        let (x, lx) = key
+            .iter()
+            .map(|&(n, _)| (self.var_of(n), self.level_of_node(n)))
+            .min_by_key(|&(_, l)| l)
+            .expect("two or more operands");
+        let mut lo = Vec::with_capacity(key.len());
+        let mut hi = Vec::with_capacity(key.len());
+        for &(n, r) in &key {
+            let rv = self.weight_value(r);
+            if self.level_of_node(n) == lx {
+                let node = *self.node(n);
+                for (side, e) in [(&mut lo, node.low), (&mut hi, node.high)] {
+                    if !e.is_zero() {
+                        side.push((e.node, rv * self.weight_value(e.weight)));
+                    }
+                }
+            } else {
+                lo.push((n, rv));
+                hi.push((n, rv));
+            }
+        }
+        let lo = self.lin_comb_rec(lo, memo);
+        let hi = self.lin_comb_rec(hi, memo);
+        let r = self.make_node(x, lo, hi);
+        memo.insert(key, r);
+        self.mul_weight(r, scale)
     }
 }
 
@@ -596,6 +777,175 @@ mod tests {
         let b = m.basis_ket(&vars, &[true]);
         assert!(m.inner_product(a, b, &vars).approx_eq(-Cplx::I));
         assert!(m.inner_product(b, a, &vars).approx_eq(Cplx::I));
+    }
+
+    /// `sum conj(a) b` over two dense tensors laid out on the same
+    /// variables.
+    fn dense_inner(a: &Tensor, b: &Tensor) -> Cplx {
+        assert_eq!(a.vars(), b.vars());
+        a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .map(|(&x, &y)| x.conj() * y)
+            .sum()
+    }
+
+    #[test]
+    fn float_inner_products_match_dense_on_random_kets() {
+        let mut m = TddManager::new();
+        let vars = [Var(0), Var(1), Var(2), Var(3)];
+        let tb = rand_tensor(&vars, 20);
+        let b = m.from_tensor(&tb);
+        let bras: Vec<Tensor> = (21..26).map(|s| rand_tensor(&vars, s)).collect();
+        let edges: Vec<Edge> = bras.iter().map(|t| m.from_tensor(t)).collect();
+        let batch = m.inner_products(&edges, b, &vars);
+        for ((t, &a), got) in bras.iter().zip(&edges).zip(batch) {
+            assert!(got.approx_eq_with(dense_inner(t, &tb), 1e-8), "{got}");
+            assert_eq!(m.inner_product(a, b, &vars), got);
+        }
+        let n2 = m.norm_sqr(b, &vars);
+        assert!((n2 - dense_inner(&tb, &tb).re).abs() < 1e-8);
+    }
+
+    #[test]
+    fn float_inner_product_counts_reduced_away_variables() {
+        let mut m = TddManager::new();
+        // Neither operand depends on var 1 or var 4; a lacks var 3 and b
+        // lacks var 0. Every variable in the list counts.
+        let all = [Var(0), Var(1), Var(2), Var(3), Var(4)];
+        let a = m.from_tensor(&rand_tensor(&[Var(0), Var(2)], 30));
+        let b = m.from_tensor(&rand_tensor(&[Var(2), Var(3)], 31));
+        let expect = dense_inner(&m.to_tensor(a, &all), &m.to_tensor(b, &all));
+        assert!(m.inner_product(a, b, &all).approx_eq_with(expect, 1e-8));
+        // Two scalars over one phantom variable: 2 * conj(3i) * 5.
+        let x = m.constant(Cplx::new(0.0, 3.0));
+        let y = m.constant(c(5.0));
+        let ip = m.inner_product(x, y, &[Var(4)]);
+        assert!(ip.approx_eq(Cplx::new(0.0, -30.0)), "{ip}");
+    }
+
+    #[test]
+    #[should_panic(expected = "cover both supports")]
+    fn float_inner_product_rejects_an_uncovered_support() {
+        let mut m = TddManager::new();
+        let a = m.from_tensor(&rand_tensor(&[Var(0), Var(1)], 32));
+        m.inner_product(a, a, &[Var(0)]);
+    }
+
+    #[test]
+    fn float_inner_product_matches_dense_under_installed_orders() {
+        // The level lists `StaticOrder::PositionMajor` (every ket before
+        // every row) and `StaticOrder::GateLocality` (a qubit permutation,
+        // ket and row interleaved) install on three qubits. Neither lists
+        // wire position 2, so registering it moves levels below it.
+        let kets_then_rows: Vec<Var> = (0..3)
+            .map(|q| Var::wire(q, 0))
+            .chain((0..3).map(|q| Var::wire(q, 1)))
+            .collect();
+        let permuted: Vec<Var> = [2, 0, 1]
+            .iter()
+            .flat_map(|&q| [Var::wire(q, 0), Var::wire(q, 1)])
+            .collect();
+        let mut vars = vec![
+            Var::wire(0, 0),
+            Var::wire(0, 1),
+            Var::wire(1, 0),
+            Var::wire(1, 2),
+            Var::wire(2, 1),
+        ];
+        vars.sort_unstable();
+        // A variable neither diagram has, first seen by the inner product.
+        let mut listed = vars.clone();
+        listed.push(Var::wire(0, 2));
+        listed.sort_unstable();
+        for order in [kets_then_rows, permuted] {
+            let mut m = TddManager::new();
+            m.install_order(&order);
+            let ta = rand_tensor(&vars, 40);
+            let tb = rand_tensor(&vars, 41);
+            let a = m.from_tensor(&ta);
+            let b = m.from_tensor(&tb);
+            let expect = dense_inner(&ta, &tb);
+            assert!(m.inner_product(a, b, &vars).approx_eq_with(expect, 1e-8));
+            let doubled = m.inner_products(&[a, b], b, &listed);
+            assert!(doubled[0].approx_eq_with(expect.scale(2.0), 1e-8));
+            assert!(doubled[1].approx_eq_with(dense_inner(&tb, &tb).scale(2.0), 1e-8));
+        }
+    }
+
+    #[test]
+    fn float_inner_product_of_zero_edges_is_zero() {
+        let mut m = TddManager::new();
+        let vars = [Var(0), Var(1)];
+        let a = m.from_tensor(&rand_tensor(&vars, 50));
+        assert_eq!(m.inner_product(Edge::ZERO, a, &vars), Cplx::ZERO);
+        assert_eq!(m.inner_product(a, Edge::ZERO, &vars), Cplx::ZERO);
+        assert_eq!(m.norm_sqr(Edge::ZERO, &vars), 0.0);
+        assert!(m.inner_products(&[], a, &vars).is_empty());
+    }
+
+    /// `sum c_i e_i` as a chain of `scale` and `add`.
+    fn chained(m: &mut TddManager, terms: &[(Cplx, Edge)]) -> Edge {
+        let mut acc = Edge::ZERO;
+        for &(c, e) in terms {
+            let scaled = m.scale(e, c);
+            acc = m.add(acc, scaled);
+        }
+        acc
+    }
+
+    #[test]
+    fn lin_comb_is_the_chain_of_scale_and_add() {
+        let mut m = TddManager::new();
+        let vars = [Var(0), Var(1), Var(2)];
+        let e: Vec<Edge> = (60..64)
+            .map(|s| m.from_tensor(&rand_tensor(&vars, s)))
+            .collect();
+        let k = m.basis_ket(&vars, &[true, false, true]);
+        let sel = m.selector(Var(1), true);
+        let three = m.constant(c(3.0));
+        let cases: Vec<Vec<(Cplx, Edge)>> = vec![
+            vec![
+                (Cplx::new(0.3, -0.2), e[0]),
+                (c(-1.5), e[1]),
+                (Cplx::I, e[2]),
+            ],
+            // Repeated operands, a scalar, a basis ket and a selector.
+            vec![
+                (c(0.5), e[3]),
+                (c(0.25), e[3]),
+                (c(1.0), three),
+                (c(-2.0), k),
+            ],
+            vec![(c(1.0), sel), (Cplx::new(0.0, -0.7), e[0]), (c(0.1), k)],
+            // Zero operands and zero coefficients drop out.
+            vec![(c(2.0), Edge::ZERO), (Cplx::ZERO, e[1]), (c(0.5), e[2])],
+        ];
+        for terms in &cases {
+            let expect = chained(&mut m, terms);
+            assert_eq!(m.lin_comb(terms), expect, "{terms:?}");
+            let got = m.lin_comb(terms);
+            assert!(m
+                .to_tensor(got, &vars)
+                .approx_eq(&m.to_tensor(expect, &vars)));
+        }
+        // Exact cancellation is the zero edge.
+        assert!(m.lin_comb(&[(c(1.0), e[0]), (c(-1.0), e[0])]).is_zero());
+        assert!(m.lin_comb(&[]).is_zero());
+    }
+
+    #[test]
+    fn lin_comb_keeps_the_sum_when_its_first_weight_is_negligible() {
+        // Normalising by the first operand would intern a 1e-11 pivot to
+        // zero and lose the whole sum; the largest weight is the pivot.
+        let mut m = TddManager::new();
+        let vars = [Var(0), Var(1)];
+        let a = m.from_tensor(&rand_tensor(&vars, 70));
+        let b = m.from_tensor(&rand_tensor(&vars, 71));
+        let terms = [(c(1e-11), a), (c(1.0), b), (c(0.5), a)];
+        let expect = chained(&mut m, &terms);
+        assert!(!expect.is_zero());
+        assert_eq!(m.lin_comb(&terms), expect);
     }
 
     #[test]

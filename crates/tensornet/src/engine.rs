@@ -61,27 +61,24 @@ pub fn contract_network(
             last_use.insert(v, i);
         }
     }
-    let sums_at = |i: usize| -> Vec<Var> {
-        let mut s: Vec<Var> = last_use
-            .iter()
-            .filter(|&(v, &li)| li == i && !keep.contains(*v))
-            .map(|(&v, _)| v)
-            .collect();
-        s.sort_unstable();
-        s
-    };
+    // Each summed index in the bucket of its last use; one ascending pass
+    // over the map leaves every bucket sorted.
+    let mut sums: Vec<Vec<Var>> = vec![Vec::new(); tensors.len()];
+    for (v, i) in last_use {
+        if !keep.contains(v) {
+            sums[i].push(v);
+        }
+    }
 
     let mut max_nodes = tensors
         .iter()
         .map(|t| m.node_count(t.edge))
         .max()
         .unwrap_or(0);
-    let first_sums = sums_at(0);
-    let mut acc = m.contract(tensors[0].edge, Edge::ONE, &first_sums);
+    let mut acc = m.contract(tensors[0].edge, Edge::ONE, &sums[0]);
     max_nodes = max_nodes.max(m.node_count(acc));
-    for (i, t) in tensors.iter().enumerate().skip(1) {
-        let sums = sums_at(i);
-        acc = m.contract(acc, t.edge, &sums);
+    for (t, sum) in tensors.iter().zip(&sums).skip(1) {
+        acc = m.contract(acc, t.edge, sum);
         max_nodes = max_nodes.max(m.node_count(acc));
     }
     ContractionOutcome {
