@@ -139,7 +139,8 @@ pub enum ParseErrorKind {
         /// The offending token.
         token: String,
     },
-    /// An angle argument was not a number.
+    /// An angle argument was not a finite number (`nan`, `inf` and
+    /// overflowing literals such as `1e999` are refused).
     BadAngle {
         /// The gate name.
         gate: String,
@@ -203,7 +204,8 @@ pub enum ParseErrorKind {
         /// The unrecognised channel name.
         name: String,
     },
-    /// An `init` or invariant state token was unreadable.
+    /// An `init` or invariant state token was unreadable, or one of its
+    /// amplitude components was not a finite number.
     BadStateToken {
         /// The offending token.
         token: String,
@@ -318,6 +320,13 @@ impl std::error::Error for ParseError {}
 // The gate DSL.
 // ----------------------------------------------------------------------
 
+/// Parses a finite `f64`. `nan`, `inf` and literals that overflow to
+/// infinity (`1e999`) are refused like any other non-number: no gate
+/// angle or amplitude means anything at those values.
+fn parse_finite(token: &str) -> Option<f64> {
+    token.parse::<f64>().ok().filter(|x| x.is_finite())
+}
+
 /// One validated gate statement: the gate plus the highest wire it names.
 struct ParsedGate {
     gate: Gate,
@@ -345,7 +354,7 @@ fn parse_statement(stmt: &str) -> Result<ParsedGate, ParseErrorKind> {
             gate: name.to_string(),
             index: i,
         })?;
-        token.parse::<f64>().map_err(|_| ParseErrorKind::BadAngle {
+        parse_finite(token).ok_or_else(|| ParseErrorKind::BadAngle {
             gate: name.to_string(),
             token: (*token).to_string(),
         })
@@ -697,8 +706,8 @@ fn parse_state_token(token: &str) -> Result<(Cplx, Cplx), ParseErrorKind> {
     let (alpha, beta) = inner.split_once(';').ok_or_else(bad)?;
     let amp = |s: &str| -> Result<Cplx, ParseErrorKind> {
         let (re, im) = s.split_once(',').ok_or_else(bad)?;
-        let re: f64 = re.trim().parse().map_err(|_| bad())?;
-        let im: f64 = im.trim().parse().map_err(|_| bad())?;
+        let re = parse_finite(re.trim()).ok_or_else(bad)?;
+        let im = parse_finite(im.trim()).ok_or_else(bad)?;
         Ok(Cplx::new(re, im))
     };
     Ok((amp(alpha)?, amp(beta)?))
@@ -1353,6 +1362,61 @@ mod tests {
             parse_circuit("").unwrap_err().kind,
             ParseErrorKind::EmptyCircuit
         ));
+    }
+
+    #[test]
+    fn non_finite_angles_are_refused() {
+        for text in [
+            "rz 0 NaN",
+            "rz 0 nan",
+            "rz 0 1e999",
+            "rx 0 -1e999",
+            "phase 0 inf",
+            "ry 0 -infinity",
+            "cp 0 1 inf",
+        ] {
+            let err = parse_circuit(text).unwrap_err();
+            assert!(
+                matches!(err.kind, ParseErrorKind::BadAngle { .. }),
+                "{text}: {err:?}"
+            );
+        }
+        // Inside a scenario the refusal is positioned on its line.
+        let err = parse_scenario("qubits 1\nop bad {\n  rz 0 nan\n}\ninit 0").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(matches!(err.kind, ParseErrorKind::BadAngle { .. }));
+        assert!(err.to_string().contains("bad angle"), "{err}");
+        // Large but finite angles still parse.
+        assert!(parse_circuit("rz 0 1e300; cp 0 1 -1e300").is_ok());
+    }
+
+    #[test]
+    fn non_finite_amplitudes_are_refused() {
+        for tok in [
+            "(nan,0;1,0)",
+            "(1,NaN;0,0)",
+            "(inf,0;1,0)",
+            "(1,0;-inf,0)",
+            "(1e999,0;1,0)",
+        ] {
+            assert!(
+                matches!(
+                    parse_state_token(tok),
+                    Err(ParseErrorKind::BadStateToken { .. })
+                ),
+                "{tok}"
+            );
+        }
+        let init = "qubits 1\nop t {\n  h 0\n}\ninit (nan,0;1,0)";
+        let err = parse_scenario(init).unwrap_err();
+        assert_eq!(err.line, 5);
+        assert!(matches!(err.kind, ParseErrorKind::BadStateToken { .. }));
+        assert!(err.to_string().contains("bad state token"), "{err}");
+        let invariant = "qubits 1\nop t {\n  h 0\n}\ninit 0\ninvariant 4 {\n  (1,0;1e999,0)\n}";
+        let err = parse_scenario(invariant).unwrap_err();
+        assert_eq!(err.line, 7);
+        assert!(matches!(err.kind, ParseErrorKind::BadStateToken { .. }));
+        assert!(parse_state_token("(0.6,0;0,-0.8)").is_ok());
     }
 
     #[test]

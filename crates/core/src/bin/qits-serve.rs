@@ -12,7 +12,7 @@
 //! | flag | default | meaning |
 //! |---|---|---|
 //! | `--family <name>` | `grover` | `grover`, `qft`, `bv`, `ghz`, `qrw`, `bitflip`, `adder`, `repcode`, `cliffordt` |
-//! | `--n <qubits>` | `3` | register size (ignored by `bitflip`) |
+//! | `--n <qubits>` | `3` | register size (ignored by `bitflip`); a size the family's generator does not support exits 1 with the supported range |
 //! | `--scenario <path>` | off | serve the transition system of a scenario file (see [`qits_circuit::parse`]) instead of a generator family |
 //! | `--workers <k>` | available parallelism | pool worker threads |
 //! | `--queue-depth <d>` | unbounded | admission bound (`QueueFull` beyond it) |
@@ -21,6 +21,7 @@
 //! | `--warm-start <path>` | off | warm-start workers and preload the memo from a snapshot file |
 
 use std::io::{self, BufReader, Write};
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 
 use qits::serve::proto;
@@ -97,7 +98,36 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 /// Noise probability of the `qrw` family — matches the benchmark suite.
 const QRW_NOISE: f64 = 0.125;
 
+/// The register sizes a generator family accepts: exactly the range its
+/// generator asserts, checked before the call so that an out-of-range
+/// `--n` is a usage error rather than a panic. `None` for `bitflip`,
+/// which ignores `--n`, and for unknown families.
+fn n_range(family: &str) -> Option<RangeInclusive<u32>> {
+    match family {
+        "qft" => Some(1..=u32::MAX),
+        "bv" | "ghz" | "qrw" | "cliffordt" => Some(2..=u32::MAX),
+        "grover" => Some(3..=u32::MAX),
+        "adder" => Some(1..=63),
+        "repcode" => Some(2..=16),
+        _ => None,
+    }
+}
+
 fn spec_for(opts: &Options) -> Result<EngineSpec, String> {
+    if let (None, Some(range)) = (&opts.scenario, n_range(&opts.family)) {
+        if !range.contains(&opts.n) {
+            let (lo, hi) = (range.start(), range.end());
+            let supported = if *hi == u32::MAX {
+                format!(">= {lo}")
+            } else {
+                format!("{lo}..={hi}")
+            };
+            return Err(format!(
+                "{} supports --n {supported}, got {}",
+                opts.family, opts.n
+            ));
+        }
+    }
     let system = match &opts.scenario {
         // A scenario file's transition system; its property declarations
         // are ignored here — jobs arrive over the wire.
@@ -192,4 +222,52 @@ fn main() -> ExitCode {
         stats.memo.warm_hits,
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(family: &str, n: u32) -> Options {
+        let args = ["--family", family, "--n", &n.to_string()].map(String::from);
+        parse_args(&args).unwrap()
+    }
+
+    #[test]
+    fn out_of_range_sizes_are_usage_errors() {
+        for (family, n, supported) in [
+            ("repcode", 40, "2..=16"),
+            ("repcode", 1, "2..=16"),
+            ("qrw", 1, ">= 2"),
+            ("grover", 0, ">= 3"),
+            ("grover", 2, ">= 3"),
+            ("bv", 0, ">= 2"),
+            ("ghz", 1, ">= 2"),
+            ("cliffordt", 1, ">= 2"),
+            ("qft", 0, ">= 1"),
+            ("adder", 64, "1..=63"),
+        ] {
+            let err = spec_for(&opts(family, n)).err().unwrap();
+            assert_eq!(err, format!("{family} supports --n {supported}, got {n}"));
+        }
+    }
+
+    #[test]
+    fn the_smallest_supported_sizes_build() {
+        for family in [
+            "qft",
+            "bv",
+            "ghz",
+            "qrw",
+            "cliffordt",
+            "grover",
+            "adder",
+            "repcode",
+        ] {
+            let lo = *n_range(family).unwrap().start();
+            assert!(spec_for(&opts(family, lo)).is_ok(), "{family} {lo}");
+        }
+        // `bitflip` ignores --n altogether.
+        assert!(spec_for(&opts("bitflip", 0)).is_ok());
+    }
 }

@@ -33,11 +33,13 @@
 //! `cx c t`, `cz c t`, `cp c t theta`, `ccx c1 c2 t`, `swap a b`,
 //! `proj q b`) — the same parser behind scenario files and the `qits`
 //! CLI. Validation happens entirely in the parse layer (arity, wire
-//! syntax, duplicate wires), so a malformed client line — `"cx 0 0"`
-//! included — is an `error` event, never a server panic. The two
-//! circuits of an equivalence job are parsed onto one shared register
-//! (the wider of the two), so `"h 0"` vs `"h 0; z 1"` compares the
-//! operators instead of failing with a register mismatch.
+//! syntax, duplicate wires, finite angles), so a malformed client line —
+//! `"cx 0 0"` included — is an `error` event, never a server panic.
+//! Every JSON number must be finite too: a literal that overflows `f64`,
+//! such as an amplitude of `1e999`, makes its line an `error` event.
+//! The two circuits of an equivalence job are parsed onto one shared
+//! register (the wider of the two), so `"h 0"` vs `"h 0; z 1"` compares
+//! the operators instead of failing with a register mismatch.
 //!
 //! # Events
 //!
@@ -207,9 +209,13 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(JsonValue::Number)
-        .map_err(|_| format!("bad number '{text}' at byte {start}"))
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(JsonValue::Number(x)),
+        // JSON has no infinities: a literal that overflows `f64` (`1e999`)
+        // is refused, not read as one, so every decoded number is finite.
+        Ok(_) => Err(format!("number '{text}' at byte {start} overflows f64")),
+        Err(_) => Err(format!("bad number '{text}' at byte {start}")),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -780,6 +786,19 @@ mod tests {
         assert!(parse_json("[1, -2.5, true, null, \"x\"]").is_ok());
         assert!(parse_json("{\"a\":1} trailing").is_err());
         assert!(parse_json("{\"a\":}").is_err());
+    }
+
+    #[test]
+    fn overflowing_numbers_are_refused() {
+        for text in ["1e999", "-1e999", "[0, 1e400]", "{\"a\": -2E+500}"] {
+            let err = parse_json(text).unwrap_err();
+            assert!(err.contains("overflows f64"), "{text}: {err}");
+        }
+        assert!(parse_json("[1e308, -1e-400]").is_ok());
+        // An invariant amplitude of 1e999 is a refused line, not a verdict.
+        let line = r#"{"op":"submit","id":"i","job":{"type":"invariant","n_qubits":2,"states":[[[1e999,0,0,0],[1,0,0,0]]],"max_iterations":4}}"#;
+        let err = parse_request(line).unwrap_err();
+        assert!(err.contains("overflows f64"), "{err}");
     }
 
     #[test]

@@ -75,9 +75,8 @@
 use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 
-use crate::hash::FastSet;
 use crate::manager::TddManager;
-use crate::node::{Edge, NodeId};
+use crate::node::Edge;
 
 /// Handle to a protected edge in a manager's root registry.
 ///
@@ -592,35 +591,6 @@ impl TddManager {
     /// re-validation. Counters are folded into [`crate::ManagerStats`].
     pub fn collect(&mut self) -> GcOutcome {
         self.collect_retaining(&[])
-    }
-
-    /// Number of distinct non-terminal nodes reachable from the root
-    /// registry plus `extra` — the live set a collection run right now
-    /// would keep. `O(live)`; does not modify the manager.
-    pub fn live_node_count(&self, extra: &[Edge]) -> usize {
-        let mut seen = FastSet::default();
-        let mut stack: Vec<NodeId> = self
-            .roots
-            .iter()
-            .chain(extra.iter().copied())
-            .map(|e| e.node)
-            .filter(|n| !n.is_terminal())
-            .collect();
-        let mut count = 0usize;
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
-            }
-            count += 1;
-            let node = self.node(n);
-            if !node.low.node.is_terminal() {
-                stack.push(node.low.node);
-            }
-            if !node.high.node.is_terminal() {
-                stack.push(node.high.node);
-            }
-        }
-        count
     }
 
     /// Collections performed so far (equals the current cache epoch).

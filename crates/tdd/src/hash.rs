@@ -51,9 +51,6 @@ pub type FastBuild = BuildHasherDefault<FastHasher>;
 /// A `HashMap` keyed with [`FastHasher`].
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuild>;
 
-/// A `HashSet` keyed with [`FastHasher`].
-pub type FastSet<K> = std::collections::HashSet<K, FastBuild>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,6 +72,7 @@ mod reorder;
 mod stats;
 mod table;
 mod transfer;
+mod walk;
 
 pub use cache::{CacheLookup, CacheSizes, CacheStats, DEFAULT_CACHE_CAPACITY};
 pub use cancel::{CancelToken, OperationCancelled};
@@ -83,12 +84,13 @@ pub use node::{Edge, NodeId, TERMINAL};
 pub use stats::{ManagerStats, ProbeHistogram, PROBE_BUCKETS};
 
 // Thread-safety contract, checked at compile time: a manager (and every
-// handle into it) is plain owned data, so whole sessions can move between
+// handle into it) is owned data, so whole sessions can move between
 // threads — the property `qits`'s `EnginePool` worker threads are built
-// on — and, having no interior mutability, can be read through shared
-// borrows from several threads. A field that smuggles in
-// `Rc`/`RefCell`/raw-pointer state breaks this assertion, not a user at
-// runtime.
+// on — and can be read through shared borrows from several threads. Its
+// one piece of interior mutability, the node-counting walks' scratch, sits
+// behind a `Mutex`, so concurrent counts serialise rather than race. A
+// field that smuggles in `Rc`/`RefCell`/raw-pointer state breaks this
+// assertion, not a user at runtime.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TddManager>();

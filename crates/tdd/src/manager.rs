@@ -1,19 +1,20 @@
 //! The TDD manager: backed unique table and constructors.
 
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use qits_num::{Cplx, Mat};
-use qits_tensor::{Tensor, Var, VarSet};
+use qits_tensor::{Tensor, Var};
 
 use crate::cache::{CacheLookup, CacheSizes, OpCaches, RenameId, SumId, DEFAULT_CACHE_CAPACITY};
 use crate::cancel::CancelToken;
 use crate::cnum::{CIdx, ComplexTable};
 use crate::gc::{GcPolicy, RootRegistry};
-use crate::hash::FastSet;
 use crate::node::{Edge, Node, NodeId, TERMINAL};
 use crate::order::VarOrder;
 use crate::stats::ManagerStats;
 use crate::table::UniqueTable;
+use crate::walk::WalkScratch;
 
 /// Default hard bound on allocated node slots: the whole `u32` index space.
 const DEFAULT_NODE_CAPACITY: usize = u32::MAX as usize;
@@ -117,6 +118,9 @@ pub struct TddManager {
     /// Cooperative-cancellation flag checked at every GC safepoint;
     /// `None` (the default) makes safepoints cancellation-free.
     pub(crate) cancel_token: Option<CancelToken>,
+    /// Stamps and stack of the node-counting walks (see the private
+    /// `walk` module), locked so that counting works through `&self`.
+    pub(crate) walk: Mutex<WalkScratch>,
 }
 
 impl Default for TddManager {
@@ -150,6 +154,7 @@ impl TddManager {
             reorder_baseline: 1,
             safepoints_since_reorder: 0,
             cancel_token: None,
+            walk: Mutex::default(),
         }
     }
 
@@ -848,42 +853,6 @@ impl TddManager {
             *slot = self.eval(e, &asn);
         }
         Tensor::new(sorted, data)
-    }
-
-    /// The set of variables the diagram actually depends on.
-    pub fn support(&self, e: Edge) -> VarSet {
-        let mut seen = FastSet::default();
-        let mut vars = Vec::new();
-        let mut stack = vec![e.node];
-        while let Some(n) = stack.pop() {
-            if n.is_terminal() || !seen.insert(n) {
-                continue;
-            }
-            let node = self.node(n);
-            vars.push(node.var);
-            stack.push(node.low.node);
-            stack.push(node.high.node);
-        }
-        VarSet::from_iter(vars)
-    }
-
-    /// Number of distinct non-terminal nodes reachable from `e`.
-    ///
-    /// This is the "#node" metric of the paper's Table I.
-    pub fn node_count(&self, e: Edge) -> usize {
-        let mut seen = FastSet::default();
-        let mut stack = vec![e.node];
-        let mut count = 0usize;
-        while let Some(n) = stack.pop() {
-            if n.is_terminal() || !seen.insert(n) {
-                continue;
-            }
-            count += 1;
-            let node = self.node(n);
-            stack.push(node.low.node);
-            stack.push(node.high.node);
-        }
-        count
     }
 
     /// The lexicographically smallest assignment of `vars` on which the
