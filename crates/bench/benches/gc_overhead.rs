@@ -27,7 +27,6 @@ fn gc_overhead_reachability(c: &mut Criterion) {
                 watermark: 1.5,
                 min_interval: 1 << 10,
                 sweep_budget: usize::MAX,
-                ..GcPolicy::default()
             }),
         ),
         ("aggressive", Some(GcPolicy::aggressive())),

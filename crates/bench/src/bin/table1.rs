@@ -16,24 +16,14 @@
 //! method), exits non-zero if any subprocess panics, times out, or breaks
 //! the 6-field measurement protocol, and writes the `BENCH_ci.json` perf
 //! artifact CI uploads on every push.
-//!
-//! `--ci --resume <path>` makes the smoke resumable: after each case the
-//! measured rows are checkpointed to `<path>` (a `qits-store` container,
-//! so an interrupted or corrupt file is a typed refusal on restart, not
-//! garbage rows), a restarted run restores them instead of re-measuring,
-//! and the final `BENCH_ci.json` rows are **bit-identical** to the
-//! interrupted run's measurements. `--halt-after <k>` stops cleanly after
-//! `k` cases — the hook the CI resume smoke uses to split one run across
-//! two processes.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use qits_bench::{
-    ci_report_json, fmt_count, fmt_secs, maybe_run_one, read_ci_checkpoint, run_case_subprocess,
-    run_image_gc, run_pool_throughput, run_reorder_ab, run_serve_soak, run_store_measurement,
-    spec_for, strategy_for, write_ci_checkpoint, CiRow, SoakConfig, CI_POOL_CASE, METHODS,
-    REORDER_AB_ORDER,
+    ci_report_json, fmt_count, fmt_secs, maybe_run_one, run_case_subprocess, run_image_gc,
+    run_pool_throughput, run_serve_soak, run_store_measurement, spec_for, strategy_for, CiRow,
+    SoakConfig, CI_POOL_CASE, METHODS,
 };
 use qits_tdd::GcPolicy;
 
@@ -223,11 +213,7 @@ fn full_rows() -> Vec<Row> {
     rows
 }
 
-/// The measured-case summary line, printed identically for a freshly
-/// measured row and for one restored from a `--resume` checkpoint —
-/// checkpointed `f64`s travel as raw bits, so the restored line matches
-/// the interrupted run's character for character (what the CI resume
-/// smoke greps for).
+/// The measured-case summary line.
 fn case_summary(row: &CiRow) -> String {
     format!(
         "ci:   ok  {:.3}s  max#node {}  live/alloc {}/{}  \
@@ -242,57 +228,13 @@ fn case_summary(row: &CiRow) -> String {
     )
 }
 
-fn reorder_summary(row: &CiRow) -> String {
-    format!(
-        "ci:   reorder[{}]  live {} → {}  peak {} → {}  \
-         ({} swaps, {} sift passes)",
-        REORDER_AB_ORDER,
-        row.reorder.live_off,
-        row.reorder.live_on,
-        row.reorder.peak_off,
-        row.reorder.peak_on,
-        row.reorder.swaps,
-        row.reorder.sift_passes,
-    )
-}
-
 /// The CI bench-smoke mode: one small paper instance per method, each
 /// measured through the subprocess protocol (so the protocol itself is
 /// under test) and once more in-process under `GcPolicy::aggressive()`
-/// for the safepoint counters. With `resume`, finished cases are
-/// checkpointed after each measurement and restored instead of re-run;
-/// with `halt_after`, the run stops cleanly once that many rows exist.
-/// Returns the process exit code.
-fn run_ci_smoke(timeout: Duration, resume: Option<&Path>, halt_after: Option<usize>) -> i32 {
+/// for the safepoint counters. Returns the process exit code.
+fn run_ci_smoke(timeout: Duration) -> i32 {
     let mut rows: Vec<CiRow> = Vec::new();
-    if let Some(path) = resume {
-        if path.exists() {
-            match read_ci_checkpoint(path) {
-                Ok(restored) => {
-                    println!(
-                        "ci: resumed {} case(s) from checkpoint {}",
-                        restored.len(),
-                        path.display()
-                    );
-                    rows = restored;
-                }
-                Err(e) => {
-                    eprintln!("ci: FAIL checkpoint {} is unusable: {e}", path.display());
-                    return 1;
-                }
-            }
-        }
-    }
     for &(family, n, method) in qits_bench::CI_CASES.iter() {
-        if let Some(row) = rows
-            .iter()
-            .find(|r| r.family == family && r.n == n && r.method == method)
-        {
-            println!("ci: {family}{n} / {method} (restored from checkpoint)");
-            println!("{}", case_summary(row));
-            println!("{}", reorder_summary(row));
-            continue;
-        }
         println!(
             "ci: {family}{n} / {method} (timeout {}s)",
             timeout.as_secs()
@@ -316,37 +258,15 @@ fn run_ci_smoke(timeout: Duration, resume: Option<&Path>, halt_after: Option<usi
             eprintln!("ci: FAIL {family}{n}/{method}: no safepoint polled");
             return 1;
         }
-        // The reordering A/B (schema v5): same case from the
-        // position-major order, sifting off vs forced at every
-        // collection — the live-node delta tracks what DVO buys.
-        let reorder = run_reorder_ab(&spec_for(family, n), strategy_for(method));
         let row = CiRow {
             family: family.into(),
             n,
             method: method.into(),
             subprocess: case,
             gc,
-            reorder,
         };
         println!("{}", case_summary(&row));
-        println!("{}", reorder_summary(&row));
         rows.push(row);
-        if let Some(path) = resume {
-            if let Err(e) = write_ci_checkpoint(path, &rows) {
-                eprintln!("ci: FAIL cannot write checkpoint {}: {e}", path.display());
-                return 1;
-            }
-        }
-        if halt_after.is_some_and(|k| rows.len() >= k) {
-            println!(
-                "ci: halting after {} case(s){}",
-                rows.len(),
-                resume
-                    .map(|p| format!(" (checkpoint {})", p.display()))
-                    .unwrap_or_default()
-            );
-            return 0;
-        }
     }
     // The pool throughput row (schema v3): a batch of independent image
     // jobs through the EnginePool vs one fresh serial engine per job.
@@ -457,10 +377,6 @@ fn run_ci_smoke(timeout: Duration, resume: Option<&Path>, halt_after: Option<usi
         "ci: wrote BENCH_ci.json ({} cases + pool + serve + store)",
         rows.len()
     );
-    // A finished run owes nothing to the next one.
-    if let Some(path) = resume {
-        let _ = std::fs::remove_file(path);
-    }
     0
 }
 
@@ -477,18 +393,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(if full { 3600 } else { 120 });
     let timeout = Duration::from_secs(timeout_secs);
-    let resume: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--resume")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let halt_after: Option<usize> = args
-        .iter()
-        .position(|a| a == "--halt-after")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok());
     if args.iter().any(|a| a == "--ci") {
-        std::process::exit(run_ci_smoke(timeout, resume.as_deref(), halt_after));
+        std::process::exit(run_ci_smoke(timeout));
     }
     let rows = if full { full_rows() } else { default_rows() };
 

@@ -56,8 +56,6 @@ fn main() {
     let mut probe_p99 = 0u32;
     let mut gc_pause_ms = 0.0f64;
     let mut generation_bumps = 0u64;
-    let mut swaps = 0u64;
-    let mut sift_passes = 0u64;
     for k1 in 1..=kmax {
         print!("{k1:>5} |");
         for k2 in 1..=kmax {
@@ -74,8 +72,6 @@ fn main() {
             probe_p99 = probe_p99.max(stats.probe_p99);
             gc_pause_ms += stats.gc_nanos as f64 / 1e6;
             generation_bumps += stats.generation_bumps;
-            swaps += stats.swaps;
-            sift_passes += stats.sift_passes;
             hit_rates[(k1 - 1) as usize][(k2 - 1) as usize] = stats.cont_hit_rate();
             node_cells[(k1 - 1) as usize][(k2 - 1) as usize] = format!(
                 "{}/{}/{}",
@@ -127,10 +123,5 @@ fn main() {
     println!(
         "Unique-table health across all cells: probe p50/p99 {probe_p50}/{probe_p99}, \
          {generation_bumps} generation bumps, {gc_pause_ms:.2} ms total GC pause"
-    );
-    // Zero unless reordering is scheduled — QITS_REORDER=aggressive turns
-    // it on for every cell without touching the command line.
-    println!(
-        "Variable reordering across all cells: {sift_passes} sift passes, {swaps} level swaps"
     );
 }

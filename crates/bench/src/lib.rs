@@ -14,10 +14,8 @@ pub use soak::{run_serve_soak, ServeMeasurement, SoakConfig};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use qits::store::{ByteReader, ByteWriter, MemoEntry, Snapshot, StoreError};
 use qits::{
-    mc, Engine, EngineBuilder, EnginePool, EngineSpec, ImageStats, Job, ReorderPolicy, StaticOrder,
-    Strategy, Subspace,
+    mc, Engine, EngineBuilder, EnginePool, EngineSpec, ImageStats, Job, Strategy, Subspace,
 };
 use qits_circuit::generators::{self, QtsSpec};
 use qits_tdd::GcPolicy;
@@ -192,56 +190,6 @@ pub fn run_image_gc(spec: &QtsSpec, strategy: Strategy, policy: Option<GcPolicy>
     engine.image().expect("benchmark image must compute").1
 }
 
-/// The dynamic-variable-reordering A/B of one CI case: the same image
-/// computation under `GcPolicy::aggressive()`, with sifting off and with
-/// sifting forced at every safepoint collection — both runs starting
-/// from the deliberately poor position-major static order (all kets
-/// above all rows), so the sifting has real structure to reclaim. The
-/// live/peak node deltas are the `reorder` row of `BENCH_ci.json`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReorderMeasurement {
-    /// Live nodes at the end of the sifting-off run.
-    pub live_off: usize,
-    /// Live nodes at the end of the sifting-on run.
-    pub live_on: usize,
-    /// Peak allocated slots of the sifting-off run.
-    pub peak_off: usize,
-    /// Peak allocated slots of the sifting-on run.
-    pub peak_on: usize,
-    /// Adjacent-level swaps the sifting-on run performed.
-    pub swaps: u64,
-    /// Sifting passes the sifting-on run completed.
-    pub sift_passes: u64,
-}
-
-/// The static order both arms of [`run_reorder_ab`] start from, as the
-/// JSON records it.
-pub const REORDER_AB_ORDER: StaticOrder = StaticOrder::PositionMajor;
-
-/// Measures [`ReorderMeasurement`] for one case (see the struct docs).
-pub fn run_reorder_ab(spec: &QtsSpec, strategy: Strategy) -> ReorderMeasurement {
-    let run = |reorder: ReorderPolicy| {
-        let mut engine = EngineBuilder::new()
-            .strategy(strategy)
-            .static_order(REORDER_AB_ORDER)
-            .gc_policy(Some(GcPolicy::aggressive()))
-            .reorder(reorder)
-            .build_from_spec(spec)
-            .expect("benchmark spec must form a valid system");
-        engine.image().expect("benchmark image must compute").1
-    };
-    let off = run(ReorderPolicy::Off);
-    let on = run(ReorderPolicy::EveryCollection);
-    ReorderMeasurement {
-        live_off: off.live_nodes,
-        live_on: on.live_nodes,
-        peak_off: off.peak_arena,
-        peak_on: on.peak_arena,
-        swaps: on.swaps,
-        sift_passes: on.sift_passes,
-    }
-}
-
 /// Like [`run_image`] but also returns the image and the session that
 /// owns it, for validation.
 pub fn run_image_with_result(spec: &QtsSpec, strategy: Strategy) -> (Subspace, ImageStats, Engine) {
@@ -300,12 +248,6 @@ pub struct PoolMeasurement {
     pub speedup: f64,
     /// Jobs the pool failed (must be 0 for a healthy run).
     pub jobs_failed: u64,
-    /// Sifting passes each worker's private manager completed, in worker
-    /// order. All zeros unless something schedules reordering — the
-    /// throughput workload itself runs GC-off, but `QITS_REORDER=
-    /// aggressive` (the CI matrix's reordering leg) reaches the worker
-    /// engines through the builder and shows up here.
-    pub worker_sift_passes: Vec<u64>,
 }
 
 /// Measures [`PoolMeasurement`] for one `(family, n, method)` workload:
@@ -358,11 +300,6 @@ pub fn run_pool_throughput(
         pool_secs,
         speedup: serial_secs / pool_secs.max(f64::MIN_POSITIVE),
         jobs_failed: stats.jobs_failed,
-        worker_sift_passes: stats
-            .workers
-            .iter()
-            .map(|w| w.manager.sift_passes)
-            .collect(),
     }
 }
 
@@ -507,8 +444,6 @@ pub struct CiRow {
     pub subprocess: CaseMeasurement,
     /// The in-process aggressive-GC measurement with safepoint counters.
     pub gc: ImageStats,
-    /// The sifting-on-vs-off node-count A/B (see [`run_reorder_ab`]).
-    pub reorder: ReorderMeasurement,
 }
 
 /// Unique-table health aggregated over the CI cases' aggressive-GC runs:
@@ -657,110 +592,6 @@ pub fn run_store_measurement(dir: &Path) -> StoreMeasurement {
     }
 }
 
-// ----------------------------------------------------------------------
-// The resumable-run checkpoint (`table1 --resume`).
-// ----------------------------------------------------------------------
-
-fn encode_case(w: &mut ByteWriter, c: &CaseMeasurement) {
-    w.put_f64(c.secs);
-    w.put_u64(c.max_nodes as u64);
-    w.put_f64(c.cont_hit_rate);
-    w.put_u64(c.live_nodes as u64);
-    w.put_u64(c.allocated_nodes as u64);
-    w.put_u64(c.reclaimed_nodes);
-}
-
-fn decode_case(r: &mut ByteReader<'_>) -> Result<CaseMeasurement, StoreError> {
-    Ok(CaseMeasurement {
-        secs: r.get_f64()?,
-        max_nodes: r.get_u64()? as usize,
-        cont_hit_rate: r.get_f64()?,
-        live_nodes: r.get_u64()? as usize,
-        allocated_nodes: r.get_u64()? as usize,
-        reclaimed_nodes: r.get_u64()?,
-    })
-}
-
-fn encode_reorder(w: &mut ByteWriter, m: &ReorderMeasurement) {
-    w.put_u64(m.live_off as u64);
-    w.put_u64(m.live_on as u64);
-    w.put_u64(m.peak_off as u64);
-    w.put_u64(m.peak_on as u64);
-    w.put_u64(m.swaps);
-    w.put_u64(m.sift_passes);
-}
-
-fn decode_reorder(r: &mut ByteReader<'_>) -> Result<ReorderMeasurement, StoreError> {
-    Ok(ReorderMeasurement {
-        live_off: r.get_u64()? as usize,
-        live_on: r.get_u64()? as usize,
-        peak_off: r.get_u64()? as usize,
-        peak_on: r.get_u64()? as usize,
-        swaps: r.get_u64()?,
-        sift_passes: r.get_u64()?,
-    })
-}
-
-/// Writes a `table1 --resume` checkpoint: the CI rows measured so far,
-/// riding inside a [`Snapshot`] container so the file gets the store
-/// format's magic, version, and checksum for free. `f64`s travel as raw
-/// bits, so a resumed run's rows (and the `BENCH_ci.json` it finally
-/// writes) are bit-identical to the interrupted run's measurements.
-pub fn write_ci_checkpoint(path: &Path, rows: &[CiRow]) -> Result<(), StoreError> {
-    let mut w = ByteWriter::new();
-    w.put_u64(rows.len() as u64);
-    for row in rows {
-        w.put_str(&row.family);
-        w.put_u32(row.n);
-        w.put_str(&row.method);
-        encode_case(&mut w, &row.subprocess);
-        qits::store::encode_image_stats(&mut w, &row.gc);
-        encode_reorder(&mut w, &row.reorder);
-    }
-    let mut snap = Snapshot::new("table1-checkpoint");
-    snap.memo = vec![MemoEntry {
-        key: rows.len() as u128,
-        value: w.into_bytes(),
-    }];
-    snap.write_to(path)
-}
-
-/// Reads a `table1 --resume` checkpoint back. Corrupt, truncated, or
-/// wrong-version files surface as typed [`StoreError`]s, never panics.
-pub fn read_ci_checkpoint(path: &Path) -> Result<Vec<CiRow>, StoreError> {
-    let snap = Snapshot::read_from(path)?;
-    let entry = snap
-        .memo
-        .first()
-        .ok_or_else(|| StoreError::Malformed("checkpoint carries no payload".to_string()))?;
-    let mut r = ByteReader::new(&entry.value);
-    let count = r.get_count(16)?;
-    let mut rows = Vec::with_capacity(count);
-    for _ in 0..count {
-        let family = r.get_str()?;
-        let n = r.get_u32()?;
-        let method = r.get_str()?;
-        let subprocess = decode_case(&mut r)?;
-        let gc = qits::store::decode_image_stats(&mut r)?;
-        let reorder = decode_reorder(&mut r)?;
-        rows.push(CiRow {
-            family,
-            n,
-            method,
-            subprocess,
-            gc,
-            reorder,
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(StoreError::Malformed(format!(
-            "{} trailing byte(s) after checkpoint rows",
-            r.remaining()
-        )));
-    }
-    Ok(rows)
-}
-
 /// Serialises the CI bench rows plus the pool throughput measurement as
 /// `BENCH_ci.json` (hand-rolled — the workspace carries no serde).
 /// Schema is versioned so downstream trajectory tooling can evolve it;
@@ -768,10 +599,9 @@ pub fn read_ci_checkpoint(path: &Path) -> Result<Vec<CiRow>, StoreError> {
 /// seconds, speedup); v4 added the `unique_table` health row (Robin Hood
 /// probe percentiles, tombstone ratio, generational churn, GC pause
 /// time) now that collection recycles slots in place instead of
-/// rebuilding the table; v5 adds the per-case `reorder` object (live and
-/// peak node counts with sifting off vs forced at every collection, from
-/// the position-major order — see [`run_reorder_ab`]) and the pool row's
-/// `worker_sift_passes`; v6 adds the `serve` row (the async-front soak:
+/// rebuilding the table; v5 added the per-case `reorder` object (the
+/// sifting A/B) and the pool row's `worker_sift_passes`; v6 adds the
+/// `serve` row (the async-front soak:
 /// completion-latency percentiles over thousands of mixed-priority jobs
 /// with deliberately cancelled and deadline-expired slices, plus the
 /// result-memo hit accounting — see [`run_serve_soak`]); v7 adds the
@@ -781,14 +611,15 @@ pub fn read_ci_checkpoint(path: &Path) -> Result<Vec<CiRow>, StoreError> {
 /// frontend's generator families (`adder`, `repcode`, `cliffordt` — see
 /// [`CI_CASES`]), so the perf trajectory covers the workloads scenario
 /// files drive; v9 drops the per-case name of the kernel the retired
-/// shape selector would pick.
+/// shape selector would pick; v10 drops v5's `reorder` object and
+/// `worker_sift_passes` with the variable reordering they measured.
 pub fn ci_report_json(
     rows: &[CiRow],
     pool: &PoolMeasurement,
     serve: &ServeMeasurement,
     store: &StoreMeasurement,
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"qits-bench-ci/9\",\n");
+    let mut out = String::from("{\n  \"schema\": \"qits-bench-ci/10\",\n");
     let ut = UniqueTableHealth::from_rows(rows);
     out.push_str(&format!(
         concat!(
@@ -807,8 +638,7 @@ pub fn ci_report_json(
         concat!(
             "  \"pool\": {{\"family\": \"{}\", \"n\": {}, \"method\": \"{}\", ",
             "\"workers\": {}, \"jobs\": {}, \"serial_secs\": {:.6}, ",
-            "\"pool_secs\": {:.6}, \"speedup\": {:.3}, \"jobs_failed\": {}, ",
-            "\"worker_sift_passes\": [{}]}},\n",
+            "\"pool_secs\": {:.6}, \"speedup\": {:.3}, \"jobs_failed\": {}}},\n",
         ),
         pool.family,
         pool.n,
@@ -819,11 +649,6 @@ pub fn ci_report_json(
         pool.pool_secs,
         pool.speedup,
         pool.jobs_failed,
-        pool.worker_sift_passes
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
     ));
     out.push_str(&format!(
         concat!(
@@ -875,10 +700,7 @@ pub fn ci_report_json(
                 "      \"gc_aggressive\": {{\"secs\": {:.6}, \"max_nodes\": {}, ",
                 "\"peak_arena\": {}, \"live_nodes\": {}, \"allocated_nodes\": {}, ",
                 "\"reclaimed_nodes\": {}, \"safepoints\": {}, ",
-                "\"safepoint_collections\": {}, \"safepoint_reclaimed\": {}}},\n",
-                "      \"reorder\": {{\"order\": \"{}\", \"live_off\": {}, ",
-                "\"live_on\": {}, \"peak_off\": {}, \"peak_on\": {}, ",
-                "\"swaps\": {}, \"sift_passes\": {}}}\n",
+                "\"safepoint_collections\": {}, \"safepoint_reclaimed\": {}}}\n",
                 "    }}{}\n",
             ),
             r.family,
@@ -899,13 +721,6 @@ pub fn ci_report_json(
             gc.safepoints,
             gc.safepoint_collections,
             gc.safepoint_reclaimed,
-            REORDER_AB_ORDER,
-            r.reorder.live_off,
-            r.reorder.live_on,
-            r.reorder.peak_off,
-            r.reorder.peak_on,
-            r.reorder.swaps,
-            r.reorder.sift_passes,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -947,56 +762,6 @@ mod tests {
             .join(name);
         std::fs::create_dir_all(&d).expect("creating the bench test scratch dir");
         d
-    }
-
-    #[test]
-    fn ci_checkpoint_round_trips_bit_identically() {
-        let gc = run_image_gc(
-            &spec_for("ghz", 4),
-            strategy_for("addition"),
-            Some(GcPolicy::aggressive()),
-        );
-        let rows = vec![CiRow {
-            family: "ghz".into(),
-            n: 4,
-            method: "addition".into(),
-            subprocess: CaseMeasurement {
-                secs: 0.123456789,
-                max_nodes: 17,
-                cont_hit_rate: 1.0 / 3.0,
-                live_nodes: 5,
-                allocated_nodes: 9,
-                reclaimed_nodes: 2,
-            },
-            gc,
-            reorder: ReorderMeasurement {
-                live_off: 10,
-                live_on: 8,
-                peak_off: 20,
-                peak_on: 16,
-                swaps: 3,
-                sift_passes: 1,
-            },
-        }];
-        let path = test_dir("checkpoint").join("t1.ck");
-        write_ci_checkpoint(&path, &rows).expect("checkpoint must write");
-        let back = read_ci_checkpoint(&path).expect("checkpoint must read");
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].family, rows[0].family);
-        assert_eq!(back[0].subprocess, rows[0].subprocess);
-        assert_eq!(back[0].gc, rows[0].gc);
-        assert_eq!(back[0].reorder, rows[0].reorder);
-        // Bit-identity is what makes a resumed BENCH row identical.
-        assert_eq!(
-            back[0].subprocess.secs.to_bits(),
-            rows[0].subprocess.secs.to_bits()
-        );
-
-        // Corruption is a typed error, not a panic.
-        let bytes = std::fs::read(&path).unwrap();
-        let bad = path.with_extension("ck.bad");
-        std::fs::write(&bad, &bytes[..bytes.len() - 4]).unwrap();
-        assert!(read_ci_checkpoint(&bad).is_err());
     }
 
     #[test]
@@ -1069,17 +834,6 @@ mod tests {
         );
         assert!(gc.safepoints > 0);
         assert!(gc.safepoint_collections > 0);
-        let reorder = run_reorder_ab(&spec_for(family, n), strategy_for(method));
-        assert!(
-            reorder.sift_passes > 0,
-            "forcing sifting at every collection must sift: {reorder:?}"
-        );
-        assert!(reorder.swaps > 0);
-        assert!(
-            reorder.live_on <= reorder.live_off,
-            "sifting must not end with more live nodes than the \
-             position-major baseline: {reorder:?}"
-        );
         let rows = vec![CiRow {
             family: family.into(),
             n,
@@ -1093,7 +847,6 @@ mod tests {
                 reclaimed_nodes: stats.reclaimed_nodes,
             },
             gc,
-            reorder,
         }];
         // A tiny pool measurement keeps this test fast; the real CI case
         // is CI_POOL_CASE.
@@ -1117,7 +870,7 @@ mod tests {
              restored memo: {store:?}"
         );
         let json = ci_report_json(&rows, &pool, &serve, &store);
-        assert!(json.contains("\"schema\": \"qits-bench-ci/9\""));
+        assert!(json.contains("\"schema\": \"qits-bench-ci/10\""));
         assert!(json.contains("\"pool\": {\"family\": \"ghz\""));
         assert!(json.contains("\"serve\": {\"workers\": 2, \"jobs\": 100"));
         assert!(json.contains("\"store\": {\"snapshot_bytes\""));
@@ -1125,10 +878,7 @@ mod tests {
         assert!(json.contains("\"p99_ms\""));
         assert!(json.contains("\"memo_hit_rate\""));
         assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"worker_sift_passes\": ["));
-        assert!(json.contains("\"reorder\": {\"order\": \"position-major\""));
-        assert!(json.contains("\"live_off\""));
-        assert!(json.contains("\"sift_passes\""));
+        assert!(!json.contains("reorder") && !json.contains("sift"));
         assert!(json.contains("\"unique_table\": {\"probe_p50\""));
         assert!(json.contains("\"tombstone_ratio\""));
         assert!(json.contains("\"gc_pause_ms\""));

@@ -75,7 +75,7 @@
 //! | line | meaning |
 //! |---|---|
 //! | `scenario <name>` | optional display name (rest of line) |
-//! | `qubits <n>` | register width; required before any declaration that uses wires |
+//! | `qubits <n>` | register width, `1..=65536` (the qubits a diagram variable can address); required before any declaration that uses wires |
 //! | `op <name> { ... }` | a transition operation: gate statements, `channel <kind> <q> <p>`, `project <q>:<b> ...` |
 //! | `circuit <name> { ... }` | a named pure circuit (gate statements only) for `equivalent` |
 //! | `init <tok> ...` | an initial product state: `0`, `1`, `+`, `-`, or `(re,im;re,im)` per qubit |
@@ -94,6 +94,7 @@
 use std::fmt;
 
 use qits_num::Cplx;
+use qits_tensor::Var;
 
 use crate::circuit::Circuit;
 use crate::element::{Element, Operation};
@@ -813,7 +814,8 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseError> {
                         },
                     )
                 })?;
-                if n == 0 {
+                // A diagram variable encodes its qubit in 16 bits.
+                if n == 0 || n > Var::MAX_POS {
                     return Err(ParseError::at(
                         ln,
                         ParseErrorKind::BadNumber {
@@ -1388,6 +1390,25 @@ mod tests {
         assert!(err.to_string().contains("bad angle"), "{err}");
         // Large but finite angles still parse.
         assert!(parse_circuit("rz 0 1e300; cp 0 1 -1e300").is_ok());
+    }
+
+    #[test]
+    fn a_register_wider_than_a_variable_can_address_is_refused() {
+        let err = parse_scenario("scenario wide\nqubits 70000\ninit 0").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(matches!(
+            err.kind,
+            ParseErrorKind::BadNumber {
+                what: "qubit count",
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("bad qubit count '70000'"), "{err}");
+        let widest = parse_scenario("qubits 65536\ninit 0").unwrap_err();
+        assert!(
+            !matches!(widest.kind, ParseErrorKind::BadNumber { .. }),
+            "65536 qubits is the widest register: {widest:?}"
+        );
     }
 
     #[test]

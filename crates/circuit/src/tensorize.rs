@@ -8,7 +8,7 @@
 //! G' = <every control active> (x) G  +  <otherwise> (x) Id(targets),
 //! ```
 //!
-//! in one walk over the gate's legs in level order (see [`gate_tdd`]).
+//! in one walk over the gate's legs in variable order (see [`gate_tdd`]).
 //! Each control adds O(1) nodes per target assignment, so a 99-control
 //! Toffoli — the shift cascades of the quantum-walk benchmark — costs
 //! O(#controls) nodes instead of a `2^100` matrix.
@@ -20,158 +20,13 @@
 //! * a **diagonal** base also uses a single leg per target wire;
 //! * a non-diagonal base has distinct input and output legs per target.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use qits_num::Mat;
 use qits_tdd::{Edge, TddManager};
 use qits_tensor::{Tensor, Var};
 
-use crate::element::{Element, Operation};
 use crate::gate::Gate;
-
-// ----------------------------------------------------------------------
-// Static variable-ordering heuristics.
-// ----------------------------------------------------------------------
-
-/// A static variable-ordering heuristic, applied at tensorize time: how
-/// the engine orders the wire variables of a register **before** any node
-/// is interned (see `qits_tdd::TddManager::install_order`).
-///
-/// TDD size is notoriously order-sensitive — the classic BDD example
-/// `(x0 AND x3) OR (x1 AND x4) OR ...` is linear under an interleaved
-/// order and exponential under a separated one — so a good static order
-/// is the cheap first line of defence before dynamic reordering (sifting)
-/// has to earn its keep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StaticOrder {
-    /// The natural [`Var`] order: qubit-major, ket before row on each
-    /// wire. The manager's zero-cost default (no level map materialised).
-    #[default]
-    Natural,
-    /// Qubits ordered by breadth-first traversal of the circuit's
-    /// qubit-interaction graph, in gate order — qubits that share gates
-    /// land on adjacent levels, which keeps the gate tensors' dependence
-    /// local. Ket and row variables of a qubit stay interleaved.
-    GateLocality,
-    /// All ket variables (wire position 0) before all row variables
-    /// (position 1) — the separated order that splits every gate tensor's
-    /// input from its output. Deliberately poor on operator diagrams;
-    /// kept as the A/B baseline that makes reordering wins visible.
-    PositionMajor,
-}
-
-impl std::fmt::Display for StaticOrder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StaticOrder::Natural => write!(f, "natural"),
-            StaticOrder::GateLocality => write!(f, "gate-locality"),
-            StaticOrder::PositionMajor => write!(f, "position-major"),
-        }
-    }
-}
-
-/// The qubits an element touches, in element order (controls first for
-/// gates), deduplicated keeping the first occurrence.
-fn element_qubits(e: &Element) -> Vec<u32> {
-    let mut qs: Vec<u32> = match e {
-        Element::Gate(g) => g
-            .controls
-            .iter()
-            .map(|c| c.qubit)
-            .chain(g.targets.iter().copied())
-            .collect(),
-        Element::Projector { qubits, .. } => qubits.clone(),
-        Element::Channel { qubit, .. } => vec![*qubit],
-    };
-    let mut seen = Vec::new();
-    qs.retain(|q| {
-        let fresh = !seen.contains(q);
-        seen.push(*q);
-        fresh
-    });
-    qs
-}
-
-/// Qubit visit order of [`StaticOrder::GateLocality`]: BFS over the
-/// qubit-interaction graph (an edge per pair of qubits sharing an
-/// element), seeded and tie-broken by first appearance in gate order;
-/// qubits no gate touches follow in index order.
-fn gate_locality_qubits(n_qubits: u32, operations: &[Operation]) -> Vec<u32> {
-    let n = n_qubits as usize;
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut seeds: Vec<u32> = Vec::new();
-    for op in operations {
-        for e in op.elements() {
-            let qs = element_qubits(e);
-            for &q in &qs {
-                if !seeds.contains(&q) {
-                    seeds.push(q);
-                }
-            }
-            for (i, &a) in qs.iter().enumerate() {
-                for &b in qs.iter().skip(i + 1) {
-                    if !adj[a as usize].contains(&b) {
-                        adj[a as usize].push(b);
-                    }
-                    if !adj[b as usize].contains(&a) {
-                        adj[b as usize].push(a);
-                    }
-                }
-            }
-        }
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    let mut queue = VecDeque::new();
-    for &s in &seeds {
-        if visited[s as usize] {
-            continue;
-        }
-        visited[s as usize] = true;
-        queue.push_back(s);
-        while let Some(q) = queue.pop_front() {
-            order.push(q);
-            for &nb in &adj[q as usize] {
-                if !visited[nb as usize] {
-                    visited[nb as usize] = true;
-                    queue.push_back(nb);
-                }
-            }
-        }
-    }
-    for q in 0..n_qubits {
-        if !visited[q as usize] {
-            order.push(q);
-        }
-    }
-    order
-}
-
-/// Computes the initial variable order of a register under `heuristic`,
-/// as a level list (first entry = topmost level) ready for
-/// `qits_tdd::TddManager::install_order`.
-///
-/// The list covers the ket (`Var::wire(q, 0)`) and row (`Var::wire(q, 1)`)
-/// variable of every qubit; intermediate wire positions minted later by
-/// tensorization register lazily next to their qubit's block, so the
-/// qubit-level structure chosen here survives mid-run variable creation.
-pub fn static_order(n_qubits: u32, operations: &[Operation], heuristic: StaticOrder) -> Vec<Var> {
-    let qubits: Vec<u32> = match heuristic {
-        StaticOrder::Natural | StaticOrder::PositionMajor => (0..n_qubits).collect(),
-        StaticOrder::GateLocality => gate_locality_qubits(n_qubits, operations),
-    };
-    match heuristic {
-        StaticOrder::PositionMajor => qubits
-            .iter()
-            .map(|&q| Var::wire(q, 0))
-            .chain(qubits.iter().map(|&q| Var::wire(q, 1)))
-            .collect(),
-        _ => qubits
-            .iter()
-            .flat_map(|&q| [Var::wire(q, 0), Var::wire(q, 1)])
-            .collect(),
-    }
-}
 
 /// The tensor-network legs assigned to one gate.
 ///
@@ -210,7 +65,7 @@ impl GateLegs {
 /// The base matrix becomes the *active* tensor over the target legs, and
 /// the identity over the same legs the *idle* one (the constant 1 for a
 /// diagonal base, whose legs are shared). One recursion then walks every
-/// leg of the gate in level order ([`TddManager::level_of`]):
+/// leg of the gate in variable order, top of the diagram first:
 ///
 /// * at a target leg it takes the [`TddManager::cofactors`] of both
 ///   tensors and recurses on each half;
@@ -289,11 +144,8 @@ pub fn gate_tdd(m: &mut TddManager, gate: &Gate, legs: &GateLegs) -> Edge {
         m.from_matrix(&Mat::identity(1 << k), &legs.target_in, &legs.target_out)
     };
 
-    // 3. Walk every leg in level order; a diagonal target lists its
-    //    shared leg twice, and the walk keeps it once. Every leg is
-    //    registered before any level is read: under an explicit order,
-    //    registering an unseen leg inserts a level and moves the legs
-    //    below it.
+    // 3. Walk every leg in variable order; a diagonal target lists its
+    //    shared leg twice, and the walk keeps it once.
     let mut walk: Vec<(Var, Leg)> = legs
         .controls
         .iter()
@@ -305,10 +157,7 @@ pub fn gate_tdd(m: &mut TddManager, gate: &Gate, legs: &GateLegs) -> Edge {
                 .map(|&v| (v, Leg::Target)),
         )
         .collect();
-    for &(v, _) in &walk {
-        m.level_of(v);
-    }
-    walk.sort_by_cached_key(|&(v, _)| m.level_of(v));
+    walk.sort_by_key(|&(v, _)| v);
     walk.dedup_by_key(|&mut (v, _)| v);
     controlled(m, &walk, active, idle)
 }
@@ -322,7 +171,7 @@ enum Leg {
     Control(bool),
 }
 
-/// The gate tensor over `legs` (level order) given that every control
+/// The gate tensor over `legs` (variable order) given that every control
 /// above them is active, where `active` and `idle` are the base tensor
 /// and the identity cofactored by the target legs above.
 fn controlled(m: &mut TddManager, legs: &[(Var, Leg)], active: Edge, idle: Edge) -> Edge {
@@ -417,15 +266,7 @@ mod tests {
     /// Cross-check a gate TDD against the dense simulator on every basis
     /// state of a small register.
     fn check_gate_against_sim(gate: &Gate, n: u32) {
-        check_gate_against_sim_under(gate, n, StaticOrder::Natural);
-    }
-
-    /// [`check_gate_against_sim`] on a manager whose variable order is
-    /// installed from `order` (over a one-gate operation) first.
-    fn check_gate_against_sim_under(gate: &Gate, n: u32, order: StaticOrder) {
         let mut m = TddManager::new();
-        let op = crate::Operation::new("gate", n).then_gate(gate.clone());
-        m.install_order(&static_order(n, &[op], order));
         // Legs: every wire w has input (w,0); non-diagonal targets output
         // at (w,1); controls/diagonal share (w,0).
         let legs = standalone_legs(gate);
@@ -470,7 +311,7 @@ mod tests {
                 let got = m.eval(out, &asn);
                 assert!(
                     got.approx_eq(*amp),
-                    "{gate} ({order}): in {idx:0w$b} out {jdx:0w$b}: got {got}, want {amp}",
+                    "{gate}: in {idx:0w$b} out {jdx:0w$b}: got {got}, want {amp}",
                     w = n as usize
                 );
             }
@@ -514,49 +355,6 @@ mod tests {
     fn projector_tdd_matches_sim() {
         check_gate_against_sim(&Gate::projector(0, true), 1);
         check_gate_against_sim(&Gate::projector(0, false), 1);
-    }
-
-    #[test]
-    fn static_order_natural_is_the_var_order() {
-        let order = static_order(3, &[], StaticOrder::Natural);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(order, sorted);
-        assert_eq!(order.len(), 6);
-        assert_eq!(order[0], Var::wire(0, 0));
-        assert_eq!(order[1], Var::wire(0, 1));
-    }
-
-    #[test]
-    fn static_order_position_major_separates_kets_from_rows() {
-        let order = static_order(3, &[], StaticOrder::PositionMajor);
-        assert_eq!(
-            order,
-            vec![
-                Var::wire(0, 0),
-                Var::wire(1, 0),
-                Var::wire(2, 0),
-                Var::wire(0, 1),
-                Var::wire(1, 1),
-                Var::wire(2, 1),
-            ]
-        );
-    }
-
-    #[test]
-    fn gate_locality_follows_the_interaction_graph() {
-        // Gates touch (2,0) then (0,3); qubit 1 is untouched. BFS from
-        // qubit 2 (first seen) visits 0, then 3 through 0's edge, and
-        // appends the untouched qubit 1 last.
-        let op = crate::Operation::new("chain", 4)
-            .then_gate(Gate::cx(2, 0))
-            .then_gate(Gate::cx(0, 3));
-        let order = static_order(4, &[op], StaticOrder::GateLocality);
-        let qubits: Vec<u32> = order.iter().step_by(2).map(|v| v.qubit()).collect();
-        assert_eq!(qubits, vec![2, 0, 3, 1]);
-        // Ket and row stay interleaved per qubit.
-        assert_eq!(order[0], Var::wire(2, 0));
-        assert_eq!(order[1], Var::wire(2, 1));
     }
 
     #[test]
@@ -648,7 +446,7 @@ mod tests {
         }
     }
 
-    /// Gates whose control and target legs interleave in level order.
+    /// Gates whose control and target legs interleave in variable order.
     fn interleaved_gates() -> Vec<(Gate, u32)> {
         let c = |qubit: u32, value: bool| Control { qubit, value };
         let z = Cplx::new;
@@ -712,41 +510,27 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_legs_match_sim_under_every_static_order() {
+    fn interleaved_legs_match_sim() {
         for (gate, n) in interleaved_gates() {
-            for order in [
-                StaticOrder::Natural,
-                StaticOrder::PositionMajor,
-                StaticOrder::GateLocality,
-            ] {
-                check_gate_against_sim_under(&gate, n, order);
-            }
+            check_gate_against_sim(&gate, n);
         }
     }
 
     #[test]
-    fn legs_the_installed_order_has_not_seen_match_the_control_fold() {
-        // Every other control sits at position 2, which an order over the
-        // register's kets and rows does not list: registering it inserts a
-        // level, which moves every leg below it one level down.
+    fn legs_past_the_register_positions_match_the_control_fold() {
+        // Every other control sits at wire position 2, past the kets and
+        // rows of its qubit.
         let mut gates = interleaved_gates();
         gates.push((Gate::mcx(&[1, 0], 2), 3));
-        for (gate, n) in gates {
+        let mut m = TddManager::new();
+        for (gate, _) in gates {
             let mut legs = standalone_legs(&gate);
             for (i, (leg, _)) in legs.controls.iter_mut().enumerate() {
                 *leg = Var::wire(leg.qubit(), 2 * (i as u32 % 2));
             }
-            for order in [
-                StaticOrder::Natural,
-                StaticOrder::PositionMajor,
-                StaticOrder::GateLocality,
-            ] {
-                let mut m = TddManager::new();
-                m.install_order(&static_order(n, &[], order));
-                let walked = gate_tdd(&mut m, &gate, &legs);
-                let folded = folded_gate_tdd(&mut m, &gate, &legs);
-                assert_eq!(walked, folded, "{gate} ({order})");
-            }
+            let walked = gate_tdd(&mut m, &gate, &legs);
+            let folded = folded_gate_tdd(&mut m, &gate, &legs);
+            assert_eq!(walked, folded, "{gate}");
         }
     }
 

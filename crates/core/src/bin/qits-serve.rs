@@ -270,4 +270,18 @@ mod tests {
         // `bitflip` ignores --n altogether.
         assert!(spec_for(&opts("bitflip", 0)).is_ok());
     }
+
+    #[test]
+    fn a_register_wider_than_a_variable_can_address_fails_the_pool_build() {
+        // The width is refused before any worker mints a variable.
+        let spec = spec_for(&opts("ghz", 70_000)).unwrap();
+        let err = EnginePool::builder(spec).workers(1).build().err().unwrap();
+        assert_eq!(
+            err,
+            qits::QitsError::RegisterTooWide {
+                n_qubits: 70_000,
+                max: 65_536
+            }
+        );
+    }
 }

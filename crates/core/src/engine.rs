@@ -63,13 +63,12 @@
 use std::fmt;
 
 use qits_circuit::generators::QtsSpec;
-use qits_circuit::tensorize::{static_order, StaticOrder};
 use qits_circuit::{Circuit, Operation};
 use qits_num::Cplx;
 use qits_tdd::{
-    ArenaExhausted, Edge, EdgeHolder, GcOutcome, GcPolicy, OperationCancelled, ReorderPolicy,
-    RootId, TddManager,
+    ArenaExhausted, Edge, EdgeHolder, GcOutcome, GcPolicy, OperationCancelled, RootId, TddManager,
 };
+use qits_tensor::Var;
 
 use crate::error::QitsError;
 use crate::image::{try_image, try_image_into, Compiled, ImageStats, Strategy};
@@ -110,8 +109,6 @@ pub struct EngineBuilder {
     cache_capacity: Option<usize>,
     node_capacity: Option<usize>,
     gc_policy: Option<GcPolicy>,
-    reorder: ReorderPolicy,
-    order: StaticOrder,
     strategy: Strategy,
     sink: Option<StatsSink>,
 }
@@ -131,8 +128,6 @@ impl EngineBuilder {
             cache_capacity: None,
             node_capacity: None,
             gc_policy: None,
-            reorder: ReorderPolicy::Off,
-            order: StaticOrder::Natural,
             strategy: Strategy::default(),
             sink: None,
         }
@@ -171,38 +166,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Schedules **dynamic variable reordering**: when a GC safepoint
-    /// collects, the manager may also run a sifting pass over the freshly
-    /// minimised live set (see [`qits_tdd::ReorderPolicy`]). A non-`Off`
-    /// schedule is merged into the GC policy — installing the default
-    /// [`GcPolicy`] first if [`EngineBuilder::gc_policy`] left collection
-    /// off, since reordering is always coupled to a collection.
-    ///
-    /// The environment variable `QITS_REORDER=aggressive` forces
-    /// reordering at every collection **wherever the builder installed a
-    /// GC policy** (unless that builder already scheduled reordering) —
-    /// the switch the CI matrix uses to run the whole suite with sifting
-    /// on. It never *installs* a policy: an engine built with
-    /// `gc_policy(None)` is a deliberate GC-off baseline (several tests
-    /// assert zero safepoint collections on exactly such engines), and
-    /// an environment variable silently turning collection on would
-    /// rewrite those semantics rather than exercise the reordering path.
-    pub fn reorder(mut self, reorder: ReorderPolicy) -> Self {
-        self.reorder = reorder;
-        self
-    }
-
-    /// Installs a static variable-ordering heuristic (see
-    /// [`StaticOrder`]): the wire variables of the register are ordered
-    /// by the heuristic *before* any node is interned, so every diagram
-    /// the session builds lives under that order from the start.
-    /// [`StaticOrder::Natural`], the default, keeps the manager's
-    /// zero-cost natural order.
-    pub fn static_order(mut self, order: StaticOrder) -> Self {
-        self.order = order;
-        self
-    }
-
     /// The image kernel the session runs (default: contraction,
     /// `k1 = k2 = 4`).
     pub fn strategy(mut self, strategy: Strategy) -> Self {
@@ -217,50 +180,27 @@ impl EngineBuilder {
         self
     }
 
-    /// The GC policy the session actually installs: the builder's policy
-    /// with the reordering schedule merged in, plus the `QITS_REORDER`
-    /// environment override (see [`EngineBuilder::reorder`]).
-    fn effective_gc_policy(&self) -> Option<GcPolicy> {
-        let mut policy = self.gc_policy;
-        if self.reorder != ReorderPolicy::Off {
-            policy.get_or_insert_with(GcPolicy::default).reorder = self.reorder;
+    /// The session's manager, once the register is known to fit in
+    /// [`Var`]'s encoding: [`QitsError::RegisterTooWide`] before any
+    /// variable of a wider register is minted.
+    fn make_manager(&self, n_qubits: u32) -> Result<TddManager, QitsError> {
+        if n_qubits > Var::MAX_POS {
+            return Err(QitsError::RegisterTooWide {
+                n_qubits,
+                max: Var::MAX_POS,
+            });
         }
-        if std::env::var("QITS_REORDER").is_ok_and(|v| v == "aggressive") {
-            // Only piggyback on a policy the builder installed: the env
-            // knob schedules sifting wherever collections already happen,
-            // it never turns collection on (GC-off engines are often
-            // deliberate baselines — see `EngineBuilder::reorder`).
-            if let Some(p) = policy.as_mut() {
-                if p.reorder == ReorderPolicy::Off {
-                    p.reorder = ReorderPolicy::EveryCollection;
-                }
-            }
-        }
-        policy
-    }
-
-    fn make_manager(&self, n_qubits: u32, operations: &[Operation]) -> TddManager {
-        let mut m = TddManager::with_config(
-            self.tolerance,
-            self.cache_capacity,
-            self.effective_gc_policy(),
-        );
+        let mut m = TddManager::with_config(self.tolerance, self.cache_capacity, self.gc_policy);
         if let Some(cap) = self.node_capacity {
             m.set_node_capacity(cap);
         }
-        // Install the heuristic order on the still-empty manager, so the
-        // very first interned node already lives under it. Natural mode
-        // stays lazy (no level map) — sifting materialises it on demand.
-        if self.order != StaticOrder::Natural {
-            m.install_order(&static_order(n_qubits, operations, self.order));
-        }
-        m
+        Ok(m)
     }
 
     /// Builds an engine for a benchmark spec, spanning the initial
     /// subspace from the spec's product states.
     pub fn build_from_spec(self, spec: &QtsSpec) -> Result<Engine, QitsError> {
-        let mut m = self.make_manager(spec.n_qubits, &spec.operations);
+        let mut m = self.make_manager(spec.n_qubits)?;
         let qts = QuantumTransitionSystem::try_from_spec(&mut m, spec)?;
         Ok(Engine {
             m,
@@ -279,7 +219,7 @@ impl EngineBuilder {
         operations: Vec<Operation>,
         initial: impl FnOnce(&mut TddManager) -> Subspace,
     ) -> Result<Engine, QitsError> {
-        let mut m = self.make_manager(n_qubits, &operations);
+        let mut m = self.make_manager(n_qubits)?;
         let init = initial(&mut m);
         let qts = QuantumTransitionSystem::try_new(n_qubits, operations, init)?;
         Ok(Engine {
@@ -790,86 +730,15 @@ mod tests {
             .gc_policy(Some(GcPolicy::aggressive()))
             .build_from_spec(&generators::ghz(3))
             .unwrap();
-        let got = engine.manager().gc_policy().expect("policy installed");
-        // Compare everything except `reorder`, which the QITS_REORDER
-        // environment knob may legitimately rewrite under the CI matrix.
-        assert_eq!(
-            got,
-            GcPolicy {
-                reorder: got.reorder,
-                ..GcPolicy::aggressive()
-            }
-        );
+        assert_eq!(engine.manager().gc_policy(), Some(GcPolicy::aggressive()));
         assert_eq!(engine.manager().cache_sizes().total(), 0);
     }
 
     #[test]
-    fn reorder_knob_installs_a_gc_policy_when_none_is_set() {
-        let engine = EngineBuilder::new()
-            .reorder(ReorderPolicy::EveryCollection)
-            .build_from_spec(&generators::ghz(3))
-            .unwrap();
-        let policy = engine.manager().gc_policy().expect("merged-in policy");
-        assert_eq!(policy.reorder, ReorderPolicy::EveryCollection);
-        // Everything else stays at the GC default.
-        assert_eq!(policy.watermark, GcPolicy::default().watermark);
-    }
-
-    #[test]
-    fn reorder_knob_merges_into_an_explicit_gc_policy() {
-        let engine = EngineBuilder::new()
-            .gc_policy(Some(GcPolicy::aggressive()))
-            .reorder(ReorderPolicy::EveryNSafepoints { n: 3 })
-            .build_from_spec(&generators::ghz(3))
-            .unwrap();
-        let policy = engine.manager().gc_policy().unwrap();
-        assert_eq!(policy.reorder, ReorderPolicy::EveryNSafepoints { n: 3 });
-        assert_eq!(policy.watermark, GcPolicy::aggressive().watermark);
-    }
-
-    #[test]
-    fn static_order_knob_reaches_the_manager() {
-        use qits_tensor::Var;
-        let engine = EngineBuilder::new()
-            .static_order(StaticOrder::PositionMajor)
-            .build_from_spec(&generators::ghz(3))
-            .unwrap();
-        let order = engine.manager().var_order().expect("explicit order");
-        // All kets before all rows — and the session built its system
-        // under that order without changing any result.
-        assert_eq!(
-            &order[..3],
-            &[Var::wire(0, 0), Var::wire(1, 0), Var::wire(2, 0)]
-        );
-        assert_eq!(engine.initial().dim(), 1);
-    }
-
-    #[test]
-    fn gate_locality_order_computes_the_same_image() {
-        let spec = generators::qrw(3, 0.2);
-        let mut natural = EngineBuilder::new()
-            .strategy(Strategy::Contraction { k1: 2, k2: 2 })
-            .build_from_spec(&spec)
-            .unwrap();
-        let mut local = EngineBuilder::new()
-            .strategy(Strategy::Contraction { k1: 2, k2: 2 })
-            .static_order(StaticOrder::GateLocality)
-            .build_from_spec(&spec)
-            .unwrap();
-        let (a, _) = natural.image().unwrap();
-        let (b, _) = local.image().unwrap();
-        assert_eq!(a.dim(), b.dim());
-    }
-
-    #[test]
-    fn equivalence_under_gate_locality_registers_mirrored_legs() {
+    fn equivalence_over_mirrored_legs_above_the_register() {
         // `b`'s mirrored first gate controls on `wire(1, 0)` and then
-        // `wire(0, 2)`, which the installed order has not seen: it lands
-        // above `wire(1, 0)` and moves it one level down mid-build.
-        let mut engine = EngineBuilder::new()
-            .static_order(StaticOrder::GateLocality)
-            .build_bare(3)
-            .unwrap();
+        // `wire(0, 2)`, a position past the kets and rows of qubit 0.
+        let mut engine = EngineBuilder::new().build_bare(3).unwrap();
         let a = Circuit::new(3);
         let mut b = Circuit::new(3);
         for gate in [
@@ -885,28 +754,30 @@ mod tests {
     }
 
     #[test]
-    fn reordering_under_forced_gc_preserves_the_fixpoint() {
-        // The whole reachability fixpoint with a sifting pass forced at
-        // every collecting safepoint must agree with the grow-only run.
-        let spec = generators::qrw(3, 0.2);
-        let strategy = Strategy::Contraction { k1: 2, k2: 2 };
-        let mut plain = EngineBuilder::new()
-            .strategy(strategy)
-            .build_from_spec(&spec)
-            .unwrap();
-        let mut sifted = EngineBuilder::new()
-            .strategy(strategy)
-            .gc_policy(Some(GcPolicy::aggressive()))
-            .reorder(ReorderPolicy::EveryCollection)
-            .build_from_spec(&spec)
-            .unwrap();
-        let a = plain.reachable_space(20).unwrap();
-        let b = sifted.reachable_space(20).unwrap();
-        assert_eq!(a.space.dim(), b.space.dim());
-        assert!(a.converged && b.converged);
-        assert!(
-            sifted.manager().stats().sift_passes > 0,
-            "aggressive GC + EveryCollection must actually sift"
+    fn a_register_wider_than_var_is_refused_at_build() {
+        // Only the width is checked: no system of that size is built.
+        let too_wide = Var::MAX_POS + 1;
+        let refused = QitsError::RegisterTooWide {
+            n_qubits: too_wide,
+            max: Var::MAX_POS,
+        };
+        assert_eq!(
+            EngineBuilder::new().build_bare(too_wide).unwrap_err(),
+            refused
+        );
+        let built = EngineBuilder::new().build_with(too_wide, Vec::new(), |_| {
+            unreachable!("no variable of a too-wide register is minted")
+        });
+        assert_eq!(built.unwrap_err(), refused);
+        let spec = QtsSpec {
+            name: "wide".into(),
+            n_qubits: too_wide,
+            operations: Vec::new(),
+            initial_states: Vec::new(),
+        };
+        assert_eq!(
+            EngineBuilder::new().build_from_spec(&spec).unwrap_err(),
+            refused
         );
     }
 

@@ -40,6 +40,15 @@ pub enum QitsError {
     },
     /// A system on zero qubits has no state space to compute images in.
     ZeroQubitSystem,
+    /// The register is wider than a diagram variable can address:
+    /// [`qits_tensor::Var`] encodes a qubit in 16 bits, and that encoding
+    /// is the variable order every diagram is built under.
+    RegisterTooWide {
+        /// Register width asked for (qubits).
+        n_qubits: u32,
+        /// The widest register supported ([`qits_tensor::Var::MAX_POS`]).
+        max: u32,
+    },
     /// A size of `2^bits` exceeds what the operation supports: an
     /// addition partition's `2^k` slices overflow the machine word, or a
     /// densified image answer ([`crate::Job::Image`]) would hold more than
@@ -143,6 +152,10 @@ impl fmt::Display for QitsError {
             QitsError::ZeroQubitSystem => {
                 write!(f, "a zero-qubit system has no state space")
             }
+            QitsError::RegisterTooWide { n_qubits, max } => write!(
+                f,
+                "register too wide: {n_qubits} qubits, at most {max} supported"
+            ),
             QitsError::DimensionOverflow { bits } => {
                 write!(
                     f,
@@ -258,6 +271,13 @@ mod tests {
                 "empty Kraus set",
             ),
             (QitsError::ZeroQubitSystem, "zero-qubit"),
+            (
+                QitsError::RegisterTooWide {
+                    n_qubits: 70_000,
+                    max: 65_536,
+                },
+                "at most 65536",
+            ),
             (QitsError::DimensionOverflow { bits: 70 }, "2^70"),
             (
                 QitsError::ArenaExhausted {

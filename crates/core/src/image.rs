@@ -145,13 +145,6 @@ pub struct ImageStats {
     /// Nanoseconds the manager spent inside mark/sweep during this
     /// computation (GC pause time).
     pub gc_nanos: u64,
-    /// Adjacent-level variable swaps performed by dynamic-reordering
-    /// passes during this computation (zero unless the GC policy schedules
-    /// reordering — see [`qits_tdd::ReorderPolicy`]).
-    pub swaps: u64,
-    /// Full sifting passes ([`qits_tdd::TddManager::sift_all`]) the
-    /// reordering schedule ran during this computation.
-    pub sift_passes: u64,
 }
 
 impl ImageStats {
@@ -192,8 +185,6 @@ impl ImageStats {
         self.generation_bumps += other.generation_bumps;
         self.stale_handle_hits += other.stale_handle_hits;
         self.gc_nanos += other.gc_nanos;
-        self.swaps += other.swaps;
-        self.sift_passes += other.sift_passes;
     }
 }
 
@@ -605,8 +596,6 @@ pub(crate) fn try_image_into(
     stats.generation_bumps = moved.generation_bumps;
     stats.stale_handle_hits = moved.stale_handle_hits;
     stats.gc_nanos = moved.gc_nanos;
-    stats.swaps = moved.swaps;
-    stats.sift_passes = moved.sift_passes;
     stats.elapsed = start.elapsed();
     Ok(stats)
 }

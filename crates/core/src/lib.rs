@@ -99,12 +99,9 @@ pub use pool::{
 pub use qts::{Operations, QuantumTransitionSystem};
 pub use subspace::{Subspace, RANK_TOLERANCE};
 
-// The two variable-ordering knobs of the builder surface, re-exported so
-// engine users configure ordering without importing the circuit and tdd
-// crates by name — plus the cancellation token, which request envelopes
-// and tickets carry.
-pub use qits_circuit::tensorize::StaticOrder;
-pub use qits_tdd::{CancelToken, ReorderPolicy};
+// The cancellation token, which request envelopes and tickets carry,
+// re-exported so engine users need not import the tdd crate by name.
+pub use qits_tdd::CancelToken;
 
 /// The serving layer, re-exported under one roof: everything needed to
 /// stand up an [`EnginePool`] behind a request queue — the pool itself,

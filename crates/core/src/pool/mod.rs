@@ -89,10 +89,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use qits_circuit::generators::QtsSpec;
-use qits_circuit::tensorize::StaticOrder;
 use qits_circuit::Circuit;
 use qits_num::Cplx;
-use qits_tdd::{CancelToken, GcPolicy, ManagerStats, ReorderPolicy};
+use qits_tdd::{CancelToken, GcPolicy, ManagerStats};
 use qits_tensor::Var;
 
 use crate::engine::{Engine, EngineBuilder};
@@ -129,8 +128,6 @@ pub struct EngineSpec {
     cache_capacity: Option<usize>,
     node_capacity: Option<usize>,
     gc_policy: Option<GcPolicy>,
-    reorder: ReorderPolicy,
-    static_order: StaticOrder,
     strategy: Strategy,
 }
 
@@ -143,8 +140,6 @@ impl fmt::Debug for EngineSpec {
             .field("cache_capacity", &self.cache_capacity)
             .field("node_capacity", &self.node_capacity)
             .field("gc_policy", &self.gc_policy)
-            .field("reorder", &self.reorder)
-            .field("static_order", &self.static_order)
             .field("strategy", &self.strategy.to_string())
             .finish()
     }
@@ -161,8 +156,6 @@ impl EngineSpec {
             cache_capacity: None,
             node_capacity: None,
             gc_policy: None,
-            reorder: ReorderPolicy::Off,
-            static_order: StaticOrder::Natural,
             strategy: Strategy::default(),
         }
     }
@@ -195,22 +188,6 @@ impl EngineSpec {
         self
     }
 
-    /// Dynamic-reordering schedule of every built engine (see
-    /// [`EngineBuilder::reorder`]). Pool workers own disjoint managers,
-    /// so each worker sifts its private arena independently — one
-    /// worker's pass never pauses another.
-    pub fn reorder(mut self, reorder: ReorderPolicy) -> Self {
-        self.reorder = reorder;
-        self
-    }
-
-    /// Static variable-ordering heuristic of every built engine (see
-    /// [`EngineBuilder::static_order`]).
-    pub fn static_order(mut self, order: StaticOrder) -> Self {
-        self.static_order = order;
-        self
-    }
-
     /// Image kernel of every built engine.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
@@ -229,8 +206,8 @@ impl EngineSpec {
 
     /// A canonical 128-bit fingerprint of everything that determines this
     /// spec's results: the full transition system (operations, Kraus
-    /// sets, initial amplitudes), the numeric tolerance, both ordering
-    /// knobs, the GC/reorder configuration, and the strategy name. Two
+    /// sets, initial amplitudes), the numeric tolerance, the capacities,
+    /// the GC configuration, and the strategy name. Two
     /// specs with equal fingerprints produce interchangeable results, so
     /// this is the namespace half of every [`ResultMemo`] key — it is
     /// what keeps a fleet-wide memo from ever crossing distinct
@@ -241,13 +218,11 @@ impl EngineSpec {
     /// hits across differently-configured pools for certainty.
     pub fn fingerprint(&self) -> u128 {
         let config = format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            "{:?}|{:?}|{:?}|{:?}",
             self.tolerance.to_bits(),
             self.cache_capacity,
             self.node_capacity,
             self.gc_policy,
-            self.reorder,
-            self.static_order,
         );
         memo::fnv128(&[
             format!("{:?}", self.system).as_bytes(),
@@ -260,8 +235,6 @@ impl EngineSpec {
         let mut b = EngineBuilder::new()
             .tolerance(self.tolerance)
             .gc_policy(self.gc_policy)
-            .reorder(self.reorder)
-            .static_order(self.static_order)
             .strategy(self.strategy);
         if let Some(cap) = self.cache_capacity {
             b = b.cache_capacity(cap);
@@ -434,9 +407,8 @@ impl From<ReachabilityResult> for ReachOutcome {
 /// What a completed job returns, one variant per [`Job`] variant.
 #[derive(Debug, Clone)]
 pub enum JobOutput {
-    /// From [`Job::Image`]. Boxed: the outcome carries full [`ImageStats`]
-    /// (including the reordering counters), which would otherwise dwarf
-    /// the other variants.
+    /// From [`Job::Image`]. Boxed: the outcome carries full [`ImageStats`],
+    /// which would otherwise dwarf the other variants.
     Image(Box<ImageOutcome>),
     /// From [`Job::Reachability`].
     Reachability(ReachOutcome),
@@ -1333,30 +1305,6 @@ mod tests {
             .unwrap();
         assert_eq!(pool.workers(), 1);
         assert!(pool.submit(Job::image()).join().is_ok());
-    }
-
-    #[test]
-    fn pool_workers_reorder_their_private_arenas() {
-        // Reordering through the spec: every worker runs its own sifting
-        // passes on its disjoint manager, the per-worker counters land in
-        // WorkerStats.manager, and the fleet total absorbs them.
-        let spec = grover_spec()
-            .gc_policy(Some(GcPolicy::aggressive()))
-            .reorder(ReorderPolicy::EveryCollection);
-        let pool = EnginePool::builder(spec).workers(2).build().unwrap();
-        let handles = pool.submit_batch(vec![Job::image(); 4]);
-        for h in handles {
-            assert_eq!(h.join().unwrap().image().unwrap().dim, 2);
-        }
-        let stats = pool.shutdown();
-        assert_eq!(stats.jobs_failed, 0);
-        assert!(
-            stats.manager.sift_passes > 0,
-            "forced reordering must run in the workers: {:?}",
-            stats.manager
-        );
-        let per_worker: u64 = stats.workers.iter().map(|w| w.manager.sift_passes).sum();
-        assert_eq!(stats.manager.sift_passes, per_worker);
     }
 
     #[test]

@@ -12,18 +12,15 @@
 //!   [`ReachabilityResult`] checkpoint) into a [`Snapshot`].
 //! * [`Engine::warm_start`] / [`Engine::warm_start_from`] restore a
 //!   snapshot into a live session: the TDD dump is re-interned through
-//!   the manager's unique table (order-aware — a dump taken under a
-//!   sifted order loads correctly into any order), and a checkpointed
+//!   the manager's unique table (a snapshot an older build wrote under an
+//!   installed or sifted order still loads, re-expressed under the one
+//!   variable order), and a checkpointed
 //!   fixpoint comes back as a [`ResumedReach`] that
 //!   [`Engine::resume_reachable_space`] continues.
 //! * [`encode_job_output`] / [`decode_job_output`] give [`JobOutput`] a
 //!   stable byte form — the payload of the memo spill behind
 //!   [`crate::PoolBuilder::warm_start`] and
 //!   [`crate::ServiceHandle::save_snapshot`].
-//! * [`encode_image_stats`] / [`decode_image_stats`] are shared with the
-//!   bench crate's resumable checkpoints, so a resumed benchmark row is
-//!   bit-identical to the one measured before the restart (`f64`s travel
-//!   as raw bits).
 //!
 //! Every failure surfaces as a typed [`crate::QitsError::StoreIo`] /
 //! [`crate::QitsError::StoreCorrupt`] / [`crate::QitsError::StoreVersion`]
@@ -172,10 +169,9 @@ impl Engine {
     /// reachability checkpoint, if the snapshot recorded one, ready for
     /// [`Engine::resume_reachable_space`].
     ///
-    /// The dump is order-aware: a snapshot taken under a different (or
-    /// dynamically sifted) variable order is re-expressed under this
-    /// session's order on the way in, exactly like a cross-manager
-    /// import.
+    /// A snapshot that an older build wrote under an installed or sifted
+    /// variable order still loads: its nodes are re-expressed under the
+    /// one order by Shannon expansion on the way in.
     pub fn warm_start(&mut self, snap: &Snapshot) -> Result<Option<ResumedReach>, QitsError> {
         if let (Some(expected), Some(found)) = (self.fingerprint(), snap.spec_fingerprint) {
             if expected != found {
@@ -250,8 +246,10 @@ fn decode_cache_stats(r: &mut ByteReader<'_>) -> Result<CacheStats, StoreError> 
 
 /// Serialises an [`ImageStats`] into the shared byte form. `f64`-free by
 /// construction; the embedded [`Duration`] travels as whole seconds plus
-/// subsecond nanoseconds, so the round trip is exact.
-pub fn encode_image_stats(w: &mut ByteWriter, st: &ImageStats) {
+/// subsecond nanoseconds, so the round trip is exact. The form ends with
+/// two retired reordering counters (level swaps and sifting passes),
+/// written as zeros so the layout stays the same.
+fn encode_image_stats(w: &mut ByteWriter, st: &ImageStats) {
     w.put_u64(st.max_nodes as u64);
     w.put_u64(st.elapsed.as_secs());
     w.put_u32(st.elapsed.subsec_nanos());
@@ -273,13 +271,14 @@ pub fn encode_image_stats(w: &mut ByteWriter, st: &ImageStats) {
     w.put_u64(st.generation_bumps);
     w.put_u64(st.stale_handle_hits);
     w.put_u64(st.gc_nanos);
-    w.put_u64(st.swaps);
-    w.put_u64(st.sift_passes);
+    w.put_u64(0);
+    w.put_u64(0);
 }
 
-/// Inverse of [`encode_image_stats`].
-pub fn decode_image_stats(r: &mut ByteReader<'_>) -> Result<ImageStats, StoreError> {
-    Ok(ImageStats {
+/// Inverse of [`encode_image_stats`]; the two retired counters are read
+/// and discarded.
+fn decode_image_stats(r: &mut ByteReader<'_>) -> Result<ImageStats, StoreError> {
+    let stats = ImageStats {
         max_nodes: r.get_u64()? as usize,
         elapsed: Duration::new(r.get_u64()?, r.get_u32()?),
         branches: r.get_u64()? as usize,
@@ -300,9 +299,10 @@ pub fn decode_image_stats(r: &mut ByteReader<'_>) -> Result<ImageStats, StoreErr
         generation_bumps: r.get_u64()?,
         stale_handle_hits: r.get_u64()?,
         gc_nanos: r.get_u64()?,
-        swaps: r.get_u64()?,
-        sift_passes: r.get_u64()?,
-    })
+    };
+    r.get_u64()?;
+    r.get_u64()?;
+    Ok(stats)
 }
 
 fn encode_reach_outcome(w: &mut ByteWriter, r: &ReachOutcome) {

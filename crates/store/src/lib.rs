@@ -553,19 +553,14 @@ fn decode_edge(r: &mut ByteReader<'_>) -> Result<DumpEdge, StoreError> {
 }
 
 /// Encodes a [`TddDump`] into `w` — exposed so callers embedding dumps in
-/// their own framing (e.g. bench checkpoints) share the layout.
+/// their own framing share the layout.
+///
+/// The layout keeps version 1's optional variable-order list after the
+/// tolerance. Diagrams have one order now, so the list is always written
+/// absent.
 pub fn encode_tdd_dump(d: &TddDump, w: &mut ByteWriter) {
     w.put_f64(d.tolerance);
-    match &d.order {
-        Some(order) => {
-            w.put_u8(1);
-            w.put_u64(order.len() as u64);
-            for v in order {
-                w.put_u32(v.0);
-            }
-        }
-        None => w.put_u8(0),
-    }
+    w.put_u8(0);
     w.put_u64(d.nodes.len() as u64);
     for n in &d.nodes {
         w.put_u32(n.var.0);
@@ -579,18 +574,18 @@ pub fn encode_tdd_dump(d: &TddDump, w: &mut ByteWriter) {
 }
 
 /// Decodes a [`TddDump`] from `r` (the inverse of [`encode_tdd_dump`]).
+///
+/// A variable-order list, which older builds wrote for a manager under an
+/// installed or sifted order, is read and discarded: loading re-expresses
+/// such a dump's nodes under the one order (see
+/// [`qits_tdd::TddManager::load_dump`]).
 pub fn decode_tdd_dump(r: &mut ByteReader<'_>) -> Result<TddDump, StoreError> {
     let tolerance = r.get_f64()?;
-    let order = if r.get_u8()? != 0 {
-        let n = r.get_count(4)?;
-        let mut order = Vec::with_capacity(n);
-        for _ in 0..n {
-            order.push(Var(r.get_u32()?));
+    if r.get_u8()? != 0 {
+        for _ in 0..r.get_count(4)? {
+            r.get_u32()?;
         }
-        Some(order)
-    } else {
-        None
-    };
+    }
     let n_nodes = r.get_count(44)?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
@@ -607,7 +602,6 @@ pub fn decode_tdd_dump(r: &mut ByteReader<'_>) -> Result<TddDump, StoreError> {
     }
     Ok(TddDump {
         tolerance,
-        order,
         nodes,
         roots,
     })
@@ -623,7 +617,6 @@ mod tests {
             spec_fingerprint: Some(0xdead_beef_0123_4567_89ab_cdef_0011_2233),
             tdd: Some(TddDump {
                 tolerance: 1e-10,
-                order: Some(vec![Var(2), Var(0), Var(1)]),
                 nodes: vec![DumpNode {
                     var: Var(2),
                     low: DumpEdge {
@@ -668,6 +661,28 @@ mod tests {
     }
 
     #[test]
+    fn a_dumped_order_list_is_read_and_discarded() {
+        // Version 1 as a build with installable orders wrote it: the order
+        // flag set, then the list, then the nodes.
+        let dump = sample_snapshot().tdd.unwrap();
+        let mut w = ByteWriter::new();
+        encode_tdd_dump(&dump, &mut w);
+        let plain = w.into_bytes();
+        let mut with_order = plain[..8].to_vec();
+        with_order.push(1);
+        with_order.extend_from_slice(&3u64.to_le_bytes());
+        for v in [2u32, 0, 1] {
+            with_order.extend_from_slice(&v.to_le_bytes());
+        }
+        with_order.extend_from_slice(&plain[9..]);
+        let back = decode_tdd_dump(&mut ByteReader::new(&with_order)).unwrap();
+        assert_eq!(back, dump);
+        let mut w = ByteWriter::new();
+        encode_tdd_dump(&back, &mut w);
+        assert_eq!(w.into_bytes(), plain, "re-encoded without the list");
+    }
+
+    #[test]
     fn empty_snapshot_round_trips() {
         let snap = Snapshot::new("empty");
         let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
@@ -681,7 +696,6 @@ mod tests {
         let tricky = f64::from_bits(0x3FF0_0000_0000_0001); // 1.0 + 1 ulp
         snap.tdd = Some(TddDump {
             tolerance: tricky,
-            order: None,
             nodes: Vec::new(),
             roots: vec![DumpEdge {
                 target: 0,

@@ -11,11 +11,10 @@
 //!
 //! Loading goes through [`TddManager::make_node`], so a loaded diagram obeys
 //! the destination's canonical invariants (reduction, weight normalisation,
-//! tolerance snapping) no matter how the dump was produced. Like
-//! [`TddManager::import`], loading is **order-aware**: a dump produced under
-//! a sifted variable order loads correctly into a manager with a different
-//! (or natural) order, by Shannon-expanding any successor whose root does
-//! not sit below the node's variable in the destination order.
+//! tolerance snapping) no matter how the dump was produced. A dump whose
+//! nodes nest under another variable order — one that an older build wrote
+//! under an installed or sifted order — still loads: any successor whose
+//! root does not sit below the node's variable is Shannon-expanded.
 
 use qits_num::Cplx;
 use qits_tensor::Var;
@@ -55,11 +54,6 @@ pub struct TddDump {
     /// The weight tolerance of the dumping manager (informational: loading
     /// snaps weights under the *destination's* tolerance).
     pub tolerance: f64,
-    /// The dumping manager's explicit variable order (level 0 first), or
-    /// `None` if it was still in natural mode. [`TddManager::load_dump`]
-    /// installs this on a fresh manager so a round trip is structurally
-    /// identical, and Shannon-expands on mismatch otherwise.
-    pub order: Option<Vec<Var>>,
     /// Topologically ordered nodes: successors precede their parents.
     pub nodes: Vec<DumpNode>,
     /// The dumped root edges, in the order they were passed to
@@ -107,8 +101,8 @@ impl std::error::Error for DumpError {}
 impl TddManager {
     /// Dumps the diagrams rooted at `roots` into a manager-neutral
     /// [`TddDump`]: a topological node list (children first) with all
-    /// weights resolved to plain complex values, plus the current variable
-    /// order. Shared subdiagrams are emitted once.
+    /// weights resolved to plain complex values. Shared subdiagrams are
+    /// emitted once.
     ///
     /// The dump is deterministic: the node order is the depth-first
     /// postorder of the roots as given.
@@ -168,7 +162,6 @@ impl TddManager {
             .collect();
         TddDump {
             tolerance: self.tolerance(),
-            order: self.var_order().map(<[Var]>::to_vec),
             nodes,
             roots: root_edges,
         }
@@ -178,13 +171,9 @@ impl TddManager {
     /// dump root (same order). Weights are re-interned under this manager's
     /// tolerance and every node goes through [`TddManager::make_node`], so
     /// the results are canonical here — loading the same dump twice returns
-    /// identical edges.
-    ///
-    /// On a **fresh** manager (empty node store, no explicit order) the
-    /// dump's variable order is installed first, making a dump → load round
-    /// trip structurally identical to the original. Otherwise the existing
-    /// order wins and mismatches are resolved by Shannon expansion, exactly
-    /// like [`TddManager::import`] across managers.
+    /// identical edges. A node whose successors' roots do not sit below its
+    /// variable (a dump nested under another order) is Shannon-expanded
+    /// into place.
     ///
     /// # Errors
     ///
@@ -197,11 +186,6 @@ impl TddManager {
     /// Unwinds with [`crate::ArenaExhausted`] if the node store's capacity
     /// is hit, like every constructor.
     pub fn load_dump(&mut self, dump: &TddDump) -> Result<Vec<Edge>, DumpError> {
-        if self.arena_occupied() == 0 && self.var_order().is_none() {
-            if let Some(order) = &dump.order {
-                self.install_order(order);
-            }
-        }
         let mut built: Vec<Edge> = Vec::with_capacity(dump.nodes.len());
         let mut branch_memo: FastMap<(Var, Edge, Edge), Edge> = FastMap::default();
         for (i, n) in dump.nodes.iter().enumerate() {
@@ -291,47 +275,67 @@ mod tests {
     fn fresh_manager_round_trip_is_structurally_identical() {
         let t = sample_tensor();
         let mut src = TddManager::new();
-        src.install_order(&[Var(2), Var(0), Var(1)]);
         let e = src.from_tensor(&t);
         let dump = src.dump(&[e]);
-        assert_eq!(dump.order.as_deref(), Some(&[Var(2), Var(0), Var(1)][..]));
         let mut dst = TddManager::new();
         let r = dst.load_dump(&dump).unwrap()[0];
-        // The order was installed, so the reload is node-for-node the same
-        // shape: equal node counts and a bit-identical re-dump.
-        assert_eq!(dst.var_order(), Some(&[Var(2), Var(0), Var(1)][..]));
         assert_eq!(dst.node_count(r), src.node_count(e));
         assert_eq!(dst.dump(&[r]), dump);
     }
 
     #[test]
     fn load_across_mismatched_orders_shannon_expands() {
-        let t = sample_tensor();
-        let mut src = TddManager::new();
-        src.install_order(&[Var(2), Var(1), Var(0)]);
-        let e = src.from_tensor(&t);
-        let dump = src.dump(&[e]);
-        // Destination already holds nodes under the natural order: the
-        // dumped order must NOT be installed; expansion reconciles.
-        let mut dst = TddManager::new();
-        let pre = dst.from_tensor(&sample_tensor());
-        let r = dst.load_dump(&dump).unwrap()[0];
-        assert!(dst.var_order().is_none());
-        assert!(dst.to_tensor(r, &[Var(0), Var(1), Var(2)]).approx_eq(&t));
-        assert_eq!(r, pre, "same tensor must hash-cons to the same edge");
-    }
-
-    #[test]
-    fn dump_from_a_sifted_source_loads() {
-        let t = sample_tensor();
-        let mut src = TddManager::new();
-        let e = src.from_tensor(&t);
-        src.swap_adjacent_levels(0);
-        src.swap_adjacent_levels(1);
-        let dump = src.dump(&[e]);
-        let mut dst = TddManager::new();
-        let r = dst.load_dump(&dump).unwrap()[0];
-        assert!(dst.to_tensor(r, &[Var(0), Var(1), Var(2)]).approx_eq(&t));
+        // Var(1) above Var(0): the nesting of a dump written under an
+        // order that lists Var(1) first. Loading re-expresses it with
+        // Var(0) on top.
+        let leaf = |a: f64, b: f64| DumpNode {
+            var: Var(0),
+            low: DumpEdge {
+                target: 0,
+                weight: Cplx::real(a),
+            },
+            high: DumpEdge {
+                target: 0,
+                weight: Cplx::real(b),
+            },
+        };
+        let dump = TddDump {
+            tolerance: 1e-10,
+            nodes: vec![
+                leaf(1.0, 0.5),
+                leaf(-0.25, 1.0),
+                DumpNode {
+                    var: Var(1),
+                    low: DumpEdge {
+                        target: 1,
+                        weight: Cplx::ONE,
+                    },
+                    high: DumpEdge {
+                        target: 2,
+                        weight: Cplx::new(0.0, 2.0),
+                    },
+                },
+            ],
+            roots: vec![DumpEdge {
+                target: 3,
+                weight: Cplx::ONE,
+            }],
+        };
+        // Entry (v0, v1): v1 picks the leaf, v0 its branch.
+        let t = Tensor::new(
+            vec![Var(0), Var(1)],
+            vec![
+                Cplx::ONE,
+                Cplx::new(0.0, -0.5),
+                Cplx::real(0.5),
+                Cplx::new(0.0, 2.0),
+            ],
+        );
+        let mut m = TddManager::new();
+        let r = m.load_dump(&dump).unwrap()[0];
+        assert_eq!(m.top_var(r), Some(Var(0)));
+        assert!(m.to_tensor(r, &[Var(0), Var(1)]).approx_eq(&t));
+        assert_eq!(r, m.from_tensor(&t), "canonical in the destination");
     }
 
     #[test]
@@ -367,7 +371,6 @@ mod tests {
     fn forward_references_are_rejected_not_loaded() {
         let dump = TddDump {
             tolerance: 1e-10,
-            order: None,
             nodes: vec![DumpNode {
                 var: Var(0),
                 low: DumpEdge {
@@ -399,7 +402,6 @@ mod tests {
     fn root_out_of_range_is_rejected() {
         let dump = TddDump {
             tolerance: 1e-10,
-            order: None,
             nodes: Vec::new(),
             roots: vec![DumpEdge {
                 target: 7,

@@ -156,55 +156,16 @@ pub struct GcPolicy {
     /// amortizes the sweep across subsequent polls — new collections are
     /// deferred until it finishes.
     pub sweep_budget: usize,
-    /// When safepoint polls run a **dynamic variable reordering** pass
-    /// (a full [`TddManager::sift_all`]) right after collecting — the
-    /// moment the live set is minimal and sifting is cheapest. Off by
-    /// default.
-    pub reorder: ReorderPolicy,
-    /// Growth cap handed to [`TddManager::sift_all`] by scheduled
-    /// reordering passes: while sifting one variable, abort a direction
-    /// once the live set exceeds this factor of its pre-sift size
-    /// (Rudell's classic dampener; values `< 1` are treated as `1`).
-    pub reorder_growth_cap: f64,
-}
-
-/// When the GC safepoint schedule triggers a sifting pass (see
-/// [`GcPolicy::reorder`]). Reordering is always coupled to a collection:
-/// the pass runs right after marking shrinks the store to the live set,
-/// and variants that fire when the watermark would not have also force
-/// the collection itself.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ReorderPolicy {
-    /// Never reorder (the default).
-    #[default]
-    Off,
-    /// Sift after every safepoint collection the watermark triggers.
-    EveryCollection,
-    /// Force a collect-and-sift once the live occupancy grows past
-    /// `factor` times the live set left by the previous sifting pass
-    /// (values `< 1` are treated as `1`).
-    OnGrowth {
-        /// Growth ratio over the post-sift baseline that triggers a pass.
-        factor: f64,
-    },
-    /// Force a collect-and-sift every `n` safepoint polls (values `< 1`
-    /// are treated as `1`).
-    EveryNSafepoints {
-        /// Polls between forced passes.
-        n: u64,
-    },
 }
 
 impl Default for GcPolicy {
     /// Collect when the live set doubles, at most every 2¹⁶ allocations,
-    /// sweeping in one step, never reordering.
+    /// sweeping in one step.
     fn default() -> Self {
         GcPolicy {
             watermark: 2.0,
             min_interval: 1 << 16,
             sweep_budget: usize::MAX,
-            reorder: ReorderPolicy::Off,
-            reorder_growth_cap: 1.2,
         }
     }
 }
@@ -224,18 +185,6 @@ impl GcPolicy {
     /// slots.
     pub fn with_sweep_budget(mut self, budget: usize) -> Self {
         self.sweep_budget = budget;
-        self
-    }
-
-    /// This policy with the given reordering schedule.
-    pub fn with_reorder(mut self, reorder: ReorderPolicy) -> Self {
-        self.reorder = reorder;
-        self
-    }
-
-    /// This policy with the sifting growth cap set to `cap`.
-    pub fn with_reorder_growth_cap(mut self, cap: f64) -> Self {
-        self.reorder_growth_cap = cap;
         self
     }
 }
@@ -504,16 +453,8 @@ impl TddManager {
     /// returns `None`. Otherwise it collects iff the installed policy asks
     /// for it, sweeping up to the budget, and counts the collection in
     /// [`crate::ManagerStats::safepoint_collections`].
-    ///
-    /// This is also the **dynamic-reordering schedule**: when
-    /// [`GcPolicy::reorder`] declares a sifting pass due, the poll forces
-    /// a full (unbudgeted) collection — `holders` plus the registry are
-    /// exactly the live set — and runs [`TddManager::sift_all`] on the
-    /// minimal store. Every held edge remains valid through the pass
-    /// (reordering rewrites node *contents*, never handles).
     pub fn maybe_collect_at_safepoint(&mut self, holders: &[&dyn EdgeHolder]) -> Option<GcOutcome> {
         self.stats.safepoints_polled += 1;
-        self.safepoints_since_reorder += 1;
         // Cancellation rides the safepoint cadence and is checked before
         // the policy gate so GC-free sessions stay cancellable too.
         // `resume_unwind` rather than `panic_any`: cancellation is a
@@ -536,45 +477,12 @@ impl TddManager {
             return None;
         }
         let p = self.gc_policy?;
-        let reorder_due = self.reorder_due(&p);
-        if !self.should_collect() && !reorder_due {
+        if !self.should_collect() {
             return None;
         }
-        // A sifting pass needs a completed sweep (it walks every live
-        // slot), so a reorder-due poll ignores the incremental budget.
-        let budget = if reorder_due {
-            usize::MAX
-        } else {
-            p.sweep_budget
-        };
-        let out = self.collect_with_budget(holders, budget);
+        let out = self.collect_with_budget(holders, p.sweep_budget);
         self.stats.safepoint_collections += 1;
-        if reorder_due {
-            self.reorder_after_collect(holders, &p);
-        }
         Some(out)
-    }
-
-    /// Whether the installed reordering schedule wants a sifting pass at
-    /// this safepoint.
-    fn reorder_due(&self, p: &GcPolicy) -> bool {
-        match p.reorder {
-            ReorderPolicy::Off => false,
-            ReorderPolicy::EveryCollection => self.should_collect(),
-            ReorderPolicy::OnGrowth { factor } => {
-                self.unique.occupied() as f64 >= self.reorder_baseline as f64 * factor.max(1.0)
-            }
-            ReorderPolicy::EveryNSafepoints { n } => self.safepoints_since_reorder >= n.max(1),
-        }
-    }
-
-    /// Runs the scheduled sifting pass on the freshly collected store and
-    /// resets the schedule's baselines.
-    fn reorder_after_collect(&mut self, holders: &[&dyn EdgeHolder], p: &GcPolicy) {
-        debug_assert!(!self.sweep_in_progress());
-        self.sift_all(holders, p.reorder_growth_cap);
-        self.reorder_baseline = self.unique.occupied().max(1);
-        self.safepoints_since_reorder = 0;
     }
 
     // ------------------------------------------------------------------

@@ -67,8 +67,6 @@ mod hash;
 mod manager;
 mod node;
 mod ops;
-mod order;
-mod reorder;
 mod stats;
 mod table;
 mod transfer;
@@ -78,7 +76,7 @@ pub use cache::{CacheLookup, CacheSizes, CacheStats, DEFAULT_CACHE_CAPACITY};
 pub use cancel::{CancelToken, OperationCancelled};
 pub use cnum::{CIdx, ComplexTable};
 pub use dump::{DumpEdge, DumpError, DumpNode, TddDump};
-pub use gc::{EdgeHolder, GcOutcome, GcPolicy, ReorderPolicy, RootId, RootScope};
+pub use gc::{EdgeHolder, GcOutcome, GcPolicy, RootId, RootScope};
 pub use manager::{ArenaExhausted, TddManager};
 pub use node::{Edge, NodeId, TERMINAL};
 pub use stats::{ManagerStats, ProbeHistogram, PROBE_BUCKETS};
@@ -97,7 +95,6 @@ const _: () = {
     assert_send_sync::<Edge>();
     assert_send_sync::<ManagerStats>();
     assert_send_sync::<GcPolicy>();
-    assert_send_sync::<ReorderPolicy>();
     assert_send_sync::<ArenaExhausted>();
     assert_send_sync::<CancelToken>();
     assert_send_sync::<OperationCancelled>();

@@ -11,7 +11,6 @@ use crate::cancel::CancelToken;
 use crate::cnum::{CIdx, ComplexTable};
 use crate::gc::{GcPolicy, RootRegistry};
 use crate::node::{Edge, Node, NodeId, TERMINAL};
-use crate::order::VarOrder;
 use crate::stats::ManagerStats;
 use crate::table::UniqueTable;
 use crate::walk::WalkScratch;
@@ -63,12 +62,13 @@ impl std::fmt::Display for ArenaExhausted {
 ///    (cofactors multiply the root weight down, addition normalises by
 ///    its first operand's weight); a pivot that ranked absolute values
 ///    (say by `(|c|, re, im)`) would canonicalise the same tensor
-///    differently along different construction routes. The flip side is
-///    that on an exact magnitude tie the choice depends on which branch
-///    holds which value, so re-grouping cofactors — which is what a
-///    level swap does — can land on the other ex-aequo value; see
-///    [`TddManager::swap_adjacent_levels`] for how reordering accounts
-///    for that.
+///    differently along different construction routes.
+///
+/// Both invariants hold relative to one variable order, the natural order
+/// of [`Var`]: qubit-major, then position along the wire, which is the
+/// paper's interleaved `x1 < y1 < x2 < y2 < …` (Fig. 1). A node's level
+/// *is* its variable, so every structural comparison in the crate compares
+/// variables; the terminal's sentinel variable sorts below every real one.
 ///
 /// Nodes live in a **backed Robin Hood unique table** (see
 /// the private `table` module) under generational handles, reclaimed by
@@ -105,16 +105,6 @@ pub struct TddManager {
     pub(crate) gc_floor: usize,
     /// Nodes interned since the last collection (policy interval counter).
     pub(crate) allocs_since_gc: u64,
-    /// The global variable order (natural until an order is installed or
-    /// the first sifting pass materialises one). Every structural
-    /// comparison in the manager goes through this map.
-    pub(crate) order: VarOrder,
-    /// Live nodes right after the last sifting pass (growth baseline for
-    /// [`ReorderPolicy::OnGrowth`](crate::ReorderPolicy)).
-    pub(crate) reorder_baseline: usize,
-    /// Safepoints polled since the last sifting pass (trigger counter for
-    /// [`ReorderPolicy::EveryNSafepoints`](crate::ReorderPolicy)).
-    pub(crate) safepoints_since_reorder: u64,
     /// Cooperative-cancellation flag checked at every GC safepoint;
     /// `None` (the default) makes safepoints cancellation-free.
     pub(crate) cancel_token: Option<CancelToken>,
@@ -150,9 +140,6 @@ impl TddManager {
             gc_policy: None,
             gc_floor: 1,
             allocs_since_gc: 0,
-            order: VarOrder::default(),
-            reorder_baseline: 1,
-            safepoints_since_reorder: 0,
             cancel_token: None,
             walk: Mutex::default(),
         }
@@ -488,28 +475,11 @@ impl TddManager {
     // Node construction.
     // ------------------------------------------------------------------
 
-    /// The variable of the node behind an edge ([`TERMINAL_VAR`] sentinel —
-    /// larger than any real variable — for the terminal).
+    /// The variable of the node behind an edge: its level in the diagram
+    /// order (the terminal's sentinel sorts below every real variable).
     #[inline]
     pub(crate) fn var_of(&self, n: NodeId) -> Var {
         self.unique.node(n).var
-    }
-
-    /// The level of `v` in the global variable order (0 = top; the
-    /// terminal sentinel maps below every real variable). Under the
-    /// default natural order this is the raw variable value; once a
-    /// custom order is installed, unseen variables are registered lazily
-    /// next to their qubit's block (see the `order` module docs).
-    #[inline]
-    pub fn level_of(&mut self, v: Var) -> u32 {
-        self.order.level_of(v)
-    }
-
-    /// The level of the variable labelling node `n` (terminal: deepest).
-    #[inline]
-    pub(crate) fn level_of_node(&mut self, n: NodeId) -> u32 {
-        let v = self.var_of(n);
-        self.order.level_of(v)
     }
 
     /// The variable labelling the root node of `e`, or `None` for scalars.
@@ -530,18 +500,14 @@ impl TddManager {
     ///
     /// If the root of `e` is labelled `x`, these are its successors with the
     /// root weight multiplied in; if the diagram does not depend on `x`
-    /// (root level below `x`'s), both cofactors are `e` itself.
+    /// (root variable below `x`), both cofactors are `e` itself.
     ///
     /// # Panics
     ///
-    /// Panics (in debug) if the root variable sits *above* `x` in the
-    /// global order: cofactors must be taken in order.
+    /// Panics (in debug) if the root variable sits *above* `x`: cofactors
+    /// must be taken in order.
     pub fn cofactors(&mut self, e: Edge, x: Var) -> (Edge, Edge) {
-        if e.is_terminal() {
-            return (e, e);
-        }
-        let lx = self.level_of(x);
-        if self.level_of_node(e.node) > lx {
+        if e.is_terminal() || self.var_of(e.node) > x {
             return (e, e);
         }
         debug_assert_eq!(self.var_of(e.node), x, "cofactor below root variable");
@@ -575,20 +541,16 @@ impl TddManager {
     /// # Panics
     ///
     /// Panics (in debug) if a successor's root variable does not sit below
-    /// `var` in the global order.
+    /// `var`.
     pub fn make_node(&mut self, var: Var, low: Edge, high: Edge) -> Edge {
-        // Registering `var` here (not just in debug asserts) keeps lazy
-        // level assignment identical across debug and release builds.
-        let var_level = self.level_of(var);
         debug_assert!(
-            low.is_terminal() || self.level_of_node(low.node) > var_level,
+            low.is_terminal() || self.var_of(low.node) > var,
             "low successor out of order"
         );
         debug_assert!(
-            high.is_terminal() || self.level_of_node(high.node) > var_level,
+            high.is_terminal() || self.var_of(high.node) > var,
             "high successor out of order"
         );
-        let _ = var_level;
         // Redundant node: both branches denote the same tensor.
         if low == high {
             return low;
@@ -597,10 +559,7 @@ impl TddManager {
         // breaking exact ties towards the low branch. The rule must be
         // scale-equivariant (pivot(λa, λb) = λ·pivot(a, b)) because ops
         // factor weights out before recursing — see invariant 2 on the
-        // struct docs. No scale-equivariant rule can also be a pure
-        // function of the value set ({a, −a} is a fixed point of
-        // negation), so on ties the level-swap primitive may re-group
-        // onto the other value; it counts those in `reorder_residuals`.
+        // struct docs.
         let (wl, wh) = (low.weight, high.weight);
         let pivot = if wl.is_zero() {
             wh
@@ -694,18 +653,14 @@ impl TddManager {
     }
 
     /// The identity tensor `delta(x, y)` over two variables (symmetric in
-    /// `x` and `y`; the node structure follows the global order).
+    /// `x` and `y`).
     ///
     /// # Panics
     ///
     /// Panics if `x == y`.
     pub fn identity(&mut self, x: Var, y: Var) -> Edge {
         assert!(x != y, "identity requires two distinct variables");
-        let (top, bot) = if self.level_of(x) < self.level_of(y) {
-            (x, y)
-        } else {
-            (y, x)
-        };
+        let (top, bot) = (x.min(y), x.max(y));
         let b0 = self.selector(bot, false);
         let b1 = self.selector(bot, true);
         self.make_node(top, b0, b1)
@@ -722,16 +677,14 @@ impl TddManager {
             vars.windows(2).all(|w| w[0] < w[1]),
             "variables must be ascending"
         );
-        // Build from the deepest level up so every successor sits below
-        // its node in the global order (which may differ from the natural
-        // order the input convention uses).
-        let by_level = self.level_sorted_indices(vars);
+        // Build from the deepest variable up, so every successor sits
+        // below its node.
         let mut e = Edge::ONE;
-        for &i in by_level.iter().rev() {
-            e = if bits[i] {
-                self.make_node(vars[i], Edge::ZERO, e)
+        for (&v, &bit) in vars.iter().zip(bits).rev() {
+            e = if bit {
+                self.make_node(v, Edge::ZERO, e)
             } else {
-                self.make_node(vars[i], e, Edge::ZERO)
+                self.make_node(v, e, Edge::ZERO)
             };
         }
         e
@@ -749,28 +702,15 @@ impl TddManager {
             vars.windows(2).all(|w| w[0] < w[1]),
             "variables must be ascending"
         );
-        let by_level = self.level_sorted_indices(vars);
         let mut e = Edge::ONE;
-        for &i in by_level.iter().rev() {
-            let (a, b) = amps[i];
+        for (&v, &(a, b)) in vars.iter().zip(amps).rev() {
             let wa = self.intern(a);
             let wb = self.intern(b);
             let lo = self.mul_weight(e, wa);
             let hi = self.mul_weight(e, wb);
-            e = self.make_node(vars[i], lo, hi);
+            e = self.make_node(v, lo, hi);
         }
         e
-    }
-
-    /// Indices of `vars` sorted by global level, shallowest first.
-    fn level_sorted_indices(&mut self, vars: &[Var]) -> Vec<usize> {
-        let mut keyed: Vec<(u32, usize)> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (self.level_of(v), i))
-            .collect();
-        keyed.sort_unstable();
-        keyed.into_iter().map(|(_, i)| i).collect()
     }
 
     // ------------------------------------------------------------------
@@ -802,10 +742,6 @@ impl TddManager {
     /// Builds a TDD from a dense tensor.
     pub fn from_tensor(&mut self, t: &Tensor) -> Edge {
         let vars: Vec<Var> = t.vars().iter().collect();
-        // Split on variables top-down in the *global* order so the
-        // resulting diagram is well-formed under any installed order.
-        let by_level = self.level_sorted_indices(&vars);
-        let vars: Vec<Var> = by_level.into_iter().map(|i| vars[i]).collect();
         self.build_tensor_rec(t, &vars)
     }
 
@@ -873,9 +809,8 @@ impl TddManager {
         }
         // Decide one variable at a time in the *given* order via slices,
         // so the result is the lexicographic minimum with respect to
-        // `vars` regardless of where each variable sits in the global
-        // level order. A non-zero diagram always has a non-zero branch on
-        // every variable, so `cur` never becomes zero.
+        // `vars`. A non-zero diagram always has a non-zero branch on every
+        // variable, so `cur` never becomes zero.
         let mut out = vec![false; vars.len()];
         let mut cur = e;
         for (i, &v) in vars.iter().enumerate() {

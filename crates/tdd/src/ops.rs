@@ -78,15 +78,9 @@ impl TddManager {
         if let Some(r) = self.cache_get_add(&(ka, kb)) {
             return self.mul_weight(r, a.weight);
         }
-        let va = self.var_of(a.node);
-        let vb = self.var_of(b.node);
-        // Branch on the variable whose level is shallower in the global
-        // order (the terminal sentinel maps below everything).
-        let x = if self.level_of(va) <= self.level_of(vb) {
-            va
-        } else {
-            vb
-        };
+        // Branch on the topmost root variable (the terminal's sentinel
+        // sorts below every real one).
+        let x = self.var_of(a.node).min(self.var_of(b.node));
         let (a0, a1) = self.cofactors(ka, x);
         let (b0, b1) = self.cofactors(kb, x);
         let lo = self.add_rec(a0, b0);
@@ -138,18 +132,6 @@ impl TddManager {
             "summation variables must be strictly ascending"
         );
         self.stats.cont_calls += 1;
-        // The recursion consumes summation variables top-down in the
-        // *global level* order, which can differ from the natural order
-        // the public convention uses once a custom order is installed.
-        let sorted;
-        let sum: &[Var] = if self.order.is_natural() {
-            sum
-        } else {
-            let mut keyed: Vec<(u32, Var)> = sum.iter().map(|&v| (self.level_of(v), v)).collect();
-            keyed.sort_unstable();
-            sorted = keyed.into_iter().map(|(_, v)| v).collect::<Vec<Var>>();
-            &sorted
-        };
         // Intern every suffix of the summation list: the manager-owned
         // contraction cache keys on `(nodes, remaining-suffix id)`, which
         // is stable across top-level calls — entries written while
@@ -182,13 +164,9 @@ impl TddManager {
         }
         let ka = a.with_weight(CIdx::ONE);
         let kb = b.with_weight(CIdx::ONE);
-        let va = self.var_of(a.node);
-        let vb = self.var_of(b.node);
-        let (la, lb) = (self.level_of(va), self.level_of(vb));
-        let (x, lx) = if la <= lb { (va, la) } else { (vb, lb) };
-        let r = if si < sum.len() && self.level_of(sum[si]) <= lx {
-            let sv = sum[si];
-            if self.level_of(sv) < lx {
+        let x = self.var_of(a.node).min(self.var_of(b.node));
+        let r = if si < sum.len() && sum[si] <= x {
+            if sum[si] < x {
                 // Summation variable absent from both operands: factor 2.
                 let inner = self.cont_rec(ka, kb, sum, si + 1, suffixes);
                 self.scale(inner, Cplx::real(2.0))
@@ -226,11 +204,7 @@ impl TddManager {
     }
 
     fn slice_rec(&mut self, e: Edge, var: Var, value: bool) -> Edge {
-        if e.is_zero() || e.is_terminal() {
-            return e;
-        }
-        let lv = self.level_of(var);
-        if self.level_of_node(e.node) > lv {
+        if e.is_terminal() || self.var_of(e.node) > var {
             return e;
         }
         let key = (e.node, var, value);
@@ -288,11 +262,8 @@ impl TddManager {
 
     /// Renames variables according to `map` (old -> new), which must be
     /// **monotone**: if `u < v` then `map(u) < map(v)` for all variables the
-    /// diagram depends on (identity outside the map). Under the natural
-    /// variable order a monotone renaming preserves canonical structure,
-    /// so this is a relabelling pass; under a custom level order the
-    /// renamed variables may land anywhere, and the diagram is rebuilt
-    /// through selector products instead (same canonical result).
+    /// diagram depends on (identity outside the map). A monotone renaming
+    /// preserves canonical structure, so this is a relabelling pass.
     ///
     /// # Panics
     ///
@@ -311,11 +282,7 @@ impl TddManager {
         // canonical form for interning.
         let pairs: Vec<(Var, Var)> = map.iter().map(|(&o, &n)| (o, n)).collect();
         let map_id = self.caches.renames.intern(pairs);
-        if self.order.is_natural() {
-            self.rename_rec(e, map, map_id)
-        } else {
-            self.rename_rebuild_rec(e, map, map_id)
-        }
+        self.rename_rec(e, map, map_id)
     }
 
     fn rename_rec(
@@ -336,38 +303,6 @@ impl TddManager {
         let hi = self.rename_rec(n.high, map, map_id);
         let nv = map.get(&n.var).copied().unwrap_or(n.var);
         let r = self.make_node(nv, lo, hi);
-        self.caches.rename.insert(key, r);
-        self.mul_weight(r, e.weight)
-    }
-
-    /// Rename fallback for custom level orders: the new variable may sit
-    /// at any level relative to the (already renamed) successors, so the
-    /// node is recombined as `<nv=0> * lo + <nv=1> * hi` — selector
-    /// products place `nv` wherever the current order requires. Shares the
-    /// rename cache with the relabelling path: both produce the canonical
-    /// diagram of the renamed tensor.
-    fn rename_rebuild_rec(
-        &mut self,
-        e: Edge,
-        map: &BTreeMap<Var, Var>,
-        map_id: crate::cache::RenameId,
-    ) -> Edge {
-        if e.is_zero() || e.is_terminal() {
-            return e;
-        }
-        let key = (e.node, map_id);
-        if let Some(r) = self.cache_get_rename(&key) {
-            return self.mul_weight(r, e.weight);
-        }
-        let n = *self.node(e.node);
-        let lo = self.rename_rebuild_rec(n.low, map, map_id);
-        let hi = self.rename_rebuild_rec(n.high, map, map_id);
-        let nv = map.get(&n.var).copied().unwrap_or(n.var);
-        let s0 = self.selector(nv, false);
-        let s1 = self.selector(nv, true);
-        let p0 = self.contract(s0, lo, &[]);
-        let p1 = self.contract(s1, hi, &[]);
-        let r = self.add(p0, p1);
         self.caches.rename.insert(key, r);
         self.mul_weight(r, e.weight)
     }
@@ -416,47 +351,40 @@ impl TddManager {
             vars.windows(2).all(|w| w[0] < w[1]),
             "inner product variables must be strictly ascending"
         );
-        // Register every variable before reading any level: under an
-        // installed order a first sighting shifts the levels below it.
-        for &v in vars {
-            self.level_of(v);
-        }
-        let mut levels: Vec<u32> = vars.iter().map(|&v| self.level_of(v)).collect();
-        levels.sort_unstable();
         let mut memo = FastMap::default();
         bras.iter()
-            .map(|&a| self.ip_edges(a, b, 0, &levels, &mut memo))
+            .map(|&a| self.ip_edges(a, b, 0, vars, &mut memo))
             .collect()
     }
 
-    /// `<a|b>` over the variables of the sorted `levels` from index `from`
-    /// on, all of which lie above or at the top level of the pair. The
-    /// ones strictly above it are the factor-2 rule's.
+    /// `<a|b>` over `vars[from..]`, all of which lie above or at the top
+    /// variable of the pair. The ones strictly above it are the factor-2
+    /// rule's.
     fn ip_edges(
         &mut self,
         a: Edge,
         b: Edge,
         from: usize,
-        levels: &[u32],
+        vars: &[Var],
         memo: &mut FastMap<(NodeId, NodeId), Cplx>,
     ) -> Cplx {
         if a.is_zero() || b.is_zero() {
             return Cplx::ZERO;
         }
-        let top = self.level_of_node(a.node).min(self.level_of_node(b.node));
-        let skipped = levels.partition_point(|&l| l < top) - from;
+        let top = self.var_of(a.node).min(self.var_of(b.node));
+        let skipped = vars.partition_point(|&v| v < top) - from;
         let w = self.weight_value(a.weight).conj() * self.weight_value(b.weight);
-        (w * self.ip_nodes(a.node, b.node, levels, memo)).scale(2f64.powi(skipped as i32))
+        (w * self.ip_nodes(a.node, b.node, vars, memo)).scale(2f64.powi(skipped as i32))
     }
 
-    /// `<a|b>` over the variables at or below the top level of the pair,
-    /// with both root weights 1. The value depends on the pair alone, so
-    /// one memo entry serves every path that reaches it.
+    /// `<a|b>` over the variables at or below the top variable of the
+    /// pair, with both root weights 1. The value depends on the pair
+    /// alone, so one memo entry serves every path that reaches it.
     fn ip_nodes(
         &mut self,
         a: NodeId,
         b: NodeId,
-        levels: &[u32],
+        vars: &[Var],
         memo: &mut FastMap<(NodeId, NodeId), Cplx>,
     ) -> Cplx {
         if a.is_terminal() && b.is_terminal() {
@@ -465,13 +393,13 @@ impl TddManager {
         if let Some(&r) = memo.get(&(a, b)) {
             return r;
         }
-        let (la, lb) = (self.level_of_node(a), self.level_of_node(b));
-        let lx = la.min(lb);
-        let Ok(at) = levels.binary_search(&lx) else {
+        let (va, vb) = (self.var_of(a), self.var_of(b));
+        let x = va.min(vb);
+        let Ok(at) = vars.binary_search(&x) else {
             panic!("inner product variable list must cover both supports");
         };
-        let branches = |m: &TddManager, n: NodeId, ln: u32| {
-            if ln == lx {
+        let branches = |m: &TddManager, n: NodeId, vn: Var| {
+            if vn == x {
                 let node = m.node(n);
                 [node.low, node.high]
             } else {
@@ -481,9 +409,9 @@ impl TddManager {
                 }; 2]
             }
         };
-        let ([a0, a1], [b0, b1]) = (branches(self, a, la), branches(self, b, lb));
-        let r = self.ip_edges(a0, b0, at + 1, levels, memo)
-            + self.ip_edges(a1, b1, at + 1, levels, memo);
+        let ([a0, a1], [b0, b1]) = (branches(self, a, va), branches(self, b, vb));
+        let r =
+            self.ip_edges(a0, b0, at + 1, vars, memo) + self.ip_edges(a1, b1, at + 1, vars, memo);
         memo.insert((a, b), r);
         r
     }
@@ -558,16 +486,16 @@ impl TddManager {
         if let Some(&r) = memo.get(&key) {
             return self.mul_weight(r, scale);
         }
-        let (x, lx) = key
+        let x = key
             .iter()
-            .map(|&(n, _)| (self.var_of(n), self.level_of_node(n)))
-            .min_by_key(|&(_, l)| l)
+            .map(|&(n, _)| self.var_of(n))
+            .min()
             .expect("two or more operands");
         let mut lo = Vec::with_capacity(key.len());
         let mut hi = Vec::with_capacity(key.len());
         for &(n, r) in &key {
             let rv = self.weight_value(r);
-            if self.level_of_node(n) == lx {
+            if self.var_of(n) == x {
                 let node = *self.node(n);
                 for (side, e) in [(&mut lo, node.low), (&mut hi, node.high)] {
                     if !e.is_zero() {
@@ -830,47 +758,6 @@ mod tests {
         let mut m = TddManager::new();
         let a = m.from_tensor(&rand_tensor(&[Var(0), Var(1)], 32));
         m.inner_product(a, a, &[Var(0)]);
-    }
-
-    #[test]
-    fn float_inner_product_matches_dense_under_installed_orders() {
-        // The level lists `StaticOrder::PositionMajor` (every ket before
-        // every row) and `StaticOrder::GateLocality` (a qubit permutation,
-        // ket and row interleaved) install on three qubits. Neither lists
-        // wire position 2, so registering it moves levels below it.
-        let kets_then_rows: Vec<Var> = (0..3)
-            .map(|q| Var::wire(q, 0))
-            .chain((0..3).map(|q| Var::wire(q, 1)))
-            .collect();
-        let permuted: Vec<Var> = [2, 0, 1]
-            .iter()
-            .flat_map(|&q| [Var::wire(q, 0), Var::wire(q, 1)])
-            .collect();
-        let mut vars = vec![
-            Var::wire(0, 0),
-            Var::wire(0, 1),
-            Var::wire(1, 0),
-            Var::wire(1, 2),
-            Var::wire(2, 1),
-        ];
-        vars.sort_unstable();
-        // A variable neither diagram has, first seen by the inner product.
-        let mut listed = vars.clone();
-        listed.push(Var::wire(0, 2));
-        listed.sort_unstable();
-        for order in [kets_then_rows, permuted] {
-            let mut m = TddManager::new();
-            m.install_order(&order);
-            let ta = rand_tensor(&vars, 40);
-            let tb = rand_tensor(&vars, 41);
-            let a = m.from_tensor(&ta);
-            let b = m.from_tensor(&tb);
-            let expect = dense_inner(&ta, &tb);
-            assert!(m.inner_product(a, b, &vars).approx_eq_with(expect, 1e-8));
-            let doubled = m.inner_products(&[a, b], b, &listed);
-            assert!(doubled[0].approx_eq_with(expect.scale(2.0), 1e-8));
-            assert!(doubled[1].approx_eq_with(dense_inner(&tb, &tb).scale(2.0), 1e-8));
-        }
     }
 
     #[test]

@@ -131,30 +131,6 @@ pub struct ManagerStats {
     /// Full unique-index rehashes (growth/tombstone purges). Collections
     /// never rebuild the index, so this moves only with table load.
     pub unique_rebuilds: u64,
-    /// Adjacent-level swaps performed by dynamic variable reordering
-    /// (every swap, whether called directly or from inside a sift).
-    pub swaps: u64,
-    /// Sifting passes completed ([`crate::TddManager::sift_all`] calls,
-    /// scheduled or explicit).
-    pub sift_passes: u64,
-    /// Live nodes at the start of the most recent sifting pass (snapshot,
-    /// `0` before the first pass).
-    pub nodes_before_reorder: usize,
-    /// Live nodes at the end of the most recent sifting pass (snapshot).
-    pub nodes_after_reorder: usize,
-    /// Nodes rewritten by a level swap whose recomputed leading weight
-    /// was not exactly one: an exact magnitude tie re-grouped onto the
-    /// other ex-aequo value (see the `reorder` module docs). Denotation
-    /// is unaffected; the node sits in a non-canonical normal form until
-    /// next rebuilt.
-    pub reorder_residuals: u64,
-    /// Nodes left **shadowed** by a level swap: the rewrite produced
-    /// content bit-identical to an already-interned node (reachable only
-    /// under tolerance-based weight snapping), so the slot stayed live
-    /// and readable through its handles but was not re-indexed — lookups
-    /// hash-cons onto the interned twin. Costs sharing, never
-    /// correctness.
-    pub reorder_shadowed: u64,
     /// Top-level calls to `add`.
     pub add_calls: u64,
     /// Top-level calls to `contract`.
@@ -203,12 +179,6 @@ impl ManagerStats {
         self.generation_bumps += other.generation_bumps;
         self.stale_handle_hits += other.stale_handle_hits;
         self.unique_rebuilds += other.unique_rebuilds;
-        self.swaps += other.swaps;
-        self.sift_passes += other.sift_passes;
-        self.nodes_before_reorder += other.nodes_before_reorder;
-        self.nodes_after_reorder += other.nodes_after_reorder;
-        self.reorder_residuals += other.reorder_residuals;
-        self.reorder_shadowed += other.reorder_shadowed;
         self.add_calls += other.add_calls;
         self.cont_calls += other.cont_calls;
         self.slice_calls += other.slice_calls;
@@ -252,17 +222,6 @@ impl ManagerStats {
                 .stale_handle_hits
                 .saturating_sub(earlier.stale_handle_hits),
             unique_rebuilds: self.unique_rebuilds.saturating_sub(earlier.unique_rebuilds),
-            swaps: self.swaps.saturating_sub(earlier.swaps),
-            sift_passes: self.sift_passes.saturating_sub(earlier.sift_passes),
-            // Snapshots of the latest pass, not counters.
-            nodes_before_reorder: self.nodes_before_reorder,
-            nodes_after_reorder: self.nodes_after_reorder,
-            reorder_residuals: self
-                .reorder_residuals
-                .saturating_sub(earlier.reorder_residuals),
-            reorder_shadowed: self
-                .reorder_shadowed
-                .saturating_sub(earlier.reorder_shadowed),
             add_calls: self.add_calls.saturating_sub(earlier.add_calls),
             cont_calls: self.cont_calls.saturating_sub(earlier.cont_calls),
             slice_calls: self.slice_calls.saturating_sub(earlier.slice_calls),

@@ -42,8 +42,6 @@
 //! could only be confused for live again after 2³² sweeps of the same
 //! slot, which we accept as out of scope.
 
-use qits_tensor::Var;
-
 use crate::node::{Edge, Node, NodeId, TERMINAL_VAR};
 use crate::stats::ProbeHistogram;
 
@@ -62,11 +60,6 @@ struct Slot {
     /// GC mark bit (meaningful between a mark phase and the end of its
     /// sweep).
     marked: bool,
-    /// Whether a live index entry points at the slot. False for the
-    /// terminal, for dead slots, and for a slot a level swap left
-    /// shadowed (see [`UniqueTable::insert_index_entry`]) — sweeping such
-    /// a slot frees no index entry.
-    indexed: bool,
     node: Node,
 }
 
@@ -84,22 +77,9 @@ struct IndexEntry {
 
 const EMPTY: u32 = u32::MAX;
 
-/// Explicit tombstone left by [`UniqueTable::remove_index_entry`] (the
-/// level-swap path). Lookups skip it exactly like a generation-stale
-/// entry, inserts reuse it, and rehashes purge it. (Backward-shift
-/// deletion would be unsound here: tombstone-reuse inserts break the
-/// Robin Hood displacement invariant the shift relies on.)
-const TOMB: u32 = u32::MAX - 1;
-
 const EMPTY_CELL: IndexEntry = IndexEntry {
     hash: 0,
     slot: EMPTY,
-    gen: 0,
-};
-
-const TOMB_CELL: IndexEntry = IndexEntry {
-    hash: 0,
-    slot: TOMB,
     gen: 0,
 };
 
@@ -163,7 +143,6 @@ impl UniqueTable {
             gen: 0,
             dead: false,
             marked: true,
-            indexed: false,
             node: Node {
                 var: TERMINAL_VAR,
                 low: Edge::ZERO,
@@ -286,14 +265,6 @@ impl UniqueTable {
             if e.slot == EMPTY {
                 break;
             }
-            if e.slot == TOMB {
-                if first_stale.is_none() {
-                    first_stale = Some(pos);
-                }
-                pos = (pos + 1) & mask;
-                dist += 1;
-                continue;
-            }
             let s = &mut self.slots[e.slot as usize];
             if s.gen != e.gen {
                 if first_stale.is_none() {
@@ -329,15 +300,14 @@ impl UniqueTable {
                 debug_assert!(s.dead);
                 s.dead = false;
                 s.marked = born_marked;
-                s.indexed = true;
                 s.node = node;
                 i
             }
             None => {
-                if self.slots.len() >= self.node_capacity || self.slots.len() >= TOMB as usize {
+                if self.slots.len() >= self.node_capacity || self.slots.len() >= EMPTY as usize {
                     return Err(TableFull {
                         allocated: self.slots.len(),
-                        capacity: self.node_capacity.min(TOMB as usize),
+                        capacity: self.node_capacity.min(EMPTY as usize),
                     });
                 }
                 let i = self.slots.len() as u32;
@@ -345,7 +315,6 @@ impl UniqueTable {
                     gen: 0,
                     dead: false,
                     marked: born_marked,
-                    indexed: true,
                     node,
                 });
                 i
@@ -409,7 +378,7 @@ impl UniqueTable {
         self.tombstones = 0;
         self.unique_rebuilds += 1;
         for e in old {
-            if e.slot != EMPTY && e.slot != TOMB && self.slots[e.slot as usize].gen == e.gen {
+            if e.slot != EMPTY && self.slots[e.slot as usize].gen == e.gen {
                 self.rh_insert(e);
             }
         }
@@ -471,9 +440,9 @@ impl UniqueTable {
     }
 
     /// Sweeps at most `budget` slots: each unmarked live slot is freed by
-    /// bumping its generation (its index entry, if it has one, becomes a
-    /// tombstone in place — the index itself is untouched). Returns the
-    /// slots reclaimed and whether the sweep completed.
+    /// bumping its generation (its index entry becomes a tombstone in
+    /// place — the index itself is untouched). Returns the slots reclaimed
+    /// and whether the sweep completed.
     pub(crate) fn sweep_step(&mut self, budget: usize) -> (usize, bool) {
         let SweepState::InProgress { mut next, end } = self.sweep else {
             return (0, true);
@@ -487,12 +456,9 @@ impl UniqueTable {
                 s.gen = s.gen.wrapping_add(1);
                 self.free.push(next);
                 self.generation_bumps += 1;
-                if s.indexed {
-                    s.indexed = false;
-                    self.tombstones += 1;
-                    self.tombstones_created += 1;
-                    self.live_entries -= 1;
-                }
+                self.tombstones += 1;
+                self.tombstones_created += 1;
+                self.live_entries -= 1;
                 reclaimed += 1;
             }
             next += 1;
@@ -505,139 +471,6 @@ impl UniqueTable {
             self.sweep = SweepState::InProgress { next, end };
             (reclaimed, false)
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Level-swap support (dynamic variable reordering).
-    //
-    // The swap primitive rewrites the *contents* of slots in place — a
-    // slot keeps its index and generation, so every handle pointing at it
-    // stays valid and simply denotes the (identical) tensor under the new
-    // order. The index, which keys on content, must be updated around
-    // each rewrite: `remove_index_entry` before the content changes,
-    // `insert_index_entry` after.
-    // ------------------------------------------------------------------
-
-    /// Calls `f` with every non-dead, non-terminal slot index and its
-    /// node.
-    pub(crate) fn for_each_live_slot(&self, mut f: impl FnMut(u32, &Node)) {
-        for (i, s) in self.slots.iter().enumerate().skip(1) {
-            if !s.dead {
-                f(i as u32, &s.node);
-            }
-        }
-    }
-
-    /// Non-dead slots whose node is labelled `var`, in slot order.
-    pub(crate) fn live_slots_with_var(&self, var: Var) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.for_each_live_slot(|i, n| {
-            if n.var == var {
-                out.push(i);
-            }
-        });
-        out
-    }
-
-    /// The node stored at a non-dead slot.
-    pub(crate) fn node_at_slot(&self, slot: u32) -> Node {
-        debug_assert!(!self.slots[slot as usize].dead);
-        self.slots[slot as usize].node
-    }
-
-    /// Overwrites the node content of `slot` **without touching its
-    /// generation**: every handle held on the slot stays valid. The index
-    /// entry for the old content must have been removed first and one for
-    /// the new content must be inserted afterwards.
-    pub(crate) fn set_node_at_slot(&mut self, slot: u32, node: Node) {
-        debug_assert!(!self.slots[slot as usize].dead);
-        self.slots[slot as usize].node = node;
-    }
-
-    /// Unlinks the index entry pointing at `slot` (keyed by the slot's
-    /// *current* content — call before rewriting it), replacing it with an
-    /// explicit [`TOMB`] cell that lookups skip, inserts reuse and the
-    /// next rehash purges.
-    ///
-    /// A slot with no entry is a no-op: a previous rewrite may have left
-    /// it **shadowed** (see [`UniqueTable::insert_index_entry`]) — live,
-    /// readable through its handles, but not interned.
-    pub(crate) fn remove_index_entry(&mut self, slot: u32) {
-        if !self.slots[slot as usize].indexed {
-            return;
-        }
-        let node = self.slots[slot as usize].node;
-        let gen = self.slots[slot as usize].gen;
-        let h = hash_node(&node);
-        let mask = self.entries.len() - 1;
-        let mut pos = h as usize & mask;
-        loop {
-            let e = self.entries[pos];
-            if e.slot == EMPTY {
-                // No entry to unlink (cannot happen while `indexed` is
-                // kept in step with the index).
-                return;
-            }
-            if e.slot == slot && e.gen == gen {
-                break;
-            }
-            pos = (pos + 1) & mask;
-        }
-        self.entries[pos] = TOMB_CELL;
-        self.slots[slot as usize].indexed = false;
-        self.live_entries -= 1;
-        self.tombstones += 1;
-        self.tombstones_created += 1;
-    }
-
-    /// Inserts an index entry for `slot`'s *current* content (call after
-    /// rewriting it) and returns `true` — unless an identical live
-    /// content is already interned, in which case the slot is left
-    /// **shadowed** (live and readable through its handles, but not
-    /// indexed; future lookups hash-cons onto the interned twin) and the
-    /// call returns `false`.
-    ///
-    /// Shadowing exists because weight identification is
-    /// tolerance-based: two canonical nodes whose weights are *nearly*
-    /// proportional can rewrite — through cofactor products that snap to
-    /// the same complex-table entries — into bit-identical contents. The
-    /// duplicate costs a little sharing until the shadowed slot dies; it
-    /// never costs correctness.
-    pub(crate) fn insert_index_entry(&mut self, slot: u32) -> bool {
-        if (self.live_entries + self.tombstones + 1) * 4 > self.entries.len() * 3 {
-            self.rehash();
-        }
-        let node = self.slots[slot as usize].node;
-        let gen = self.slots[slot as usize].gen;
-        let h = hash_node(&node);
-        let mask = self.entries.len() - 1;
-        let mut pos = h as usize & mask;
-        let mut first_stale: Option<usize> = None;
-        loop {
-            let e = self.entries[pos];
-            if e.slot == EMPTY {
-                break;
-            }
-            if e.slot == TOMB || self.slots[e.slot as usize].gen != e.gen {
-                if first_stale.is_none() {
-                    first_stale = Some(pos);
-                }
-            } else if e.hash == h && self.slots[e.slot as usize].node == node {
-                return false;
-            }
-            pos = (pos + 1) & mask;
-        }
-        let entry = IndexEntry { hash: h, slot, gen };
-        match first_stale {
-            Some(p) => {
-                self.entries[p] = entry;
-                self.tombstones -= 1;
-            }
-            None => self.rh_insert(entry),
-        }
-        self.slots[slot as usize].indexed = true;
-        self.live_entries += 1;
-        true
     }
 }
 
@@ -763,58 +596,6 @@ mod tests {
         }
         assert!(t.is_live(a), "resurrected node must survive the sweep");
         assert!(!t.is_live(b), "unreferenced node must be swept");
-    }
-
-    #[test]
-    fn index_entry_remove_rewrite_insert_round_trip() {
-        let mut t = UniqueTable::new(usize::MAX);
-        let ids: Vec<NodeId> = (0..16)
-            .map(|v| t.get_or_insert(leaf_node(v, true)).unwrap().0)
-            .collect();
-        // Rewrite slot 3's content in place, as a level swap would.
-        let target = ids[3];
-        t.remove_index_entry(target.idx);
-        t.set_node_at_slot(target.idx, leaf_node(100, false));
-        t.insert_index_entry(target.idx);
-        // The handle survives the rewrite and names the new content.
-        assert!(t.is_live(target));
-        assert_eq!(t.node(target).var, Var(100));
-        // The new content hash-conses onto the rewritten slot…
-        let (found, created) = t.get_or_insert(leaf_node(100, false)).unwrap();
-        assert!(!created);
-        assert_eq!(found, target);
-        // …the old content is gone from the index…
-        let (_, recreated) = t.get_or_insert(leaf_node(3, true)).unwrap();
-        assert!(recreated, "removed entry must not resolve the old content");
-        // …and every untouched entry still resolves.
-        for (v, id) in ids.iter().enumerate() {
-            if v == 3 {
-                continue;
-            }
-            let (found, created) = t.get_or_insert(leaf_node(v as u32, true)).unwrap();
-            assert!(!created);
-            assert_eq!(found, *id);
-        }
-    }
-
-    #[test]
-    fn sweeping_a_shadowed_slot_frees_no_index_entry() {
-        let mut t = UniqueTable::new(usize::MAX);
-        let (a, _) = t.get_or_insert(leaf_node(0, true)).unwrap();
-        let (b, _) = t.get_or_insert(leaf_node(1, true)).unwrap();
-        // Rewrite `b` into `a`'s content, as a level swap can: the twin
-        // is already interned, so `b` stays live but shadowed.
-        t.remove_index_entry(b.idx);
-        t.set_node_at_slot(b.idx, leaf_node(0, true));
-        assert!(!t.insert_index_entry(b.idx));
-        assert_eq!((t.live_entries, t.tombstone_count()), (1, 1));
-        // A collection that keeps neither frees both slots but only the
-        // one index entry `a` had.
-        t.begin_mark();
-        t.begin_sweep();
-        assert_eq!(t.sweep_step(usize::MAX), (2, true));
-        assert!(!t.is_live(a) && !t.is_live(b));
-        assert_eq!((t.live_entries, t.tombstone_count()), (0, 2));
     }
 
     #[test]

@@ -17,24 +17,14 @@ impl TddManager {
     /// The returned edge is canonical in `self`; importing the same
     /// diagram twice returns identical edges (hash-consing). Weight
     /// values are re-interned, so tolerances of the two managers need not
-    /// match (the destination's discipline wins). The two managers need
-    /// not agree on the variable order either: a diagram built (or
-    /// sifted) under one order is re-expressed under the destination's
-    /// order on the way in, so `import` stays total across dynamic
-    /// reordering.
+    /// match (the destination's discipline wins). Both managers order
+    /// variables the same way, so every source node is one
+    /// [`TddManager::make_node`] here.
     pub fn import(&mut self, src: &TddManager, e: Edge) -> Edge {
-        let mut memo: FastMap<NodeId, Edge> = FastMap::default();
-        let mut branch_memo: FastMap<(Var, Edge, Edge), Edge> = FastMap::default();
-        self.import_rec(src, e, &mut memo, &mut branch_memo)
+        self.import_rec(src, e, &mut FastMap::default())
     }
 
-    fn import_rec(
-        &mut self,
-        src: &TddManager,
-        e: Edge,
-        memo: &mut FastMap<NodeId, Edge>,
-        branch_memo: &mut FastMap<(Var, Edge, Edge), Edge>,
-    ) -> Edge {
+    fn import_rec(&mut self, src: &TddManager, e: Edge, memo: &mut FastMap<NodeId, Edge>) -> Edge {
         if e.is_zero() {
             return Edge::ZERO;
         }
@@ -49,22 +39,21 @@ impl TddManager {
             return self.mul_weight(r, w);
         }
         let node = *src.node(e.node);
-        let lo = self.import_rec(src, node.low, memo, branch_memo);
-        let hi = self.import_rec(src, node.high, memo, branch_memo);
-        let r = self.branch(node.var, lo, hi, branch_memo);
+        let lo = self.import_rec(src, node.low, memo);
+        let hi = self.import_rec(src, node.high, memo);
+        let r = self.make_node(node.var, lo, hi);
         memo.insert(e.node, r);
         self.mul_weight(r, w)
     }
 
     /// Builds the diagram `var ? high : low` even when `var` sits *below*
-    /// the successor roots in this manager's order — the situation an
-    /// import from a source manager with a different (e.g. sifted) order
-    /// produces. While any successor's root is at or above `var`'s level,
-    /// expand both successors by cofactors on the topmost such variable
-    /// and recurse; once `var` genuinely tops both, this is exactly
-    /// [`TddManager::make_node`] (so the aligned-order import pays only
-    /// two level lookups per node). Shared with dump loading (`dump.rs`),
-    /// which faces the same order-mismatch problem from serialized form.
+    /// a successor's root variable — the shape a snapshot that an older
+    /// build wrote under an installed or sifted order hands to dump
+    /// loading (`dump.rs`). While any successor's root is at or above
+    /// `var`, expand both successors by cofactors on the topmost such
+    /// variable and recurse; once `var` tops both, this is exactly
+    /// [`TddManager::make_node`], so a dump written under the natural
+    /// order pays one comparison per node.
     pub(crate) fn branch(
         &mut self,
         var: Var,
@@ -72,31 +61,18 @@ impl TddManager {
         high: Edge,
         memo: &mut FastMap<(Var, Edge, Edge), Edge>,
     ) -> Edge {
-        let lv = self.level_of(var);
-        let ll = if low.is_terminal() {
-            u32::MAX
-        } else {
-            self.level_of_node(low.node)
-        };
-        let lh = if high.is_terminal() {
-            u32::MAX
-        } else {
-            self.level_of_node(high.node)
-        };
-        if ll.min(lh) > lv {
+        // `y`: the topmost successor variable (the terminal's sentinel
+        // sorts below every real one).
+        let y = self.var_of(low.node).min(self.var_of(high.node));
+        if y > var {
             return self.make_node(var, low, high);
         }
         if let Some(&r) = memo.get(&(var, low, high)) {
             return r;
         }
-        // `y`: the topmost successor variable (strictly above `var`; a
-        // canonical source diagram never repeats `var` below itself, so
-        // equality is unreachable). Shannon-expand both successors on it.
-        let y = if ll <= lh {
-            self.var_of(low.node)
-        } else {
-            self.var_of(high.node)
-        };
+        // `y` is strictly above `var` (a canonical source diagram never
+        // repeats `var` below itself, so equality is unreachable):
+        // Shannon-expand both successors on it.
         let (l0, l1) = self.cofactors(low, y);
         let (h0, h1) = self.cofactors(high, y);
         let r0 = self.branch(var, l0, h0, memo);
@@ -165,41 +141,6 @@ mod tests {
         let mut dst = TddManager::new();
         let imported = dst.import(&src, e);
         assert_eq!(src.node_count(e), dst.node_count(imported));
-    }
-
-    #[test]
-    fn import_across_mismatched_variable_orders() {
-        // Source lives under the reversed order (the shape a sifted
-        // manager hands back), destination under the natural order: the
-        // import must re-express the diagram, not copy its nesting.
-        let t = sample_tensor();
-        let mut src = TddManager::new();
-        src.install_order(&[Var(2), Var(1), Var(0)]);
-        let e = src.from_tensor(&t);
-        let mut dst = TddManager::new();
-        let imported = dst.import(&src, e);
-        assert!(dst
-            .to_tensor(imported, &[Var(0), Var(1), Var(2)])
-            .approx_eq(&t));
-        // Canonical in the destination: the reordered import and a
-        // natively built diagram hash-cons to the same edge.
-        assert_eq!(imported, dst.from_tensor(&t));
-    }
-
-    #[test]
-    fn import_from_a_sifted_source() {
-        // Same, but the source order changes *after* the diagram is
-        // built, via in-place level swaps.
-        let t = sample_tensor();
-        let mut src = TddManager::new();
-        let e = src.from_tensor(&t);
-        src.swap_adjacent_levels(0);
-        src.swap_adjacent_levels(1);
-        let mut dst = TddManager::new();
-        let imported = dst.import(&src, e);
-        assert!(dst
-            .to_tensor(imported, &[Var(0), Var(1), Var(2)])
-            .approx_eq(&t));
     }
 
     #[test]

@@ -203,73 +203,6 @@ proptest! {
         prop_assert_eq!(z, Edge::ZERO);
     }
 
-    /// Dynamic reordering: a random sequence of adjacent-level swaps
-    /// keeps every held handle denoting the same tensor, and — because
-    /// each swap is its own inverse — replaying the sequence backwards
-    /// restores the original variable order *and* the exact canonical
-    /// diagram: rebuilding the tensor from scratch hash-conses onto the
-    /// same diagram shape and the same dense readout. The readout
-    /// comparison is tolerance-tight rather than bit-exact: the inverse
-    /// rebuild is bit-for-bit in exact arithmetic (see the `reorder`
-    /// module docs and its unit tests), but weight interning snaps
-    /// products to existing table entries, and a path whose product
-    /// snapped onto a tolerance-close twin comes back within tolerance
-    /// of — not identical to — its original f64s. Slot identity is not
-    /// asserted either: a swap that collides under snapping legitimately
-    /// re-homes the index entry onto the interned twin.
-    #[test]
-    fn swap_sequence_and_inverse_restore_the_diagram(
-        t in arb_tensor(vec![Var(0), Var(1), Var(2), Var(3)]),
-        levels in proptest::collection::vec(0u32..3, 1..12),
-    ) {
-        use std::collections::BTreeMap;
-        let vars4 = [Var(0), Var(1), Var(2), Var(3)];
-        let mut m = TddManager::new();
-        let e = m.from_tensor(&t);
-        let nodes_start = m.node_count(e);
-        let dense_start = m.to_tensor(e, &vars4);
-        // Forward: denotation survives every swap. eval reads structure
-        // and weights directly, so this checks the in-place rewrites.
-        for &l in &levels {
-            m.swap_adjacent_levels(l);
-            for bits in 0..16u32 {
-                let asn: BTreeMap<Var, bool> = vars4
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v, bits >> (3 - i) & 1 == 1))
-                    .collect();
-                let expect = t.value(&asn);
-                prop_assert!(
-                    m.eval(e, &asn).approx_eq_with(expect, 1e-9),
-                    "assignment {bits:04b} drifted after swapping level {l}"
-                );
-            }
-        }
-        // Backward: each swap is an involution, so the reversed sequence
-        // is the inverse. The diagram must come back exactly.
-        for &l in levels.iter().rev() {
-            m.swap_adjacent_levels(l);
-        }
-        prop_assert_eq!(
-            m.var_order(),
-            Some(&vars4[..]),
-            "inverse sequence must restore the order"
-        );
-        prop_assert_eq!(m.node_count(e), nodes_start);
-        let dense_end = m.to_tensor(e, &vars4);
-        for (i, (a, b)) in dense_end
-            .as_slice()
-            .iter()
-            .zip(dense_start.as_slice())
-            .enumerate()
-        {
-            prop_assert!(
-                a.approx_eq_with(*b, 1e-9),
-                "entry {i}: restored {a:?} drifted from original {b:?}"
-            );
-        }
-    }
-
     /// The leftmost non-zero assignment really is non-zero and minimal.
     #[test]
     fn first_nonzero_is_minimal(t in arb_tensor(vars3())) {

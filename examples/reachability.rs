@@ -33,7 +33,6 @@ fn main() {
                 watermark: 1.5,
                 min_interval: 1 << 10,
                 sweep_budget: 1 << 12,
-                ..GcPolicy::default()
             }))
             .strategy(strategy)
             .build_from_spec(&spec)

@@ -1,11 +1,17 @@
-//! Grep-enforced API-surface contract for the generational GC.
+//! Grep-enforced API-surface contract: retired machinery stays retired.
 //!
-//! The relocation era is over: collection never moves a node, so the
-//! `Relocations` side-table, the `Relocatable` trait, and the
-//! `gc_restore` hook must not exist anywhere in the workspace source —
-//! not as public items, not as `pub(crate)` plumbing, not even as dead
-//! private code waiting to be resurrected. This test walks every
-//! `crates/*/src` tree and fails on the first occurrence, quoting file
+//! * **Relocation.** Collection never moves a node, so the `Relocations`
+//!   side-table, the `Relocatable` trait, and the `gc_restore` hook must
+//!   not exist anywhere in the workspace source.
+//! * **Variable ordering.** Every diagram is built under one variable
+//!   order, the natural order of `Var` (the paper's interleaved
+//!   `x1 < y1 < x2 < y2 < …`). The static-order heuristics, order
+//!   installation, level swaps, sifting, its GC schedule and its
+//!   environment override must not come back.
+//!
+//! Neither may reappear as a public item, as `pub(crate)` plumbing, or
+//! even as dead private code waiting to be resurrected. The tests walk
+//! every `crates/*/src` tree and fail on any occurrence, quoting file
 //! and line so a regression is a one-click fix.
 //!
 //! The forbidden names are assembled with `concat!` so this file does
@@ -16,11 +22,24 @@ use std::path::{Path, PathBuf};
 
 /// Identifiers of the retired relocation machinery. Assembled at compile
 /// time from halves so the scanner cannot trip over its own source.
-fn forbidden() -> [&'static str; 3] {
+fn relocation_names() -> [&'static str; 3] {
     [
         concat!("Reloc", "ations"),
         concat!("Reloc", "atable"),
         concat!("gc_", "restore"),
+    ]
+}
+
+/// Identifiers of the retired variable-ordering machinery, assembled the
+/// same way.
+fn ordering_names() -> [&'static str; 6] {
+    [
+        concat!("Reorder", "Policy"),
+        concat!("Static", "Order"),
+        concat!("install", "_order"),
+        concat!("swap_adjacent", "_levels"),
+        concat!("sift", "_all"),
+        concat!("QITS_", "REORDER"),
     ]
 }
 
@@ -59,8 +78,9 @@ fn workspace_source_roots() -> Vec<PathBuf> {
     roots
 }
 
-#[test]
-fn relocation_machinery_is_gone_from_every_crate() {
+/// Every line of every workspace source that names one of `names`, as
+/// `path:line: name: text`.
+fn occurrences(names: &[&str]) -> Vec<String> {
     let mut sources = Vec::new();
     for root in workspace_source_roots() {
         rust_sources(&root, &mut sources);
@@ -73,16 +93,32 @@ fn relocation_machinery_is_gone_from_every_crate() {
     for path in &sources {
         let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
         for (lineno, line) in text.lines().enumerate() {
-            for name in forbidden() {
+            for name in names {
                 if line.contains(name) {
                     hits.push(format!("{}:{}: {name}: {line}", path.display(), lineno + 1));
                 }
             }
         }
     }
+    hits
+}
+
+#[test]
+fn relocation_machinery_is_gone_from_every_crate() {
+    let hits = occurrences(&relocation_names());
     assert!(
         hits.is_empty(),
         "retired relocation identifiers resurfaced:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn variable_ordering_machinery_is_gone_from_every_crate() {
+    let hits = occurrences(&ordering_names());
+    assert!(
+        hits.is_empty(),
+        "retired variable-ordering identifiers resurfaced:\n{}",
         hits.join("\n")
     );
 }

@@ -15,9 +15,7 @@
 //! tolerance bound is. Real pool races — a stolen job mutating shared
 //! state, a relocation applied to the wrong holder, cross-job cache
 //! contamination — still show: they corrupt amplitudes far beyond the
-//! weight tolerance or change a discrete field outright. The same bound
-//! covers `QITS_REORDER=aggressive` runs, where a worker additionally
-//! carries the variable order earlier jobs sifted into.
+//! weight tolerance or change a discrete field outright.
 
 use proptest::prelude::*;
 // `qits::Strategy` shadows the proptest trait of the same name.

@@ -10,8 +10,7 @@
 //!   async front (with mixed priorities) must equal the same batch
 //!   through the blocking `submit` path must equal a fresh serial engine
 //!   per job — exactly, not approximately. Specs pin `gc_policy(None)`,
-//!   which also makes the `QITS_REORDER` CI leg inert here (reordering
-//!   rides collections), so exact equality holds on every matrix leg.
+//!   so exact equality holds on every matrix leg.
 //! * **Cancellation stops work**: a token tripped at the k-th GC
 //!   safepoint ends the computation with `QitsError::Cancelled` after
 //!   exactly k polls — strictly fewer than the uncancelled run's — and
@@ -79,8 +78,8 @@ fn qrw_spec() -> EngineSpec {
 
 /// Strict structural equality on outputs — the differential verdict.
 /// Amplitudes compare with `==` on purpose: both sides run `run_job` on
-/// engines stamped from one spec with GC (and therefore reordering) off,
-/// so any inequality is a real divergence, not float noise.
+/// engines stamped from one spec with GC off, so any inequality is a
+/// real divergence, not float noise.
 fn assert_outputs_equal(a: &JobOutput, b: &JobOutput, what: &str) {
     match (a, b) {
         (JobOutput::Image(x), JobOutput::Image(y)) => {

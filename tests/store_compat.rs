@@ -1,4 +1,4 @@
-//! Format-compatibility guard over a **committed** golden snapshot.
+//! Format-compatibility guard over **committed** golden snapshots.
 //!
 //! `tests/fixtures/golden_v1.qsnap` was written by the version-1 codec
 //! (see [`regenerate_golden_fixture`]) and is checked in. This suite
@@ -7,6 +7,11 @@
 //! `FORMAT_VERSION`, the fixture stops parsing (or parses to different
 //! contents) and CI fails here — before a user's snapshot silently
 //! rots.
+//!
+//! `tests/fixtures/golden_v1_position_major.qsnap` pins the other kind of
+//! version-1 snapshot: one written under an explicit variable order,
+//! which no build can write any more (see
+//! [`position_major_fixture_path`]).
 //!
 //! To regenerate after an *intentional* format bump:
 //!
@@ -30,6 +35,25 @@ const GOLDEN_MEMO_KEY: u128 = 0x42;
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden_v1.qsnap")
+}
+
+/// A version-1 snapshot whose TDD dump nests its nodes under the
+/// position-major variable order (every ket above every row) and carries
+/// that order's list. Builds that could install an order wrote it with
+///
+/// ```text
+/// let mut engine = EngineBuilder::new()
+///     .static_order(StaticOrder::PositionMajor)
+///     .build_from_spec(&generators::ghz(3))?;
+/// let partial = engine.reachable_space(1)?;
+/// engine.snapshot("golden-v1-position-major", Some(&partial))
+/// ```
+///
+/// Those options are gone, so the fixture cannot be regenerated: it is
+/// kept byte for byte.
+fn position_major_fixture_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/golden_v1_position_major.qsnap")
 }
 
 /// The deterministic recipe behind the fixture: GHZ(3), one fixpoint
@@ -123,4 +147,42 @@ fn reencoding_the_fixture_reproduces_its_bytes() {
          bytes — if the format changed intentionally, bump FORMAT_VERSION \
          (currently {FORMAT_VERSION}) and regenerate the fixture"
     );
+}
+
+#[test]
+fn position_major_fixture_still_parses() {
+    let snap = Snapshot::read_from(position_major_fixture_path())
+        .expect("position-major v1 fixture must stay readable");
+    assert_eq!(snap.label, "golden-v1-position-major");
+    assert_eq!(snap.spec_fingerprint, None);
+    assert!(snap.tdd.is_some(), "fixture carries a TDD dump");
+    assert_eq!(snap.subspaces.len(), 2, "initial space + frontier");
+    let reach = snap.reach.as_ref().expect("fixture checkpoints a fixpoint");
+    assert_eq!(reach.iterations, 1);
+    assert!(snap.memo.is_empty());
+}
+
+#[test]
+fn position_major_fixture_warm_starts_and_resumes_a_natural_engine() {
+    let snap = Snapshot::read_from(position_major_fixture_path()).expect("fixture parses");
+    let mut engine = EngineBuilder::new()
+        .build_from_spec(&generators::ghz(3))
+        .unwrap();
+    let resumed = engine
+        .warm_start(&snap)
+        .expect("position-major snapshot warm-starts")
+        .expect("progress restored");
+    assert_eq!(resumed.iterations, 1);
+
+    let mut fresh = EngineBuilder::new()
+        .build_from_spec(&generators::ghz(3))
+        .unwrap();
+    let expected = fresh.reachable_space(1).unwrap();
+    assert_eq!(resumed.space.dim(), expected.space.dim());
+    assert_eq!(resumed.converged, expected.converged);
+
+    let continued = engine.resume_reachable_space(&resumed, 64).unwrap();
+    let straight = fresh.reachable_space(64).unwrap();
+    assert!(continued.converged && straight.converged);
+    assert_eq!(continued.space.dim(), straight.space.dim());
 }

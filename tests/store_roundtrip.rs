@@ -3,11 +3,9 @@
 //! Three layers, three guarantees:
 //!
 //! * **TDD dumps are bit-for-bit.** A dump loaded into a fresh, empty
-//!   manager installs the dumped variable order and reconstructs the
-//!   node store weight-for-weight, so evaluating any root under any
-//!   assignment yields *equal* floats, not merely close ones — proven
-//!   here by proptest over random circuits, with the source order
-//!   randomly sifted (adjacent-level swaps) before dumping.
+//!   manager reconstructs the node store weight-for-weight, so
+//!   evaluating any root under any assignment yields *equal* floats, not
+//!   merely close ones — proven here by proptest over random circuits.
 //! * **Snapshots fail typed, never panic.** Truncations at every prefix
 //!   length and byte flips across the file parse to `StoreError`s, and
 //!   surface through the engine as `QitsError::Store*` variants.
@@ -16,10 +14,8 @@
 //!   pool warm-started from a spilled memo serves outputs identical to
 //!   a cold pool computing them fresh.
 //!
-//! Cross-*order* loads (a sifted dump landing in a manager that already
-//! holds nodes) go through Shannon expansion, which re-normalises
-//! weights: those are compared at tolerance, with the structural facts
-//! (dimensions, iteration counts, verdicts) still exact.
+//! Snapshots that older builds wrote under an explicit variable order are
+//! pinned by the committed fixture in `tests/store_compat.rs`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -29,10 +25,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 use qits::store::{decode_tdd_dump, encode_tdd_dump, ByteReader, ByteWriter, Snapshot};
-use qits::{
-    EngineBuilder, EnginePool, EngineSpec, Job, JobOutput, QitsError, StaticOrder, Strategy,
-    Subspace,
-};
+use qits::{EnginePool, EngineSpec, Job, JobOutput, QitsError, Strategy, Subspace};
 use qits_circuit::generators::{self, QtsSpec};
 use qits_circuit::{Circuit, Gate, Operation};
 use qits_num::Cplx;
@@ -130,8 +123,8 @@ fn eval_identical(
     Ok(())
 }
 
-/// Tolerance-level evaluation agreement (for cross-order loads, where
-/// Shannon expansion re-normalises weights).
+/// Tolerance-level evaluation agreement, for a warm start that re-interns
+/// weights into a manager already holding the system's diagrams.
 fn eval_close(
     src: &TddManager,
     src_roots: &[Edge],
@@ -170,14 +163,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// dump → encode → decode → load into a fresh manager → every root
-    /// evaluates bit-for-bit, including when the source order was sifted
-    /// away from natural before dumping.
+    /// evaluates bit-for-bit.
     #[test]
     fn dump_round_trip_evaluates_bit_for_bit(
         circuit in arb_circuit(6),
         amps in proptest::collection::vec(
             proptest::collection::vec(arb_amp(), N as usize), 1..3),
-        swaps in proptest::collection::vec(0..u32::MAX, 0..4),
     ) {
         let spec = EngineSpec::new(random_system(&circuit, amps))
             .strategy(Strategy::Contraction { k1: 2, k2: 2 });
@@ -194,41 +185,11 @@ proptest! {
         let decoded = decode_tdd_dump(&mut ByteReader::new(&bytes)).expect("decodes");
         prop_assert_eq!(&decoded, &dump);
 
-        // A fresh empty manager installs the dumped order: bit-identical.
-        let mut natural = TddManager::new();
-        let loaded = natural.load_dump(&decoded).expect("well-formed dump");
-        let r = eval_identical(engine.manager(), &roots, &natural, &loaded);
-        prop_assert!(r.is_ok(), "natural reload: {}", r.unwrap_err());
-
-        // Sift the reloaded manager's order with random adjacent swaps,
-        // re-dump under the non-natural order, reload fresh: still
-        // bit-for-bit, and the dump carries the sifted order.
-        let var_count = decoded
-            .nodes
-            .iter()
-            .map(|n| n.var)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len() as u32;
-        let did_swap = var_count >= 2 && !swaps.is_empty();
-        for s in &swaps {
-            if var_count >= 2 {
-                natural.swap_adjacent_levels(s % (var_count - 1));
-            }
-        }
-        let sifted_dump = natural.dump(&loaded);
-        if did_swap {
-            prop_assert!(sifted_dump.order.is_some(), "sifted order not dumped");
-        }
+        // A fresh empty manager rebuilds every node: bit-identical.
         let mut fresh = TddManager::new();
-        let reloaded = fresh.load_dump(&sifted_dump).expect("sifted dump loads");
-        let r = eval_identical(&natural, &loaded, &fresh, &reloaded);
-        prop_assert!(r.is_ok(), "sifted reload: {}", r.unwrap_err());
-        // Transitively against the original engine's values the match is
-        // at tolerance only: the adjacent-level *swaps* renormalise the
-        // rewritten nodes (ulp-level drift), while the dump/load legs on
-        // either side of them stay bit-exact (proven above).
-        let r = eval_close(engine.manager(), &roots, &fresh, &reloaded);
-        prop_assert!(r.is_ok(), "sifted vs source: {}", r.unwrap_err());
+        let loaded = fresh.load_dump(&decoded).expect("well-formed dump");
+        let r = eval_identical(engine.manager(), &roots, &fresh, &loaded);
+        prop_assert!(r.is_ok(), "reload: {}", r.unwrap_err());
     }
 }
 
@@ -323,43 +284,6 @@ fn projector_free_checkpoint_round_trips_and_resumes() {
     assert_eq!(continued.iterations, straight.iterations);
 }
 
-/// A dump taken under a deliberately non-natural static order
-/// (`PositionMajor`: all kets above all rows) restores into a
-/// natural-order engine through Shannon expansion — dimensions exact,
-/// amplitudes at tolerance.
-#[test]
-fn cross_order_warm_start_restores_the_frontier() {
-    let system = generators::grover(3);
-    let mut source = EngineBuilder::new()
-        .static_order(StaticOrder::PositionMajor)
-        .strategy(Strategy::Contraction { k1: 2, k2: 2 })
-        .build_from_spec(&system)
-        .unwrap();
-    let partial = source.reachable_space(2).unwrap();
-    let snap = source.snapshot("position-major", Some(&partial));
-
-    let mut target = EngineBuilder::new()
-        .strategy(Strategy::Contraction { k1: 2, k2: 2 })
-        .build_from_spec(&system)
-        .unwrap();
-    let resumed = target
-        .warm_start(&snap)
-        .unwrap()
-        .expect("progress restored");
-    assert_eq!(resumed.space.dim(), partial.space.dim());
-    assert_eq!(resumed.iterations, partial.iterations);
-    eval_close(
-        source.manager(),
-        partial.space.basis(),
-        target.manager(),
-        resumed.space.basis(),
-    )
-    .unwrap();
-
-    let continued = target.resume_reachable_space(&resumed, 64).unwrap();
-    assert!(continued.converged);
-}
-
 /// Corrupted, truncated, and wrong-version snapshot files must yield
 /// typed `StoreError`/`QitsError::Store*` values — never a panic.
 #[test]
@@ -424,13 +348,6 @@ fn corrupted_snapshots_fail_typed_never_panic() {
     }
 }
 
-/// Bit-for-bit equality degrades to tolerance under the CI leg that
-/// forces sifting (`QITS_REORDER=aggressive`) — see
-/// `tests/pool_agreement.rs` for the full rationale.
-fn forced_reorder() -> bool {
-    std::env::var("QITS_REORDER").is_ok_and(|v| v == "aggressive")
-}
-
 /// Semantic equality of job outputs across independently-built pools,
 /// ignoring timing-carrying stats.
 fn outputs_agree(warm: &JobOutput, cold: &JobOutput) -> Result<(), String> {
@@ -439,22 +356,7 @@ fn outputs_agree(warm: &JobOutput, cold: &JobOutput) -> Result<(), String> {
             if w.dim != c.dim {
                 return Err(format!("image dim {} != {}", w.dim, c.dim));
             }
-            let same_shape = w.amplitudes.len() == c.amplitudes.len()
-                && w.amplitudes
-                    .iter()
-                    .zip(&c.amplitudes)
-                    .all(|(a, b)| a.len() == b.len());
-            let agree = if forced_reorder() {
-                same_shape
-                    && w.amplitudes
-                        .iter()
-                        .flatten()
-                        .zip(c.amplitudes.iter().flatten())
-                        .all(|(a, b)| a.approx_eq_with(*b, 1e-9))
-            } else {
-                w.amplitudes == c.amplitudes
-            };
-            agree
+            (w.amplitudes == c.amplitudes)
                 .then_some(())
                 .ok_or_else(|| "image amplitudes differ".to_string())
         }
