@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use qits_num::key::{Fnv128, KeyBits};
+
 use crate::gate::Gate;
 
 /// A combinational quantum circuit: gates applied left to right on
@@ -92,6 +94,14 @@ impl FromIterator<Gate> for Circuit {
         let gates: Vec<Gate> = iter.into_iter().collect();
         let n_qubits = gates.iter().map(|g| g.max_qubit() + 1).max().unwrap_or(0);
         Circuit { n_qubits, gates }
+    }
+}
+
+impl KeyBits for Circuit {
+    fn key_bits(&self, h: &mut Fnv128) {
+        let Circuit { n_qubits, gates } = self;
+        n_qubits.key_bits(h);
+        gates.key_bits(h);
     }
 }
 

@@ -1,6 +1,7 @@
 //! Transition-system operations: sequences of unitary, projective, and
 //! noisy elements, and their expansion into pure Kraus-operator circuits.
 
+use qits_num::key::{Fnv128, KeyBits};
 use qits_num::Mat;
 
 use crate::circuit::Circuit;
@@ -195,6 +196,45 @@ impl Operation {
             out.push(circuit);
         }
         out
+    }
+}
+
+impl KeyBits for Element {
+    fn key_bits(&self, h: &mut Fnv128) {
+        match self {
+            Element::Gate(g) => {
+                0u8.key_bits(h);
+                g.key_bits(h);
+            }
+            Element::Projector { qubits, bits } => {
+                1u8.key_bits(h);
+                qubits.key_bits(h);
+                bits.key_bits(h);
+            }
+            Element::Channel {
+                qubit,
+                kraus,
+                label,
+            } => {
+                2u8.key_bits(h);
+                qubit.key_bits(h);
+                kraus.key_bits(h);
+                label.key_bits(h);
+            }
+        }
+    }
+}
+
+impl KeyBits for Operation {
+    fn key_bits(&self, h: &mut Fnv128) {
+        let Operation {
+            label,
+            n_qubits,
+            elements,
+        } = self;
+        label.key_bits(h);
+        n_qubits.key_bits(h);
+        elements.key_bits(h);
     }
 }
 

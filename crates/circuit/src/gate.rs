@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use qits_num::key::{Fnv128, KeyBits};
 use qits_num::{Cplx, Mat};
 
 /// A control condition on a qubit.
@@ -350,6 +351,69 @@ impl Gate {
     /// rule.
     pub fn is_multi_qubit(&self) -> bool {
         self.targets.len() + self.controls.len() > 1
+    }
+}
+
+impl KeyBits for Control {
+    fn key_bits(&self, h: &mut Fnv128) {
+        let Control { qubit, value } = self;
+        qubit.key_bits(h);
+        value.key_bits(h);
+    }
+}
+
+impl KeyBits for GateKind {
+    /// A tag per variant, then its angle's bits or its matrix.
+    fn key_bits(&self, h: &mut Fnv128) {
+        let tag: u8 = match self {
+            GateKind::I => 0,
+            GateKind::H => 1,
+            GateKind::X => 2,
+            GateKind::Y => 3,
+            GateKind::Z => 4,
+            GateKind::S => 5,
+            GateKind::Sdg => 6,
+            GateKind::T => 7,
+            GateKind::Tdg => 8,
+            GateKind::Phase(_) => 9,
+            GateKind::Rx(_) => 10,
+            GateKind::Ry(_) => 11,
+            GateKind::Rz(_) => 12,
+            GateKind::Swap => 13,
+            GateKind::Custom1(_) => 14,
+            GateKind::Custom2(_) => 15,
+        };
+        tag.key_bits(h);
+        match self {
+            GateKind::Phase(theta)
+            | GateKind::Rx(theta)
+            | GateKind::Ry(theta)
+            | GateKind::Rz(theta) => theta.key_bits(h),
+            GateKind::Custom1(m) | GateKind::Custom2(m) => m.key_bits(h),
+            GateKind::I
+            | GateKind::H
+            | GateKind::X
+            | GateKind::Y
+            | GateKind::Z
+            | GateKind::S
+            | GateKind::Sdg
+            | GateKind::T
+            | GateKind::Tdg
+            | GateKind::Swap => {}
+        }
+    }
+}
+
+impl KeyBits for Gate {
+    fn key_bits(&self, h: &mut Fnv128) {
+        let Gate {
+            kind,
+            targets,
+            controls,
+        } = self;
+        kind.key_bits(h);
+        targets.key_bits(h);
+        controls.key_bits(h);
     }
 }
 

@@ -5,6 +5,7 @@
 //! transition system plus the product states spanning the initial subspace
 //! ("the commonly used input states" of Section VI-A).
 
+use qits_num::key::{Fnv128, KeyBits};
 use qits_num::{Cplx, Mat};
 
 use crate::circuit::Circuit;
@@ -26,6 +27,21 @@ pub struct QtsSpec {
     /// Product states spanning the initial subspace: one `(alpha, beta)`
     /// amplitude pair per qubit per state.
     pub initial_states: Vec<Vec<(Cplx, Cplx)>>,
+}
+
+impl KeyBits for QtsSpec {
+    fn key_bits(&self, h: &mut Fnv128) {
+        let QtsSpec {
+            name,
+            n_qubits,
+            operations,
+            initial_states,
+        } = self;
+        name.key_bits(h);
+        n_qubits.key_bits(h);
+        operations.key_bits(h);
+        initial_states.key_bits(h);
+    }
 }
 
 impl QtsSpec {

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use qits_circuit::{Circuit, Operation};
+use qits_num::key::{Fnv128, KeyBits};
 use qits_tdd::{CacheStats, Edge, EdgeHolder, TddManager};
 use qits_tensor::{Var, VarSet};
 use qits_tensornet::{
@@ -42,6 +43,23 @@ pub enum Strategy {
         /// Crossing multi-qubit gates per vertical segment.
         k2: u32,
     },
+}
+
+impl KeyBits for Strategy {
+    fn key_bits(&self, h: &mut Fnv128) {
+        match self {
+            Strategy::Basic => 0u8.key_bits(h),
+            Strategy::Addition { k } => {
+                1u8.key_bits(h);
+                k.key_bits(h);
+            }
+            Strategy::Contraction { k1, k2 } => {
+                2u8.key_bits(h);
+                k1.key_bits(h);
+                k2.key_bits(h);
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for Strategy {

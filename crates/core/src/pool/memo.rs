@@ -6,7 +6,7 @@
 //! worker, in any pool. The memo exploits exactly that — and nothing
 //! more: keys embed [`super::EngineSpec::fingerprint`], which folds in
 //! every knob that could plausibly influence a result (system, tolerance,
-//! orderings, strategy, even the GC configuration), so a hit can only
+//! capacities, strategy, even the GC configuration), so a hit can only
 //! come from a semantically interchangeable session. Only `Ok` results
 //! are memoised; failures, cancellations, and deadline sheds always
 //! re-run.
@@ -30,43 +30,25 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use super::{Job, JobOutput};
+use qits_num::key::{Fnv128, KeyBits};
 
-/// 128-bit FNV-1a over a list of byte chunks. Not cryptographic — the
-/// memo is a cache, not a security boundary — but 128 bits make
-/// accidental collisions across a fleet's lifetime implausible.
-pub(crate) fn fnv128(chunks: &[&[u8]]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-    let mut h = OFFSET;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= b as u128;
-            h = h.wrapping_mul(PRIME);
-        }
-        // Chunk separator so ("ab","c") and ("a","bc") hash apart.
-        h ^= 0xff;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
+use super::{Job, JobOutput};
 
 /// Canonical identity of one (spec, job) pair — the memo's key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoKey(u128);
 
 impl MemoKey {
-    /// Keys a job within a spec's namespace. The job payload is hashed
-    /// through its canonical `Debug` encoding, which spells out every
-    /// field of every variant (circuits gate-by-gate, invariant states
-    /// amplitude-by-amplitude with full `f64` precision) — two jobs hash
+    /// Keys a job within a spec's namespace. The job's fields stream
+    /// their raw bits into the hash (see [`qits_num::key`]): every field
+    /// of every variant, circuits gate by gate and invariant states
+    /// amplitude by amplitude, each float by its bits — two jobs hash
     /// equal exactly when they are structurally identical.
     pub(crate) fn for_job(spec_fingerprint: u128, job: &Job) -> MemoKey {
-        let payload = format!("{job:?}");
-        MemoKey(fnv128(&[
-            &spec_fingerprint.to_le_bytes(),
-            payload.as_bytes(),
-        ]))
+        let mut h = Fnv128::new();
+        spec_fingerprint.key_bits(&mut h);
+        job.key_bits(&mut h);
+        MemoKey(h.finish())
     }
 
     /// Rebuilds a key from its raw snapshot form (the identity
@@ -283,9 +265,20 @@ mod tests {
 
     #[test]
     fn fnv_chunk_boundaries_matter() {
-        assert_ne!(fnv128(&[b"ab", b"c"]), fnv128(&[b"a", b"bc"]));
-        assert_ne!(fnv128(&[b"ab"]), fnv128(&[b"ab", b""]));
-        assert_eq!(fnv128(&[b"ab", b"c"]), fnv128(&[b"ab", b"c"]));
+        // The same gates split differently between the two circuits of an
+        // equivalence job: length prefixes keep the keys apart.
+        use qits_circuit::Gate;
+        let job = |a: &[Gate], b: &[Gate]| {
+            MemoKey::for_job(
+                1,
+                &Job::equivalence(a.iter().cloned().collect(), b.iter().cloned().collect()),
+            )
+        };
+        let (h, x) = (Gate::h(0), Gate::x(0));
+        let hx_ = job(&[Gate::h(0), Gate::x(0)], &[]);
+        assert_ne!(hx_, job(std::slice::from_ref(&h), std::slice::from_ref(&x)));
+        assert_ne!(hx_, job(&[], &[Gate::h(0), Gate::x(0)]));
+        assert_eq!(hx_, job(&[h, x], &[]));
     }
 
     #[test]

@@ -15,7 +15,12 @@
 //!   [`Engine`] stamped from a shared [`EngineSpec`]; the manager-owned
 //!   operation caches stay warm across the jobs that worker serves, so
 //!   repeated queries over the same system reuse each other's
-//!   contractions exactly as a long-lived session would.
+//!   contractions exactly as a long-lived session would. A worker's
+//!   memory still follows its live set: after a job, once its arena
+//!   holds more than twice the live nodes its last collection left and
+//!   more than 20,000 occupied slots, it collects, keeping only its
+//!   session, and restarts its caches. Each worker runs on a stack sized
+//!   to the system's register.
 //! * **Sharded queue, priority lanes, work stealing.** Submission
 //!   round-robins jobs over one queue shard per worker; within every
 //!   shard, three [`Priority`] lanes keep latency-sensitive work ahead of
@@ -80,16 +85,18 @@ pub mod proto;
 pub use front::{JobRequest, JobTicket, Priority, ServiceHandle};
 pub use memo::{MemoKey, MemoStats, ResultMemo};
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use qits_circuit::generators::QtsSpec;
 use qits_circuit::Circuit;
+use qits_num::key::{key_of, Fnv128, KeyBits};
 use qits_num::Cplx;
 use qits_tdd::{CancelToken, GcPolicy, ManagerStats};
 use qits_tensor::Var;
@@ -207,28 +214,18 @@ impl EngineSpec {
     /// A canonical 128-bit fingerprint of everything that determines this
     /// spec's results: the full transition system (operations, Kraus
     /// sets, initial amplitudes), the numeric tolerance, the capacities,
-    /// the GC configuration, and the strategy name. Two
+    /// the GC configuration, and the strategy. Two
     /// specs with equal fingerprints produce interchangeable results, so
     /// this is the namespace half of every [`ResultMemo`] key — it is
     /// what keeps a fleet-wide memo from ever crossing distinct
-    /// [`QtsSpec`]s.
+    /// [`QtsSpec`]s. The raw bits of every field are hashed (see
+    /// [`qits_num::key`]); nothing is formatted as text.
     ///
     /// Deliberately conservative: knobs that *probably* don't change
     /// results (cache sizes, GC policy) are still folded in, trading memo
     /// hits across differently-configured pools for certainty.
     pub fn fingerprint(&self) -> u128 {
-        let config = format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            self.tolerance.to_bits(),
-            self.cache_capacity,
-            self.node_capacity,
-            self.gc_policy,
-        );
-        memo::fnv128(&[
-            format!("{:?}", self.system).as_bytes(),
-            config.as_bytes(),
-            self.strategy.to_string().as_bytes(),
-        ])
+        key_of(self)
     }
 
     fn builder(&self) -> EngineBuilder {
@@ -246,25 +243,47 @@ impl EngineSpec {
     }
 
     /// Builds one serial engine from the spec — the exact session a pool
-    /// worker owns, minus the pool's stats sink. Use this as the
-    /// reference when differential-testing pool results.
+    /// worker owns, minus the pool's stats sink and its collections
+    /// between jobs. Use this as the reference when differential-testing
+    /// pool results.
     pub fn build(&self) -> Result<Engine, QitsError> {
         let mut engine = self.builder().build_from_spec(&self.system)?;
         engine.set_fingerprint(self.fingerprint());
         Ok(engine)
     }
 
-    /// Builds a worker engine wired to a per-image stats sink.
+    /// Builds a worker engine wired to a per-image stats sink, stamped
+    /// with the fingerprint the pool computed once for all its workers.
     fn build_with_sink(
         &self,
+        fingerprint: u128,
         sink: impl FnMut(&str, &ImageStats) + Send + 'static,
     ) -> Result<Engine, QitsError> {
         let mut engine = self
             .builder()
             .stats_sink(sink)
             .build_from_spec(&self.system)?;
-        engine.set_fingerprint(self.fingerprint());
+        engine.set_fingerprint(fingerprint);
         Ok(engine)
+    }
+}
+
+impl KeyBits for EngineSpec {
+    fn key_bits(&self, h: &mut Fnv128) {
+        let EngineSpec {
+            system,
+            tolerance,
+            cache_capacity,
+            node_capacity,
+            gc_policy,
+            strategy,
+        } = self;
+        system.key_bits(h);
+        tolerance.key_bits(h);
+        cache_capacity.key_bits(h);
+        node_capacity.key_bits(h);
+        gc_policy.key_bits(h);
+        strategy.key_bits(h);
     }
 }
 
@@ -352,6 +371,39 @@ impl Job {
             a,
             b,
             up_to_phase: false,
+        }
+    }
+}
+
+impl KeyBits for Job {
+    /// A tag per variant, then every field's raw bits: the job half of a
+    /// [`MemoKey`].
+    fn key_bits(&self, h: &mut Fnv128) {
+        match self {
+            Job::Image { densify } => {
+                0u8.key_bits(h);
+                densify.key_bits(h);
+            }
+            Job::Reachability { max_iterations } => {
+                1u8.key_bits(h);
+                max_iterations.key_bits(h);
+            }
+            Job::Invariant {
+                n_qubits,
+                states,
+                max_iterations,
+            } => {
+                2u8.key_bits(h);
+                n_qubits.key_bits(h);
+                states.key_bits(h);
+                max_iterations.key_bits(h);
+            }
+            Job::Equivalence { a, b, up_to_phase } => {
+                3u8.key_bits(h);
+                a.key_bits(h);
+                b.key_bits(h);
+                up_to_phase.key_bits(h);
+            }
         }
     }
 }
@@ -572,7 +624,9 @@ pub struct WorkerStats {
     /// Those image computations' stats, [`ImageStats::absorb`]-merged.
     pub image: ImageStats,
     /// The worker manager's lifetime counters as of its last finished job
-    /// (safepoints, reclaim, cache movement).
+    /// and the collection after it, if one ran (safepoints, reclaim,
+    /// cache movement; `peak_arena`, `gc_runs` and `nodes_reclaimed`
+    /// track the worker's memory).
     pub manager: ManagerStats,
 }
 
@@ -864,6 +918,26 @@ impl fmt::Debug for EnginePool {
     }
 }
 
+/// Stack bytes a pool worker reserves per register qubit, on top of
+/// [`STACK_BASE`]. The diagram recursions (addition, contraction, the
+/// inner-product walk) descend about one frame per variable, so the
+/// deepest stack of an engine build or a job grows with the register.
+/// Measured as the smallest stack that builds an engine and answers an
+/// image, reachability or equivalence job (ghz, bv and qrw, 200–4,000
+/// qubits): about 840 bytes per qubit in a release build and 1,980 in a
+/// debug build. These constants leave at least twice that.
+const STACK_BYTES_PER_QUBIT: usize = if cfg!(debug_assertions) { 4096 } else { 2048 };
+
+/// A worker's stack besides its register's share: std's default.
+const STACK_BASE: usize = 2 << 20;
+
+/// The stack a pool worker spawns with over an `n_qubits` register. The
+/// engine build refuses a register wider than [`Var::MAX_POS`], so no
+/// worker needs more than that width's share.
+fn worker_stack_size(n_qubits: u32) -> usize {
+    STACK_BASE + STACK_BYTES_PER_QUBIT * n_qubits.min(Var::MAX_POS) as usize
+}
+
 /// Configures and constructs an [`EnginePool`].
 pub struct PoolBuilder {
     spec: EngineSpec,
@@ -944,9 +1018,12 @@ impl PoolBuilder {
         Ok(self)
     }
 
-    /// Builds the pool: constructs every worker engine from the spec *on
-    /// the calling thread* — so a malformed spec is an `Err` here, before
-    /// any thread exists — then moves each engine onto its worker.
+    /// Builds the pool: spawns every worker on a stack sized to the
+    /// system's register, and each worker builds its engine from the spec
+    /// there, where the diagram recursions of every later job run too. A
+    /// malformed spec is still an `Err` here: the call waits for every
+    /// worker's build, and if one failed, it stops the others and returns
+    /// that error.
     pub fn build(mut self) -> Result<EnginePool, QitsError> {
         let n = self.workers;
         if let Some(snap) = &self.warm_snapshot {
@@ -971,29 +1048,53 @@ impl PoolBuilder {
             spec_fingerprint: self.spec.fingerprint(),
             warm_snapshot: self.warm_snapshot,
         });
-        let mut engines = Vec::with_capacity(n);
-        for index in 0..n {
-            engines.push(build_worker_engine(&self.spec, &shared, index)?);
-        }
-        let handles = engines
-            .into_iter()
-            .enumerate()
-            .map(|(index, engine)| {
+        let stack = worker_stack_size(self.spec.system.n_qubits);
+        let (built_tx, built_rx) = mpsc::channel();
+        let handles = (0..n)
+            .map(|index| {
                 let shared = shared.clone();
                 let spec = self.spec.clone();
+                let built = built_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("qits-pool-{index}"))
-                    .spawn(move || worker_main(shared, spec, index, engine))
+                    .stack_size(stack)
+                    .spawn(move || match build_worker_engine(&spec, &shared, index) {
+                        Ok(engine) => {
+                            let _ = built.send(Ok(()));
+                            drop(built);
+                            worker_main(shared, spec, index, engine);
+                        }
+                        Err(e) => {
+                            let _ = built.send(Err(e));
+                        }
+                    })
                     .expect("spawning a pool worker thread")
             })
             .collect();
-        Ok(EnginePool {
+        drop(built_tx);
+        // Every worker reports its build once and then drops its sender,
+        // so this ends when the last build has finished; a worker whose
+        // build panicked drops its sender without a report.
+        let reports: Vec<Result<(), QitsError>> = built_rx.iter().collect();
+        let mut pool = EnginePool {
             shared,
             spec: self.spec,
             handles,
-            sink: self.sink,
+            sink: None,
             finished: false,
-        })
+        };
+        if reports.len() < n || reports.iter().any(Result::is_err) {
+            pool.finished = true;
+            let panic = pool.stop_workers();
+            if let Some(e) = reports.into_iter().find_map(Result::err) {
+                return Err(e);
+            }
+            // Re-raise the build's panic here, where a build on the
+            // calling thread would have raised it.
+            std::panic::resume_unwind(panic.expect("a worker that sent no build report panicked"));
+        }
+        pool.sink = self.sink;
+        Ok(pool)
     }
 }
 
@@ -1069,19 +1170,26 @@ impl EnginePool {
         self.finish()
     }
 
+    /// Closes the queue and joins every worker, returning the payload of
+    /// the first worker that panicked.
+    fn stop_workers(&mut self) -> Option<Box<dyn Any + Send>> {
+        self.shared.state.lock().unwrap().shutdown = true;
+        self.shared.available.notify_all();
+        let mut panic = None;
+        for h in self.handles.drain(..) {
+            if let Err(payload) = h.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        panic
+    }
+
     fn finish(&mut self) -> PoolStats {
         if self.finished {
             return self.shared.stats_snapshot();
         }
         self.finished = true;
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-        }
-        self.shared.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.stop_workers();
         // Belt and braces: if a worker died outside a job, tasks could
         // still sit in its shard. Dropping them resolves their tickets
         // with a failure (see `Task::drop`) so no joiner blocks forever.
@@ -1117,7 +1225,7 @@ fn build_worker_engine(
     index: usize,
 ) -> Result<Engine, QitsError> {
     let slot = shared.clone();
-    let mut engine = spec.build_with_sink(move |_, stats| {
+    let mut engine = spec.build_with_sink(shared.spec_fingerprint, move |_, stats| {
         let mut w = slot.workers[index].lock().unwrap();
         w.images += 1;
         w.image.absorb(stats);
@@ -1185,6 +1293,11 @@ fn worker_main(shared: Arc<Shared>, spec: EngineSpec, index: usize, mut engine: 
         if let (Ok(out), Some(memo), Some(key)) = (&result, &shared.memo, &task.memo_key) {
             memo.insert(*key, out);
         }
+        let manager = |engine: &Engine| {
+            let mut snapshot = retired;
+            snapshot.absorb(&engine.manager().stats());
+            snapshot
+        };
         {
             let mut w = shared.workers[index].lock().unwrap();
             match &result {
@@ -1192,18 +1305,53 @@ fn worker_main(shared: Arc<Shared>, spec: EngineSpec, index: usize, mut engine: 
                 Err(QitsError::Cancelled) => w.jobs_cancelled += 1,
                 Err(_) => w.jobs_failed += 1,
             }
-            let mut snapshot = retired;
-            snapshot.absorb(&engine.manager().stats());
-            w.manager = snapshot;
+            w.manager = manager(&engine);
         }
         task.slot.deliver(result);
+        if collect_between_jobs(&mut engine) {
+            shared.workers[index].lock().unwrap().manager = manager(&engine);
+        }
     }
+}
+
+/// Occupied arena slots at or below which a worker never collects
+/// between jobs: a collection costs a mark over the live set and a sweep
+/// over the arena, and a small arena is cheap to keep.
+const COLLECT_MIN_OCCUPIED: usize = 20_000;
+
+/// The serving-memory rule a worker applies after delivering each job:
+/// once its arena holds more than twice the live nodes its last
+/// collection left and more than [`COLLECT_MIN_OCCUPIED`] occupied slots,
+/// it collects, keeping the system, the compiled branches and the chain
+/// ([`Engine::collect`]), and then clears its operation caches, which by
+/// then hold almost nothing but entries naming swept nodes. Returns
+/// whether it collected.
+///
+/// Between jobs nothing else is live, so the arena shrinks to the
+/// session's own state. Collecting inside a fixpoint instead, between its
+/// iterations, made qrw10 and qrw12 fixpoints 1.5–1.9× slower, and
+/// collecting without clearing the caches kept their arrays at full size
+/// and cost serve-mixed a fifth of its throughput. The weight table is not
+/// collected: recycling a weight index could silently change an unrooted
+/// scalar edge held across the collection, which generational node
+/// handles do not guard.
+fn collect_between_jobs(engine: &mut Engine) -> bool {
+    let m = engine.manager();
+    let occupied = m.arena_occupied();
+    if occupied <= COLLECT_MIN_OCCUPIED || occupied <= 2 * m.stats().live_after_last_gc {
+        return false;
+    }
+    engine.collect(&[]);
+    engine.manager_mut().clear_caches();
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qits_circuit::generators;
+    use qits_circuit::tensorize::states;
+    use qits_circuit::{generators, Control, Element, Gate, GateKind, Operation};
+    use qits_num::Mat;
 
     fn grover_spec() -> EngineSpec {
         EngineSpec::new(generators::grover(3))
@@ -1269,6 +1417,19 @@ mod tests {
     }
 
     #[test]
+    fn an_unaddressable_register_fails_the_build_on_a_bounded_stack() {
+        let spec = EngineSpec::new(QtsSpec {
+            name: "unaddressable".into(),
+            n_qubits: u32::MAX,
+            operations: vec![],
+            initial_states: vec![],
+        });
+        assert_eq!(worker_stack_size(u32::MAX), worker_stack_size(Var::MAX_POS));
+        let err = EnginePool::builder(spec).workers(2).build().unwrap_err();
+        assert!(matches!(err, QitsError::RegisterTooWide { .. }), "{err:?}");
+    }
+
+    #[test]
     fn dropping_a_handle_abandons_the_result_not_the_job() {
         let pool = EnginePool::builder(grover_spec())
             .workers(1)
@@ -1325,6 +1486,144 @@ mod tests {
         assert_ne!(a.fingerprint(), other_tol.fingerprint());
         let other_strategy = grover_spec().strategy(crate::Strategy::Basic);
         assert_ne!(a.fingerprint(), other_strategy.fingerprint());
+    }
+
+    /// A two-step spec: a controlled rotation, then a one-branch channel,
+    /// from one product state.
+    fn keyed_spec(gate: &Gate, kraus: Mat, amp: (Cplx, Cplx), label: &str) -> EngineSpec {
+        EngineSpec::new(QtsSpec {
+            name: "keyed".into(),
+            n_qubits: 3,
+            operations: vec![Operation::new(label, 3).then_gate(gate.clone()).then(
+                Element::Channel {
+                    qubit: 2,
+                    kraus: vec![kraus],
+                    label: "noise".into(),
+                },
+            )],
+            initial_states: vec![vec![states::ZERO, states::ZERO, amp]],
+        })
+    }
+
+    /// The next float above `x`: a change in the last bit only.
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    #[test]
+    fn every_field_reaches_the_spec_and_job_keys() {
+        let on = |qubit, value| Control { qubit, value };
+        let rx =
+            |theta, target, control| Gate::new(GateKind::Rx(theta), vec![target], vec![control]);
+        let gate = rx(0.25, 1, on(0, true));
+        let (alpha, beta) = states::PLUS;
+        let nudged = (alpha, Cplx::new(beta.re, next_up(beta.im)));
+        let mut nudged_kraus = Mat::identity(2);
+        nudged_kraus[(0, 1)] = Cplx::new(0.0, f64::MIN_POSITIVE);
+        let base = keyed_spec(&gate, Mat::identity(2), states::PLUS, "step");
+        let fp = base.fingerprint();
+        assert_eq!(
+            fp,
+            keyed_spec(&gate.clone(), Mat::identity(2), states::PLUS, "step").fingerprint()
+        );
+
+        let circuit = |g: &Gate| -> Circuit { [Gate::h(0), g.clone()].into_iter().collect() };
+        let key = |job: &Job| MemoKey::for_job(fp, job);
+        let equivalence = Job::equivalence(circuit(&gate), circuit(&gate));
+        let invariant =
+            |amp, bound| Job::invariant(3, vec![vec![states::ZERO, amp, states::ONE]], bound);
+        for job in [
+            &equivalence,
+            &invariant(states::PLUS, 40),
+            &Job::image(),
+            &Job::reachability(40),
+        ] {
+            assert_eq!(key(job), key(&job.clone()));
+            assert_ne!(key(job), MemoKey::for_job(fp ^ 1, job), "the spec half");
+        }
+
+        // Each gate field, in the system's operation and in a job's circuit.
+        for (field, changed) in [
+            (
+                "gate kind",
+                Gate::new(GateKind::Ry(0.25), vec![1], vec![on(0, true)]),
+            ),
+            ("angle bits", rx(next_up(0.25), 1, on(0, true))),
+            ("target", rx(0.25, 2, on(0, true))),
+            ("control qubit", rx(0.25, 1, on(2, true))),
+            ("control value", rx(0.25, 1, on(0, false))),
+        ] {
+            let spec = keyed_spec(&changed, Mat::identity(2), states::PLUS, "step");
+            assert_ne!(
+                fp,
+                spec.fingerprint(),
+                "changing the {field} kept the fingerprint"
+            );
+            let job = Job::equivalence(circuit(&gate), circuit(&changed));
+            assert_ne!(
+                key(&equivalence),
+                key(&job),
+                "changing the {field} kept the job key"
+            );
+        }
+        for (field, spec) in [
+            (
+                "Kraus entry",
+                keyed_spec(&gate, nudged_kraus, states::PLUS, "step"),
+            ),
+            (
+                "initial amplitude",
+                keyed_spec(&gate, Mat::identity(2), nudged, "step"),
+            ),
+            (
+                "label",
+                keyed_spec(&gate, Mat::identity(2), states::PLUS, "step'"),
+            ),
+            (
+                "tolerance",
+                base.clone().tolerance(next_up(qits_num::DEFAULT_TOLERANCE)),
+            ),
+            (
+                "strategy",
+                base.clone().strategy(crate::Strategy::Addition { k: 1 }),
+            ),
+        ] {
+            assert_ne!(
+                fp,
+                spec.fingerprint(),
+                "changing the {field} kept the fingerprint"
+            );
+        }
+        let phase = Job::Equivalence {
+            a: circuit(&gate),
+            b: circuit(&gate),
+            up_to_phase: true,
+        };
+        for (field, job, changed) in [
+            ("up_to_phase", equivalence, phase),
+            (
+                "amplitude",
+                invariant(states::PLUS, 40),
+                invariant(nudged, 40),
+            ),
+            (
+                "max_iterations",
+                invariant(states::PLUS, 40),
+                invariant(states::PLUS, 41),
+            ),
+            (
+                "max_iterations",
+                Job::reachability(40),
+                Job::reachability(41),
+            ),
+            ("densify", Job::image(), Job::Image { densify: true }),
+        ] {
+            assert_ne!(
+                key(&job),
+                key(&changed),
+                "changing the {field} kept the job key"
+            );
+        }
     }
 
     #[test]

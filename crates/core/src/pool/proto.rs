@@ -49,7 +49,7 @@
 //! | `{"event":"rejected","id":"q1","error":"..."}` | admission refused (queue full / shutdown) — terminal for this id |
 //! | `{"event":"result","id":"q1","status":"ok","output":{...},"latency_ms":1.9}` | the job completed |
 //! | `{"event":"result","id":"q1","status":"error","error":"..."}` | the job failed / was cancelled / expired |
-//! | `{"event":"stats","jobs_submitted":...,...}` | answer to `{"op":"stats"}` — memo counters split `memo_hits` / `memo_warm_hits` (hits served by snapshot-restored entries) and report `memo_evictions` |
+//! | `{"event":"stats","jobs_submitted":...,...}` | answer to `{"op":"stats"}` — memo counters split `memo_hits` / `memo_warm_hits` (hits served by snapshot-restored entries) and report `memo_evictions`; `peak_arena` is the sum of every worker's peak arena slots, and `gc_runs` / `nodes_reclaimed` count the workers' collections and the nodes they swept |
 //! | `{"event":"saved","path":"...","entries":N}` | the memo spill was written (`N` entries) |
 //! | `{"event":"loaded","path":"...","entries":N}` | a snapshot's memo entries were preloaded |
 //! | `{"event":"error","error":"..."}` | the input line did not parse, or a `save`/`load` failed; the server keeps reading |
@@ -594,7 +594,8 @@ fn stats_json(s: &PoolStats) -> String {
          \"jobs_completed\": {}, \"jobs_failed\": {}, \"jobs_rejected\": {}, \
          \"jobs_cancelled\": {}, \"jobs_expired\": {}, \"queue_depth\": {}, \
          \"memo_hits\": {}, \"memo_warm_hits\": {}, \"memo_misses\": {}, \
-         \"memo_evictions\": {}, \"images\": {}}}",
+         \"memo_evictions\": {}, \"images\": {}, \"peak_arena\": {}, \
+         \"gc_runs\": {}, \"nodes_reclaimed\": {}}}",
         s.workers.len(),
         s.jobs_submitted,
         s.jobs_completed,
@@ -608,6 +609,12 @@ fn stats_json(s: &PoolStats) -> String {
         s.memo.misses,
         s.memo.evictions,
         s.images,
+        s.workers
+            .iter()
+            .map(|w| w.manager.peak_arena)
+            .sum::<usize>(),
+        s.manager.gc_runs,
+        s.manager.nodes_reclaimed,
     )
 }
 
@@ -951,5 +958,26 @@ mod tests {
             }
             other => panic!("decoded {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_stats_event_reports_worker_memory() {
+        let pool =
+            crate::EnginePool::builder(crate::EngineSpec::new(qits_circuit::generators::ghz(3)))
+                .workers(2)
+                .build()
+                .unwrap();
+        pool.submit(Job::image()).join().unwrap();
+        let stats = pool.shutdown();
+        let peak: usize = stats.workers.iter().map(|w| w.manager.peak_arena).sum();
+        assert!(peak > 0);
+        let event = parse_json(&stats_json(&stats)).unwrap();
+        let field = |name: &str| event.get(name).and_then(JsonValue::as_f64);
+        assert_eq!(field("peak_arena"), Some(peak as f64));
+        assert_eq!(field("gc_runs"), Some(stats.manager.gc_runs as f64));
+        assert_eq!(
+            field("nodes_reclaimed"),
+            Some(stats.manager.nodes_reclaimed as f64)
+        );
     }
 }

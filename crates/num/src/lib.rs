@@ -14,6 +14,8 @@
 //! * [`linalg`] — dense vector routines (inner products, Gram–Schmidt)
 //!   mirroring the subspace calculus of the paper, again for use as a
 //!   reference implementation.
+//! * [`key`] — canonical 128-bit keys over the raw bits of a value's
+//!   fields, for result memos and spec fingerprints.
 //!
 //! # Example
 //!
@@ -26,6 +28,7 @@
 //! ```
 
 pub mod approx;
+pub mod key;
 pub mod linalg;
 pub mod matrix;
 

@@ -14,6 +14,7 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+use crate::key::{Fnv128, KeyBits};
 use crate::Cplx;
 
 /// A dense, row-major, square complex matrix.
@@ -246,6 +247,14 @@ impl Mat {
             }
         }
         true
+    }
+}
+
+impl KeyBits for Mat {
+    fn key_bits(&self, h: &mut Fnv128) {
+        let Mat { dim, data } = self;
+        dim.key_bits(h);
+        data.key_bits(h);
     }
 }
 

@@ -75,6 +75,8 @@
 use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 
+use qits_num::key::{Fnv128, KeyBits};
+
 use crate::manager::TddManager;
 use crate::node::Edge;
 
@@ -167,6 +169,19 @@ impl Default for GcPolicy {
             min_interval: 1 << 16,
             sweep_budget: usize::MAX,
         }
+    }
+}
+
+impl KeyBits for GcPolicy {
+    fn key_bits(&self, h: &mut Fnv128) {
+        let GcPolicy {
+            watermark,
+            min_interval,
+            sweep_budget,
+        } = self;
+        watermark.key_bits(h);
+        min_interval.key_bits(h);
+        sweep_budget.key_bits(h);
     }
 }
 
