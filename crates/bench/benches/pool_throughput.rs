@@ -20,11 +20,8 @@ fn spec() -> EngineSpec {
     // The CI pool case: the elementarised Grover circuit under the basic
     // (monolithic-operator) method — heavy enough per job that compute
     // dwarfs queue overhead, and cache-friendly enough that a worker's
-    // warm repeats are several times cheaper than a cold session. GC off
-    // for maximal cache retention (see `run_pool_throughput`).
-    EngineSpec::new(spec_for("grover-elem", 9))
-        .strategy(Strategy::Basic)
-        .gc_policy(None)
+    // warm repeats are several times cheaper than a cold session.
+    EngineSpec::new(spec_for("grover-elem", 9)).strategy(Strategy::Basic)
 }
 
 fn run_pool(workers: usize) {

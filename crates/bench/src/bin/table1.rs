@@ -21,11 +21,10 @@ use std::path::Path;
 use std::time::Duration;
 
 use qits_bench::{
-    ci_report_json, fmt_count, fmt_secs, maybe_run_one, run_case_subprocess, run_image_gc,
+    ci_report_json, fmt_count, fmt_secs, maybe_run_one, run_case_subprocess, run_image,
     run_pool_throughput, run_serve_soak, run_store_measurement, spec_for, strategy_for, CiRow,
     SoakConfig, CI_POOL_CASE, METHODS,
 };
-use qits_tdd::GcPolicy;
 
 struct Row {
     family: &'static str,
@@ -217,21 +216,21 @@ fn full_rows() -> Vec<Row> {
 fn case_summary(row: &CiRow) -> String {
     format!(
         "ci:   ok  {:.3}s  max#node {}  live/alloc {}/{}  \
-         safepoints {} ({} collected, {} nodes reclaimed)",
+         safepoints {}  collection reclaimed {} nodes",
         row.subprocess.secs,
         row.subprocess.max_nodes,
         row.subprocess.live_nodes,
         row.subprocess.allocated_nodes,
-        row.gc.safepoints,
-        row.gc.safepoint_collections,
-        row.gc.safepoint_reclaimed,
+        row.run.stats.safepoints,
+        row.run.gc.reclaimed,
     )
 }
 
 /// The CI bench-smoke mode: one small paper instance per method, each
 /// measured through the subprocess protocol (so the protocol itself is
-/// under test) and once more in-process under `GcPolicy::aggressive()`
-/// for the safepoint counters. Returns the process exit code.
+/// under test) and once more in-process, a default engine's image plus
+/// the collection after it, for the poll counter and the unique-table
+/// health row. Returns the process exit code.
 fn run_ci_smoke(timeout: Duration) -> i32 {
     let mut rows: Vec<CiRow> = Vec::new();
     for &(family, n, method) in qits_bench::CI_CASES.iter() {
@@ -246,15 +245,11 @@ fn run_ci_smoke(timeout: Duration) -> i32 {
             );
             return 1;
         };
-        let gc = run_image_gc(
-            &spec_for(family, n),
-            strategy_for(method),
-            Some(GcPolicy::aggressive()),
-        );
-        if gc.safepoints == 0 {
+        let run = run_image(&spec_for(family, n), strategy_for(method));
+        if run.stats.safepoints == 0 {
             // Every serial strategy polls at least one per-state
-            // safepoint; a zero counter means the in-image safepoint
-            // wiring regressed.
+            // cancellation safepoint; a zero counter means the kernel's
+            // poll wiring regressed.
             eprintln!("ci: FAIL {family}{n}/{method}: no safepoint polled");
             return 1;
         }
@@ -263,7 +258,7 @@ fn run_ci_smoke(timeout: Duration) -> i32 {
             n,
             method: method.into(),
             subprocess: case,
-            gc,
+            run,
         };
         println!("{}", case_summary(&row));
         rows.push(row);
@@ -274,9 +269,8 @@ fn run_ci_smoke(timeout: Duration) -> i32 {
     // itself is recorded as a tracked perf number, not gated, because CI
     // runner core counts vary.
     // The unique-table health row (schema v4): Robin Hood probe
-    // percentiles, tombstone ratio, and GC pause time of the
-    // aggressive-GC runs. Collection recycles slots in place, so a
-    // rebuild count above zero here is a regression.
+    // percentiles of the images, and the tombstone ratio, churn and GC
+    // pause time each manager reports after its post-image collection.
     let health = qits_bench::UniqueTableHealth::from_rows(&rows);
     println!(
         "ci: unique_table probe p50/p99 {}/{}  tombstone ratio {:.3}  \
@@ -406,7 +400,7 @@ fn main() {
     println!("cache% = contraction-cache hit rate of the run (see ImageStats)");
     println!(
         "live/alloc/recl = live vs allocated arena nodes at the end, and nodes \
-         reclaimed by GC during the run"
+         reclaimed by the collection after the image"
     );
     println!(
         "{:<12} | {:>9} {:>10} {:>7} {:>15} | {:>9} {:>10} {:>7} {:>15} | {:>9} {:>10} {:>7} {:>15}",

@@ -14,8 +14,8 @@
 //! moderate (k1, k2) and degrade as both grow (the blocks approach the
 //! monolithic operator).
 
-use qits::{EngineBuilder, Strategy};
-use qits_bench::{fmt_count, spec_for};
+use qits::Strategy;
+use qits_bench::{fmt_count, run_image, spec_for};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -63,21 +63,18 @@ fn main() {
             // settings, matching the paper's per-run measurements. The
             // hit rate reported below is therefore purely within-run
             // reuse (blocks against many basis states).
-            let mut engine = EngineBuilder::new()
-                .strategy(Strategy::Contraction { k1, k2 })
-                .build_from_spec(&spec)
-                .expect("benchmark spec must form a valid system");
-            let (_, stats) = engine.image().expect("table cell must compute");
+            let run = run_image(&spec, Strategy::Contraction { k1, k2 });
+            let stats = run.stats;
             probe_p50 = probe_p50.max(stats.probe_p50);
             probe_p99 = probe_p99.max(stats.probe_p99);
-            gc_pause_ms += stats.gc_nanos as f64 / 1e6;
-            generation_bumps += stats.generation_bumps;
+            gc_pause_ms += run.manager.gc_nanos as f64 / 1e6;
+            generation_bumps += run.manager.generation_bumps;
             hit_rates[(k1 - 1) as usize][(k2 - 1) as usize] = stats.cont_hit_rate();
             node_cells[(k1 - 1) as usize][(k2 - 1) as usize] = format!(
                 "{}/{}/{}",
                 fmt_count(stats.live_nodes as u64),
                 fmt_count(stats.allocated_nodes as u64),
-                fmt_count(stats.reclaimed_nodes),
+                fmt_count(run.gc.reclaimed as u64),
             );
             print!("{:>8.4}", stats.elapsed.as_secs_f64());
         }

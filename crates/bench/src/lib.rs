@@ -14,11 +14,9 @@ pub use soak::{run_serve_soak, ServeMeasurement, SoakConfig};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use qits::{
-    mc, Engine, EngineBuilder, EnginePool, EngineSpec, ImageStats, Job, Strategy, Subspace,
-};
+use qits::{Engine, EngineBuilder, EnginePool, EngineSpec, ImageStats, Job, Strategy, Subspace};
 use qits_circuit::generators::{self, QtsSpec};
-use qits_tdd::GcPolicy;
+use qits_tdd::{GcOutcome, ManagerStats};
 
 /// Bit-flip probability used for all QRW benchmarks (the paper does not
 /// report its value; the image subspace is independent of it).
@@ -154,40 +152,38 @@ pub fn strategy_for(method: &str) -> Strategy {
     }
 }
 
-/// One measured image computation: builds a fresh engine session (with
-/// the default GC watermark installed, so the kernel's safepoints may
-/// reclaim mid-run), runs the image of the spec's initial subspace, and
-/// finishes with the end-of-run collection a fixpoint driver would do
-/// here — its reclaim count is what the `recl` table column reports.
-///
-/// `live_nodes`/`allocated_nodes`/`elapsed` are snapshotted by the image
-/// kernel *before* that final sweep, so the timing and node columns
-/// describe the uncollected run and `reclaimed_nodes` the garbage it
-/// left behind.
-pub fn run_image(spec: &QtsSpec, strategy: Strategy) -> ImageStats {
-    let mut engine = EngineBuilder::new()
-        .gc_policy(Some(GcPolicy::default()))
-        .strategy(strategy)
-        .build_from_spec(spec)
-        .expect("benchmark spec must form a valid system");
-    let (img, mut stats) = engine.image().expect("benchmark image must compute");
-    let out = engine.collect(&[&img]);
-    stats.reclaimed_nodes += out.reclaimed as u64;
-    stats
+/// One measured image and the collection after it (see [`run_image`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ImageRun {
+    /// The image computation's stats, taken before the collection.
+    pub stats: ImageStats,
+    /// The post-image collection: its reclaim count is what the `recl`
+    /// table column reports.
+    pub gc: GcOutcome,
+    /// The session manager's counters after that collection.
+    pub manager: ManagerStats,
 }
 
-/// One measured image computation on a fresh session with an explicit GC
-/// policy (`None` = grow-only): the A/B shape behind the peak-arena
-/// regression test and the safepoint counters of `BENCH_ci.json`. No
-/// end-of-run sweep — the stats describe the run exactly as the policy
-/// (and the in-image safepoints) left it.
-pub fn run_image_gc(spec: &QtsSpec, strategy: Strategy, policy: Option<GcPolicy>) -> ImageStats {
+/// One measured image computation: builds a fresh default engine session,
+/// runs the image of the spec's initial subspace, and finishes with the
+/// collection a caller would run here, holding only the image.
+///
+/// `live_nodes`/`allocated_nodes`/`elapsed` are snapshotted by the image
+/// kernel *before* that collection, so the timing and node columns
+/// describe the uncollected run and `gc.reclaimed` the garbage it left
+/// behind.
+pub fn run_image(spec: &QtsSpec, strategy: Strategy) -> ImageRun {
     let mut engine = EngineBuilder::new()
-        .gc_policy(policy)
         .strategy(strategy)
         .build_from_spec(spec)
         .expect("benchmark spec must form a valid system");
-    engine.image().expect("benchmark image must compute").1
+    let (img, stats) = engine.image().expect("benchmark image must compute");
+    let gc = engine.collect(&[&img]);
+    ImageRun {
+        stats,
+        gc,
+        manager: engine.manager().stats(),
+    }
 }
 
 /// Like [`run_image`] but also returns the image and the session that
@@ -199,26 +195,6 @@ pub fn run_image_with_result(spec: &QtsSpec, strategy: Strategy) -> (Subspace, I
         .expect("benchmark spec must form a valid system");
     let (img, stats) = engine.image().expect("benchmark image must compute");
     (img, stats, engine)
-}
-
-/// One measured reachability fixpoint on a fresh session, with an
-/// optional GC policy — the workload behind the `gc_overhead` bench and
-/// the GC columns of the table binaries.
-pub fn run_reachability(
-    spec: &QtsSpec,
-    strategy: Strategy,
-    max_iterations: usize,
-    policy: Option<GcPolicy>,
-) -> (mc::ReachabilityResult, Engine) {
-    let mut engine = EngineBuilder::new()
-        .gc_policy(policy)
-        .strategy(strategy)
-        .build_from_spec(spec)
-        .expect("benchmark spec must form a valid system");
-    let r = engine
-        .reachable_space(max_iterations)
-        .expect("benchmark fixpoint must run");
-    (r, engine)
 }
 
 /// One pool-vs-serial throughput measurement: the same batch of
@@ -260,14 +236,7 @@ pub fn run_pool_throughput(
     workers: usize,
     jobs: usize,
 ) -> PoolMeasurement {
-    // GC off: a throughput bench wants maximal operation-cache retention
-    // across the jobs a worker serves (a collection purges the epoch-
-    // tagged caches). Long-running deployments pick their own policy
-    // through the spec; correctness under forced GC is the differential
-    // suite's job, not this bench's.
-    let spec = EngineSpec::new(spec_for(family, n))
-        .strategy(strategy_for(method))
-        .gc_policy(None);
+    let spec = EngineSpec::new(spec_for(family, n)).strategy(strategy_for(method));
 
     let start = Instant::now();
     for _ in 0..jobs {
@@ -345,7 +314,7 @@ pub struct CaseMeasurement {
     pub live_nodes: usize,
     /// Arena slots allocated at the end (live plus uncollected garbage).
     pub allocated_nodes: usize,
-    /// Nodes reclaimed by garbage collections during the run.
+    /// Nodes reclaimed by the collection after the image.
     pub reclaimed_nodes: u64,
 }
 
@@ -415,10 +384,10 @@ pub fn run_case_subprocess(
 /// method, plus the scenario-frontend families (schema v8). Small enough
 /// to finish in seconds, real enough that a strategy regression (panic,
 /// wrong dimension, runaway time) surfaces pre-merge.
-/// The basic method only polls safepoints between Gram–Schmidt residuals
-/// (and skips the final one), so its case needs an initial dimension > 1 —
-/// Grover's is 2; the three new families all start from dimension <= n,
-/// so they ride the addition/contraction methods.
+/// The basic method only polls for cancellation between Gram–Schmidt
+/// residuals (and skips the final one), so its case needs an initial
+/// dimension > 1 — Grover's is 2; the three new families all start from
+/// dimension <= n, so they ride the addition/contraction methods.
 pub const CI_CASES: [(&str, u32, &str); 6] = [
     ("grover", 4, "basic"),
     ("ghz", 5, "addition"),
@@ -430,8 +399,9 @@ pub const CI_CASES: [(&str, u32, &str); 6] = [
 
 /// One row of the `BENCH_ci.json` perf artifact: the subprocess
 /// measurement of a case (the 6-field protocol, exactly what Table I
-/// reports) next to an in-process run under `GcPolicy::aggressive()`
-/// whose safepoint counters prove the in-image collection machinery ran.
+/// reports) next to the same image run in-process, whose poll counter
+/// proves the kernel's cancellation polls ran and whose post-image
+/// collection feeds the unique-table health row.
 #[derive(Debug, Clone)]
 pub struct CiRow {
     /// Benchmark family (`"ghz"`, `"grover"`, ...).
@@ -440,23 +410,25 @@ pub struct CiRow {
     pub n: u32,
     /// Table-I method name.
     pub method: String,
-    /// The subprocess measurement (GC off beyond the default watermark).
+    /// The subprocess measurement.
     pub subprocess: CaseMeasurement,
-    /// The in-process aggressive-GC measurement with safepoint counters.
-    pub gc: ImageStats,
+    /// The in-process image and the collection after it.
+    pub run: ImageRun,
 }
 
-/// Unique-table health aggregated over the CI cases' aggressive-GC runs:
+/// Unique-table health aggregated over the CI cases' in-process runs:
 /// the `unique_table` row of `BENCH_ci.json` schema v4. Probe lengths
-/// take the worst case across rows; churn counters and pause time sum.
+/// take the worst case across the images; the tombstone ratio, churn
+/// counters and pause time are read off each manager after its post-image
+/// collection and summed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UniqueTableHealth {
     /// Worst median Robin Hood probe length across the CI cases.
     pub probe_p50: u32,
     /// Worst 99th-percentile probe length across the CI cases.
     pub probe_p99: u32,
-    /// Stale index cells / allocated index cells at each case's end,
-    /// summed — how much probe-run pollution the aggressive policy left
+    /// Stale index cells / allocated index cells after each case's
+    /// collection, summed — how much probe-run pollution the sweep left
     /// behind (the rehash trigger bounds this below 0.75).
     pub tombstone_ratio: f64,
     /// Slot generations bumped by sweeps (one per reclaimed node).
@@ -468,19 +440,20 @@ pub struct UniqueTableHealth {
 }
 
 impl UniqueTableHealth {
-    /// Aggregates the health row from the CI cases' aggressive-GC stats.
+    /// Aggregates the health row from the CI cases' in-process runs.
     pub fn from_rows(rows: &[CiRow]) -> UniqueTableHealth {
         let mut h = UniqueTableHealth::default();
         let mut tombstones = 0usize;
         let mut index_cells = 0usize;
         for r in rows {
-            h.probe_p50 = h.probe_p50.max(r.gc.probe_p50);
-            h.probe_p99 = h.probe_p99.max(r.gc.probe_p99);
-            tombstones += r.gc.tombstones;
-            index_cells += r.gc.index_cells;
-            h.generation_bumps += r.gc.generation_bumps;
-            h.stale_handle_hits += r.gc.stale_handle_hits;
-            h.gc_pause_ms += r.gc.gc_nanos as f64 / 1e6;
+            let (image, m) = (&r.run.stats, &r.run.manager);
+            h.probe_p50 = h.probe_p50.max(image.probe_p50);
+            h.probe_p99 = h.probe_p99.max(image.probe_p99);
+            tombstones += m.tombstones;
+            index_cells += m.index_cells;
+            h.generation_bumps += m.generation_bumps;
+            h.stale_handle_hits += m.stale_handle_hits;
+            h.gc_pause_ms += m.gc_nanos as f64 / 1e6;
         }
         h.tombstone_ratio = tombstones as f64 / index_cells.max(1) as f64;
         h
@@ -612,14 +585,16 @@ pub fn run_store_measurement(dir: &Path) -> StoreMeasurement {
 /// [`CI_CASES`]), so the perf trajectory covers the workloads scenario
 /// files drive; v9 drops the per-case name of the kernel the retired
 /// shape selector would pick; v10 drops v5's `reorder` object and
-/// `worker_sift_passes` with the variable reordering they measured.
+/// `worker_sift_passes` with the variable reordering they measured; v11
+/// replaces each case's `gc_aggressive` object with `in_process`, a
+/// default engine's image plus the collection after it.
 pub fn ci_report_json(
     rows: &[CiRow],
     pool: &PoolMeasurement,
     serve: &ServeMeasurement,
     store: &StoreMeasurement,
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"qits-bench-ci/10\",\n");
+    let mut out = String::from("{\n  \"schema\": \"qits-bench-ci/11\",\n");
     let ut = UniqueTableHealth::from_rows(rows);
     out.push_str(&format!(
         concat!(
@@ -689,7 +664,7 @@ pub fn ci_report_json(
     out.push_str("  \"cases\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let sub = &r.subprocess;
-        let gc = &r.gc;
+        let image = &r.run.stats;
         out.push_str(&format!(
             concat!(
                 "    {{\n",
@@ -697,10 +672,9 @@ pub fn ci_report_json(
                 "      \"subprocess\": {{\"secs\": {:.6}, \"max_nodes\": {}, ",
                 "\"cont_hit_rate\": {:.6}, \"live_nodes\": {}, ",
                 "\"allocated_nodes\": {}, \"reclaimed_nodes\": {}}},\n",
-                "      \"gc_aggressive\": {{\"secs\": {:.6}, \"max_nodes\": {}, ",
+                "      \"in_process\": {{\"secs\": {:.6}, \"max_nodes\": {}, ",
                 "\"peak_arena\": {}, \"live_nodes\": {}, \"allocated_nodes\": {}, ",
-                "\"reclaimed_nodes\": {}, \"safepoints\": {}, ",
-                "\"safepoint_collections\": {}, \"safepoint_reclaimed\": {}}}\n",
+                "\"reclaimed_nodes\": {}, \"safepoints\": {}}}\n",
                 "    }}{}\n",
             ),
             r.family,
@@ -712,15 +686,13 @@ pub fn ci_report_json(
             sub.live_nodes,
             sub.allocated_nodes,
             sub.reclaimed_nodes,
-            gc.elapsed.as_secs_f64(),
-            gc.max_nodes,
-            gc.peak_arena,
-            gc.live_nodes,
-            gc.allocated_nodes,
-            gc.reclaimed_nodes,
-            gc.safepoints,
-            gc.safepoint_collections,
-            gc.safepoint_reclaimed,
+            image.elapsed.as_secs_f64(),
+            image.max_nodes,
+            image.peak_arena,
+            image.live_nodes,
+            image.allocated_nodes,
+            r.run.gc.reclaimed,
+            image.safepoints,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -734,7 +706,8 @@ pub fn maybe_run_one(args: &[String]) -> bool {
     if args.len() == 5 && args[1] == "--one" {
         let family = &args[2];
         let n: u32 = args[3].parse().expect("size must be an integer");
-        let stats = run_image(&spec_for(family, n), strategy_for(&args[4]));
+        let run = run_image(&spec_for(family, n), strategy_for(&args[4]));
+        let stats = run.stats;
         println!(
             "{} {} {:.6} {} {} {}",
             stats.elapsed.as_secs_f64(),
@@ -742,7 +715,7 @@ pub fn maybe_run_one(args: &[String]) -> bool {
             stats.cont_hit_rate(),
             stats.live_nodes,
             stats.allocated_nodes,
-            stats.reclaimed_nodes,
+            run.gc.reclaimed,
         );
         true
     } else {
@@ -779,7 +752,7 @@ mod tests {
     #[test]
     fn all_methods_run_small_case() {
         for method in METHODS {
-            let stats = run_image(&spec_for("ghz", 5), strategy_for(method));
+            let stats = run_image(&spec_for("ghz", 5), strategy_for(method)).stats;
             assert_eq!(stats.output_dim, 1, "{method}");
             assert!(stats.max_nodes > 0, "{method}");
         }
@@ -789,11 +762,13 @@ mod tests {
     fn elementary_variants_compute_same_image_dim() {
         // The elementarised Grover acts on more wires but its image of the
         // (padded) invariant subspace has the same dimension.
-        let base = run_image(&spec_for("grover", 4), strategy_for("contraction"));
-        let elem = run_image(&spec_for("grover-elem", 4), strategy_for("contraction"));
-        let ct = run_image(&spec_for("grover-ct", 4), strategy_for("contraction"));
-        assert_eq!(base.output_dim, elem.output_dim);
-        assert_eq!(base.output_dim, ct.output_dim);
+        let dim = |family| {
+            run_image(&spec_for(family, 4), strategy_for("contraction"))
+                .stats
+                .output_dim
+        };
+        assert_eq!(dim("grover"), dim("grover-elem"));
+        assert_eq!(dim("grover"), dim("grover-ct"));
     }
 
     #[test]
@@ -820,20 +795,11 @@ mod tests {
     fn ci_cases_run_and_serialise() {
         // The exact pipeline of the CI bench-smoke job, minus the
         // subprocess hop: every CI case must run, and the JSON must carry
-        // the safepoint counters of the aggressive-GC run.
+        // the poll counter of the in-process run.
         let (family, n, method) = CI_CASES[2];
-        let stats = run_image(&spec_for(family, n), strategy_for(method));
-        let gc = run_image_gc(
-            &spec_for(family, n),
-            strategy_for(method),
-            Some(GcPolicy::aggressive()),
-        );
-        assert_eq!(
-            stats.output_dim, gc.output_dim,
-            "GC must not change results"
-        );
-        assert!(gc.safepoints > 0);
-        assert!(gc.safepoint_collections > 0);
+        let run = run_image(&spec_for(family, n), strategy_for(method));
+        let stats = run.stats;
+        assert!(stats.safepoints > 0);
         let rows = vec![CiRow {
             family: family.into(),
             n,
@@ -844,9 +810,9 @@ mod tests {
                 cont_hit_rate: stats.cont_hit_rate(),
                 live_nodes: stats.live_nodes,
                 allocated_nodes: stats.allocated_nodes,
-                reclaimed_nodes: stats.reclaimed_nodes,
+                reclaimed_nodes: run.gc.reclaimed as u64,
             },
-            gc,
+            run,
         }];
         // A tiny pool measurement keeps this test fast; the real CI case
         // is CI_POOL_CASE.
@@ -870,7 +836,7 @@ mod tests {
              restored memo: {store:?}"
         );
         let json = ci_report_json(&rows, &pool, &serve, &store);
-        assert!(json.contains("\"schema\": \"qits-bench-ci/10\""));
+        assert!(json.contains("\"schema\": \"qits-bench-ci/11\""));
         assert!(json.contains("\"pool\": {\"family\": \"ghz\""));
         assert!(json.contains("\"serve\": {\"workers\": 2, \"jobs\": 100"));
         assert!(json.contains("\"store\": {\"snapshot_bytes\""));
@@ -885,10 +851,11 @@ mod tests {
         let health = UniqueTableHealth::from_rows(&rows);
         assert!(
             health.generation_bumps > 0,
-            "an aggressive-GC run must bump generations: {health:?}"
+            "the post-image collection must bump generations: {health:?}"
         );
         assert!(health.tombstone_ratio <= 1.0);
-        assert!(json.contains("\"safepoint_collections\""));
+        assert!(json.contains("\"in_process\": {\"secs\""));
+        assert!(!json.contains("gc_aggressive"));
         assert!(json.contains(&format!("\"family\": \"{family}\"")));
         // Balanced braces: crude structural sanity for the hand-rolled JSON.
         assert_eq!(
@@ -900,23 +867,43 @@ mod tests {
 
     #[test]
     fn reachability_with_gc_matches_without() {
+        // The fixpoint in one call, and stepped one iteration at a time
+        // with a collection between the steps.
         let spec = spec_for("qrw", 3);
         let strategy = Strategy::Contraction { k1: 2, k2: 2 };
-        let (plain, e_plain) = run_reachability(&spec, strategy, 20, None);
-        let (gc, e_gc) = run_reachability(&spec, strategy, 20, Some(GcPolicy::aggressive()));
+        let build = || {
+            EngineBuilder::new()
+                .strategy(strategy)
+                .build_from_spec(&spec)
+                .unwrap()
+        };
+        let mut e_plain = build();
+        let plain = e_plain.reachable_space(20).unwrap();
+        let mut e_gc = build();
+        let mut reclaimed = 0;
+        let gc = (1..=20)
+            .map(|bound| {
+                let r = e_gc.reachable_space(bound).unwrap();
+                reclaimed += e_gc.collect(&[]).reclaimed;
+                r
+            })
+            .find(|r| r.converged)
+            .expect("the walk converges within 20 iterations");
         assert_eq!(plain.space.dim(), gc.space.dim());
-        assert!(gc.reclaimed_nodes > 0);
+        assert_eq!(plain.iterations, gc.iterations);
+        assert!(reclaimed > 0);
         assert!(e_gc.manager().arena_len() < e_plain.manager().arena_len());
     }
 
     #[test]
     fn image_stats_report_node_accounting() {
-        let stats = run_image(&spec_for("ghz", 5), strategy_for("contraction"));
-        assert!(stats.live_nodes > 0);
-        assert!(stats.allocated_nodes >= stats.live_nodes);
+        let run = run_image(&spec_for("ghz", 5), strategy_for("contraction"));
+        assert!(run.stats.live_nodes > 0);
+        assert!(run.stats.allocated_nodes >= run.stats.live_nodes);
         assert!(
-            stats.reclaimed_nodes > 0,
-            "the end-of-run sweep must reclaim the run's garbage"
+            run.gc.reclaimed > 0,
+            "the post-image collection must reclaim the run's garbage"
         );
+        assert_eq!(run.manager.gc_runs, 1);
     }
 }

@@ -168,7 +168,7 @@ fn flipped_bell() -> Circuit {
 /// (a spec that fails to build); result soundness is reported through
 /// [`ServeMeasurement::sound`] so callers choose their exit path.
 pub fn run_serve_soak(config: SoakConfig) -> ServeMeasurement {
-    let spec = EngineSpec::new(generators::grover(3)).gc_policy(None);
+    let spec = EngineSpec::new(generators::grover(3));
     let pool = EnginePool::builder(spec)
         .workers(config.workers)
         .memo_capacity(config.memo_capacity)

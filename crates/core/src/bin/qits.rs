@@ -19,14 +19,16 @@
 //! properties on a `k`-worker [`qits::EnginePool`] instead of a serial
 //! engine), `--memo <cap>` (pool result-memo capacity), `--warm-start
 //! <path>` (warm-start pool workers and memo from a snapshot file — implies
-//! the pool path). The scenario grammar is documented in
-//! [`qits_circuit::parse`].
+//! the pool path). The serial engine is built and driven on one thread
+//! with the stack a pool worker gets ([`qits::worker_stack_size`]), so a
+//! wide register runs serially wherever it runs pooled. The scenario
+//! grammar is documented in [`qits_circuit::parse`].
 
 use std::io::Write;
 use std::process::ExitCode;
 
 use qits::serve::proto;
-use qits::{run_job, EnginePool, EngineSpec, Job, QitsError, Strategy};
+use qits::{run_job, worker_stack_size, EnginePool, EngineSpec, Job, QitsError, Strategy};
 use qits_circuit::parse::{parse_scenario, render_scenario, Property, Scenario};
 use qits_circuit::tensorize::states;
 use qits_circuit::{generators, Circuit, Gate};
@@ -168,8 +170,17 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             pool.shutdown();
             results
         } else {
-            let mut engine = spec.build().map_err(|e| format!("building engine: {e}"))?;
-            jobs.iter().map(|j| run_job(&mut engine, j)).collect()
+            let stack = worker_stack_size(spec.system().n_qubits);
+            std::thread::Builder::new()
+                .name("qits-run".to_string())
+                .stack_size(stack)
+                .spawn(move || -> Result<Vec<_>, String> {
+                    let mut engine = spec.build().map_err(|e| format!("building engine: {e}"))?;
+                    Ok(jobs.iter().map(|j| run_job(&mut engine, j)).collect())
+                })
+                .map_err(|e| format!("spawning the engine thread: {e}"))?
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))?
         };
 
     let mut failed = 0usize;

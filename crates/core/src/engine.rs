@@ -1,21 +1,20 @@
 //! The session facade: one object that owns the manager, the transition
-//! system, the GC policy, and the strategy — so user code never touches
-//! root management by hand.
+//! system, and the strategy.
 //!
 //! Everything the paper's workflows need — image computation (Section IV
 //! and V), reachability fixpoints and invariant checking (Section I), and
-//! circuit equivalence — previously required the caller to hand-assemble
-//! the machinery: pass the right subspaces into the kernel and keep every
-//! bystander alive across GC safepoints. [`Engine`] is the
-//! manager-owned-session shape mature decision-diagram libraries use
-//! (OBDDimal's `BDDManager`, rsdd's builder-owned backends): the session
-//! owns all of that state, its methods return `Result<_, QitsError>`
-//! instead of panicking, and root management is invisible — the engine
-//! roots its own system (and any caller-provided `kept` subspaces) across
-//! every collection point. Collection never moves a node, so inputs are
-//! plain `&Subspace` borrows and nothing is fixed up afterwards; even
-//! node-store exhaustion surfaces as a [`QitsError::ArenaExhausted`]
-//! value rather than a panic.
+//! circuit equivalence — runs on one manager that the session owns.
+//! [`Engine`] is the manager-owned-session shape mature decision-diagram
+//! libraries use (OBDDimal's `BDDManager`, rsdd's builder-owned
+//! backends): its methods return `Result<_, QitsError>` instead of
+//! panicking, and even node-store exhaustion surfaces as a
+//! [`QitsError::ArenaExhausted`] value rather than a panic.
+//!
+//! Nothing collects inside a call. A collection runs where the caller
+//! asks for one, with [`Engine::collect`], which keeps the session's own
+//! state plus the subspaces handed to it and sweeps everything else.
+//! Collection never moves a node, so inputs are plain `&Subspace` borrows
+//! and nothing is fixed up afterwards.
 //!
 //! The session runs one image kernel, named by the [`Strategy`] enum: the
 //! contraction partition at the paper's Table I setting (`k1 = k2 = 4`)
@@ -27,11 +26,10 @@
 //! operator tensors (the whole operator, the addition slices, or the
 //! contraction blocks), and the index sets and rename map every state
 //! application needs. Every later image, fixpoint iteration, resume and
-//! pool job reuses them. A collection retains them next to the system —
-//! at every safepoint, in [`Engine::collect`], and across the equivalence
-//! checks — without registering a root, and [`Engine::set_strategy`]
-//! drops them. A collection run through [`Engine::manager_mut`] that does
-//! not retain them is caught at the next call, which compiles them again.
+//! pool job reuses them. [`Engine::collect`] retains them next to the
+//! system, and [`Engine::set_strategy`] drops them. A collection run
+//! through [`Engine::manager_mut`] that does not retain them is caught at
+//! the next call, which compiles them again.
 //!
 //! The session keeps its system's reachability chain the same way (see
 //! [`crate::mc`]): the furthest space `S_L` of the semi-naive iteration
@@ -65,9 +63,7 @@ use std::fmt;
 use qits_circuit::generators::QtsSpec;
 use qits_circuit::{Circuit, Operation};
 use qits_num::Cplx;
-use qits_tdd::{
-    ArenaExhausted, Edge, EdgeHolder, GcOutcome, GcPolicy, OperationCancelled, RootId, TddManager,
-};
+use qits_tdd::{ArenaExhausted, Edge, EdgeHolder, GcOutcome, OperationCancelled, TddManager};
 use qits_tensor::Var;
 
 use crate::error::QitsError;
@@ -88,17 +84,16 @@ pub type StatsSink = Box<dyn FnMut(&str, &ImageStats) + Send>;
 ///
 /// All knobs that used to be scattered over `TddManager` setters and
 /// per-call arguments live here: weight tolerance, operation-cache
-/// capacity, GC policy, the image strategy, and an optional stats sink.
+/// capacity, node-store bound, the image strategy, and an optional stats
+/// sink.
 ///
 /// ```
 /// use qits::{EngineBuilder, Strategy};
 /// use qits_circuit::generators;
-/// use qits_tdd::GcPolicy;
 ///
 /// let engine = EngineBuilder::new()
 ///     .tolerance(1e-12)
 ///     .cache_capacity(1 << 14)
-///     .gc_policy(Some(GcPolicy::default()))
 ///     .strategy(Strategy::Basic)
 ///     .build_from_spec(&generators::ghz(4))
 ///     .unwrap();
@@ -108,7 +103,6 @@ pub struct EngineBuilder {
     tolerance: f64,
     cache_capacity: Option<usize>,
     node_capacity: Option<usize>,
-    gc_policy: Option<GcPolicy>,
     strategy: Strategy,
     sink: Option<StatsSink>,
 }
@@ -120,14 +114,14 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// A builder with the default tolerance, default cache capacity, GC
-    /// off, and the default [`Strategy`] (contraction, `k1 = k2 = 4`).
+    /// A builder with the default tolerance, default cache capacity, no
+    /// node-store bound, and the default [`Strategy`] (contraction,
+    /// `k1 = k2 = 4`).
     pub fn new() -> Self {
         EngineBuilder {
             tolerance: qits_num::DEFAULT_TOLERANCE,
             cache_capacity: None,
             node_capacity: None,
-            gc_policy: None,
             strategy: Strategy::default(),
             sink: None,
         }
@@ -149,20 +143,10 @@ impl EngineBuilder {
 
     /// Hard bound on allocated node slots (see
     /// [`TddManager::set_node_capacity`]). When a computation hits the
-    /// bound and collection frees nothing, the engine method reports
+    /// bound and no swept slot is free, the engine method reports
     /// [`QitsError::ArenaExhausted`] instead of growing without limit.
     pub fn node_capacity(mut self, capacity: usize) -> Self {
         self.node_capacity = Some(capacity);
-        self
-    }
-
-    /// Installs (or, with `None` — the default — omits) the automatic
-    /// collection policy. With a policy, every safepoint the kernels and
-    /// fixpoint drivers poll may sweep dead nodes; the engine keeps its
-    /// own system and all `kept` subspaces rooted across those
-    /// collections.
-    pub fn gc_policy(mut self, policy: Option<GcPolicy>) -> Self {
-        self.gc_policy = policy;
         self
     }
 
@@ -190,7 +174,7 @@ impl EngineBuilder {
                 max: Var::MAX_POS,
             });
         }
-        let mut m = TddManager::with_config(self.tolerance, self.cache_capacity, self.gc_policy);
+        let mut m = TddManager::with_config(self.tolerance, self.cache_capacity);
         if let Some(cap) = self.node_capacity {
             m.set_node_capacity(cap);
         }
@@ -241,8 +225,8 @@ impl EngineBuilder {
 }
 
 /// A model-checking session: owns the [`TddManager`], the
-/// [`QuantumTransitionSystem`], the GC policy, and the root bookkeeping
-/// for everything it computes.
+/// [`QuantumTransitionSystem`], and the branches and reachability chain
+/// it computes for them.
 ///
 /// Every method returns `Result<_, QitsError>`; nothing here panics on
 /// malformed input, in release builds included. See the module docs for
@@ -304,16 +288,15 @@ impl Engine {
 
     /// The session's manager. Subspace queries (`equals`, `contains`,
     /// ...) and ket constructors take `&mut TddManager`; this is the
-    /// handle to pass them. Installing a GC policy or clearing caches
-    /// through it is also fine — the engine re-reads the manager state on
-    /// every call.
+    /// handle to pass them. Clearing caches or collecting through it is
+    /// also fine — the engine re-reads the manager state on every call.
     pub fn manager_mut(&mut self) -> &mut TddManager {
         &mut self.m
     }
 
     /// Installs (or clears) a cooperative-cancellation token on the
-    /// session's manager. While installed, every GC safepoint polls the
-    /// token; if another thread trips it, the in-flight operation unwinds
+    /// session's manager. While installed, every cancellation poll checks
+    /// the token; if another thread trips it, the in-flight operation unwinds
     /// and the engine method returns [`QitsError::Cancelled`] — the
     /// session itself stays usable. See [`qits_tdd::cancel`].
     pub fn set_cancel_token(&mut self, token: Option<qits_tdd::CancelToken>) {
@@ -362,16 +345,6 @@ impl Engine {
             .unwrap_or_else(|| Chain::new(self.qts.initial().clone()))
     }
 
-    /// Roots the system and the compiled branches and chain across a call
-    /// whose safepoints do not hold them; release with
-    /// [`TddManager::unprotect_all`].
-    fn protect_session(&mut self) -> Vec<RootId> {
-        let mut roots = self.qts.protect(&mut self.m);
-        let m = &mut self.m;
-        self.compiled.gc_edges(&mut |e| roots.push(m.protect(e)));
-        roots
-    }
-
     /// Hands every image's stats to the sink, under the kernel's name.
     fn record(&mut self, strategy: Strategy, stats: &[ImageStats]) {
         if let Some(sink) = self.sink.as_mut() {
@@ -387,7 +360,7 @@ impl Engine {
     /// [`ArenaExhausted`] (the one panic [`TddManager::make_node`] emits)
     /// becomes [`QitsError::ArenaExhausted`], and a tripped
     /// [`qits_tdd::CancelToken`]'s [`OperationCancelled`] (thrown from a
-    /// GC safepoint) becomes [`QitsError::Cancelled`]. Any other panic is
+    /// cancellation poll) becomes [`QitsError::Cancelled`]. Any other panic is
     /// resumed unchanged. This is the session boundary the payloads'
     /// contracts name: inside a recursive operation neither condition has
     /// a partial result to return, so it unwinds; here it becomes an
@@ -413,23 +386,21 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Computes `T(S0)`, the image of the system's initial subspace, with
-    /// the session strategy. The initial subspace rides through any
-    /// mid-image collection untouched (it is among the kernel's mark
-    /// roots); no caller-side rooting needed.
+    /// the session strategy.
     pub fn image(&mut self) -> Result<(Subspace, ImageStats), QitsError> {
         let initial = self.qts.initial().clone();
-        self.image_in_session(&initial)
+        self.image_of(&initial)
     }
 
-    /// Images `input` with the session strategy and compiled branches. The
-    /// kernel's safepoints hold the input, the image and the compiled
-    /// branches; the caller roots anything else that must survive them.
-    fn image_in_session(&mut self, input: &Subspace) -> Result<(Subspace, ImageStats), QitsError> {
+    /// Computes the image of an arbitrary subspace (living on this
+    /// session's manager) under the system's operations, with the session
+    /// strategy and compiled branches.
+    pub fn image_of(&mut self, input: &Subspace) -> Result<(Subspace, ImageStats), QitsError> {
         self.revalidate();
         let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
         let mut img = Subspace::zero(input.n_qubits());
         let stats = Self::guard_exhaustion(|| {
-            try_image_into(m, qts.operations(), input, &mut img, compiled)
+            try_image_into(m, qts.operations(), input, &mut img, compiled, &[qts])
         })?;
         self.record(self.strategy(), std::slice::from_ref(&stats));
         Ok((img, stats))
@@ -437,48 +408,16 @@ impl Engine {
 
     /// [`Engine::image`] with a one-off strategy override. Another
     /// strategy than the session's compiles into a cache of its own,
-    /// dropped after the call; the session's compiled branches stay rooted
-    /// across it.
+    /// dropped after the call.
     pub fn image_with(&mut self, strategy: Strategy) -> Result<(Subspace, ImageStats), QitsError> {
         if strategy == self.strategy() {
             return self.image();
         }
-        self.revalidate();
-        let roots = self.protect_session();
         let (m, qts) = (&mut self.m, &self.qts);
-        let result =
-            Self::guard_exhaustion(|| try_image(m, qts.operations(), qts.initial(), strategy));
-        self.m.unprotect_all(roots);
-        let (img, stats) = result?;
+        let (img, stats) =
+            Self::guard_exhaustion(|| try_image(m, qts.operations(), qts.initial(), strategy))?;
         self.record(strategy, std::slice::from_ref(&stats));
         Ok((img, stats))
-    }
-
-    /// Computes the image of an arbitrary subspace (living on this
-    /// session's manager) under the system's operations. The system's own
-    /// initial subspace is rooted across the call — the rooting dance
-    /// callers previously performed by hand.
-    pub fn image_of(&mut self, input: &Subspace) -> Result<(Subspace, ImageStats), QitsError> {
-        self.image_of_keeping(input, &[])
-    }
-
-    /// [`Engine::image_of`], additionally keeping `kept` subspaces alive
-    /// across every mid-image collection (the bystander contract:
-    /// anything on the manager that is neither the input nor in `kept`
-    /// may be swept once a GC policy is installed — swept edges stay
-    /// where they were but report [`TddManager::is_live`] false).
-    pub fn image_of_keeping(
-        &mut self,
-        input: &Subspace,
-        kept: &[&Subspace],
-    ) -> Result<(Subspace, ImageStats), QitsError> {
-        let mut roots = self.qts.protect(&mut self.m);
-        for s in kept {
-            roots.extend(s.protect(&mut self.m));
-        }
-        let result = self.image_in_session(input);
-        self.m.unprotect_all(roots);
-        result
     }
 
     // ------------------------------------------------------------------
@@ -491,9 +430,11 @@ impl Engine {
     /// (see [`crate::mc`] for the fixpoint semantics). The session's chain
     /// answers a bound it already reaches without an image and is
     /// extended for a larger one; the result's `stats` list only the
-    /// images this call computed. GC roots — the system, the frontier, and
-    /// the working space — are managed internally between and inside
-    /// iterations.
+    /// images this call computed.
+    ///
+    /// Nothing collects during the call. To keep a long fixpoint small,
+    /// grow the bound in steps and call [`Engine::collect`] between them:
+    /// the collection keeps the chain, and the next call extends it.
     pub fn reachable_space(
         &mut self,
         max_iterations: usize,
@@ -501,9 +442,8 @@ impl Engine {
         self.revalidate();
         let mut chain = self.take_chain();
         let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
-        let r = Self::guard_exhaustion(|| {
-            fixpoint_with(m, qts, max_iterations, &[], compiled, &mut chain)
-        })?;
+        let r =
+            Self::guard_exhaustion(|| fixpoint_with(m, qts, max_iterations, compiled, &mut chain))?;
         self.compiled.chain = Some(chain);
         self.record(self.strategy(), &r.stats);
         Ok(r)
@@ -513,9 +453,9 @@ impl Engine {
     /// [`Engine::warm_start`]: iterates from the checkpointed space instead
     /// of `S0` on a chain of its own (the session's chain stays as it
     /// is), with the whole space as the first frontier, then folds the
-    /// checkpoint's iteration/GC counters into the returned result — so a
-    /// run that was snapshotted mid-fixpoint, restarted, and resumed
-    /// reports the same totals as one that never stopped. Sound because
+    /// checkpoint's iteration count into the returned result — so a run
+    /// that was snapshotted mid-fixpoint, restarted, and resumed reports
+    /// the same totals as one that never stopped. Sound because
     /// the closure is monotone: the checkpointed `S_j` contains `S0`, so
     /// its first image yields the `S_{j+1}` the uninterrupted run reached,
     /// and resuming walks exactly the tail of the original iteration
@@ -537,19 +477,16 @@ impl Engine {
         self.revalidate();
         let mut chain = Chain::new(resumed.space.clone());
         let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);
-        let mut r = Self::guard_exhaustion(|| {
-            fixpoint_with(m, qts, max_iterations, &[], compiled, &mut chain)
-        })?;
+        let mut r =
+            Self::guard_exhaustion(|| fixpoint_with(m, qts, max_iterations, compiled, &mut chain))?;
         r.iterations += resumed.iterations;
-        r.collections += resumed.collections;
-        r.reclaimed_nodes += resumed.reclaimed_nodes;
         self.record(self.strategy(), &r.stats);
         Ok(r)
     }
 
     /// Checks the safety property "every reachable state stays inside
-    /// `invariant`", keeping the invariant rooted across the whole run.
-    /// Returns the verdict plus the witnessing reachability result (see
+    /// `invariant`". Returns the verdict plus the witnessing reachability
+    /// result (see
     /// [`crate::mc::try_check_invariant`]), read off or extending the
     /// session's chain like [`Engine::reachable_space`].
     pub fn check_invariant(
@@ -575,46 +512,37 @@ impl Engine {
     /// Whether two circuits implement exactly the same operator (global
     /// phase included), on this session's manager: one contraction of
     /// their miter `tr(B†A)` from where the circuits meet, neither
-    /// operator built (see [`crate::equiv`]). The checker polls a GC
-    /// safepoint after every tensor it contracts; the engine roots its own
-    /// system, compiled branches and chain across the call, so a
-    /// collection there cannot sweep the session state, and an installed
+    /// operator built (see [`crate::equiv`]). The checker polls for
+    /// cancellation after every tensor it contracts, so an installed
     /// [`qits_tdd::CancelToken`] stops the check at the next tensor with
     /// [`QitsError::Cancelled`].
     pub fn equivalent(&mut self, a: &Circuit, b: &Circuit) -> Result<bool, QitsError> {
-        self.revalidate();
-        let roots = self.protect_session();
         let m = &mut self.m;
-        let result = Self::guard_exhaustion(|| crate::equiv::try_equivalent_exactly(m, a, b));
-        self.m.unprotect_all(roots);
-        result
+        Self::guard_exhaustion(|| crate::equiv::try_equivalent_exactly(m, a, b))
     }
 
     /// Whether two circuits implement the same operator up to global
-    /// phase, by the same miter contraction. Safepoints, rooting and
-    /// cancellation match [`Engine::equivalent`].
+    /// phase, by the same miter contraction. Cancellation matches
+    /// [`Engine::equivalent`].
     pub fn equivalent_up_to_phase(&mut self, a: &Circuit, b: &Circuit) -> Result<bool, QitsError> {
-        self.revalidate();
-        let roots = self.protect_session();
         let m = &mut self.m;
-        let result = Self::guard_exhaustion(|| crate::equiv::try_equivalent_up_to_phase(m, a, b));
-        self.m.unprotect_all(roots);
-        result
+        Self::guard_exhaustion(|| crate::equiv::try_equivalent_up_to_phase(m, a, b))
     }
 
     // ------------------------------------------------------------------
     // Memory management and subspace construction.
     // ------------------------------------------------------------------
 
-    /// Runs an explicit garbage collection, retaining the session's
-    /// system, its compiled branches and chain, and every subspace in
-    /// `kept` (all untouched — collection never moves a node). Anything
-    /// else on the manager is swept.
+    /// Runs a garbage collection, retaining the session's system, its
+    /// compiled branches and chain, and every subspace in `kept` (all
+    /// untouched — collection never moves a node). Anything else on the
+    /// manager is swept: a subspace the caller still uses must be in
+    /// `kept`.
     pub fn collect(&mut self, kept: &[&Subspace]) -> GcOutcome {
         self.revalidate();
         let mut holders: Vec<&dyn EdgeHolder> = vec![&self.qts, &self.compiled];
         holders.extend(kept.iter().map(|s| *s as &dyn EdgeHolder));
-        self.m.collect_retaining(&holders)
+        self.m.collect(&holders)
     }
 
     /// Spans a subspace from states on this session's manager, validating
@@ -673,7 +601,6 @@ impl Engine {
 mod tests {
     use super::*;
     use qits_circuit::{generators, Gate};
-    use qits_tdd::GcPolicy;
     use std::sync::{Arc, Mutex};
 
     #[test]
@@ -727,10 +654,10 @@ mod tests {
     fn builder_knobs_reach_the_manager() {
         let engine = EngineBuilder::new()
             .cache_capacity(0)
-            .gc_policy(Some(GcPolicy::aggressive()))
+            .tolerance(1e-12)
             .build_from_spec(&generators::ghz(3))
             .unwrap();
-        assert_eq!(engine.manager().gc_policy(), Some(GcPolicy::aggressive()));
+        assert_eq!(engine.manager().tolerance(), 1e-12);
         assert_eq!(engine.manager().cache_sizes().total(), 0);
     }
 
@@ -804,9 +731,8 @@ mod tests {
     }
 
     #[test]
-    fn image_of_keeping_protects_bystanders_under_gc() {
+    fn collect_keeps_a_held_bystander() {
         let mut engine = EngineBuilder::new()
-            .gc_policy(Some(GcPolicy::aggressive()))
             .strategy(Strategy::Addition { k: 1 })
             .build_from_spec(&generators::qrw(3, 0.2))
             .unwrap();
@@ -814,8 +740,17 @@ mod tests {
         let k = engine.manager_mut().basis_ket(&vars, &[true, false, true]);
         let bystander = engine.subspace_from_states(&[k]).unwrap();
         let input = engine.initial().clone();
-        let (_, stats) = engine.image_of_keeping(&input, &[&bystander]).unwrap();
-        assert!(stats.safepoint_collections > 0, "GC must actually run");
+        let (image, _) = engine.image_of(&input).unwrap();
+        let out = engine.collect(&[&bystander]);
+        assert!(out.reclaimed > 0, "the image call left garbage");
+        assert!(bystander
+            .basis()
+            .iter()
+            .all(|&e| engine.manager().is_live(e)));
+        assert!(
+            image.basis().iter().any(|&e| !engine.manager().is_live(e)),
+            "an image nobody held is swept"
+        );
         assert_eq!(bystander.dim(), 1);
         let k_again = engine.manager_mut().basis_ket(&vars, &[true, false, true]);
         let m = engine.manager_mut();

@@ -27,20 +27,25 @@
 //! gates meet, and works outward, taking gates from each side in
 //! proportion to its gate count. Every index is summed at its last use
 //! and the closing deltas come last. When one circuit is a rewrite of the
-//! other, the intermediate stays near the identity. A GC safepoint is
-//! polled after every tensor, holding the accumulator and the tensors not
-//! yet contracted, so a collection or a tripped
-//! [`qits_tdd::CancelToken`] takes effect mid-check.
+//! other, the intermediate stays near the identity. Cancellation is
+//! polled after every tensor ([`qits_tdd::TddManager::poll_cancel`]), so a
+//! tripped [`qits_tdd::CancelToken`] takes effect mid-check.
 //!
 //! Verdicts use a tolerance of `1e-8`. The squared norm `‖U‖² = tr(U†U)`
 //! is `2^n` when every gate is unitary and otherwise the miter of the
 //! circuit against itself. Two circuits are equal up to global phase,
-//! `A = e^{iφ} B`, when `|t|² / (‖A‖² ‖B‖²)` is 1 — Cauchy–Schwarz with
+//! `A = e^{iφ} B`, when `|t| / (‖A‖ ‖B‖)` is 1 — Cauchy–Schwarz with
 //! equality, so `A = λB` for some scalar `λ` — and `‖A‖² / ‖B‖²` is 1,
 //! so `|λ| = 1`; the second test only bites when a gate is not unitary.
 //! They are exactly equal when `λ = t / ‖B‖²` is 1 as well. A norm below
 //! `1e-12 · 2^n` counts as zero: two zero operators are equivalent in
 //! both modes, and a zero operator is equivalent to no non-zero one.
+//!
+//! `t` and the squared norms reach `2^n`, so the verdict divides before
+//! it squares: `t` is scaled by `1/‖A‖` and `1/‖B‖` first, and no two
+//! `2^n`-sized quantities are multiplied. `2^n` itself overflows an `f64`
+//! from 1,024 qubits on, so a register that wide is refused with
+//! [`QitsError::DimensionOverflow`].
 
 use std::collections::BTreeMap;
 
@@ -55,6 +60,9 @@ use crate::error::QitsError;
 
 /// How far a fidelity or a ratio may sit from 1 and still count as 1.
 const TOLERANCE: f64 = 1e-8;
+
+/// The widest register whose squared norm `2^n` is a finite `f64`.
+const MAX_QUBITS: u32 = f64::MAX_EXP as u32 - 1;
 
 /// A squared norm at or below this fraction of a unitary's (`2^n`)
 /// counts as the zero operator: four orders of magnitude above the float
@@ -110,7 +118,7 @@ fn junction_order(a: Vec<NetTensor>, b: Vec<NetTensor>) -> Vec<NetTensor> {
 }
 
 /// Contracts the closed miter network of `a` and `b` to `tr(B†A)`,
-/// polling a GC safepoint after every tensor.
+/// polling for cancellation after every tensor.
 fn miter_trace(m: &mut TddManager, a: &Circuit, b: &Circuit) -> Cplx {
     let (legs_a, pos_a) = wire_legs(a);
     let (legs_b, pos_b) = wire_legs(b);
@@ -157,10 +165,9 @@ fn miter_trace(m: &mut TddManager, a: &Circuit, b: &Circuit) -> Cplx {
         sums[i].push(v);
     }
     let mut acc = Edge::ONE;
-    for (i, (t, sum)) in order.iter().zip(&sums).enumerate() {
+    for (t, sum) in order.iter().zip(&sums) {
         acc = m.contract(acc, t.edge, sum);
-        let rest = &order[i + 1..];
-        m.maybe_collect_at_safepoint(&[&acc, &rest]);
+        m.poll_cancel();
     }
     debug_assert!(acc.is_terminal(), "a closed network contracts to a scalar");
     m.weight_value(acc.weight)
@@ -191,6 +198,9 @@ fn equivalent(
     exactly: bool,
 ) -> Result<bool, QitsError> {
     let n = check_registers(a, b)?;
+    if n > MAX_QUBITS {
+        return Err(QitsError::DimensionOverflow { bits: n });
+    }
     let dim = 2f64.powi(n as i32);
     let (aa, bb) = (norm_sqr(m, a, dim), norm_sqr(m, b, dim));
     let (a_zero, b_zero) = (aa <= ZERO_NORM * dim, bb <= ZERO_NORM * dim);
@@ -205,11 +215,15 @@ fn equivalent(
     } else {
         miter_trace(m, a, b)
     };
-    let proportional = (t.norm_sqr() / (aa * bb) - 1.0).abs() < TOLERANCE;
+    // `t / ‖B‖` and `t / (‖A‖ ‖B‖)`, each divided before anything is
+    // squared: `|t|²` and `‖A‖² ‖B‖²` overflow from 512 qubits on.
+    let (norm_a, norm_b) = (aa.sqrt(), bb.sqrt());
+    let t_b = t.scale(1.0 / norm_b);
+    let proportional = (t_b.scale(1.0 / norm_a).norm_sqr() - 1.0).abs() < TOLERANCE;
     let same_norm = (aa / bb - 1.0).abs() < TOLERANCE;
     Ok(proportional
         && same_norm
-        && (!exactly || t.scale(1.0 / bb).approx_eq_with(Cplx::ONE, TOLERANCE)))
+        && (!exactly || t_b.scale(1.0 / norm_b).approx_eq_with(Cplx::ONE, TOLERANCE)))
 }
 
 /// Whether two circuits on the same register implement the same operator
@@ -217,24 +231,18 @@ fn equivalent(
 /// `tr(B†A)`, started where the circuits meet, plus one per circuit with
 /// a non-unitary gate for its norm (see the module docs).
 /// [`crate::Engine::equivalent_up_to_phase`] wraps this with the
-/// session's rooting and arena/cancel guard.
+/// session's arena/cancel guard.
 ///
-/// Polls a GC safepoint after every tensor it contracts, holding the
-/// accumulator and the tensors still to come, so batch equivalence
-/// checking on one manager with a [`qits_tdd::GcPolicy`] installed
-/// reclaims each check's garbage as it goes, and an installed
-/// [`qits_tdd::CancelToken`] stops a check at the next tensor.
-///
-/// **GC hazard:** with a policy installed, those safepoints may collect,
-/// and any caller-held edge that is not a registered root (via
-/// [`qits_tdd::TddManager::protect`]) becomes detectably stale
-/// ([`qits_tdd::TddManager::is_live`] returns false) — nodes are never
-/// moved, but swept slots are recycled under a new generation. Without a
-/// policy (the default), the function never collects.
+/// Polls for cancellation after every tensor it contracts, so an
+/// installed [`qits_tdd::CancelToken`] stops a check at the next tensor.
+/// Nothing collects during the check; its intermediates are garbage the
+/// caller's next collection sweeps.
 ///
 /// # Errors
 ///
-/// [`QitsError::RegisterMismatch`] when the register widths differ.
+/// [`QitsError::RegisterMismatch`] when the register widths differ, and
+/// [`QitsError::DimensionOverflow`] for a register of 1,024 qubits or
+/// more, whose squared norm `2^n` is no finite `f64`.
 pub fn try_equivalent_up_to_phase(
     m: &mut TddManager,
     a: &Circuit,
@@ -245,15 +253,15 @@ pub fn try_equivalent_up_to_phase(
 
 /// Whether two circuits implement *exactly* the same operator (global
 /// phase included): equal up to phase, with `tr(B†A) / ‖B‖²` equal to 1.
-/// [`crate::Engine::equivalent`] wraps this with the session's rooting
-/// and arena/cancel guard.
+/// [`crate::Engine::equivalent`] wraps this with the session's
+/// arena/cancel guard.
 ///
-/// Contraction order, norms and safepoints match
+/// Contraction order, norms and cancellation polls match
 /// [`try_equivalent_up_to_phase`].
 ///
 /// # Errors
 ///
-/// [`QitsError::RegisterMismatch`] when the register widths differ.
+/// As [`try_equivalent_up_to_phase`].
 pub fn try_equivalent_exactly(
     m: &mut TddManager,
     a: &Circuit,
@@ -334,17 +342,23 @@ mod tests {
 
     #[test]
     fn equivalence_checks_survive_aggressive_gc() {
-        // With a collect-at-every-opportunity policy, the per-tensor
-        // safepoints fire and the verdicts must not change.
+        // Collecting everything after every check leaves the verdicts of
+        // the next checks unchanged.
         let mut m = TddManager::new();
-        m.set_gc_policy(Some(qits_tdd::GcPolicy::aggressive()));
         let a = circuit(2, vec![Gate::swap(0, 1)]);
         let b = circuit(2, vec![Gate::cx(0, 1), Gate::cx(1, 0), Gate::cx(0, 1)]);
-        assert!(try_equivalent_exactly(&mut m, &a, &b).unwrap());
-        assert!(try_equivalent_up_to_phase(&mut m, &a, &b).unwrap());
         let c = circuit(2, vec![Gate::cx(1, 0)]);
-        assert!(!try_equivalent_up_to_phase(&mut m, &a, &c).unwrap());
-        assert!(m.stats().safepoint_collections > 0, "safepoint must fire");
+        let mut reclaimed = 0;
+        for _ in 0..2 {
+            assert!(try_equivalent_exactly(&mut m, &a, &b).unwrap());
+            reclaimed += m.collect(&[]).reclaimed;
+            assert!(try_equivalent_up_to_phase(&mut m, &a, &b).unwrap());
+            reclaimed += m.collect(&[]).reclaimed;
+            assert!(!try_equivalent_up_to_phase(&mut m, &a, &c).unwrap());
+            reclaimed += m.collect(&[]).reclaimed;
+        }
+        assert!(reclaimed > 0, "the checks left garbage to collect");
+        assert!(m.stats().safepoints_polled > 0, "every tensor polls");
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub enum QitsError {
     },
     /// The job's [`qits_tdd::CancelToken`] was tripped: either before a
     /// worker picked the job up (shed at dequeue) or mid-run, in which
-    /// case the computation unwound at the next GC safepoint (see
+    /// case the computation unwound at its next cancellation poll (see
     /// [`qits_tdd::cancel`]). The worker session survives unpoisoned.
     Cancelled,
     /// The job's deadline passed before a worker started it, so it was

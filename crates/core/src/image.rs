@@ -113,29 +113,21 @@ pub struct ImageStats {
     /// Nodes still live when the computation finished: everything
     /// reachable from the input and target subspaces, the compiled
     /// operators of the session (or, for a one-off image, of the call),
-    /// the session's reachability chain and any registered GC roots —
-    /// exactly what a collection would keep.
+    /// the session's system and its reachability chain — exactly what a
+    /// collection holding those would keep.
     pub live_nodes: usize,
     /// Arena slots allocated in the manager when the computation finished
     /// — live nodes plus uncollected garbage.
     pub allocated_nodes: usize,
     /// Arena high-water mark of the manager when the computation finished
     /// ([`qits_tdd::ManagerStats::peak_arena`]). A lifetime counter of the
-    /// manager, so only comparable across runs on fresh managers — where
-    /// it is exactly the quantity in-image safepoint collections exist to
-    /// keep down.
+    /// manager, so only comparable across runs on fresh managers.
     pub peak_arena: usize,
-    /// Nodes reclaimed by garbage collections during this computation.
-    pub reclaimed_nodes: u64,
-    /// GC safepoints polled during this computation: between addition
-    /// slices, between contraction blocks, and after each Gram–Schmidt
-    /// residual.
+    /// Cancellation polls during this computation
+    /// ([`TddManager::poll_cancel`]): between addition slices, between
+    /// contraction blocks, and after each Gram–Schmidt residual but the
+    /// last.
     pub safepoints: u64,
-    /// Safepoint polls that actually collected.
-    pub safepoint_collections: u64,
-    /// Nodes reclaimed by in-image safepoint collections, incremental
-    /// sweep installments included.
-    pub safepoint_reclaimed: u64,
     /// Contraction-cache movement across this computation.
     pub cont_cache: CacheStats,
     /// Addition-cache movement across this computation.
@@ -153,16 +145,11 @@ pub struct ImageStats {
     /// turns [`ImageStats::tombstones`] into a load ratio (the rehash
     /// trigger keeps `live + tombstones` at or below 3/4 of this).
     pub index_cells: usize,
-    /// Slot generations bumped by sweeps during this computation (one per
-    /// reclaimed node).
-    pub generation_bumps: u64,
-    /// Unique-table hits on a swept slot's key during this computation —
-    /// each one is a dead node detected by its generation instead of a
-    /// dangling read.
+    /// Operation-cache entries written before an earlier collection and
+    /// rejected during this computation because their value's node had
+    /// been swept — each one a dead node detected by its generation
+    /// instead of a dangling read.
     pub stale_handle_hits: u64,
-    /// Nanoseconds the manager spent inside mark/sweep during this
-    /// computation (GC pause time).
-    pub gc_nanos: u64,
 }
 
 impl ImageStats {
@@ -177,11 +164,11 @@ impl ImageStats {
     /// for per-worker/per-session rollups ([`crate::PoolStats`] sums every
     /// image a pool worker ran this way).
     ///
-    /// Counters (`branches`, `elapsed`, safepoint and reclaim totals,
-    /// cache movement) **sum**; high-water marks (`max_nodes`,
-    /// `peak_arena`) take the **max**; end-of-run snapshots
-    /// (`output_dim`, `live_nodes`, `allocated_nodes`) take the **later**
-    /// value, so an aggregate reads like one long computation.
+    /// Counters (`branches`, `elapsed`, polls, cache movement) **sum**;
+    /// high-water marks (`max_nodes`, `peak_arena`) take the **max**;
+    /// end-of-run snapshots (`output_dim`, `live_nodes`,
+    /// `allocated_nodes`) take the **later** value, so an aggregate reads
+    /// like one long computation.
     pub fn absorb(&mut self, other: &ImageStats) {
         self.max_nodes = self.max_nodes.max(other.max_nodes);
         self.elapsed += other.elapsed;
@@ -190,19 +177,14 @@ impl ImageStats {
         self.live_nodes = other.live_nodes;
         self.allocated_nodes = other.allocated_nodes;
         self.peak_arena = self.peak_arena.max(other.peak_arena);
-        self.reclaimed_nodes += other.reclaimed_nodes;
         self.safepoints += other.safepoints;
-        self.safepoint_collections += other.safepoint_collections;
-        self.safepoint_reclaimed += other.safepoint_reclaimed;
         self.cont_cache.absorb(&other.cont_cache);
         self.add_cache.absorb(&other.add_cache);
         self.probe_p50 = self.probe_p50.max(other.probe_p50);
         self.probe_p99 = self.probe_p99.max(other.probe_p99);
         self.tombstones = other.tombstones;
         self.index_cells = other.index_cells;
-        self.generation_bumps += other.generation_bumps;
         self.stale_handle_hits += other.stale_handle_hits;
-        self.gc_nanos += other.gc_nanos;
     }
 }
 
@@ -215,11 +197,10 @@ impl ImageStats {
 ///
 /// The cache belongs to its caller: [`crate::Engine`] keeps one for its
 /// system and session strategy, a fixpoint run one for its whole run, and
-/// [`try_image`] a fresh one per call. It is a GC holder, never a
-/// registered root: every safepoint that runs while it is in use holds it
-/// next to the other live structures. The engine also parks its system's
-/// reachability chain here between fixpoints, so whatever holds the
-/// compiled branches holds the chain too.
+/// [`try_image`] a fresh one per call. It is a GC holder:
+/// [`crate::Engine::collect`] holds it next to the system. The engine also
+/// parks its system's reachability chain here between fixpoints, so
+/// whatever holds the compiled branches holds the chain too.
 #[derive(Debug)]
 pub(crate) struct Compiled {
     strategy: Strategy,
@@ -286,17 +267,9 @@ impl Compiled {
     }
 
     /// Compiles one branch circuit: lowers it to a tensor network and
-    /// builds the strategy's operator tensors, polling the in-image
-    /// safepoint after every slice or block with everything built so far
-    /// among the holders.
-    fn compile(
-        &self,
-        m: &mut TddManager,
-        circuit: &Circuit,
-        stats: &mut ImageStats,
-        input: &Subspace,
-        target: &Subspace,
-    ) -> Branch {
+    /// builds the strategy's operator tensors, polling for cancellation
+    /// after every slice or block.
+    fn compile(&self, m: &mut TddManager, circuit: &Circuit) -> Branch {
         let net = TensorNetwork::from_circuit(m, circuit);
         let mut build_peak = 0;
         let mut operators: Vec<NetTensor> = Vec::new();
@@ -319,18 +292,14 @@ impl Compiled {
                         .enumerate()
                         .map(|(i, &v)| (v, (bits >> (k - 1 - i)) & 1 == 1))
                         .collect();
-                    // Slice lazily, one part at a time, so the
-                    // between-slice safepoint has nothing pending to
-                    // protect beyond the parts already contracted.
                     let sliced = net.slice_all(m, &cuts);
                     let part = contract_network(m, sliced.tensors(), &net.external_vars());
-                    drop(sliced);
                     build_peak = build_peak.max(part.max_nodes);
                     operators.push(NetTensor {
                         edge: part.edge,
                         vars: net.external_vars(),
                     });
-                    safepoint(m, stats, &[input, target, self, &operators, &net]);
+                    m.poll_cancel();
                 }
             }
             Strategy::Contraction { k1, k2 } => {
@@ -340,13 +309,12 @@ impl Compiled {
                     let members: Vec<NetTensor> =
                         block.iter().map(|&gi| net.tensors()[gi].clone()).collect();
                     let outcome = contract_network(m, &members, &keep);
-                    drop(members);
                     build_peak = build_peak.max(outcome.max_nodes);
                     operators.push(NetTensor {
                         edge: outcome.edge,
                         vars: keep,
                     });
-                    safepoint(m, stats, &[input, target, self, &operators, &net]);
+                    m.poll_cancel();
                 }
             }
         }
@@ -418,22 +386,6 @@ impl Branch {
     }
 }
 
-/// Polls an in-image GC safepoint: at this point of a strategy,
-/// `holders` are exactly the structures that must survive — the input and
-/// target subspaces, the compiled branches, and the network and operator
-/// tensors of a branch being compiled. Everything else in the arena is
-/// garbage a collection may sweep.
-fn safepoint(m: &mut TddManager, stats: &mut ImageStats, holders: &[&dyn EdgeHolder]) {
-    let before = m.stats().nodes_reclaimed;
-    if let Some(out) = m.maybe_collect_at_safepoint(holders) {
-        stats.safepoint_reclaimed += out.reclaimed as u64;
-    } else {
-        // A poll that only ran an installment of a pending incremental
-        // sweep: count its reclaim as safepoint work too.
-        stats.safepoint_reclaimed += m.stats().nodes_reclaimed - before;
-    }
-}
-
 /// Computes the image `T(S)` of subspace `input` under the given
 /// operations, with the chosen strategy, into a fresh subspace.
 ///
@@ -450,27 +402,15 @@ fn safepoint(m: &mut TddManager, stats: &mut ImageStats, holders: &[&dyn EdgeHol
 /// the end; [`crate::Engine`] and the fixpoint drivers keep theirs, so
 /// every later image reuses the compiled branches.
 ///
-/// # Garbage collection
+/// # Cancellation and collection
 ///
-/// Every strategy polls **GC safepoints** mid-call — between
-/// addition-partition slices, between contraction-partition blocks, and
-/// after every Gram–Schmidt residual absorbed into the image. If the
-/// manager has a [`qits_tdd::GcPolicy`] installed and the policy asks for
-/// it, a safepoint sweeps everything not reachable from the strategy's
-/// live set (the input, the image so far, and the compiled branches'
-/// network and operator tensors), so the node store stays pinned to the
-/// live set *inside* one call instead of growing for its whole duration.
-/// Collection never moves a node, so `input` is read-only: its edges are
-/// bit-identical before, during, and after the call. With no policy
-/// installed (the default) no safepoint ever collects.
-///
-/// Callers holding **other** long-lived diagrams on the same manager
-/// (another subspace, a transition system whose initial subspace is not
-/// the input) must keep them rooted across the call with
-/// [`qits_tdd::TddManager::protect`] — anything unrooted is swept by the
-/// first safepoint collection and becomes detectably stale. The fixpoint
-/// drivers in [`crate::mc`] and the [`crate::Engine`] facade do exactly
-/// that; the engine is the intended way to drive this kernel.
+/// Every strategy polls for cancellation mid-call
+/// ([`TddManager::poll_cancel`]) — between addition-partition slices,
+/// between contraction-partition blocks, and after every Gram–Schmidt
+/// residual absorbed into the image but the last. Nothing collects
+/// inside the call: the intermediates it leaves in the arena are
+/// reclaimed by the next [`TddManager::collect`] that does not hold them,
+/// which the caller runs where it likes ([`crate::Engine::collect`]).
 ///
 /// # Errors
 ///
@@ -488,7 +428,14 @@ pub fn try_image(
     strategy: Strategy,
 ) -> Result<(Subspace, ImageStats), QitsError> {
     let mut out = Subspace::zero(input.n_qubits());
-    let stats = try_image_into(m, operations, input, &mut out, &mut Compiled::new(strategy))?;
+    let stats = try_image_into(
+        m,
+        operations,
+        input,
+        &mut out,
+        &mut Compiled::new(strategy),
+        &[],
+    )?;
     Ok((out, stats))
 }
 
@@ -496,13 +443,14 @@ pub fn try_image(
 /// instead of a fresh subspace, with the branches of `operations` compiled
 /// into `compiled` (for its strategy). A reachability fixpoint passes the
 /// frontier as `input` and the reachable space as `target`, so every image
-/// vector is absorbed once, straight into the whole space; the safepoints
-/// keep `target` and `compiled` among their mark roots.
+/// vector is absorbed once, straight into the whole space.
 /// [`ImageStats::output_dim`] counts the vectors the call added.
 ///
 /// `compiled` must come from earlier calls with the same `operations` (or
 /// be empty): its `i`-th branch stands for the `i`-th branch in
-/// operation-then-branch order.
+/// operation-then-branch order. `held` names what else the caller keeps
+/// live across the call — a session's system — so that
+/// [`ImageStats::live_nodes`] counts it too.
 ///
 /// # Errors
 ///
@@ -514,6 +462,7 @@ pub(crate) fn try_image_into(
     input: &Subspace,
     target: &mut Subspace,
     compiled: &mut Compiled,
+    held: &[&dyn EdgeHolder],
 ) -> Result<ImageStats, QitsError> {
     let strategy = compiled.strategy;
     let n = input.n_qubits();
@@ -563,13 +512,13 @@ pub(crate) fn try_image_into(
         let mut circuits = None;
         for b_i in 0..n_branches {
             // After the very last Gram–Schmidt residual of the very last
-            // branch nothing runs that could benefit from a collection,
-            // so that one per-state poll is skipped.
+            // branch the call returns anyway, so that one per-state poll
+            // is skipped.
             let final_branch = op_i + 1 == operations.len() && b_i + 1 == n_branches;
             stats.branches += 1;
             if compiled.branches.len() == flat {
                 let circuits = circuits.get_or_insert_with(|| op.kraus_branches());
-                let branch = compiled.compile(m, &circuits[b_i], &mut stats, input, target);
+                let branch = compiled.compile(m, &circuits[b_i]);
                 compiled.branches.push(branch);
             }
             stats.max_nodes = stats.max_nodes.max(compiled.branches[flat].build_peak);
@@ -579,7 +528,7 @@ pub(crate) fn try_image_into(
                 stats.max_nodes = stats.max_nodes.max(peak);
                 target.absorb(m, phi);
                 if !(final_branch && i + 1 == input.dim()) {
-                    safepoint(m, &mut stats, &[input, &*target, &*compiled]);
+                    m.poll_cancel();
                 }
             }
             flat += 1;
@@ -589,31 +538,27 @@ pub(crate) fn try_image_into(
     let moved = m.stats().since(&manager_before);
     stats.cont_cache = moved.cont_cache;
     stats.add_cache = moved.add_cache;
-    stats.reclaimed_nodes = moved.nodes_reclaimed;
     stats.safepoints = moved.safepoints_polled;
-    stats.safepoint_collections = moved.safepoint_collections;
     stats.output_dim = target.dim() - dim_before;
-    // Live-vs-allocated accounting: the live set is what a collection run
-    // right now would keep (input + target + the compiled branches and
-    // chain + registered roots); the arena additionally holds every
-    // uncollected intermediate.
+    // Live-vs-allocated accounting: the live set is what a collection
+    // holding the input, the target, the compiled branches and chain and
+    // `held` would keep; the arena additionally holds every uncollected
+    // intermediate.
     let mut live_edges: Vec<Edge> = Vec::with_capacity(input.dim() + target.dim() + 2);
     input.gc_edges(&mut |e| live_edges.push(e));
     target.gc_edges(&mut |e| live_edges.push(e));
     compiled.gc_edges(&mut |e| live_edges.push(e));
+    held.gc_edges(&mut |e| live_edges.push(e));
     stats.live_nodes = m.live_node_count(&live_edges);
     stats.allocated_nodes = m.arena_len();
     stats.peak_arena = m.stats().peak_arena;
     // Unique-table health over this computation: probe lengths of the
-    // lookups it issued, plus the generational churn its collections
-    // caused.
+    // lookups it issued, and the index's tombstone load.
     stats.probe_p50 = moved.probe_hist.p50();
     stats.probe_p99 = moved.probe_hist.p99();
     stats.tombstones = m.stats().tombstones;
     stats.index_cells = m.stats().index_cells;
-    stats.generation_bumps = moved.generation_bumps;
     stats.stale_handle_hits = moved.stale_handle_hits;
-    stats.gc_nanos = moved.gc_nanos;
     stats.elapsed = start.elapsed();
     Ok(stats)
 }
@@ -624,7 +569,6 @@ mod tests {
     use qits_circuit::{generators, sim};
     use qits_num::linalg;
     use qits_num::Cplx;
-    use qits_tdd::GcPolicy;
 
     use crate::qts::QuantumTransitionSystem;
 
@@ -792,6 +736,7 @@ mod tests {
                 qts.initial(),
                 &mut target,
                 &mut Compiled::new(s),
+                &[],
             )
             .unwrap();
             assert_eq!(st.output_dim, 0, "{s}");
@@ -804,6 +749,7 @@ mod tests {
             qts.initial(),
             &mut wider,
             &mut Compiled::new(Strategy::Basic),
+            &[],
         );
         assert!(matches!(
             err.unwrap_err(),
@@ -813,53 +759,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn serial_safepoints_collect_under_aggressive_policy() {
-        // Every serial strategy must poll safepoints; under the
-        // collect-at-every-opportunity policy they must actually reclaim,
-        // and the relocated input/output must still verify against the
-        // GC-off run.
-        let spec = generators::qrw(3, 0.2);
-        for s in [
-            Strategy::Basic,
-            Strategy::Addition { k: 1 },
-            Strategy::Contraction { k1: 2, k2: 2 },
-        ] {
-            let mut m_gc = TddManager::new();
-            m_gc.set_gc_policy(Some(GcPolicy::aggressive()));
-            let qts_gc = QuantumTransitionSystem::from_spec(&mut m_gc, &spec);
-            let (img_gc, st) =
-                try_image(&mut m_gc, qts_gc.operations(), qts_gc.initial(), s).unwrap();
-            assert!(st.safepoints > 0, "{s}: no safepoint polled");
-            assert!(st.safepoint_collections > 0, "{s}: no safepoint collected");
-            assert!(st.safepoint_reclaimed > 0, "{s}: nothing reclaimed");
-
-            let mut m = TddManager::new();
-            let qts = QuantumTransitionSystem::from_spec(&mut m, &spec);
-            let (img, st_plain) = try_image(&mut m, qts.operations(), qts.initial(), s).unwrap();
-            assert_eq!(st_plain.safepoint_collections, 0, "no policy: no collect");
-            assert_eq!(img.dim(), img_gc.dim(), "{s}");
-            // Same subspace: import the GC run's basis and compare.
-            let mut imported = Subspace::zero(3);
-            for &b in img_gc.basis() {
-                let e = m.import(&m_gc, b);
-                imported.absorb(&mut m, e);
-            }
-            assert!(imported.equals(&mut m, &img), "{s}");
-            // The input is untouched: still the initial subspace.
-            let fresh = {
-                let vars = Subspace::ket_vars(3);
-                let states: Vec<Edge> = spec
-                    .initial_states
-                    .iter()
-                    .map(|amps| m_gc.product_ket(&vars, amps))
-                    .collect();
-                Subspace::from_states(&mut m_gc, 3, &states)
-            };
-            assert!(qts_gc.initial().clone().equals(&mut m_gc, &fresh), "{s}");
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! The public API is the session-based [`Engine`], configured through
 //! [`EngineBuilder`]: one object owns the TDD manager, the transition
-//! system, the GC policy, and all root bookkeeping, its methods return
+//! system, and the state it compiles for them, its methods return
 //! `Result<_, QitsError>` instead of panicking, and it runs the
 //! contraction partition at Table I's `k1 = k2 = 4` unless the builder
 //! names another [`Strategy`]. Sessions are `Send`, and query-batched
@@ -53,17 +53,17 @@
 //! assert!(stats.cont_hit_rate() > 0.0);
 //! ```
 //!
-//! The engine handles garbage-collection rooting internally — install a
-//! [`qits_tdd::GcPolicy`] through the builder and every safepoint keeps
-//! the session's system (plus any subspaces passed as `kept`) alive.
-//! Collection never moves a node, so inputs are plain `&Subspace` borrows
-//! and survivors stay bit-identical; unrooted diagrams become detectably
+//! A collection runs where it is called and nowhere else:
+//! [`Engine::collect`] keeps the session's system, compiled branches and
+//! chain plus the subspaces handed to it, and sweeps the rest. Collection
+//! never moves a node, so inputs are plain `&Subspace` borrows and
+//! survivors stay bit-identical; diagrams nobody held become detectably
 //! stale instead of dangling. Underneath, each question has one fallible
 //! kernel over a raw manager — [`try_image`],
 //! [`mc::try_reachable_space`], [`mc::try_check_invariant`] and the
 //! `try_*` checkers in [`equiv`] — and each engine method runs one of
-//! them with that rooting, the arena/cancel guard, the stats sink and the
-//! Kraus branches the session compiled on its first image. The session
+//! them with the arena/cancel guard, the stats sink and the Kraus
+//! branches the session compiled on its first image. The session
 //! also keeps its system's reachability chain, so every reachability
 //! bound and invariant after the first fixpoint is read off it or extends
 //! it (see [`mc`]).
@@ -73,7 +73,7 @@
 //! results stream back through [`JobTicket`]s (join, poll, or `.await`),
 //! a bounded queue refuses overload with [`QitsError::QueueFull`],
 //! deadlines shed stale work, [`qits_tdd::CancelToken`]s unwind running
-//! jobs at GC safepoints, and an optional fleet-wide [`ResultMemo`]
+//! jobs at their next cancellation poll, and an optional fleet-wide [`ResultMemo`]
 //! short-circuits duplicate queries. The `qits-serve` binary exposes all
 //! of it as a JSON-lines protocol ([`serve::proto`]).
 
@@ -92,9 +92,9 @@ pub use engine::{Engine, EngineBuilder, StatsSink};
 pub use error::QitsError;
 pub use image::{try_image, ImageStats, Strategy};
 pub use pool::{
-    run_job, EnginePool, EngineSpec, ImageOutcome, Job, JobHandle, JobOutput, JobRequest,
-    JobTicket, MemoKey, MemoStats, PoolBuilder, PoolStats, PoolStatsSink, Priority, ReachOutcome,
-    ResultMemo, ServiceHandle, WorkerStats,
+    run_job, worker_stack_size, EnginePool, EngineSpec, ImageOutcome, Job, JobHandle, JobOutput,
+    JobRequest, JobTicket, MemoKey, MemoStats, PoolBuilder, PoolStats, PoolStatsSink, Priority,
+    ReachOutcome, ResultMemo, ServiceHandle, WorkerStats,
 };
 pub use qts::{Operations, QuantumTransitionSystem};
 pub use subspace::{Subspace, RANK_TOLERANCE};
@@ -114,9 +114,9 @@ pub use qits_tdd::CancelToken;
 pub mod serve {
     pub use crate::pool::proto;
     pub use crate::pool::{
-        run_job, EnginePool, EngineSpec, ImageOutcome, Job, JobHandle, JobOutput, JobRequest,
-        JobTicket, MemoKey, MemoStats, PoolBuilder, PoolStats, PoolStatsSink, Priority,
-        ReachOutcome, ResultMemo, ServiceHandle, WorkerStats,
+        run_job, worker_stack_size, EnginePool, EngineSpec, ImageOutcome, Job, JobHandle,
+        JobOutput, JobRequest, JobTicket, MemoKey, MemoStats, PoolBuilder, PoolStats,
+        PoolStatsSink, Priority, ReachOutcome, ResultMemo, ServiceHandle, WorkerStats,
     };
     pub use qits_tdd::CancelToken;
 }

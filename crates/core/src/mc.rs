@@ -47,31 +47,38 @@
 //!
 //! # Garbage collection
 //!
-//! A reachability fixpoint runs many images on one manager, and without
-//! reclamation every dead intermediate of every iteration stays
-//! resident. The drivers here are GC-aware on two levels when the manager
-//! has a [`qits_tdd::GcPolicy`] installed:
+//! A reachability fixpoint runs many images on one manager, and every
+//! dead intermediate of every iteration stays resident until a collection
+//! sweeps it. Nothing here collects: the drivers poll only for
+//! cancellation, inside each image and between iterations
+//! ([`qits_tdd::TddManager::poll_cancel`]). A long fixpoint that must stay
+//! small grows its bound in steps and collects between them:
 //!
-//! * **inside** each image call, the kernel polls its own safepoints (see
-//!   [`crate::try_image`]) with the frontier, the reachable space and the
-//!   compiled branches among the mark roots; the drivers keep the
-//!   transition system and any invariant under check alive across those
-//!   collections by rooting them ([`qits_tdd::TddManager::protect`]) for
-//!   the duration of the call;
-//! * **between** iterations, the drivers poll the same safepoint entry
-//!   ([`qits_tdd::TddManager::maybe_collect_at_safepoint`]) with the full
-//!   live set as [`qits_tdd::EdgeHolder`]s — the system, the chain, the
-//!   kept subspaces, and the compiled branches.
+//! ```
+//! use qits::EngineBuilder;
+//! use qits_circuit::generators;
+//!
+//! let mut engine = EngineBuilder::new()
+//!     .build_from_spec(&generators::qrw(4, 0.5))
+//!     .unwrap();
+//! let mut bound = 0;
+//! let r = loop {
+//!     bound += 4;
+//!     let r = engine.reachable_space(bound).unwrap();
+//!     // The session's chain survives the collection; the next call
+//!     // extends it from where this one stopped.
+//!     engine.collect(&[]);
+//!     if r.converged {
+//!         break r;
+//!     }
+//! };
+//! assert_eq!(r.space.dim(), 16);
+//! ```
 //!
 //! A run compiles each Kraus branch once, on its first image, and every
 //! later iteration reuses the compiled network and operator tensors (see
 //! [`crate::try_image`]); [`crate::Engine`] keeps them for the whole
 //! session.
-//!
-//! Collection never moves a node, so callers' structures are untouched by
-//! a run — every edge they held going in is bit-identical coming out.
-//! With no policy installed (the default), behaviour is identical to the
-//! grow-only node store.
 
 use qits_tdd::{Edge, EdgeHolder, TddManager};
 
@@ -96,12 +103,6 @@ pub struct ReachabilityResult {
     /// one's `output_dim` is the size of the frontier that iteration
     /// added. Empty when the answer was read off a session's chain.
     pub stats: Vec<ImageStats>,
-    /// Garbage collections this call performed: between iterations plus
-    /// the in-image safepoint collections of every image it computed.
-    pub collections: usize,
-    /// Nodes reclaimed by those collections (in-image safepoint reclaim
-    /// included).
-    pub reclaimed_nodes: u64,
 }
 
 /// The image chain `S0 ⊆ S1 ⊆ ... ⊆ S_L` of one system (see the module
@@ -170,8 +171,8 @@ impl EdgeHolder for Chain {
 /// here. The run compiles the system's branches once, for all its
 /// iterations, and builds a chain of its own that it drops at the end.
 /// [`crate::Engine::reachable_space`] runs the same fixpoint on the
-/// session's chain and compiled branches, with rooting, arena/cancel
-/// guard and stats sink.
+/// session's chain and compiled branches, with arena/cancel guard and
+/// stats sink.
 pub fn try_reachable_space(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
@@ -182,7 +183,6 @@ pub fn try_reachable_space(
         m,
         qts,
         max_iterations,
-        &[],
         &mut Compiled::new(strategy),
         &mut Chain::new(qts.initial().clone()),
     )
@@ -194,13 +194,12 @@ pub fn try_reachable_space(
 /// comes first), then reads the answer at `max_iterations` off it.
 ///
 /// Each iteration images the chain's last frontier and absorbs the image
-/// into the chain's space by the image kernel, rooting the system and the
-/// `kept` subspaces across in-image safepoints and polling the
-/// between-iteration safepoint with the full live set. The branches of
-/// the system's operations are compiled into `compiled` (for its
-/// strategy) by the first image that reaches them. A chain that already
-/// reaches the bound computes nothing: a bound below its length answers
-/// with the prefix subspace `S_b`.
+/// into the chain's space by the image kernel, and each iteration that
+/// does not reach the fixpoint polls for cancellation after it. The
+/// branches of the system's operations are compiled into `compiled` (for
+/// its strategy) by the first image that reaches them. A chain that
+/// already reaches the bound computes nothing: a bound below its length
+/// answers with the prefix subspace `S_b`.
 ///
 /// An error or unwind leaves `chain` with a half-absorbed frontier: the
 /// caller must drop it. A chain started at a checkpointed `S_j` instead of
@@ -215,14 +214,11 @@ pub(crate) fn fixpoint_with(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
     max_iterations: usize,
-    kept: &[&Subspace],
     compiled: &mut Compiled,
     chain: &mut Chain,
 ) -> Result<ReachabilityResult, QitsError> {
     let ops = qts.operations().clone();
     let mut stats = Vec::new();
-    let mut collections = 0usize;
-    let mut reclaimed_nodes = 0u64;
     while !chain.converged && chain.len() < max_iterations {
         if chain.space.is_full() {
             // The space cannot grow further: skip the final image.
@@ -237,21 +233,7 @@ pub(crate) fn fixpoint_with(
         };
         let frontier = chain.space.tail(m, from);
         let dim_before = chain.space.dim();
-        // The image call may collect at its internal safepoints, which
-        // keep the frontier and the space; the system's initial subspace
-        // and the kept subspaces are live but not part of the call, so
-        // root them across it.
-        let st = {
-            let mut roots = qts.protect(m);
-            for s in kept {
-                roots.extend(s.protect(m));
-            }
-            let result = try_image_into(m, &ops, &frontier, &mut chain.space, compiled);
-            m.unprotect_all(roots);
-            result?
-        };
-        collections += st.safepoint_collections as usize;
-        reclaimed_nodes += st.reclaimed_nodes;
+        let st = try_image_into(m, &ops, &frontier, &mut chain.space, compiled, &[qts])?;
         stats.push(st);
         chain.dims.push(chain.space.dim());
         // Nothing added is the fixpoint; so is a space that filled its
@@ -260,16 +242,7 @@ pub(crate) fn fixpoint_with(
             chain.converged = true;
             break;
         }
-        // Between iterations every intermediate (images, residuals) is
-        // garbage; only the system, the chain, the kept subspaces and the
-        // compiled branches are live. This is a safepoint like the
-        // in-image ones: poll the policy through the same entry.
-        let mut holders: Vec<&dyn EdgeHolder> = vec![qts, &*chain, &*compiled];
-        holders.extend(kept.iter().map(|s| *s as &dyn EdgeHolder));
-        if let Some(out) = m.maybe_collect_at_safepoint(&holders) {
-            collections += 1;
-            reclaimed_nodes += out.reclaimed as u64;
-        }
+        m.poll_cancel();
     }
     let (space, iterations, converged) = chain.answer_at(m, max_iterations);
     Ok(ReachabilityResult {
@@ -277,20 +250,18 @@ pub(crate) fn fixpoint_with(
         iterations,
         converged,
         stats,
-        collections,
-        reclaimed_nodes,
     })
 }
 
 /// Checks the safety property "every reachable state stays inside
-/// `invariant`", keeping the invariant rooted across the whole run.
+/// `invariant`".
 ///
 /// Returns the verdict plus the reachability result that witnessed it.
 /// A `false` verdict with `converged = false` means the analysis was
 /// truncated and the verdict is only valid for the explored prefix.
 /// [`crate::Engine::check_invariant`] runs the same check on the
-/// session's chain and compiled branches, with rooting, arena/cancel
-/// guard and stats sink.
+/// session's chain and compiled branches, with arena/cancel guard and
+/// stats sink.
 ///
 /// # Errors
 ///
@@ -332,7 +303,7 @@ pub(crate) fn check_invariant_with(
             context: "the invariant subspace".to_string(),
         });
     }
-    let reach = fixpoint_with(m, qts, max_iterations, &[invariant], compiled, chain)?;
+    let reach = fixpoint_with(m, qts, max_iterations, compiled, chain)?;
     let holds = reach.space.is_subspace_of(m, invariant);
     Ok((holds, reach))
 }
@@ -343,7 +314,6 @@ mod tests {
     use crate::image::try_image;
     use qits_circuit::generators;
     use qits_circuit::tensorize::states;
-    use qits_tdd::GcPolicy;
 
     #[test]
     fn grover_reaches_fixpoint_immediately() {
@@ -522,7 +492,8 @@ mod tests {
 
     #[test]
     fn gc_between_iterations_matches_grow_only_run() {
-        // The same fixpoint, with and without an aggressive GC policy:
+        // The same fixpoint, grown one iteration at a time with a
+        // collection between the steps, and in one grow-only run:
         // identical space, nodes actually reclaimed, smaller final arena.
         let spec = generators::qrw(3, 0.5);
         let strategy = Strategy::Contraction { k1: 2, k2: 2 };
@@ -531,56 +502,65 @@ mod tests {
         let qts_plain = QuantumTransitionSystem::from_spec(&mut m_plain, &spec);
         let r_plain = try_reachable_space(&mut m_plain, &qts_plain, strategy, 20).unwrap();
 
-        let mut m_gc = TddManager::new();
-        let qts_gc = QuantumTransitionSystem::from_spec(&mut m_gc, &spec);
-        m_gc.set_gc_policy(Some(GcPolicy::aggressive()));
-        let r_gc = try_reachable_space(&mut m_gc, &qts_gc, strategy, 20).unwrap();
-
-        assert!(r_gc.converged);
+        let mut engine = crate::EngineBuilder::new()
+            .strategy(strategy)
+            .build_from_spec(&spec)
+            .unwrap();
+        let mut reclaimed = 0;
+        let mut bound = 0;
+        let r_gc = loop {
+            bound += 1;
+            let r = engine.reachable_space(bound).unwrap();
+            reclaimed += engine.collect(&[]).reclaimed;
+            if r.converged {
+                break r;
+            }
+        };
+        assert_eq!(r_gc.iterations, r_plain.iterations);
         assert_eq!(r_plain.space.dim(), r_gc.space.dim());
-        assert!(r_gc.collections > 0, "aggressive policy must collect");
-        assert!(r_gc.reclaimed_nodes > 0, "iterations must produce garbage");
+        assert!(reclaimed > 0, "iterations must produce garbage");
+        let m_gc = engine.manager();
         assert!(
             m_gc.arena_len() < m_plain.arena_len(),
-            "GC run must end with a smaller arena: {} vs {}",
+            "the stepped run must end with a smaller arena: {} vs {}",
             m_gc.arena_len(),
             m_plain.arena_len()
         );
         // The held structures are untouched by the collections: the
         // fixpoint is a fixpoint and the initial space is contained in it.
-        assert!(qts_gc
-            .initial()
-            .clone()
-            .is_subspace_of(&mut m_gc, &r_gc.space));
-        let ops = qts_gc.operations().clone();
-        let (img, _) = try_image(&mut m_gc, &ops, &r_gc.space, strategy).unwrap();
-        assert!(img.is_subspace_of(&mut m_gc, &r_gc.space));
+        let initial = engine.initial().clone();
+        assert!(initial.is_subspace_of(engine.manager_mut(), &r_gc.space));
+        let (img, _) = engine.image_of(&r_gc.space).unwrap();
+        assert!(img.is_subspace_of(engine.manager_mut(), &r_gc.space));
     }
 
     #[test]
     fn gc_keeps_the_checked_invariant_valid() {
-        let mut m = TddManager::new();
-        let qts = QuantumTransitionSystem::from_spec(&mut m, &generators::qrw(3, 0.3));
-        m.set_gc_policy(Some(GcPolicy::aggressive()));
+        let mut engine = crate::EngineBuilder::new()
+            .strategy(Strategy::Contraction { k1: 2, k2: 2 })
+            .build_from_spec(&generators::qrw(3, 0.3))
+            .unwrap();
         let vars = Subspace::ket_vars(3);
+        let m = engine.manager_mut();
         let bad_ket = m.basis_ket(&vars, &[true, false, false]);
-        let bad = Subspace::from_states(&mut m, 3, &[bad_ket]);
-        let safe = bad.complement(&mut m);
-        let (holds, r) = try_check_invariant(
-            &mut m,
-            &qts,
-            &safe,
-            Strategy::Contraction { k1: 2, k2: 2 },
-            20,
-        )
-        .unwrap();
+        let bad = Subspace::from_states(m, 3, &[bad_ket]);
+        let safe = bad.complement(m);
+        let mut bound = 0;
+        let (holds, r) = loop {
+            bound += 1;
+            let (holds, r) = engine.check_invariant(&safe, bound).unwrap();
+            assert!(engine.collect(&[&safe]).reclaimed > 0);
+            if r.converged {
+                break (holds, r);
+            }
+        };
         assert!(r.converged);
         assert!(!holds, "the walk eventually reaches the bad state");
-        assert!(r.collections > 0);
         // `safe` rode through every collection untouched: it still has
         // dimension 7 and still excludes the bad state.
         assert_eq!(safe.dim(), 7);
+        let m = engine.manager_mut();
         let bad_again = m.basis_ket(&vars, &[true, false, false]);
-        assert!(!safe.contains(&mut m, bad_again));
+        assert!(!safe.contains(m, bad_again));
     }
 }

@@ -254,7 +254,7 @@ impl JobTicket {
     }
 
     /// Trips the job's cancellation token. Queued jobs are shed at
-    /// dequeue; a running job unwinds at its next GC safepoint. Either
+    /// dequeue; a running job unwinds at its next cancellation poll. Either
     /// way the ticket resolves with [`QitsError::Cancelled`] — a job
     /// that already completed keeps its result.
     pub fn cancel(&self) {

@@ -40,7 +40,7 @@
 //!   (expired jobs are shed at dequeue, counted in
 //!   [`PoolStats::jobs_expired`]) and every ticket carries a
 //!   [`CancelToken`]: tripping it sheds a queued job at dequeue and
-//!   unwinds a running one at its next GC safepoint (see
+//!   unwinds a running one at its next cancellation poll (see
 //!   [`qits_tdd::cancel`]), either way resolving the ticket with
 //!   [`QitsError::Cancelled`].
 //! * **A fleet-wide result memo.** An optional [`ResultMemo`]
@@ -98,7 +98,7 @@ use qits_circuit::generators::QtsSpec;
 use qits_circuit::Circuit;
 use qits_num::key::{key_of, Fnv128, KeyBits};
 use qits_num::Cplx;
-use qits_tdd::{CancelToken, GcPolicy, ManagerStats};
+use qits_tdd::{CancelToken, ManagerStats};
 use qits_tensor::Var;
 
 use crate::engine::{Engine, EngineBuilder};
@@ -134,7 +134,6 @@ pub struct EngineSpec {
     tolerance: f64,
     cache_capacity: Option<usize>,
     node_capacity: Option<usize>,
-    gc_policy: Option<GcPolicy>,
     strategy: Strategy,
 }
 
@@ -146,7 +145,6 @@ impl fmt::Debug for EngineSpec {
             .field("tolerance", &self.tolerance)
             .field("cache_capacity", &self.cache_capacity)
             .field("node_capacity", &self.node_capacity)
-            .field("gc_policy", &self.gc_policy)
             .field("strategy", &self.strategy.to_string())
             .finish()
     }
@@ -154,15 +152,14 @@ impl fmt::Debug for EngineSpec {
 
 impl EngineSpec {
     /// A spec with the builder defaults: default tolerance and cache
-    /// capacity, GC off, the default [`Strategy`] (contraction,
-    /// `k1 = k2 = 4`).
+    /// capacity, no node-store bound, the default [`Strategy`]
+    /// (contraction, `k1 = k2 = 4`).
     pub fn new(system: QtsSpec) -> Self {
         EngineSpec {
             system,
             tolerance: qits_num::DEFAULT_TOLERANCE,
             cache_capacity: None,
             node_capacity: None,
-            gc_policy: None,
             strategy: Strategy::default(),
         }
     }
@@ -188,13 +185,6 @@ impl EngineSpec {
         self
     }
 
-    /// GC policy installed into every built engine (`None`, the default,
-    /// leaves collection off).
-    pub fn gc_policy(mut self, policy: Option<GcPolicy>) -> Self {
-        self.gc_policy = policy;
-        self
-    }
-
     /// Image kernel of every built engine.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
@@ -214,7 +204,7 @@ impl EngineSpec {
     /// A canonical 128-bit fingerprint of everything that determines this
     /// spec's results: the full transition system (operations, Kraus
     /// sets, initial amplitudes), the numeric tolerance, the capacities,
-    /// the GC configuration, and the strategy. Two
+    /// and the strategy. Two
     /// specs with equal fingerprints produce interchangeable results, so
     /// this is the namespace half of every [`ResultMemo`] key — it is
     /// what keeps a fleet-wide memo from ever crossing distinct
@@ -222,7 +212,7 @@ impl EngineSpec {
     /// [`qits_num::key`]); nothing is formatted as text.
     ///
     /// Deliberately conservative: knobs that *probably* don't change
-    /// results (cache sizes, GC policy) are still folded in, trading memo
+    /// results (cache and node-store sizes) are still folded in, trading memo
     /// hits across differently-configured pools for certainty.
     pub fn fingerprint(&self) -> u128 {
         key_of(self)
@@ -231,7 +221,6 @@ impl EngineSpec {
     fn builder(&self) -> EngineBuilder {
         let mut b = EngineBuilder::new()
             .tolerance(self.tolerance)
-            .gc_policy(self.gc_policy)
             .strategy(self.strategy);
         if let Some(cap) = self.cache_capacity {
             b = b.cache_capacity(cap);
@@ -275,14 +264,12 @@ impl KeyBits for EngineSpec {
             tolerance,
             cache_capacity,
             node_capacity,
-            gc_policy,
             strategy,
         } = self;
         system.key_bits(h);
         tolerance.key_bits(h);
         cache_capacity.key_bits(h);
         node_capacity.key_bits(h);
-        gc_policy.key_bits(h);
         strategy.key_bits(h);
     }
 }
@@ -434,10 +421,6 @@ pub struct ReachOutcome {
     pub iterations: usize,
     /// Whether the fixpoint was reached.
     pub converged: bool,
-    /// Garbage collections this job performed.
-    pub collections: usize,
-    /// Nodes reclaimed by those collections.
-    pub reclaimed_nodes: u64,
     /// The images this job computed, one per iteration it ran: empty when
     /// the worker read the answer off its session's chain.
     pub stats: Vec<ImageStats>,
@@ -449,8 +432,6 @@ impl From<ReachabilityResult> for ReachOutcome {
             dim: r.space.dim(),
             iterations: r.iterations,
             converged: r.converged,
-            collections: r.collections,
-            reclaimed_nodes: r.reclaimed_nodes,
             stats: r.stats,
         }
     }
@@ -624,7 +605,7 @@ pub struct WorkerStats {
     /// Those image computations' stats, [`ImageStats::absorb`]-merged.
     pub image: ImageStats,
     /// The worker manager's lifetime counters as of its last finished job
-    /// and the collection after it, if one ran (safepoints, reclaim,
+    /// and the collection after it, if one ran (polls, reclaim,
     /// cache movement; `peak_arena`, `gc_runs` and `nodes_reclaimed`
     /// track the worker's memory).
     pub manager: ManagerStats,
@@ -651,7 +632,7 @@ pub struct PoolStats {
     /// ([`QitsError::QueueFull`]).
     pub jobs_rejected: u64,
     /// Jobs resolved with [`QitsError::Cancelled`] — shed at dequeue or
-    /// unwound mid-run at a GC safepoint.
+    /// unwound mid-run at a cancellation poll.
     pub jobs_cancelled: u64,
     /// Jobs shed at dequeue with [`QitsError::DeadlineExpired`].
     pub jobs_expired: u64,
@@ -931,10 +912,12 @@ const STACK_BYTES_PER_QUBIT: usize = if cfg!(debug_assertions) { 4096 } else { 2
 /// A worker's stack besides its register's share: std's default.
 const STACK_BASE: usize = 2 << 20;
 
-/// The stack a pool worker spawns with over an `n_qubits` register. The
-/// engine build refuses a register wider than [`Var::MAX_POS`], so no
-/// worker needs more than that width's share.
-fn worker_stack_size(n_qubits: u32) -> usize {
+/// The stack a thread that builds and drives an engine over an
+/// `n_qubits` register needs: what a pool worker spawns with, and what
+/// the serial `qits run` path spawns its one thread with. The engine
+/// build refuses a register wider than [`Var::MAX_POS`], so no thread
+/// needs more than that width's share.
+pub fn worker_stack_size(n_qubits: u32) -> usize {
     STACK_BASE + STACK_BYTES_PER_QUBIT * n_qubits.min(Var::MAX_POS) as usize
 }
 
@@ -1268,7 +1251,7 @@ fn worker_main(shared: Arc<Shared>, spec: EngineSpec, index: usize, mut engine: 
             memo.record_miss();
         }
         // The job's cancellation token rides the worker session for
-        // exactly this job: every GC safepoint the computation polls
+        // exactly this job: every cancellation poll of the computation
         // checks it. Cleared on every path afterwards — the next job
         // must not inherit a tripped token.
         engine.set_cancel_token(Some(task.cancel.clone()));
@@ -1332,9 +1315,9 @@ const COLLECT_MIN_OCCUPIED: usize = 20_000;
 /// iterations, made qrw10 and qrw12 fixpoints 1.5–1.9× slower, and
 /// collecting without clearing the caches kept their arrays at full size
 /// and cost serve-mixed a fifth of its throughput. The weight table is not
-/// collected: recycling a weight index could silently change an unrooted
-/// scalar edge held across the collection, which generational node
-/// handles do not guard.
+/// collected: recycling a weight index could silently change a scalar
+/// edge held across the collection, which names no node and so is marked
+/// by nothing; generational node handles do not guard it.
 fn collect_between_jobs(engine: &mut Engine) -> bool {
     let m = engine.manager();
     let occupied = m.arena_occupied();

@@ -192,17 +192,10 @@ impl QuantumTransitionSystem {
     pub fn initial_mut(&mut self) -> &mut Subspace {
         &mut self.initial
     }
-
-    /// Registers the system's long-lived edges (the initial subspace's
-    /// basis and projector; operations are circuits and hold no edges) as
-    /// GC roots. Release them later with
-    /// [`TddManager::unprotect_all`]; nothing else is needed — collection
-    /// never moves a node.
-    pub fn protect(&self, m: &mut TddManager) -> Vec<qits_tdd::RootId> {
-        self.initial.protect(m)
-    }
 }
 
+/// The system's long-lived edges are its initial subspace's basis and
+/// projector; operations are circuits and hold no edges.
 impl qits_tdd::EdgeHolder for QuantumTransitionSystem {
     fn gc_edges(&self, visit: &mut dyn FnMut(qits_tdd::Edge)) {
         self.initial.gc_edges(visit);

@@ -98,9 +98,9 @@ fn restore_subspace(
 // ----------------------------------------------------------------------
 
 /// A reachability checkpoint restored by [`Engine::warm_start`]: the
-/// working space as of the snapshot, plus the counters accumulated
-/// before it — everything [`Engine::resume_reachable_space`] needs to
-/// continue the fixpoint as if the process had never stopped.
+/// working space as of the snapshot, plus the iterations counted before
+/// it — everything [`Engine::resume_reachable_space`] needs to continue
+/// the fixpoint as if the process had never stopped.
 #[derive(Debug, Clone)]
 pub struct ResumedReach {
     /// The working space `S_j` at checkpoint time (on the restoring
@@ -111,10 +111,6 @@ pub struct ResumedReach {
     pub iterations: usize,
     /// Whether the checkpointed run had already converged.
     pub converged: bool,
-    /// Garbage collections performed before the checkpoint.
-    pub collections: usize,
-    /// Nodes reclaimed by those collections.
-    pub reclaimed_nodes: u64,
 }
 
 impl Engine {
@@ -137,8 +133,6 @@ impl Engine {
                 space: idx,
                 iterations: r.iterations as u64,
                 converged: r.converged,
-                collections: r.collections as u64,
-                reclaimed_nodes: r.reclaimed_nodes,
             }
         });
         let mut snap = Snapshot::new(label);
@@ -205,8 +199,6 @@ impl Engine {
                     space,
                     iterations: rd.iterations as usize,
                     converged: rd.converged,
-                    collections: rd.collections as usize,
-                    reclaimed_nodes: rd.reclaimed_nodes,
                 }))
             }
         }
@@ -246,9 +238,12 @@ fn decode_cache_stats(r: &mut ByteReader<'_>) -> Result<CacheStats, StoreError> 
 
 /// Serialises an [`ImageStats`] into the shared byte form. `f64`-free by
 /// construction; the embedded [`Duration`] travels as whole seconds plus
-/// subsecond nanoseconds, so the round trip is exact. The form ends with
-/// two retired reordering counters (level swaps and sifting passes),
-/// written as zeros so the layout stays the same.
+/// subsecond nanoseconds, so the round trip is exact. Retired counters
+/// keep their words, written as zeros, so the layout stays the same: the
+/// reclaimed nodes before `safepoints`, the in-image collections and
+/// their reclaim after it, the generation bumps before
+/// `stale_handle_hits`, and the GC time plus two reordering counters
+/// (level swaps and sifting passes) at the end.
 fn encode_image_stats(w: &mut ByteWriter, st: &ImageStats) {
     w.put_u64(st.max_nodes as u64);
     w.put_u64(st.elapsed.as_secs());
@@ -258,59 +253,68 @@ fn encode_image_stats(w: &mut ByteWriter, st: &ImageStats) {
     w.put_u64(st.live_nodes as u64);
     w.put_u64(st.allocated_nodes as u64);
     w.put_u64(st.peak_arena as u64);
-    w.put_u64(st.reclaimed_nodes);
+    w.put_retired(1);
     w.put_u64(st.safepoints);
-    w.put_u64(st.safepoint_collections);
-    w.put_u64(st.safepoint_reclaimed);
+    w.put_retired(2);
     encode_cache_stats(w, &st.cont_cache);
     encode_cache_stats(w, &st.add_cache);
     w.put_u32(st.probe_p50);
     w.put_u32(st.probe_p99);
     w.put_u64(st.tombstones as u64);
     w.put_u64(st.index_cells as u64);
-    w.put_u64(st.generation_bumps);
+    w.put_retired(1);
     w.put_u64(st.stale_handle_hits);
-    w.put_u64(st.gc_nanos);
-    w.put_u64(0);
-    w.put_u64(0);
+    w.put_retired(3);
 }
 
-/// Inverse of [`encode_image_stats`]; the two retired counters are read
-/// and discarded.
+/// Inverse of [`encode_image_stats`]; the retired counters are read and
+/// discarded.
 fn decode_image_stats(r: &mut ByteReader<'_>) -> Result<ImageStats, StoreError> {
-    let stats = ImageStats {
-        max_nodes: r.get_u64()? as usize,
-        elapsed: Duration::new(r.get_u64()?, r.get_u32()?),
-        branches: r.get_u64()? as usize,
-        output_dim: r.get_u64()? as usize,
-        live_nodes: r.get_u64()? as usize,
-        allocated_nodes: r.get_u64()? as usize,
-        peak_arena: r.get_u64()? as usize,
-        reclaimed_nodes: r.get_u64()?,
-        safepoints: r.get_u64()?,
-        safepoint_collections: r.get_u64()?,
-        safepoint_reclaimed: r.get_u64()?,
-        cont_cache: decode_cache_stats(r)?,
-        add_cache: decode_cache_stats(r)?,
-        probe_p50: r.get_u32()?,
-        probe_p99: r.get_u32()?,
-        tombstones: r.get_u64()? as usize,
-        index_cells: r.get_u64()? as usize,
-        generation_bumps: r.get_u64()?,
-        stale_handle_hits: r.get_u64()?,
-        gc_nanos: r.get_u64()?,
-    };
-    r.get_u64()?;
-    r.get_u64()?;
-    Ok(stats)
+    let max_nodes = r.get_u64()? as usize;
+    let elapsed = Duration::new(r.get_u64()?, r.get_u32()?);
+    let branches = r.get_u64()? as usize;
+    let output_dim = r.get_u64()? as usize;
+    let live_nodes = r.get_u64()? as usize;
+    let allocated_nodes = r.get_u64()? as usize;
+    let peak_arena = r.get_u64()? as usize;
+    r.skip_retired(1)?;
+    let safepoints = r.get_u64()?;
+    r.skip_retired(2)?;
+    let cont_cache = decode_cache_stats(r)?;
+    let add_cache = decode_cache_stats(r)?;
+    let probe_p50 = r.get_u32()?;
+    let probe_p99 = r.get_u32()?;
+    let tombstones = r.get_u64()? as usize;
+    let index_cells = r.get_u64()? as usize;
+    r.skip_retired(1)?;
+    let stale_handle_hits = r.get_u64()?;
+    r.skip_retired(3)?;
+    Ok(ImageStats {
+        max_nodes,
+        elapsed,
+        branches,
+        output_dim,
+        live_nodes,
+        allocated_nodes,
+        peak_arena,
+        safepoints,
+        cont_cache,
+        add_cache,
+        probe_p50,
+        probe_p99,
+        tombstones,
+        index_cells,
+        stale_handle_hits,
+    })
 }
 
+/// The reachability summary's byte form; the two retired collection
+/// counters after `converged` are written as zeros.
 fn encode_reach_outcome(w: &mut ByteWriter, r: &ReachOutcome) {
     w.put_u64(r.dim as u64);
     w.put_u64(r.iterations as u64);
     w.put_bool(r.converged);
-    w.put_u64(r.collections as u64);
-    w.put_u64(r.reclaimed_nodes);
+    w.put_retired(2);
     w.put_u64(r.stats.len() as u64);
     for st in &r.stats {
         encode_image_stats(w, st);
@@ -321,8 +325,7 @@ fn decode_reach_outcome(r: &mut ByteReader<'_>) -> Result<ReachOutcome, StoreErr
     let dim = r.get_u64()? as usize;
     let iterations = r.get_u64()? as usize;
     let converged = r.get_bool()?;
-    let collections = r.get_u64()? as usize;
-    let reclaimed_nodes = r.get_u64()?;
+    r.skip_retired(2)?;
     let n = r.get_count(8)?;
     let mut stats = Vec::with_capacity(n);
     for _ in 0..n {
@@ -332,8 +335,6 @@ fn decode_reach_outcome(r: &mut ByteReader<'_>) -> Result<ReachOutcome, StoreErr
         dim,
         iterations,
         converged,
-        collections,
-        reclaimed_nodes,
         stats,
     })
 }
@@ -468,7 +469,7 @@ mod tests {
         st.cont_cache.hits = 101;
         st.add_cache.purged = 7;
         st.probe_p99 = 12;
-        st.gc_nanos = u64::MAX;
+        st.stale_handle_hits = u64::MAX;
         st
     }
 
@@ -498,8 +499,6 @@ mod tests {
                 dim: 8,
                 iterations: 3,
                 converged: true,
-                collections: 2,
-                reclaimed_nodes: 40,
                 stats: vec![busy_stats(), ImageStats::default()],
             }),
             JobOutput::Invariant {
@@ -508,8 +507,6 @@ mod tests {
                     dim: 1,
                     iterations: 1,
                     converged: false,
-                    collections: 0,
-                    reclaimed_nodes: 0,
                     stats: vec![],
                 },
             },
@@ -541,8 +538,6 @@ mod tests {
             dim: 1,
             iterations: 1,
             converged: true,
-            collections: 0,
-            reclaimed_nodes: 0,
             stats: vec![ImageStats::default()],
         }));
         assert!(matches!(

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use qits_num::Cplx;
-use qits_tdd::{Edge, EdgeHolder, RootId, TddManager};
+use qits_tdd::{Edge, EdgeHolder, TddManager};
 use qits_tensor::Var;
 
 use crate::error::QitsError;
@@ -79,17 +79,14 @@ pub const RANK_TOLERANCE: f64 = 1e-9;
 /// # Garbage collection
 ///
 /// A subspace holds long-lived edges (the basis kets and the kept
-/// projector), so it participates in the manager's root-tracked GC (see
-/// [`qits_tdd::gc`]). Collection never moves a node, so there is no
-/// relocation step: a subspace that was kept alive across a collection —
-/// by rooting it with [`Subspace::protect`], or by passing it as an
-/// [`EdgeHolder`] to [`TddManager::collect_retaining`] /
-/// [`TddManager::maybe_collect_at_safepoint`] — is simply still valid
-/// afterwards, bit for bit. A subspace that was *not* kept alive holds
-/// detectably stale edges ([`TddManager::is_live`] returns `false`) and
-/// must not be used again. The fixpoint drivers in [`crate::mc`] and the
-/// image kernel hand every subspace they manage to each safepoint
-/// automatically; [`crate::Engine`] does the same for the session state.
+/// projector), so it is an [`EdgeHolder`] for the manager's garbage
+/// collection (see [`qits_tdd::gc`]). Collection never moves a node, so
+/// there is no relocation step: a subspace handed to
+/// [`TddManager::collect`] (or to [`crate::Engine::collect`]) is simply
+/// still valid afterwards, bit for bit. A subspace that was *not* held
+/// holds detectably stale edges ([`TddManager::is_live`] returns `false`)
+/// and must not be used again. Nothing collects inside an operation, so a
+/// subspace only needs holding across the collections its owner runs.
 ///
 /// # Example
 ///
@@ -258,15 +255,6 @@ impl Subspace {
                 built.expect("no partial sum exceeds usize::MAX nodes").0
             }
         }
-    }
-
-    /// Registers every edge of the subspace (basis kets and the kept
-    /// projector) as a GC root, returning the ids for a later
-    /// [`TddManager::unprotect_all`].
-    pub fn protect(&self, m: &mut TddManager) -> Vec<RootId> {
-        let mut ids = Vec::with_capacity(self.basis.len() + 1);
-        self.gc_edges(&mut |e| ids.push(m.protect(e)));
-        ids
     }
 }
 

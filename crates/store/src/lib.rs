@@ -188,6 +188,14 @@ impl ByteWriter {
         self.put_u64(b.len() as u64);
         self.buf.extend_from_slice(b);
     }
+
+    /// Writes `n` zero u64 words where retired counters sat, so a layout
+    /// stays byte for byte what older builds wrote.
+    pub fn put_retired(&mut self, n: usize) {
+        for _ in 0..n {
+            self.put_u64(0);
+        }
+    }
 }
 
 /// Checked little-endian decoder over a byte slice. Every getter returns
@@ -248,6 +256,12 @@ impl<'a> ByteReader<'a> {
         Ok(self.get_u8()? != 0)
     }
 
+    /// Reads and discards `n` retired u64 counter words (see
+    /// [`ByteWriter::put_retired`]).
+    pub fn skip_retired(&mut self, n: usize) -> Result<(), StoreError> {
+        self.take(8 * n).map(|_| ())
+    }
+
     /// Reads a length the payload claims for a following sequence,
     /// sanity-bounded by the bytes actually remaining (each element needs
     /// at least `min_element_size` bytes) so a corrupted count cannot ask
@@ -298,7 +312,8 @@ pub struct SubspaceDump {
 
 /// Serialized progress of a reachability fixpoint: the counters needed to
 /// resume (or report) a run, next to which [`Snapshot::subspaces`] entry
-/// holds the space reached so far.
+/// holds the space reached so far. Its byte form keeps two retired
+/// collection counters after `converged`, written as zeros.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReachDump {
     /// Index into [`Snapshot::subspaces`] of the reached space.
@@ -307,10 +322,6 @@ pub struct ReachDump {
     pub iterations: u64,
     /// Whether the fixpoint had converged.
     pub converged: bool,
-    /// Garbage collections run so far.
-    pub collections: u64,
-    /// Nodes reclaimed so far.
-    pub reclaimed_nodes: u64,
 }
 
 /// One spilled result-memo entry: the memo key (spec fingerprint + job
@@ -471,8 +482,8 @@ fn encode_snapshot(s: &Snapshot, w: &mut ByteWriter) {
             w.put_u32(r.space);
             w.put_u64(r.iterations);
             w.put_bool(r.converged);
-            w.put_u64(r.collections);
-            w.put_u64(r.reclaimed_nodes);
+            // Collections and reclaimed nodes.
+            w.put_retired(2);
         }
         None => w.put_u8(0),
     }
@@ -512,13 +523,14 @@ fn decode_snapshot(r: &mut ByteReader<'_>) -> Result<Snapshot, StoreError> {
         });
     }
     let reach = if r.get_u8()? != 0 {
-        Some(ReachDump {
+        let reach = ReachDump {
             space: r.get_u32()?,
             iterations: r.get_u64()?,
             converged: r.get_bool()?,
-            collections: r.get_u64()?,
-            reclaimed_nodes: r.get_u64()?,
-        })
+        };
+        // Collections and reclaimed nodes.
+        r.skip_retired(2)?;
+        Some(reach)
     } else {
         None
     };
@@ -642,8 +654,6 @@ mod tests {
                 space: 0,
                 iterations: 7,
                 converged: false,
-                collections: 3,
-                reclaimed_nodes: 1234,
             }),
             memo: vec![MemoEntry {
                 key: 42,

@@ -1,12 +1,14 @@
 //! Cooperative cancellation for long-running diagram operations.
 //!
 //! A fixpoint computation (reachability, equivalence) can run for a long
-//! time between top-level calls, but it polls a **GC safepoint**
-//! ([`crate::TddManager::maybe_collect_at_safepoint`]) after every image
-//! step. A [`CancelToken`] piggybacks on exactly that cadence: the owner
-//! of a computation hands a clone of the token to whoever may want to stop
-//! it, installs it on the manager ([`crate::TddManager::set_cancel_token`]),
-//! and every safepoint poll checks the flag. A tripped token unwinds the
+//! time between top-level calls, but it polls for cancellation
+//! ([`crate::TddManager::poll_cancel`]) at its natural breakpoints: between
+//! addition slices and contraction blocks, after every Gram–Schmidt
+//! residual and miter tensor, and between fixpoint iterations. The owner
+//! of a computation hands a clone of a [`CancelToken`] to whoever may want
+//! to stop it, installs it on the manager
+//! ([`crate::TddManager::set_cancel_token`]), and every poll checks the
+//! flag. A tripped token unwinds the
 //! operation with a typed [`OperationCancelled`] panic payload — the same
 //! mechanism [`crate::ArenaExhausted`] uses — which session facades catch
 //! at the operation boundary and convert into their fallible API's error.
@@ -19,8 +21,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Panic payload thrown from a GC safepoint when the installed
-/// [`CancelToken`] has been tripped.
+/// Panic payload thrown by [`crate::TddManager::poll_cancel`] when the
+/// installed [`CancelToken`] has been tripped.
 ///
 /// Like [`crate::ArenaExhausted`], cancellation is not recoverable
 /// *inside* a recursive diagram operation — there is no partial result to
@@ -28,7 +30,7 @@ use std::sync::Arc;
 /// (`qits`'s `Engine`) catches at the operation boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OperationCancelled {
-    /// Safepoint polls the token had seen when it fired.
+    /// Polls the token had seen when it fired.
     pub polls: u64,
 }
 
@@ -42,7 +44,7 @@ impl std::fmt::Display for OperationCancelled {
     }
 }
 
-/// Shared cancellation flag polled at GC safepoints.
+/// Shared cancellation flag polled by [`crate::TddManager::poll_cancel`].
 ///
 /// Cloning is cheap (an [`Arc`] bump) and every clone observes the same
 /// flag: the submitter keeps one clone to call [`CancelToken::cancel`],
@@ -69,7 +71,7 @@ impl CancelToken {
         Self::default()
     }
 
-    /// A token that trips itself on the `n`-th safepoint poll (1-based).
+    /// A token that trips itself on the `n`-th poll (1-based).
     /// `cancel_after(0)` is equivalent to an already-cancelled token.
     pub fn cancel_after(n: u64) -> Self {
         let token = Self::new();
@@ -91,12 +93,12 @@ impl CancelToken {
         self.inner.cancelled.load(Ordering::Acquire)
     }
 
-    /// Safepoint polls observed so far (across every clone).
+    /// Polls observed so far (across every clone).
     pub fn polls(&self) -> u64 {
         self.inner.polls.load(Ordering::Relaxed)
     }
 
-    /// Records one safepoint poll and reports whether the computation
+    /// Records one poll and reports whether the computation
     /// should unwind. Called by the manager; user code normally has no
     /// reason to invoke this directly.
     pub fn poll(&self) -> bool {

@@ -28,13 +28,11 @@
 //! * conversions to and from dense [`qits_tensor::Tensor`]s for testing, a
 //!   Graphviz exporter reproducing the style of the paper's Fig. 1, and node
 //!   statistics (the "max #node" column of Table I);
-//! * **root-tracked garbage collection** ([`gc`]) over a backed
-//!   Robin-Hood unique table with **generational node handles**: long
-//!   fixpoint computations protect their live diagrams
-//!   ([`TddManager::protect`] / [`RootScope`]) and reclaim everything else
-//!   with [`TddManager::collect`], keeping the node store bounded by the
-//!   live set — optionally automatically, under a [`GcPolicy`] watermark,
-//!   with sweeps amortised across safepoints. Collection never moves a
+//! * **garbage collection** ([`gc`]) over a backed Robin-Hood unique
+//!   table with **generational node handles**: a caller hands
+//!   [`TddManager::collect`] the holders of its live diagrams and
+//!   everything else is reclaimed, keeping the node store bounded by the
+//!   live set. Collection runs only where it is called. It never moves a
 //!   node: survivors stay bit-identical and swept handles become
 //!   detectably stale ([`TddManager::is_live`]), so there is no
 //!   relocation or pinning ceremony anywhere in the API.
@@ -76,7 +74,7 @@ pub use cache::{CacheLookup, CacheSizes, CacheStats, DEFAULT_CACHE_CAPACITY};
 pub use cancel::{CancelToken, OperationCancelled};
 pub use cnum::{CIdx, ComplexTable};
 pub use dump::{DumpEdge, DumpError, DumpNode, TddDump};
-pub use gc::{EdgeHolder, GcOutcome, GcPolicy, RootId, RootScope};
+pub use gc::{EdgeHolder, GcOutcome};
 pub use manager::{ArenaExhausted, TddManager};
 pub use node::{Edge, NodeId, TERMINAL};
 pub use stats::{ManagerStats, ProbeHistogram, PROBE_BUCKETS};
@@ -94,7 +92,6 @@ const _: () = {
     assert_send_sync::<TddManager>();
     assert_send_sync::<Edge>();
     assert_send_sync::<ManagerStats>();
-    assert_send_sync::<GcPolicy>();
     assert_send_sync::<ArenaExhausted>();
     assert_send_sync::<CancelToken>();
     assert_send_sync::<OperationCancelled>();

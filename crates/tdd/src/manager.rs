@@ -9,7 +9,6 @@ use qits_tensor::{Tensor, Var};
 use crate::cache::{CacheLookup, CacheSizes, OpCaches, RenameId, SumId, DEFAULT_CACHE_CAPACITY};
 use crate::cancel::CancelToken;
 use crate::cnum::{CIdx, ComplexTable};
-use crate::gc::{GcPolicy, RootRegistry};
 use crate::node::{Edge, Node, NodeId, TERMINAL};
 use crate::stats::ManagerStats;
 use crate::table::UniqueTable;
@@ -20,7 +19,7 @@ const DEFAULT_NODE_CAPACITY: usize = u32::MAX as usize;
 
 /// Panic payload thrown by [`TddManager::make_node`] when the node store is
 /// at its configured capacity (see [`TddManager::set_node_capacity`]) and
-/// garbage collection freed nothing.
+/// no swept slot is free.
 ///
 /// Exhaustion is not a recoverable condition *inside* a recursive diagram
 /// operation — there is no partial result to return — so it unwinds as a
@@ -72,15 +71,14 @@ impl std::fmt::Display for ArenaExhausted {
 ///
 /// Nodes live in a **backed Robin Hood unique table** (see
 /// the private `table` module) under generational handles, reclaimed by
-/// **root-tracked garbage collection** (see [`crate::gc`]): edges
-/// registered through [`TddManager::protect`] (or a [`crate::RootScope`])
-/// survive a [`TddManager::collect`] **bit-identically** — collection
-/// never moves a node — while everything unreachable from the root
-/// registry is swept in place: its slot's generation is bumped (making
-/// held handles detectably stale, never silently recycled) and the slot is
-/// recycled for future nodes. Collection only ever runs when explicitly
-/// invoked — with no [`GcPolicy`] installed (the default) the manager
-/// behaves exactly like a grow-only arena.
+/// **garbage collection** (see [`crate::gc`]): the diagrams of the
+/// holders handed to [`TddManager::collect`] survive it
+/// **bit-identically** — collection never moves a node — while
+/// everything unreachable from them is swept in place: its slot's
+/// generation is bumped (making held handles detectably stale, never
+/// silently recycled) and the slot is recycled for future nodes.
+/// Collection only ever runs where it is called; a manager nobody
+/// collects behaves exactly like a grow-only arena.
 ///
 /// Operation caches are **manager-owned** (see [`crate::cache`]) so
 /// memoised results survive across top-level calls — the reuse repeated
@@ -97,17 +95,10 @@ pub struct TddManager {
     table: ComplexTable,
     pub(crate) caches: OpCaches,
     pub(crate) stats: ManagerStats,
-    /// Protected edges: the GC's mark sources (see [`crate::gc`]).
-    pub(crate) roots: RootRegistry,
-    /// Automatic-collection policy; `None` disables [`TddManager::maybe_collect`].
-    pub(crate) gc_policy: Option<GcPolicy>,
-    /// Live nodes right after the last collection (watermark baseline).
-    pub(crate) gc_floor: usize,
-    /// Nodes interned since the last collection (policy interval counter).
-    pub(crate) allocs_since_gc: u64,
-    /// Cooperative-cancellation flag checked at every GC safepoint;
-    /// `None` (the default) makes safepoints cancellation-free.
-    pub(crate) cancel_token: Option<CancelToken>,
+    /// Cooperative-cancellation flag checked at every
+    /// [`TddManager::poll_cancel`]; `None` (the default) makes polls
+    /// cancellation-free.
+    cancel_token: Option<CancelToken>,
     /// Stamps and stack of the node-counting walks (see the private
     /// `walk` module), locked so that counting works through `&self`.
     pub(crate) walk: Mutex<WalkScratch>,
@@ -136,30 +127,25 @@ impl TddManager {
             table: ComplexTable::with_tolerance(tol),
             caches: OpCaches::with_capacity(DEFAULT_CACHE_CAPACITY),
             stats: ManagerStats::default(),
-            roots: RootRegistry::default(),
-            gc_policy: None,
-            gc_floor: 1,
-            allocs_since_gc: 0,
             cancel_token: None,
             walk: Mutex::default(),
         }
     }
 
     /// Creates an empty manager with every session knob applied at once:
-    /// weight tolerance, operation-cache capacity (`None` keeps the
-    /// default bound), and automatic-collection policy. This is the
-    /// constructor session facades build on, so a configured manager is
-    /// never observable in a half-initialised state.
+    /// weight tolerance and operation-cache capacity (`None` keeps the
+    /// default bound). This is the constructor session facades build on,
+    /// so a configured manager is never observable in a half-initialised
+    /// state.
     ///
     /// # Panics
     ///
     /// Panics if `tol` is not strictly positive and finite.
-    pub fn with_config(tol: f64, cache_capacity: Option<usize>, policy: Option<GcPolicy>) -> Self {
+    pub fn with_config(tol: f64, cache_capacity: Option<usize>) -> Self {
         let mut m = Self::with_tolerance(tol);
         if let Some(cap) = cache_capacity {
             m.set_cache_capacity(cap);
         }
-        m.set_gc_policy(policy);
         m
     }
 
@@ -188,7 +174,7 @@ impl TddManager {
     /// it stops growing once the free list covers the churn: reclaimed
     /// slots are reused before new ones are allocated. The live occupancy
     /// is [`TddManager::arena_occupied`]; the live set of any particular
-    /// diagram is [`TddManager::node_count`], and the rooted live set is
+    /// diagram is [`TddManager::node_count`], and that of several is
     /// [`TddManager::live_node_count`].
     pub fn arena_len(&self) -> usize {
         self.unique.allocated()
@@ -210,8 +196,8 @@ impl TddManager {
     /// Collection never relocates nodes, so an edge is either **live**
     /// (bit-identical to the day it was built) or **stale** — its slot was
     /// swept and its generation bumped. Stale edges must not be passed to
-    /// any operation; this is the check holders use after collecting
-    /// without protecting something.
+    /// any operation; this is the check holders use after a collection
+    /// that did not hold them.
     #[inline]
     pub fn is_live(&self, e: Edge) -> bool {
         self.unique.is_live(e.node)
@@ -231,9 +217,9 @@ impl TddManager {
     }
 
     /// Installs (or, with `None`, clears) the cooperative-cancellation
-    /// token polled at every GC safepoint. A tripped token makes the next
-    /// [`TddManager::maybe_collect_at_safepoint`] unwind with an
-    /// [`crate::OperationCancelled`] payload; see [`crate::cancel`].
+    /// token checked by [`TddManager::poll_cancel`]. A tripped token makes
+    /// the next poll unwind with an [`crate::OperationCancelled`] payload;
+    /// see [`crate::cancel`].
     ///
     /// Tokens are per-job: a pool worker installs the job's token before
     /// running it and clears it afterwards so the next job cannot inherit
@@ -245,6 +231,28 @@ impl TddManager {
     /// The installed cancellation token, if any.
     pub fn cancel_token(&self) -> Option<&CancelToken> {
         self.cancel_token.as_ref()
+    }
+
+    /// Polls for cancellation: counts the poll in
+    /// [`ManagerStats::safepoints_polled`] and, if the installed token has
+    /// tripped, unwinds with an [`crate::OperationCancelled`] payload.
+    /// Long computations call this at their natural breakpoints (between
+    /// addition slices and contraction blocks, after Gram–Schmidt
+    /// residuals and miter tensors, between fixpoint iterations).
+    ///
+    /// `resume_unwind` rather than `panic_any`: cancellation is a routine
+    /// serving event, caught and converted at the operation boundary, so
+    /// it must not invoke the panic hook (which would print a backtrace
+    /// per cancelled job).
+    pub fn poll_cancel(&mut self) {
+        self.stats.safepoints_polled += 1;
+        if let Some(token) = &self.cancel_token {
+            if token.poll() {
+                std::panic::resume_unwind(Box::new(crate::OperationCancelled {
+                    polls: token.polls(),
+                }));
+            }
+        }
     }
 
     /// Drops every operation cache (unique table and node store are kept).
@@ -305,15 +313,14 @@ impl TddManager {
     // ------------------------------------------------------------------
 
     /// Re-validation rule for a pre-collection cache entry: admissible iff
-    /// no sweep is mid-flight (an unswept unmarked value could still die)
-    /// and the cached value's node generation is current. Liveness of the
+    /// the cached value's node generation is current. Liveness of the
     /// value implies liveness of its whole subgraph — marking is
     /// transitive, so a value that survived a collection survived with all
     /// its descendants. Keys need no check: callers build them from edges
     /// they currently hold.
     #[inline]
     fn stale_value_admissible(&self, v: Edge) -> bool {
-        !self.unique.sweep_in_progress() && self.unique.is_live(v.node)
+        self.unique.is_live(v.node)
     }
 
     #[inline]
@@ -615,7 +622,6 @@ impl TddManager {
         };
         if created {
             self.stats.nodes_created += 1;
-            self.allocs_since_gc += 1;
             self.stats.peak_arena = self.stats.peak_arena.max(self.unique.allocated());
         }
         Edge {

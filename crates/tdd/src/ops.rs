@@ -25,8 +25,8 @@ impl TddManager {
     fn debug_assert_live(&self, e: Edge) {
         debug_assert!(
             self.is_live(e),
-            "stale handle: {e:?} was swept by a garbage collection (root it \
-             with protect() or pass its holder to the collecting call)"
+            "stale handle: {e:?} was swept by a garbage collection (pass its \
+             holder to the collecting call)"
         );
     }
 

@@ -102,17 +102,14 @@ pub struct ManagerStats {
     pub gc_runs: u64,
     /// Nodes reclaimed across all collections.
     pub nodes_reclaimed: u64,
-    /// GC safepoints polled via
-    /// [`crate::TddManager::maybe_collect_at_safepoint`] — every poll, not
-    /// just the ones that collected.
+    /// Cancellation polls ([`crate::TddManager::poll_cancel`]): between
+    /// addition slices and contraction blocks, after Gram–Schmidt
+    /// residuals and miter tensors, and between fixpoint iterations.
     pub safepoints_polled: u64,
-    /// Safepoint polls that actually started a collection.
-    pub safepoint_collections: u64,
     /// Non-terminal nodes that survived the most recent collection
     /// (`0` before the first collection).
     pub live_after_last_gc: usize,
-    /// Cumulative nanoseconds spent inside collections (mark plus every
-    /// sweep step) — the pause-time total the incremental sweep amortizes.
+    /// Cumulative nanoseconds spent inside collections (mark plus sweep).
     pub gc_nanos: u64,
     /// Probe-length histogram of the backed unique table.
     pub probe_hist: ProbeHistogram,
@@ -156,7 +153,7 @@ pub struct ManagerStats {
 impl ManagerStats {
     /// Merges another manager's counters into this aggregate — the shape a
     /// pool of worker managers needs to report fleet-wide totals (e.g.
-    /// `qits`'s `EnginePool` summing per-worker safepoint and reclaim
+    /// `qits`'s `EnginePool` summing per-worker poll and reclaim
     /// counters into its `PoolStats`).
     ///
     /// Counters **sum**; the high-water mark `peak_arena` takes the
@@ -169,7 +166,6 @@ impl ManagerStats {
         self.gc_runs += other.gc_runs;
         self.nodes_reclaimed += other.nodes_reclaimed;
         self.safepoints_polled += other.safepoints_polled;
-        self.safepoint_collections += other.safepoint_collections;
         self.live_after_last_gc += other.live_after_last_gc;
         self.gc_nanos += other.gc_nanos;
         self.probe_hist.absorb(&other.probe_hist);
@@ -202,9 +198,6 @@ impl ManagerStats {
             safepoints_polled: self
                 .safepoints_polled
                 .saturating_sub(earlier.safepoints_polled),
-            safepoint_collections: self
-                .safepoint_collections
-                .saturating_sub(earlier.safepoint_collections),
             // Snapshot, not a counter: report the later value.
             live_after_last_gc: self.live_after_last_gc,
             gc_nanos: self.gc_nanos.saturating_sub(earlier.gc_nanos),

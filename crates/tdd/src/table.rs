@@ -27,16 +27,11 @@
 //! ([`crate::ProbeHistogram`]) so the p50/p99 of the consing hot path is
 //! cheap telemetry rather than a profiling session.
 //!
-//! # Incremental sweeps
+//! # Sweeps
 //!
-//! The table carries the GC's sweep cursor: after a stop-the-world mark, a
-//! sweep may be taken in bounded steps ([`UniqueTable::sweep_step`]),
-//! amortizing pause time across safepoint polls. While a sweep is in
-//! progress, freshly interned nodes are born marked, and a lookup that
-//! finds an unmarked-but-unswept node *resurrects* it (marks it live) —
-//! sound because diagrams are built bottom-up: the successors of any node
-//! an operation asks for were themselves returned (and thus marked)
-//! earlier.
+//! A collection marks with the manager's stamped walk and then calls
+//! [`UniqueTable::sweep`] once, which frees every occupied slot the walk
+//! did not reach, in slot order.
 //!
 //! Generations are `u32` and bump once per sweep of a slot; a stale handle
 //! could only be confused for live again after 2³² sweeps of the same
@@ -49,7 +44,7 @@ use crate::stats::ProbeHistogram;
 /// pre-allocation.
 const MIN_INDEX: usize = 1 << 12;
 
-/// One node slot: the stored node plus its generation and GC bits.
+/// One node slot: the stored node plus its generation and free flag.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     /// Bumped every time the slot is freed; a handle is live iff its
@@ -57,9 +52,6 @@ struct Slot {
     gen: u32,
     /// Whether the slot is on the free list.
     dead: bool,
-    /// GC mark bit (meaningful between a mark phase and the end of its
-    /// sweep).
-    marked: bool,
     node: Node,
 }
 
@@ -92,14 +84,6 @@ pub(crate) struct TableFull {
     pub capacity: usize,
 }
 
-/// Sweep cursor: `Idle` between collections, `InProgress` after a mark
-/// until every slot allocated at mark time has been visited.
-#[derive(Debug, Clone, Copy)]
-enum SweepState {
-    Idle,
-    InProgress { next: u32, end: u32 },
-}
-
 /// The backed unique table (see the module docs).
 #[derive(Debug)]
 pub(crate) struct UniqueTable {
@@ -112,7 +96,6 @@ pub(crate) struct UniqueTable {
     tombstones: usize,
     /// Hard bound on allocated slots (terminal included).
     node_capacity: usize,
-    sweep: SweepState,
     /// Probe-length histogram over every lookup (hit or insert).
     pub probe_hist: ProbeHistogram,
     /// Tombstones ever created (a lifetime counter, unlike the live
@@ -142,7 +125,6 @@ impl UniqueTable {
         slots.push(Slot {
             gen: 0,
             dead: false,
-            marked: true,
             node: Node {
                 var: TERMINAL_VAR,
                 low: Edge::ZERO,
@@ -156,7 +138,6 @@ impl UniqueTable {
             live_entries: 0,
             tombstones: 0,
             node_capacity,
-            sweep: SweepState::Idle,
             probe_hist: ProbeHistogram::default(),
             tombstones_created: 0,
             generation_bumps: 0,
@@ -234,12 +215,6 @@ impl UniqueTable {
         self.node_capacity = cap;
     }
 
-    /// Whether a mark has run whose sweep is not yet complete.
-    #[inline]
-    pub(crate) fn sweep_in_progress(&self) -> bool {
-        matches!(self.sweep, SweepState::InProgress { .. })
-    }
-
     // ------------------------------------------------------------------
     // Hash consing.
     // ------------------------------------------------------------------
@@ -265,20 +240,13 @@ impl UniqueTable {
             if e.slot == EMPTY {
                 break;
             }
-            let s = &mut self.slots[e.slot as usize];
+            let s = &self.slots[e.slot as usize];
             if s.gen != e.gen {
                 if first_stale.is_none() {
                     first_stale = Some(pos);
                 }
             } else if e.hash == h && s.node == node {
                 self.probe_hist.record(dist);
-                // Resurrection: a pending sweep must not free a node an
-                // operation just asked for. Its successors are already
-                // marked — diagrams are built bottom-up, so they were
-                // returned (marked or freshly born) earlier.
-                if !s.marked && matches!(self.sweep, SweepState::InProgress { .. }) {
-                    s.marked = true;
-                }
                 return Ok((
                     NodeId {
                         idx: e.slot,
@@ -293,13 +261,11 @@ impl UniqueTable {
         self.probe_hist.record(dist);
         // Miss: allocate a slot — free list first, so churn-heavy
         // workloads plateau near their live peak instead of growing.
-        let born_marked = matches!(self.sweep, SweepState::InProgress { .. });
         let idx = match self.free.pop() {
             Some(i) => {
                 let s = &mut self.slots[i as usize];
                 debug_assert!(s.dead);
                 s.dead = false;
-                s.marked = born_marked;
                 s.node = node;
                 i
             }
@@ -314,7 +280,6 @@ impl UniqueTable {
                 self.slots.push(Slot {
                     gen: 0,
                     dead: false,
-                    marked: born_marked,
                     node,
                 });
                 i
@@ -388,89 +353,25 @@ impl UniqueTable {
     // GC support.
     // ------------------------------------------------------------------
 
-    /// Clears every mark bit, starting a new mark phase. Any unfinished
-    /// sweep must be completed first (the manager enforces this).
-    pub(crate) fn begin_mark(&mut self) {
-        debug_assert!(!self.sweep_in_progress(), "mark during an unfinished sweep");
-        for s in self.slots.iter_mut() {
-            s.marked = false;
-        }
-        self.slots[0].marked = true;
-    }
-
-    /// Marks everything reachable from the slot indices on `stack`,
-    /// returning how many non-terminal nodes were newly marked.
-    pub(crate) fn mark_reachable(&mut self, stack: &mut Vec<u32>) -> usize {
-        let mut marked = 0usize;
-        while let Some(i) = stack.pop() {
-            let s = &mut self.slots[i as usize];
-            if s.marked {
-                continue;
-            }
-            s.marked = true;
-            marked += 1;
-            let (l, h) = (s.node.low.node, s.node.high.node);
-            if !l.is_terminal() {
-                stack.push(l.idx);
-            }
-            if !h.is_terminal() {
-                stack.push(h.idx);
-            }
-        }
-        marked
-    }
-
-    /// Transitively marks the (live) subgraph of `id` if a sweep is in
-    /// progress — the insurance [`crate::TddManager::protect`] buys for
-    /// edges rooted between a mark and the end of its sweep.
-    pub(crate) fn mark_live_subgraph(&mut self, id: NodeId) {
-        if !self.sweep_in_progress() || id.is_terminal() || !self.is_live(id) {
-            return;
-        }
-        let mut stack = vec![id.idx];
-        self.mark_reachable(&mut stack);
-    }
-
-    /// Arms the sweep cursor over every slot allocated at mark time.
-    pub(crate) fn begin_sweep(&mut self) {
-        self.sweep = SweepState::InProgress {
-            next: 1,
-            end: self.slots.len() as u32,
-        };
-    }
-
-    /// Sweeps at most `budget` slots: each unmarked live slot is freed by
-    /// bumping its generation (its index entry becomes a tombstone in
-    /// place — the index itself is untouched). Returns the slots reclaimed
-    /// and whether the sweep completed.
-    pub(crate) fn sweep_step(&mut self, budget: usize) -> (usize, bool) {
-        let SweepState::InProgress { mut next, end } = self.sweep else {
-            return (0, true);
-        };
+    /// Frees every occupied slot for which `marked` is false, in slot
+    /// order, by bumping its generation (its index entry becomes a
+    /// tombstone in place — the index itself is untouched). Returns the
+    /// slots reclaimed.
+    pub(crate) fn sweep(&mut self, marked: impl Fn(usize) -> bool) -> usize {
         let mut reclaimed = 0usize;
-        let mut visited = 0usize;
-        while next < end && visited < budget {
-            let s = &mut self.slots[next as usize];
-            if !s.dead && !s.marked {
+        for (i, s) in self.slots.iter_mut().enumerate().skip(1) {
+            if !s.dead && !marked(i) {
                 s.dead = true;
                 s.gen = s.gen.wrapping_add(1);
-                self.free.push(next);
-                self.generation_bumps += 1;
-                self.tombstones += 1;
-                self.tombstones_created += 1;
-                self.live_entries -= 1;
+                self.free.push(i as u32);
                 reclaimed += 1;
             }
-            next += 1;
-            visited += 1;
         }
-        if next >= end {
-            self.sweep = SweepState::Idle;
-            (reclaimed, true)
-        } else {
-            self.sweep = SweepState::InProgress { next, end };
-            (reclaimed, false)
-        }
+        self.generation_bumps += reclaimed as u64;
+        self.tombstones += reclaimed;
+        self.tombstones_created += reclaimed as u64;
+        self.live_entries -= reclaimed;
+        reclaimed
     }
 }
 
@@ -503,11 +404,7 @@ mod tests {
         let mut t = UniqueTable::new(usize::MAX);
         let (a, _) = t.get_or_insert(leaf_node(0, true)).unwrap();
         assert!(t.is_live(a));
-        t.begin_mark();
-        t.begin_sweep();
-        let (reclaimed, done) = t.sweep_step(usize::MAX);
-        assert_eq!(reclaimed, 1);
-        assert!(done);
+        assert_eq!(t.sweep(|_| false), 1);
         assert!(!t.is_live(a), "swept handle must be stale");
         assert_eq!(t.tombstone_count(), 1);
         // The next interning reuses the slot under a fresh generation.
@@ -528,12 +425,9 @@ mod tests {
         let ids: Vec<NodeId> = (0..64)
             .map(|v| t.get_or_insert(leaf_node(v, true)).unwrap().0)
             .collect();
-        // Mark only the even ones.
-        t.begin_mark();
-        let mut stack: Vec<u32> = ids.iter().step_by(2).map(|id| id.idx).collect();
-        t.mark_reachable(&mut stack);
-        t.begin_sweep();
-        t.sweep_step(usize::MAX);
+        // Keep only the even ones.
+        let kept: Vec<usize> = ids.iter().step_by(2).map(|id| id.index()).collect();
+        assert_eq!(t.sweep(|slot| kept.contains(&slot)), 32);
         for (v, id) in ids.iter().enumerate() {
             let (found, created) = t.get_or_insert(leaf_node(v as u32, true)).unwrap();
             if v % 2 == 0 {
@@ -570,32 +464,8 @@ mod tests {
         assert_eq!(err.allocated, 3);
         assert_eq!(err.capacity, 3);
         // Freeing a slot makes room without growing.
-        t.begin_mark();
-        t.begin_sweep();
-        t.sweep_step(usize::MAX);
+        t.sweep(|_| false);
         assert!(t.get_or_insert(leaf_node(2, true)).is_ok());
-    }
-
-    #[test]
-    fn incremental_sweep_resurrects_on_lookup() {
-        let mut t = UniqueTable::new(usize::MAX);
-        let (a, _) = t.get_or_insert(leaf_node(0, true)).unwrap();
-        let (b, _) = t.get_or_insert(leaf_node(1, true)).unwrap();
-        t.begin_mark();
-        t.begin_sweep();
-        assert!(t.sweep_in_progress());
-        // Looking `a` up mid-sweep resurrects it; `b` is never asked for.
-        let (a2, created) = t.get_or_insert(leaf_node(0, true)).unwrap();
-        assert!(!created);
-        assert_eq!(a2, a);
-        loop {
-            let (_, done) = t.sweep_step(1);
-            if done {
-                break;
-            }
-        }
-        assert!(t.is_live(a), "resurrected node must survive the sweep");
-        assert!(!t.is_live(b), "unreferenced node must be swept");
     }
 
     #[test]

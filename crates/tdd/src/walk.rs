@@ -9,6 +9,10 @@
 //! its stamp, so a walk allocates nothing (once the stamp array covers
 //! the arena) and hashes nothing.
 //!
+//! The same walk is the mark of a collection ([`TddManager::collect`]):
+//! the sweep frees every occupied slot the `live_node_count` walk did not
+//! stamp.
+//!
 //! Stamps are indexed by slot, not by generational handle. That is sound
 //! because a walk only reaches live nodes and a slot holds at most one
 //! live node at a time; a recycled slot's stamp is left over from an
@@ -103,13 +107,27 @@ impl TddManager {
         self.walk([e.node], |_| ())
     }
 
-    /// Number of distinct non-terminal nodes reachable from the root
-    /// registry plus `extra` — the live set a collection run right now
-    /// would keep. Does not modify the manager. Cost: one stamped walk
-    /// over that live set (`O(live)`), with no allocation and no hashing.
-    pub fn live_node_count(&self, extra: &[Edge]) -> usize {
-        let starts = self.roots.iter().chain(extra.iter().copied());
-        self.walk(starts.map(|e| e.node), |_| ())
+    /// Number of distinct non-terminal nodes reachable from the live
+    /// edges among `edges` — exactly what a collection holding those edges
+    /// would keep; a stale edge names no node and counts nothing. Does not
+    /// modify the manager. Cost: one stamped walk over that live set
+    /// (`O(live)`), with no allocation and no hashing.
+    pub fn live_node_count(&self, edges: &[Edge]) -> usize {
+        let unique = &self.unique;
+        let starts = edges.iter().map(|e| e.node).filter(|&n| unique.is_live(n));
+        self.walk(starts, |_| ())
+    }
+
+    /// A collection's mark and sweep: stamps the live set of `edges` with
+    /// the [`TddManager::live_node_count`] walk, then frees every occupied
+    /// slot that walk did not stamp. Returns the live and the reclaimed
+    /// node counts.
+    pub(crate) fn mark_and_sweep(&mut self, edges: &[Edge]) -> (usize, usize) {
+        let live = self.live_node_count(edges);
+        let scratch = self.walk.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let (stamps, epoch) = (&scratch.stamps, scratch.epoch);
+        let reclaimed = self.unique.sweep(|slot| stamps[slot] == epoch);
+        (live, reclaimed)
     }
 
     /// Sets the epoch the next walk increments, so tests can cross the
@@ -151,14 +169,14 @@ mod tests {
     }
 
     /// Checks all three walks against the reference, for `e` alone and
-    /// for the root registry plus `extra`.
+    /// for `e` plus `extra`.
     fn check(m: &TddManager, e: Edge, extra: &[Edge]) {
         let (count, support) = reference(m, &[e]);
         assert_eq!(m.node_count(e), count);
         assert_eq!(m.support(e), support);
-        let mut live: Vec<Edge> = m.roots.iter().collect();
+        let mut live = vec![e];
         live.extend_from_slice(extra);
-        assert_eq!(m.live_node_count(extra), reference(m, &live).0);
+        assert_eq!(m.live_node_count(&live), reference(m, &live).0);
     }
 
     /// A splitmix64 step: deterministic test data without a dependency.
@@ -206,7 +224,6 @@ mod tests {
         let mut m = TddManager::new();
         let mut state = 11;
         let keep = random_diagram(&mut m, &[0, 1, 2], &mut state);
-        m.protect(keep);
         let mut dropped = Vec::new();
         for _ in 0..4 {
             let d = random_diagram(&mut m, &[3, 4, 5], &mut state);
@@ -214,7 +231,7 @@ mod tests {
             check(&m, d, &[]);
             dropped.push(d);
         }
-        let out = m.collect();
+        let out = m.collect(&[&keep]);
         assert!(out.reclaimed > 0);
         assert!(dropped.iter().any(|&d| !m.is_live(d)));
         let free = m.arena_free();
@@ -243,11 +260,8 @@ mod tests {
         let mut state = 17;
         let a = random_diagram(&mut m, &[0, 1, 2], &mut state);
         let b = random_diagram(&mut m, &[1, 2, 3], &mut state);
-        m.protect(a);
-        m.protect(a);
-        m.protect(b);
         check(&m, a, &[a, b, a, Edge::ONE]);
-        assert_eq!(m.live_node_count(&[a, b]), m.live_node_count(&[]));
+        assert_eq!(m.live_node_count(&[a, b, a, b]), m.live_node_count(&[b, a]));
     }
 
     #[test]

@@ -19,8 +19,8 @@ pub struct ContractionOutcome {
     pub max_nodes: usize,
     /// Arena slots allocated in the manager when the contraction finished
     /// ([`TddManager::arena_len`]) — the *allocated* counterpart to the
-    /// live `max_nodes`, which is what a [`qits_tdd::GcPolicy`]-driven
-    /// collection reclaims down to the live set.
+    /// live `max_nodes`: live nodes plus garbage a collection would
+    /// reclaim.
     pub allocated_nodes: usize,
     /// Movement of the manager's contraction cache across this call
     /// (hits here are sub-contractions reused from *earlier* work on the
@@ -94,8 +94,8 @@ pub fn contract_network(
 /// internal to the block and summed when the block is pre-contracted).
 ///
 /// Exposed separately from [`precontract_blocks`] so a caller that wants
-/// control *between* block contractions — e.g. to poll a GC safepoint with
-/// its own live set — can run the per-block loop itself:
+/// control *between* block contractions — e.g. to poll for cancellation —
+/// can run the per-block loop itself:
 /// `contract_network(m, &members_of_block_i, &keeps[i])`.
 pub fn block_keep_vars(net: &TensorNetwork, blocks: &Blocks) -> Vec<VarSet> {
     let tensors = net.tensors();

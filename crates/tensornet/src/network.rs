@@ -2,7 +2,7 @@
 
 use qits_circuit::tensorize::{gate_tdd, GateLegs};
 use qits_circuit::{Circuit, Gate};
-use qits_tdd::{Edge, EdgeHolder, RootId, TddManager};
+use qits_tdd::{Edge, EdgeHolder, TddManager};
 use qits_tensor::{Var, VarSet};
 
 /// One tensor of a network: a TDD plus the set of network indices it
@@ -169,12 +169,6 @@ impl TensorNetwork {
         }
         net
     }
-
-    /// Protects every tensor of the network as a GC root, returning the
-    /// ids for a later [`TddManager::unprotect_all`].
-    pub fn protect(&self, m: &mut TddManager) -> Vec<RootId> {
-        self.tensors.iter().map(|t| m.protect(t.edge)).collect()
-    }
 }
 
 /// The legs [`TensorNetwork::from_circuit`] gives each gate of `circuit`,
@@ -288,11 +282,11 @@ mod tests {
         let whole_before = crate::contract_network(&mut m, net.tensors(), &net.external_vars());
         let dense_before = m.to_tensor(whole_before.edge, &ext);
         // Everything except the network itself becomes garbage.
-        let out = m.collect_retaining(&[&net]);
+        let out = m.collect(&[&net]);
         assert!(out.reclaimed > 0, "the monolithic operator was garbage");
         assert!(
             !m.is_live(whole_before.edge),
-            "the unrooted operator must be detectably stale"
+            "the unheld operator must be detectably stale"
         );
         // No relocation step exists: the gate tensors are bit-identical
         // and re-contracting them rebuilds the same dense tensor.

@@ -6,7 +6,7 @@
 //! example drives the pool through a [`qits::ServiceHandle`]: callers
 //! get a [`qits::JobTicket`] back immediately, consume results in
 //! *completion* order, attach priorities and deadlines per job, cancel
-//! in-flight work cooperatively at GC safepoints, and let duplicate
+//! in-flight work cooperatively at its next safepoint poll, and let duplicate
 //! queries be answered from a shared [`qits::ResultMemo`] without
 //! touching a worker. Tickets are also plain `Future`s — the tail of
 //! the example awaits one from a ten-line hand-rolled executor, no
@@ -48,9 +48,7 @@ fn main() {
     let system = generators::qrw(4, 0.125);
     println!("system: {} ({} qubits)", system.name, system.n_qubits);
 
-    let spec = EngineSpec::new(system)
-        .strategy(Strategy::Contraction { k1: 2, k2: 2 })
-        .gc_policy(None);
+    let spec = EngineSpec::new(system).strategy(Strategy::Contraction { k1: 2, k2: 2 });
     let pool = EnginePool::builder(spec)
         .workers(4)
         .memo_capacity(256)
@@ -62,8 +60,8 @@ fn main() {
         handle.workers()
     );
 
-    // --- Cancellation: the token trips at the 3rd GC safepoint the
-    // running computation polls, and the worker unwinds cooperatively.
+    // --- Cancellation: the token trips at the 3rd safepoint poll of the
+    // running computation, and the worker unwinds cooperatively.
     // This runs first: once a worker has answered a reachability job it
     // answers the next ones from its session's fixpoint chain, computing
     // (and polling) nothing a token could interrupt.

@@ -4,9 +4,9 @@
 //! iteration: `T(S) = S`. We open an engine session on the transition
 //! system, compute the image with all three methods, and check they agree
 //! — then garbage-collect the arena down to the session's live set and
-//! verify the invariant again on the relocated diagrams. The engine owns
-//! the manager, the system, and every GC root: no `parts_mut`, no
-//! `pin`/`unpin`.
+//! verify the invariant again on the surviving diagrams, which the
+//! collection did not move. The engine owns the manager and the system,
+//! and its `collect` keeps them.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -45,8 +45,8 @@ fn main() {
     }
     println!("all methods agree: T(S) = S holds");
 
-    // Reclaim every dead intermediate: the engine protects its system,
-    // sweeps, and relocates — one call.
+    // Reclaim every dead intermediate: the engine keeps its system and
+    // compiled branches and sweeps the rest — one call.
     let before = engine.manager().arena_len();
     let out = engine.collect(&[]);
     println!(
@@ -57,7 +57,7 @@ fn main() {
     );
     assert!(out.reclaimed > 0, "three image computations leave garbage");
 
-    // The relocated session is fully usable: re-verify the invariant
+    // The collected session is fully usable: re-verify the invariant
     // with the session's default kernel (contraction, k1 = k2 = 4).
     let (img, _) = engine.image().expect("post-gc image");
     let initial = engine.initial().clone();

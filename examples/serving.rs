@@ -14,16 +14,14 @@
 use qits::{EnginePool, EngineSpec, Job, Strategy};
 use qits_circuit::{generators, Circuit, Gate};
 use qits_num::Cplx;
-use qits_tdd::GcPolicy;
 
 fn main() {
     let system = generators::qrw(4, 0.125);
     println!("system: {} ({} qubits)", system.name, system.n_qubits);
 
-    // One spec shared by every worker: strategy, GC policy, tolerance.
-    let spec = EngineSpec::new(system)
-        .strategy(Strategy::Contraction { k1: 2, k2: 2 })
-        .gc_policy(Some(GcPolicy::default()));
+    // One spec shared by every worker: the system and its strategy.
+    // Workers collect between jobs on their own once their arenas grow.
+    let spec = EngineSpec::new(system).strategy(Strategy::Contraction { k1: 2, k2: 2 });
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(2)

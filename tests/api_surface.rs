@@ -8,6 +8,10 @@
 //!   `x1 < y1 < x2 < y2 < …`). The static-order heuristics, order
 //!   installation, level swaps, sifting, its GC schedule and its
 //!   environment override must not come back.
+//! * **Automatic collection.** A collection runs only where a caller asks
+//!   for one, and keeps exactly the holders it is handed. The collection
+//!   policy, the incremental sweep, in-call collections and the root
+//!   registry they needed must not come back.
 //!
 //! Neither may reappear as a public item, as `pub(crate)` plumbing, or
 //! even as dead private code waiting to be resurrected. The tests walk
@@ -40,6 +44,23 @@ fn ordering_names() -> [&'static str; 6] {
         concat!("swap_adjacent", "_levels"),
         concat!("sift", "_all"),
         concat!("QITS_", "REORDER"),
+    ]
+}
+
+/// Identifiers of the retired automatic-collection machinery, assembled
+/// the same way.
+fn automatic_collection_names() -> [&'static str; 10] {
+    [
+        concat!("Gc", "Policy"),
+        concat!("gc_", "policy"),
+        concat!("maybe_", "collect"),
+        concat!("sweep_", "budget"),
+        concat!("sweep_in", "_progress"),
+        concat!("Root", "Scope"),
+        concat!("Root", "Id"),
+        concat!("unpro", "tect"),
+        concat!("collect_", "retaining"),
+        concat!("image_of", "_keeping"),
     ]
 }
 
@@ -124,6 +145,16 @@ fn variable_ordering_machinery_is_gone_from_every_crate() {
 }
 
 #[test]
+fn automatic_collection_machinery_is_gone_from_every_crate() {
+    let hits = occurrences(&automatic_collection_names());
+    assert!(
+        hits.is_empty(),
+        "retired automatic-collection identifiers resurfaced:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
 fn generational_surface_is_present() {
     // The flip side of the contract: the replacement surface the docs
     // promise must actually exist where the docs say it lives.
@@ -133,7 +164,7 @@ fn generational_surface_is_present() {
         .expect("workspace root")
         .to_path_buf();
     let tdd_lib = fs::read_to_string(repo_root.join("crates/tdd/src/lib.rs")).expect("tdd lib.rs");
-    for name in ["EdgeHolder", "GcPolicy", "GcOutcome", "ArenaExhausted"] {
+    for name in ["EdgeHolder", "GcOutcome", "ArenaExhausted"] {
         assert!(
             tdd_lib.contains(name),
             "crates/tdd must re-export {name} as part of the generational GC surface"

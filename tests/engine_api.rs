@@ -1,7 +1,7 @@
 //! Acceptance tests for the session-based engine API: error paths return
 //! `Err` (never panic, release builds included), the engine agrees
 //! bit-for-bit with the free-function baseline across the built-in
-//! strategies with GC forced at every safepoint, both session
+//! strategies with collections forced around its images, both session
 //! constructors default to the contraction partition at `k1 = k2 = 4`,
 //! and the branches a session compiles once are reused, retained by its
 //! collections, rebuilt when a foreign collection swept them, and dropped
@@ -20,7 +20,7 @@ use qits::{
 use qits_circuit::tensorize::states;
 use qits_circuit::{generators, Circuit, Gate, Operation};
 use qits_num::Cplx;
-use qits_tdd::{GcPolicy, TddManager};
+use qits_tdd::TddManager;
 
 // ----------------------------------------------------------------------
 // Error paths: failures are values.
@@ -131,12 +131,9 @@ fn check_invariant_register_mismatch_is_err() {
 
 #[test]
 fn equivalence_under_gc_does_not_corrupt_the_session() {
-    // The equivalence checker polls a GC safepoint after every tensor it
-    // contracts; the engine must pin its own system across them, or an
-    // aggressive policy sweeps the initial subspace and a later image()
-    // dereferences dangling edges.
+    // Collecting the equivalence checks' garbage keeps the session's own
+    // state: a later image() reads an intact system.
     let mut engine = EngineBuilder::new()
-        .gc_policy(Some(GcPolicy::aggressive()))
         .build_from_spec(&generators::grover(3))
         .unwrap();
     let mut swap = Circuit::new(2);
@@ -145,17 +142,15 @@ fn equivalence_under_gc_does_not_corrupt_the_session() {
     cx3.push(Gate::cx(0, 1));
     cx3.push(Gate::cx(1, 0));
     cx3.push(Gate::cx(0, 1));
+    engine.image().unwrap();
     assert!(engine.equivalent(&swap, &cx3).unwrap());
+    assert!(engine.collect(&[]).reclaimed > 0, "the check left garbage");
     assert!(engine.equivalent_up_to_phase(&swap, &cx3).unwrap());
-    assert!(
-        engine.manager().stats().safepoint_collections > 0,
-        "the aggressive policy must actually collect at the safepoint"
-    );
-    // The session's system survived the equivalence safepoints intact.
+    assert!(engine.collect(&[]).reclaimed > 0, "the check left garbage");
+    // The session's system survived the collections intact.
     let (img, _) = engine.image().unwrap();
     let initial = engine.initial().clone();
     assert!(img.equals(engine.manager_mut(), &initial));
-    assert_eq!(engine.manager().root_count(), 0);
 }
 
 #[test]
@@ -175,9 +170,47 @@ fn a_cancelled_equivalence_check_stops_at_the_tripping_safepoint() {
         QitsError::Cancelled
     );
     assert_eq!(token.polls(), 5);
-    assert_eq!(engine.manager().root_count(), 0);
     engine.set_cancel_token(None);
     assert!(engine.equivalent(&adder, &ripple).unwrap());
+}
+
+#[test]
+fn a_cancelled_image_stops_at_the_tripping_safepoint() {
+    // The kernel polls between addition slices, between contraction
+    // blocks and after every Gram–Schmidt residual but the last. A token
+    // set to trip halfway through an image's polls stops it right there,
+    // under each kernel, and the same session then computes the image.
+    for strategy in [
+        Strategy::Basic,
+        Strategy::Addition { k: 1 },
+        Strategy::default(),
+    ] {
+        let build = || {
+            EngineBuilder::new()
+                .strategy(strategy)
+                .build_from_spec(&generators::qrw(4, 0.25))
+                .unwrap()
+        };
+        let (want, full) = build().image().unwrap();
+        assert!(
+            full.safepoints >= 2,
+            "{strategy}: {} polls",
+            full.safepoints
+        );
+        let trip = full.safepoints / 2;
+        let mut engine = build();
+        let token = qits::CancelToken::cancel_after(trip);
+        engine.set_cancel_token(Some(token.clone()));
+        assert_eq!(
+            engine.image().unwrap_err(),
+            QitsError::Cancelled,
+            "{strategy}"
+        );
+        assert_eq!(token.polls(), trip, "{strategy}");
+        engine.set_cancel_token(None);
+        let (got, _) = engine.image().unwrap();
+        assert_eq!(got.dim(), want.dim(), "{strategy}");
+    }
 }
 
 #[test]
@@ -258,12 +291,12 @@ fn arb_amp() -> impl proptest::strategy::Strategy<Value = (Cplx, Cplx)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The engine (GC forced at every safepoint) and the `try_image`
-    /// kernel on a raw manager (grow-only arena) compute bit-for-bit
-    /// identical images — every basis vector imports to the exact same
-    /// canonical edge — across random circuits, random initial subspaces,
-    /// and all three built-in strategies, the default contraction setting
-    /// included.
+    /// The engine (collecting before and after each image) and the
+    /// `try_image` kernel on a raw manager (grow-only arena) compute
+    /// bit-for-bit identical images — every basis vector imports to the
+    /// exact same canonical edge — across random circuits, random initial
+    /// subspaces, and all three built-in strategies, the default
+    /// contraction setting included.
     #[test]
     fn engine_agrees_with_free_function_baseline_under_forced_gc(
         circuit in arb_circuit(3, 8),
@@ -286,9 +319,8 @@ proptest! {
             let ops = qts.operations().clone();
             let (img_base, _) = try_image(&mut m, &ops, qts.initial_mut(), strategy).unwrap();
 
-            // Engine session with GC forced at every safepoint.
+            // Engine session with a collection before and after the image.
             let mut engine = EngineBuilder::new()
-                .gc_policy(Some(GcPolicy::aggressive()))
                 .build_with(3, vec![op], |m| {
                     let vars = Subspace::ket_vars(3);
                     let states: Vec<_> =
@@ -296,7 +328,9 @@ proptest! {
                     Subspace::from_states(m, 3, &states)
                 })
                 .unwrap();
+            engine.collect(&[]);
             let (img_engine, _) = engine.image_with(strategy).unwrap();
+            engine.collect(&[&img_engine]);
 
             prop_assert_eq!(
                 img_base.dim(),
@@ -343,19 +377,30 @@ fn engine_reachability_matches_free_function_driver() {
 
 #[test]
 fn engine_leaves_no_roots_behind() {
-    // Every internal pin must be released, across plain and GC'd runs.
-    for policy in [None, Some(GcPolicy::aggressive())] {
-        let mut engine = EngineBuilder::new()
-            .gc_policy(policy)
+    // A collection keeps the session's state and nothing a call left
+    // behind: after extra images and checks, it keeps exactly as many
+    // nodes as it keeps for a session that only ran the fixpoint.
+    let build = || {
+        EngineBuilder::new()
             .strategy(Strategy::Addition { k: 1 })
             .build_from_spec(&generators::qrw(3, 0.2))
-            .unwrap();
-        engine.image().unwrap();
-        let input = engine.initial().clone();
-        engine.image_of(&input).unwrap();
-        engine.reachable_space(10).unwrap();
-        assert_eq!(engine.manager().root_count(), 0, "policy {policy:?}");
-    }
+            .unwrap()
+    };
+    let mut swap = Circuit::new(2);
+    swap.push(Gate::swap(0, 1));
+    let mut busy = build();
+    busy.image().unwrap();
+    let input = busy.initial().clone();
+    busy.image_of(&input).unwrap();
+    busy.image_with(Strategy::Basic).unwrap();
+    assert!(busy.equivalent(&swap, &swap).unwrap());
+    busy.reachable_space(10).unwrap();
+    let kept = busy.collect(&[]);
+    let mut quiet = build();
+    quiet.reachable_space(10).unwrap();
+    assert_eq!(kept.live, quiet.collect(&[]).live);
+    assert_eq!(kept.live, busy.manager().arena_occupied());
+    assert_eq!(busy.collect(&[]).reclaimed, 0, "nothing left to sweep");
 }
 
 // ----------------------------------------------------------------------
@@ -467,14 +512,11 @@ fn answer(out: &JobOutput) -> (usize, Option<bool>, usize) {
 
 #[test]
 fn one_gc_engine_answers_interleaved_jobs_like_fresh_engines() {
-    // The pool-worker pattern: one long-lived session under aggressive GC
-    // answers a mix of jobs, reusing its compiled branches, and every
-    // answer matches a fresh GC-off session's.
+    // The pool-worker pattern: one long-lived session that collects after
+    // every job answers a mix of jobs, reusing its compiled branches, and
+    // every answer matches a fresh session's that never collects.
     let spec = generators::qrw(3, 0.25);
-    let mut worker = EngineSpec::new(spec.clone())
-        .gc_policy(Some(GcPolicy::aggressive()))
-        .build()
-        .unwrap();
+    let mut worker = EngineSpec::new(spec.clone()).build().unwrap();
     let mut swap = Circuit::new(2);
     swap.push(Gate::swap(0, 1));
     let mut cx3 = Circuit::new(2);
@@ -493,10 +535,11 @@ fn one_gc_engine_answers_interleaved_jobs_like_fresh_engines() {
         Job::reachability(32),
     ];
     let mut verdicts = Vec::new();
+    let mut reclaimed = 0;
     for round in 0..2 {
         for (i, job) in jobs.iter().enumerate() {
             let got = run_job(&mut worker, job).unwrap();
-            assert_eq!(worker.manager().root_count(), 0, "round {round}, job {i}");
+            reclaimed += worker.collect(&[]).reclaimed;
             let mut fresh = EngineSpec::new(spec.clone()).build().unwrap();
             let want = run_job(&mut fresh, job).unwrap();
             assert_eq!(answer(&got), answer(&want), "round {round}, job {i}");
@@ -505,8 +548,8 @@ fn one_gc_engine_answers_interleaved_jobs_like_fresh_engines() {
         // `image_of` on a subspace the job stream never built.
         let rows = basis_rows(3, &[5, 6]);
         let input = worker.subspace_from_product_states(&rows).unwrap();
-        let (got, st) = worker.image_of(&input).unwrap();
-        assert_eq!(worker.manager().root_count(), 0, "round {round}, image_of");
+        let (got, _) = worker.image_of(&input).unwrap();
+        reclaimed += worker.collect(&[&got]).reclaimed;
         let mut fresh = EngineSpec::new(spec.clone()).build().unwrap();
         let fresh_input = fresh.subspace_from_product_states(&rows).unwrap();
         let (want, _) = fresh.image_of(&fresh_input).unwrap();
@@ -515,8 +558,8 @@ fn one_gc_engine_answers_interleaved_jobs_like_fresh_engines() {
             same_space(&worker, &got, &mut fresh, &want),
             "round {round}"
         );
-        assert!(st.safepoint_collections > 0, "the worker must collect");
     }
+    assert!(reclaimed > 0, "the worker must collect");
     // The stream covers both verdicts of both kinds of question.
     for v in [Some(true), Some(false)] {
         assert!(verdicts.contains(&v), "{v:?} missing from {verdicts:?}");
@@ -557,36 +600,35 @@ fn session_collections_keep_the_compiled_branches() {
     let spec = generators::qrw(4, 0.25);
     let mut swap = Circuit::new(2);
     swap.push(Gate::swap(0, 1));
-    let image_lookups = |policy: Option<GcPolicy>, between: &dyn Fn(&mut Engine)| {
-        let mut engine = EngineBuilder::new()
-            .gc_policy(policy)
-            .build_from_spec(&spec)
-            .unwrap();
+    let image_lookups = |between: &dyn Fn(&mut Engine)| {
+        let mut engine = EngineBuilder::new().build_from_spec(&spec).unwrap();
         engine.image().unwrap();
         between(&mut engine);
         lookups(&engine.image().unwrap().1)
     };
     let sweep = |e: &mut Engine| {
         let system = e.qts().clone();
-        e.manager_mut().collect_retaining(&[&system]);
+        e.manager_mut().collect(&[&system]);
     };
-    for policy in [None, Some(GcPolicy::aggressive())] {
-        let swept = image_lookups(policy, &sweep);
-        let kept = [
-            image_lookups(policy, &|e| {
-                e.collect(&[]);
-            }),
-            image_lookups(policy, &|e| assert!(e.equivalent(&swap, &swap).unwrap())),
-            image_lookups(policy, &|e| {
-                e.image_with(Strategy::Basic).unwrap();
-            }),
-        ];
-        for (what, lookups) in ["collect", "equivalent", "image_with"].iter().zip(kept) {
-            assert!(
-                lookups < swept,
-                "{policy:?}: the image after {what} recompiled: {lookups} vs {swept}"
-            );
-        }
+    let swept = image_lookups(&sweep);
+    let kept = [
+        image_lookups(&|e| {
+            e.collect(&[]);
+        }),
+        image_lookups(&|e| {
+            assert!(e.equivalent(&swap, &swap).unwrap());
+            e.collect(&[]);
+        }),
+        image_lookups(&|e| {
+            e.image_with(Strategy::Basic).unwrap();
+            e.collect(&[]);
+        }),
+    ];
+    for (what, lookups) in ["collect", "equivalent", "image_with"].iter().zip(kept) {
+        assert!(
+            lookups < swept,
+            "the image after {what} recompiled: {lookups} vs {swept}"
+        );
     }
 }
 
@@ -600,7 +642,7 @@ fn a_swept_compile_cache_is_rebuilt_not_read() {
     engine.image().unwrap();
     let (_, warm) = engine.image().unwrap();
     let system = engine.qts().clone();
-    let out = engine.manager_mut().collect_retaining(&[&system]);
+    let out = engine.manager_mut().collect(&[&system]);
     assert!(out.reclaimed > 0);
     let (img, rebuilt) = engine.image().unwrap();
     assert!(
@@ -613,7 +655,7 @@ fn a_swept_compile_cache_is_rebuilt_not_read() {
     let (want, _) = fresh.image().unwrap();
     assert!(same_space(&engine, &img, &mut fresh, &want));
 
-    engine.manager_mut().collect_retaining(&[&system]);
+    engine.manager_mut().collect(&[&system]);
     let r = engine.reachable_space(64).unwrap();
     let want = fresh.reachable_space(64).unwrap();
     assert_eq!(

@@ -15,8 +15,13 @@
 //! A count guard pins the point of the middle-out order: over serve-style
 //! pairs, checks on one manager create fewer than half the nodes that
 //! contracting the first circuit's network alone creates.
+//!
+//! Wide registers: past 511 qubits the trace and the squared norms
+//! multiply to more than an `f64` holds, and from 1,024 qubits on `2^n`
+//! itself does not fit. Verdicts stay right below that, and a wider
+//! register is refused.
 
-use qits::{Engine, EngineBuilder};
+use qits::{Engine, EngineBuilder, QitsError};
 use qits_circuit::generators::{qft_adder, random_clifford_t, ripple_increment};
 use qits_circuit::{sim, Circuit, Gate, GateKind};
 use qits_num::{Cplx, Mat};
@@ -483,4 +488,47 @@ fn rewrite_checks_create_under_half_of_one_operator_build() {
         2 * check < operator,
         "50 checks created {check} nodes, 50 operator builds {operator}"
     );
+}
+
+/// `h 0` and a CX chain down an `n`-qubit register, then `tail`.
+fn ghz_chain(n: u32, tail: impl IntoIterator<Item = Gate>) -> Circuit {
+    circuit(
+        n,
+        std::iter::once(Gate::h(0))
+            .chain((0..n - 1).map(|q| Gate::cx(q, q + 1)))
+            .chain(tail),
+    )
+}
+
+#[test]
+fn verdicts_stay_right_past_512_qubits() {
+    // At 520 qubits `|t|²` and `‖A‖² ‖B‖²` are both 2^1040: squaring
+    // before dividing overflows to `inf / inf`.
+    let n = 520;
+    let mut engine = EngineBuilder::new().build_bare(n).unwrap();
+    let a = ghz_chain(n, []);
+    let b = ghz_chain(n, []);
+    let with_t = ghz_chain(n, [Gate::single(GateKind::T, 3)]);
+    let verdicts = |engine: &mut Engine, x: &Circuit, y: &Circuit| {
+        (
+            engine.equivalent(x, y).unwrap(),
+            engine.equivalent_up_to_phase(x, y).unwrap(),
+        )
+    };
+    assert_eq!(verdicts(&mut engine, &a, &b), (true, true));
+    assert_eq!(verdicts(&mut engine, &a, &with_t), (false, false));
+    assert_eq!(verdicts(&mut engine, &with_t, &a), (false, false));
+}
+
+#[test]
+fn registers_of_1024_qubits_or_more_are_refused() {
+    // `2^n` is no finite `f64` from 1,024 qubits on: every norm would
+    // read as zero and every pair as equivalent.
+    let n = 1030;
+    let mut engine = EngineBuilder::new().build_bare(n).unwrap();
+    let a = ghz_chain(n, []);
+    let with_t = ghz_chain(n, [Gate::single(GateKind::T, 3)]);
+    let refused = QitsError::DimensionOverflow { bits: n };
+    assert_eq!(engine.equivalent(&a, &with_t).unwrap_err(), refused);
+    assert_eq!(engine.equivalent_up_to_phase(&a, &a).unwrap_err(), refused);
 }

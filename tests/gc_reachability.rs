@@ -1,16 +1,17 @@
 //! Garbage-collection integration tests: a forced collection preserves
 //! semantics across random circuits, handles held across collections are
-//! bit-identical or detectably stale (never silently recycled), and GC'd
-//! reachability fixpoints keep the node store bounded by the live set.
+//! bit-identical or detectably stale (never silently recycled), and
+//! reachability fixpoints stepped with collections between the steps keep
+//! the node store bounded by the live set.
 
 use proptest::prelude::*;
 // `qits::Strategy` shadows the proptest trait of the same name.
 use proptest::strategy::Strategy as _;
 
-use qits::{mc, try_image, QuantumTransitionSystem, Strategy, Subspace};
+use qits::{try_image, Engine, EngineBuilder, QuantumTransitionSystem, Strategy, Subspace};
 use qits_circuit::{generators, Circuit, Gate, Operation};
 use qits_num::Cplx;
-use qits_tdd::{GcPolicy, TddManager};
+use qits_tdd::TddManager;
 use qits_tensornet::{contract_network, TensorNetwork};
 
 fn arb_gate(n: u32) -> impl proptest::strategy::Strategy<Value = Gate> {
@@ -49,10 +50,10 @@ fn arb_amp() -> impl proptest::strategy::Strategy<Value = (Cplx, Cplx)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Forced `collect()` preserves semantics: contraction, addition, and
-    /// inner-product results over a random circuit are **bit-identical**
-    /// after protect → collect — collection never moves a node, so the
-    /// held edges need no fixup at all.
+    /// A forced collection preserves semantics: contraction, addition,
+    /// and inner-product results over a random circuit are
+    /// **bit-identical** after a collection holding them — collection
+    /// never moves a node, so the held edges need no fixup at all.
     #[test]
     fn forced_collect_preserves_operation_results(
         circuit in arb_circuit(3, 8),
@@ -70,15 +71,10 @@ proptest! {
         let sum_before = m.add(psi1, psi2);
         let ip_before = m.inner_product(psi1, psi2, &vars);
 
-        // Protect the inputs and the results, collect.
-        let mut roots = vec![m.protect(psi1), m.protect(psi2)];
-        roots.push(m.protect(op_before.edge));
-        roots.push(m.protect(sum_before));
-        roots.extend(net.protect(&mut m));
-        let _ = m.collect();
+        // Collect, holding the inputs, the network and the results.
+        let _ = m.collect(&[&psi1, &psi2, &op_before.edge, &sum_before, &net]);
         prop_assert!(m.is_live(psi1) && m.is_live(psi2));
         prop_assert!(m.is_live(op_before.edge) && m.is_live(sum_before));
-        m.unprotect_all(roots);
 
         // Recomputing after the collection reproduces the held results
         // exactly — hash-consing lands on the surviving nodes.
@@ -91,7 +87,7 @@ proptest! {
     }
 
     /// The generational-handle contract: an edge held across forced
-    /// collections is either still valid (its subgraph was rooted, and
+    /// collections is either still valid (its subgraph was held, and
     /// rebuilding the same diagram returns the *same* handle) or
     /// detectably stale — and a stale handle is never silently recycled:
     /// rebuilding the same diagram after its slot was swept yields a
@@ -112,13 +108,12 @@ proptest! {
         let sum = m.add(psi1, psi2);
         let held = [psi1, psi2, op.edge, sum];
 
-        // Root only psi1; everything else survives only if it happens to
+        // Hold only psi1; everything else survives only if it happens to
         // share psi1's subgraph.
-        let root = m.protect(psi1);
-        let _ = m.collect();
-        let _ = m.collect();
+        let _ = m.collect(&[&psi1]);
+        let _ = m.collect(&[&psi1]);
         let live_after_gc: Vec<bool> = held.iter().map(|&e| m.is_live(e)).collect();
-        prop_assert!(live_after_gc[0], "the rooted edge must survive");
+        prop_assert!(live_after_gc[0], "the held edge must survive");
 
         // Churn: rebuild everything, forcing swept slots to be reused
         // under new generations.
@@ -144,7 +139,6 @@ proptest! {
                 prop_assert!(m.is_live(new));
             }
         }
-        m.unprotect_all(vec![root]);
     }
 
     /// `Subspace::contains` answers are identical before and after a
@@ -168,7 +162,7 @@ proptest! {
         let in_image_before = img.contains(&mut m, probe);
         let in_initial_before = qts.initial().clone().contains(&mut m, probe);
 
-        let out = m.collect_retaining(&[&qts, &img, &probe]);
+        let out = m.collect(&[&qts, &img, &probe]);
         prop_assert!(out.reclaimed > 0, "an image computation must leave garbage");
 
         prop_assert_eq!(img.contains(&mut m, probe), in_image_before);
@@ -180,9 +174,9 @@ proptest! {
     }
 }
 
-/// Regression: a multi-iteration reachability run under an aggressive
-/// `GcPolicy` keeps the *occupied* slot count pinned to the live set —
-/// right after each collection the store holds exactly the rooted
+/// Regression: a multi-iteration reachability run that collects after
+/// every iteration keeps the *occupied* slot count pinned to the live set
+/// — right after each collection the store holds exactly the held
 /// survivors, and the free-list keeps total allocation from drifting.
 #[test]
 fn aggressive_gc_keeps_store_bounded_by_live_set() {
@@ -197,7 +191,7 @@ fn aggressive_gc_keeps_store_bounded_by_live_set() {
         let (img, _) = try_image(&mut m, &ops, &space, strategy).unwrap();
         space = space.join(&mut m, &img);
         // Force a collection every iteration, as aggressively as possible.
-        let out = m.collect_retaining(&[&qts, &space]);
+        let out = m.collect(&[&qts, &space]);
         collected += out.reclaimed as u64;
         // Occupancy invariant: after a full collection the store holds
         // exactly the live survivors; everything else sits on the
@@ -222,39 +216,48 @@ fn aggressive_gc_keeps_store_bounded_by_live_set() {
     assert!(img.is_subspace_of(&mut m, &space) || space.join(&mut m, &img).dim() > space.dim());
 }
 
-/// A 4-qubit binary increment (mod 16): from `|0000>` the reachable
-/// dimension grows by exactly one basis state per iteration, giving a
-/// guaranteed 15-iteration fixpoint — the long-fixpoint shape the GC
-/// exists for.
-fn increment_qts(m: &mut TddManager) -> QuantumTransitionSystem {
+/// A session over a 4-qubit binary increment (mod 16): from `|0000>` the
+/// reachable dimension grows by exactly one basis state per iteration,
+/// giving a guaranteed 15-iteration fixpoint — the long-fixpoint shape
+/// the GC exists for.
+fn increment_engine() -> Engine {
     let mut c = Circuit::new(4);
     // MSB-first ripple: bit k flips iff all lower bits are 1 (pre-state).
     c.push(Gate::mcx_polarity(&[(1, true), (2, true), (3, true)], 0));
     c.push(Gate::mcx_polarity(&[(2, true), (3, true)], 1));
     c.push(Gate::cx(3, 2));
     c.push(Gate::x(3));
-    let vars = Subspace::ket_vars(4);
-    let zero = m.basis_ket(&vars, &[false; 4]);
-    let initial = Subspace::from_states(m, 4, &[zero]);
-    QuantumTransitionSystem::new(4, vec![Operation::from_circuit("inc", &c)], initial)
+    EngineBuilder::new()
+        .strategy(Strategy::Contraction { k1: 2, k2: 2 })
+        .build_with(4, vec![Operation::from_circuit("inc", &c)], |m| {
+            let vars = Subspace::ket_vars(4);
+            let zero = m.basis_ket(&vars, &[false; 4]);
+            Subspace::from_states(m, 4, &[zero])
+        })
+        .unwrap()
 }
 
-/// Acceptance: a ≥10-iteration reachability fixpoint under `GcPolicy`
-/// reclaims nodes and — thanks to free-list reuse — ends with strictly
-/// fewer allocated slots than the grow-only run, while computing the
-/// same space bit-for-bit (differential grow-only vs aggressive-GC).
+/// Acceptance: a ≥10-iteration reachability fixpoint stepped one
+/// iteration at a time, with a collection between the steps, reclaims
+/// nodes and — thanks to free-list reuse — peaks at strictly fewer
+/// allocated slots than the grow-only run, while computing the same space
+/// bit-for-bit (differential grow-only vs stepped).
 #[test]
 fn ten_iteration_fixpoint_reclaims_and_stays_below_grow_only() {
-    let strategy = Strategy::Contraction { k1: 2, k2: 2 };
+    let mut plain = increment_engine();
+    let r_plain = plain.reachable_space(30).unwrap();
 
-    let mut m_plain = TddManager::new();
-    let qts_plain = increment_qts(&mut m_plain);
-    let r_plain = mc::try_reachable_space(&mut m_plain, &qts_plain, strategy, 30).unwrap();
-
-    let mut m_gc = TddManager::new();
-    let qts_gc = increment_qts(&mut m_gc);
-    m_gc.set_gc_policy(Some(GcPolicy::aggressive()));
-    let r_gc = mc::try_reachable_space(&mut m_gc, &qts_gc, strategy, 30).unwrap();
+    let mut stepped = increment_engine();
+    let mut reclaimed = 0;
+    let mut bound = 0;
+    let r_gc = loop {
+        bound += 1;
+        let r = stepped.reachable_space(bound).unwrap();
+        reclaimed += stepped.collect(&[]).reclaimed;
+        if r.converged || bound == 30 {
+            break r;
+        }
+    };
 
     assert!(r_gc.converged);
     assert!(
@@ -265,27 +268,30 @@ fn ten_iteration_fixpoint_reclaims_and_stays_below_grow_only() {
     assert_eq!(r_plain.iterations, r_gc.iterations);
     assert_eq!(r_plain.space.dim(), 16);
     assert_eq!(r_gc.space.dim(), 16);
-    assert!(r_gc.collections > 0);
-    assert!(r_gc.reclaimed_nodes > 0, "reclaimed counter must move");
+    assert!(reclaimed > 0, "the steps must reclaim nodes");
+    let (peak_gc, peak_plain) = (
+        stepped.manager().stats().peak_arena,
+        plain.manager().stats().peak_arena,
+    );
     assert!(
-        m_gc.arena_len() < m_plain.arena_len(),
-        "free-list reuse must keep the GC'd run below the grow-only \
-         allocation: {} vs {}",
-        m_gc.arena_len(),
-        m_plain.arena_len()
+        peak_gc < peak_plain,
+        "free-list reuse must keep the stepped run below the grow-only \
+         peak: {peak_gc} vs {peak_plain}"
     );
     // Bit-for-bit differential: import each grow-only basis vector into
-    // the GC'd manager and compare the spanned spaces exactly.
+    // the stepped session's manager and compare the spanned spaces
+    // exactly.
+    let m_gc = stepped.manager_mut();
     let mut independent = Subspace::zero(4);
     for &b in r_plain.space.basis() {
-        let imported = m_gc.import(&m_plain, b);
-        independent.absorb(&mut m_gc, imported);
+        let imported = m_gc.import(plain.manager(), b);
+        independent.absorb(m_gc, imported);
     }
-    assert!(r_gc.space.clone().equals(&mut m_gc, &independent));
+    assert!(r_gc.space.clone().equals(m_gc, &independent));
 }
 
-/// Typed misuse: a subspace that a collection swept (it was neither
-/// rooted nor passed to `collect_retaining`) fails fast in debug builds
+/// Typed misuse: a subspace that a collection swept (no holder handed to
+/// the collection held it) fails fast in debug builds
 /// at the first operation its edges enter, naming the problem — not on
 /// an unrelated assertion deep inside the contraction.
 #[cfg(debug_assertions)]
@@ -301,7 +307,7 @@ fn reusing_a_swept_subspace_reports_a_stale_handle() {
     let k = m.product_ket(&vars, &[plus, zero, one]);
     let swept = Subspace::from_states(&mut m, 3, &[k]);
     // Only the system survives: every node of `swept` is reclaimed.
-    let out = m.collect_retaining(&[&qts]);
+    let out = m.collect(&[&qts]);
     assert!(out.reclaimed > 0);
     let probe = m.basis_ket(&vars, &[true, false, true]);
     swept.contains(&mut m, probe);

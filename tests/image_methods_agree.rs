@@ -24,7 +24,7 @@ fn check_all_agree(spec: &QtsSpec) {
 
 /// Like [`check_all_agree`], but forces a garbage collection after every
 /// strategy's image computation: the system, the reference image, and the
-/// freshly computed image are protected and everything else is swept in
+/// freshly computed image are held and everything else is swept in
 /// place. Cross-strategy agreement must be unaffected.
 fn check_all_agree_with_forced_gc(spec: &QtsSpec) {
     check_all_agree_inner(spec, true);

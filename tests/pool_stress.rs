@@ -15,15 +15,15 @@
 //! * shutdown drains the queue — every handle of a pre-shutdown batch
 //!   resolves `Ok` even when shutdown is called with the queue still full;
 //! * `PoolStats` aggregation: fleet totals equal the sum of the
-//!   per-worker safepoint/reclaim counters, and the shutdown stats sink
-//!   observes the same totals.
+//!   per-worker poll counters, and the shutdown stats sink observes the
+//!   same totals; with jobs that each cross the between-jobs collection
+//!   rule, the collection and reclaim totals are sums of non-zero rows.
 
 use std::sync::{Arc, Mutex};
 
 use qits::{EnginePool, EngineSpec, Job, PoolStats, QitsError, Strategy};
 use qits_circuit::{Circuit, Gate, GateKind};
 use qits_num::{Cplx, Mat};
-use qits_tdd::GcPolicy;
 
 fn worker_count() -> usize {
     std::env::var("QITS_POOL_WORKERS")
@@ -35,7 +35,6 @@ fn worker_count() -> usize {
 fn qrw_spec() -> EngineSpec {
     EngineSpec::new(qits_circuit::generators::qrw(3, 0.25))
         .strategy(Strategy::Contraction { k1: 2, k2: 2 })
-        .gc_policy(Some(GcPolicy::aggressive()))
 }
 
 /// One `(alpha, beta)` row per qubit: the basis state `|0...0>`.
@@ -200,27 +199,22 @@ fn pool_stats_totals_are_the_sum_of_worker_counters() {
         "safepoint totals must sum across workers"
     );
     assert_eq!(
-        stats.manager.safepoint_collections,
-        sum(&|w| w.manager.safepoint_collections)
-    );
-    assert_eq!(
         stats.manager.nodes_reclaimed,
         sum(&|w| w.manager.nodes_reclaimed),
         "reclaim totals must sum across workers"
     );
     assert_eq!(
-        stats.image.safepoint_reclaimed,
+        stats.image.safepoints,
         stats
             .workers
             .iter()
-            .map(|w| w.image.safepoint_reclaimed)
+            .map(|w| w.image.safepoints)
             .sum::<u64>()
     );
 
-    // Under the aggressive policy the counters are live, not zero.
+    // The poll counters are live, not zero.
     assert!(stats.manager.safepoints_polled > 0);
-    assert!(stats.manager.safepoint_collections > 0);
-    assert!(stats.manager.nodes_reclaimed > 0);
+    assert!(stats.image.safepoints > 0);
     // Each image job computes one image. A worker's first reachability
     // job computes its session's chain, L images for the L iterations a
     // fresh engine needs, and reads every later one off it: the fixpoint
@@ -253,6 +247,35 @@ fn pool_stats_totals_are_the_sum_of_worker_counters() {
         stats.manager.safepoints_polled
     );
     assert_eq!(seen.manager.nodes_reclaimed, stats.manager.nodes_reclaimed);
+
+    // A second leg whose jobs each cross the between-jobs collection
+    // rule: one GHZ300 image leaves about 28,000 occupied slots, over the
+    // 20,000-slot floor and over twice the session's live set, so every
+    // image job a worker serves ends in one collection, and the fleet's
+    // collection counters are sums of non-zero worker rows.
+    let pool = EnginePool::builder(EngineSpec::new(qits_circuit::generators::ghz(300)))
+        .workers(workers)
+        .build()
+        .unwrap();
+    for h in pool.submit_batch(vec![Job::image(); workers * 3]) {
+        h.join().unwrap();
+    }
+    let stats = pool.shutdown();
+    let sum = |f: &dyn Fn(&qits::WorkerStats) -> u64| stats.workers.iter().map(f).sum::<u64>();
+    for w in &stats.workers {
+        assert_eq!(
+            w.manager.gc_runs, w.jobs_completed,
+            "every GHZ300 image job must end in one collection"
+        );
+    }
+    assert!(stats.manager.gc_runs > 0);
+    assert!(stats.manager.nodes_reclaimed > 0);
+    assert_eq!(stats.manager.gc_runs, sum(&|w| w.manager.gc_runs));
+    assert_eq!(
+        stats.manager.nodes_reclaimed,
+        sum(&|w| w.manager.nodes_reclaimed),
+        "reclaim totals must sum across workers"
+    );
 }
 
 #[test]

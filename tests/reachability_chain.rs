@@ -15,14 +15,14 @@ use qits_circuit::generators::{self, QtsSpec};
 use qits_circuit::tensorize::states;
 use qits_circuit::{Circuit, Gate, Operation};
 use qits_num::Cplx;
-use qits_tdd::{CancelToken, GcPolicy};
+use qits_tdd::CancelToken;
 
 /// Dimension, iterations and convergence of a reachability answer.
 fn key(r: &ReachabilityResult) -> (usize, usize, bool) {
     (r.space.dim(), r.iterations, r.converged)
 }
 
-/// A fresh GC-off session with the default strategy.
+/// A fresh session with the default strategy.
 fn fresh(spec: &QtsSpec) -> Engine {
     EngineBuilder::new().build_from_spec(spec).unwrap()
 }
@@ -180,16 +180,14 @@ fn invariants_and_reaches_share_the_chain() {
 
 #[test]
 fn aggressive_gc_interleaving_keeps_the_chain() {
-    // One session under aggressive GC answers reach, equivalence,
-    // `image_of`, invariant and explicit collections in turn: the chain
-    // survives every one of them, so a repeated reach computes nothing,
-    // and every answer matches a fresh GC-off session's.
+    // One session answers reach, equivalence, `image_of` and invariant
+    // calls in turn and collects after every one: the chain survives
+    // every collection, so a repeated reach computes nothing, and every
+    // answer matches a fresh session's that never collects.
     let spec = generators::qrw(4, 0.25);
     let l = chain_length(&spec);
-    let mut engine = EngineSpec::new(spec.clone())
-        .gc_policy(Some(GcPolicy::aggressive()))
-        .build()
-        .unwrap();
+    let mut engine = EngineSpec::new(spec.clone()).build().unwrap();
+    let mut reclaimed = 0;
     let mut swap = Circuit::new(2);
     swap.push(Gate::swap(0, 1));
     let mut cx3 = Circuit::new(2);
@@ -200,49 +198,48 @@ fn aggressive_gc_interleaving_keeps_the_chain() {
     for round in 0..2 {
         for bound in [l + 2, l / 2] {
             let got = engine.reachable_space(bound).unwrap();
-            assert_eq!(engine.manager().root_count(), 0);
             let (mut base, want) = fresh_reach(&spec, bound);
             assert_eq!(key(&got), key(&want), "round {round}, bound {bound}");
             assert!(same_space(&engine, &got.space, &mut base, &want.space));
             if round > 0 || bound < l {
                 assert!(got.stats.is_empty(), "round {round}: a repeated reach");
             }
+            reclaimed += engine.collect(&[]).reclaimed;
         }
 
         assert!(engine.equivalent(&swap, &cx3).unwrap());
-        assert_eq!(engine.manager().root_count(), 0);
+        reclaimed += engine.collect(&[]).reclaimed;
 
         let rows = basis_rows(4, &[5, 6]);
         let input = engine.subspace_from_product_states(&rows).unwrap();
-        let (img, st) = engine.image_of(&input).unwrap();
-        assert_eq!(engine.manager().root_count(), 0);
-        assert!(st.safepoint_collections > 0, "the session must collect");
+        let (img, _) = engine.image_of(&input).unwrap();
         let mut base = fresh(&spec);
         let base_input = base.subspace_from_product_states(&rows).unwrap();
         let (want, _) = base.image_of(&base_input).unwrap();
         assert!(same_space(&engine, &img, &mut base, &want));
+        reclaimed += engine.collect(&[]).reclaimed;
 
         let want = fresh_reach(&spec, l + 2).1;
         for (rows, holds) in invariants(4) {
             let inv = engine.subspace_from_product_states(&rows).unwrap();
             let (verdict, r) = engine.check_invariant(&inv, l + 2).unwrap();
-            assert_eq!(engine.manager().root_count(), 0);
             assert_eq!((verdict, key(&r)), (holds, key(&want)), "round {round}");
             assert!(
                 r.stats.is_empty(),
                 "round {round}: the invariant reads the chain"
             );
+            reclaimed += engine.collect(&[]).reclaimed;
         }
 
-        engine.collect(&[]);
-        assert_eq!(engine.manager().root_count(), 0);
         let again = engine.reachable_space(l + 2).unwrap();
         assert!(
             again.stats.is_empty(),
             "round {round}: collect kept the chain"
         );
         assert_eq!(key(&again), key(&fresh_reach(&spec, l + 2).1));
+        reclaimed += engine.collect(&[]).reclaimed;
     }
+    assert!(reclaimed > 0, "the calls left garbage to collect");
 }
 
 #[test]
@@ -254,7 +251,7 @@ fn a_swept_chain_is_recomputed() {
     let mut engine = fresh(&spec);
     engine.reachable_space(l).unwrap();
     let system = engine.qts().clone();
-    assert!(engine.manager_mut().collect_retaining(&[&system]).reclaimed > 0);
+    assert!(engine.manager_mut().collect(&[&system]).reclaimed > 0);
     let r = engine.reachable_space(l + 2).unwrap();
     assert_eq!(r.stats.len(), l, "the swept chain is recomputed, not read");
     let (mut base, want) = fresh_reach(&spec, l + 2);

@@ -1,9 +1,10 @@
 //! Dense-oracle reachability: random small transition systems — random
 //! circuits, bit-flip and depolarizing channels, and projector
 //! operations, started from one or two random product states — answered
-//! through [`Engine`] with each serial kernel, GC off and under the
-//! collect-at-every-safepoint policy, and compared with a dense frontier
-//! iteration over `sim::operation_kraus_matrices`.
+//! through [`Engine`] with each serial kernel — in one call, and stepped
+//! one iteration at a time with a collection between the steps — and
+//! compared with a dense frontier iteration over
+//! `sim::operation_kraus_matrices`.
 //!
 //! The oracle iterates exactly the way the engine's fixpoint does (image
 //! the vectors the previous round added, stop when a round adds nothing
@@ -24,7 +25,7 @@ use qits::{Engine, EngineBuilder, Strategy, Subspace, RANK_TOLERANCE};
 use qits_circuit::generators::{bit_flip_channel, depolarizing_channel};
 use qits_circuit::{sim, Element, Gate, GateKind, Operation};
 use qits_num::{linalg, Cplx, Mat};
-use qits_tdd::{Edge, GcPolicy, TddManager};
+use qits_tdd::{Edge, TddManager};
 use qits_tensor::Var;
 
 /// Iteration bound: above the `2^5` steps the longest chain can take.
@@ -234,7 +235,7 @@ fn system(n: u32, raw_ops: &[RawOp], projector: &RawOp, initial: &[Vec<(Cplx, Cp
 }
 
 /// Runs reachability and one invariant check through an engine with
-/// `strategy`, GC off and under the aggressive policy, against the dense
+/// `strategy`, in one call and stepped with collections, against the dense
 /// oracle. The invariant is spanned by computational basis states: the
 /// support of the reachable space (it holds) when `holding`, else the
 /// states `picks` selects (usually violated); the verdict comes from the
@@ -260,11 +261,11 @@ fn check_against_oracle(
         .collect();
     let verdict = dense_holds(&dense, &set);
 
-    for gc in [None, Some(GcPolicy::aggressive())] {
-        let label = format!("n={n} {strategy} gc={}", gc.is_some());
+    let mut uncollected = None;
+    for stepped in [false, true] {
+        let label = format!("n={n} {strategy} stepped={stepped}");
         let mut engine = EngineBuilder::new()
             .strategy(strategy)
-            .gc_policy(gc)
             .build_with(n, sys.ops.clone(), |m| {
                 let vars = Subspace::ket_vars(n);
                 let kets: Vec<Edge> = sys.amps.iter().map(|a| m.product_ket(&vars, a)).collect();
@@ -272,9 +273,23 @@ fn check_against_oracle(
             })
             .expect("well-formed system");
 
-        let r = engine
-            .reachable_space(MAX_ITERATIONS)
-            .expect("fixpoint runs");
+        let r = if stepped {
+            // The bound grows by one per call, with a collection between
+            // the calls: the session's chain survives each one.
+            let mut bound = 0;
+            loop {
+                bound += 1;
+                let r = engine.reachable_space(bound).expect("fixpoint step runs");
+                engine.collect(&[]);
+                if r.converged || bound == MAX_ITERATIONS {
+                    break r;
+                }
+            }
+        } else {
+            engine
+                .reachable_space(MAX_ITERATIONS)
+                .expect("fixpoint runs")
+        };
         prop_assert_eq!(r.space.dim(), dense.basis.len(), "dim ({})", label);
         prop_assert_eq!(r.iterations, dense.iterations, "iterations ({})", label);
         prop_assert_eq!(r.converged, dense.converged, "converged ({})", label);
@@ -298,6 +313,11 @@ fn check_against_oracle(
             "invariant run dim ({})",
             label
         );
+        let answer = (r.space.dim(), r.iterations, r.converged, holds);
+        match uncollected {
+            None => uncollected = Some(answer),
+            Some(want) => prop_assert_eq!(answer, want, "stepped against one call ({})", label),
+        }
     }
     Ok(())
 }

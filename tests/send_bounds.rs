@@ -12,7 +12,7 @@ use qits::{
     Engine, EnginePool, EngineSpec, ImageStats, Job, JobHandle, JobOutput, Operations, PoolStats,
     QitsError, QuantumTransitionSystem, Strategy, Subspace, WorkerStats,
 };
-use qits_tdd::{Edge, GcPolicy, ManagerStats, TddManager};
+use qits_tdd::{Edge, ManagerStats, TddManager};
 
 fn assert_send<T: Send>() {}
 fn assert_sync<T: Sync>() {}
@@ -36,7 +36,6 @@ fn shared_read_side_is_sync() {
     assert_sync::<Subspace>();
     assert_sync::<Edge>();
     assert_sync::<ManagerStats>();
-    assert_sync::<GcPolicy>();
 }
 
 #[test]

@@ -9,10 +9,10 @@
 //! * **Differential, bit-for-bit**: a mixed batch submitted through the
 //!   async front (with mixed priorities) must equal the same batch
 //!   through the blocking `submit` path must equal a fresh serial engine
-//!   per job — exactly, not approximately. Specs pin `gc_policy(None)`,
-//!   so exact equality holds on every matrix leg.
-//! * **Cancellation stops work**: a token tripped at the k-th GC
-//!   safepoint ends the computation with `QitsError::Cancelled` after
+//!   per job — exactly, not approximately. Nothing collects inside a
+//!   job, so exact equality holds on every matrix leg.
+//! * **Cancellation stops work**: a token tripped at the k-th safepoint
+//!   poll ends the computation with `QitsError::Cancelled` after
 //!   exactly k polls — strictly fewer than the uncancelled run's — and
 //!   the session survives; pre-tripped tokens shed at dequeue.
 //! * **Backpressure**: a 1-deep queue refuses the third submission with
@@ -69,11 +69,11 @@ fn block_on<F: Future>(fut: F) -> F::Output {
 }
 
 fn grover_spec() -> EngineSpec {
-    EngineSpec::new(qits_circuit::generators::grover(3)).gc_policy(None)
+    EngineSpec::new(qits_circuit::generators::grover(3))
 }
 
 fn qrw_spec() -> EngineSpec {
-    EngineSpec::new(qits_circuit::generators::qrw(4, 0.125)).gc_policy(None)
+    EngineSpec::new(qits_circuit::generators::qrw(4, 0.125))
 }
 
 /// Strict structural equality on outputs — the differential verdict.
@@ -152,9 +152,7 @@ proptest! {
             operations: vec![Operation::from_circuit("rand", &circuit)],
             initial_states: vec![vec![(qits_num::Cplx::ONE, qits_num::Cplx::ZERO); N as usize]],
         };
-        let spec = EngineSpec::new(system)
-            .strategy(Strategy::Contraction { k1: 2, k2: 2 })
-            .gc_policy(None);
+        let spec = EngineSpec::new(system).strategy(Strategy::Contraction { k1: 2, k2: 2 });
         let jobs = vec![
             Job::Image { densify: true },
             Job::reachability(8),
@@ -391,12 +389,11 @@ fn shared_memo_never_crosses_distinct_systems() {
         .memo(memo.clone())
         .build()
         .unwrap();
-    let ghz =
-        EnginePool::builder(EngineSpec::new(qits_circuit::generators::ghz(3)).gc_policy(None))
-            .workers(worker_count())
-            .memo(memo.clone())
-            .build()
-            .unwrap();
+    let ghz = EnginePool::builder(EngineSpec::new(qits_circuit::generators::ghz(3)))
+        .workers(worker_count())
+        .memo(memo.clone())
+        .build()
+        .unwrap();
 
     let g1 = grover.submit(Job::image()).join().unwrap();
     let h1 = ghz.submit(Job::image()).join().unwrap();
