@@ -1,6 +1,6 @@
 //! `bench_check` — the perf regression guard over a fresh `BENCH_ci.json`.
 //!
-//! Parses the artifact the `table1 --ci` run just wrote (schema v11) and
+//! Parses the artifact the `table1 --ci` run just wrote (schema v12) and
 //! hard-fails CI when a tracked perf number crosses its committed floor:
 //!
 //! * `pool.speedup` < 2.0 — the pool must beat fresh-serial-per-job by
@@ -57,9 +57,9 @@ fn main() {
         .get("schema")
         .and_then(JsonValue::as_str)
         .unwrap_or_else(|| fail("missing \"schema\""));
-    if schema != "qits-bench-ci/11" {
+    if schema != "qits-bench-ci/12" {
         fail(&format!(
-            "schema is '{schema}', expected 'qits-bench-ci/11' — regenerate \
+            "schema is '{schema}', expected 'qits-bench-ci/12' — regenerate \
              the artifact with `table1 --ci`"
         ));
     }

@@ -274,12 +274,11 @@ fn run_ci_smoke(timeout: Duration) -> i32 {
     let health = qits_bench::UniqueTableHealth::from_rows(&rows);
     println!(
         "ci: unique_table probe p50/p99 {}/{}  tombstone ratio {:.3}  \
-         gen bumps {}  stale hits {}  gc pause {:.2}ms",
+         gen bumps {}  gc pause {:.2}ms",
         health.probe_p50,
         health.probe_p99,
         health.tombstone_ratio,
         health.generation_bumps,
-        health.stale_handle_hits,
         health.gc_pause_ms,
     );
     let (family, n, method, workers, jobs) = CI_POOL_CASE;

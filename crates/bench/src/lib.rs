@@ -433,8 +433,6 @@ pub struct UniqueTableHealth {
     pub tombstone_ratio: f64,
     /// Slot generations bumped by sweeps (one per reclaimed node).
     pub generation_bumps: u64,
-    /// Unique-table hits on swept slots, detected by generation.
-    pub stale_handle_hits: u64,
     /// Total milliseconds spent inside mark/sweep (GC pause time).
     pub gc_pause_ms: f64,
 }
@@ -452,7 +450,6 @@ impl UniqueTableHealth {
             tombstones += m.tombstones;
             index_cells += m.index_cells;
             h.generation_bumps += m.generation_bumps;
-            h.stale_handle_hits += m.stale_handle_hits;
             h.gc_pause_ms += m.gc_nanos as f64 / 1e6;
         }
         h.tombstone_ratio = tombstones as f64 / index_cells.max(1) as f64;
@@ -587,27 +584,24 @@ pub fn run_store_measurement(dir: &Path) -> StoreMeasurement {
 /// shape selector would pick; v10 drops v5's `reorder` object and
 /// `worker_sift_passes` with the variable reordering they measured; v11
 /// replaces each case's `gc_aggressive` object with `in_process`, a
-/// default engine's image plus the collection after it.
+/// default engine's image plus the collection after it; v12 drops the
+/// `unique_table` row's count of stale cache entries rejected after a
+/// collection, since a collection now clears the operation caches.
 pub fn ci_report_json(
     rows: &[CiRow],
     pool: &PoolMeasurement,
     serve: &ServeMeasurement,
     store: &StoreMeasurement,
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"qits-bench-ci/11\",\n");
+    let mut out = String::from("{\n  \"schema\": \"qits-bench-ci/12\",\n");
     let ut = UniqueTableHealth::from_rows(rows);
     out.push_str(&format!(
         concat!(
             "  \"unique_table\": {{\"probe_p50\": {}, \"probe_p99\": {}, ",
             "\"tombstone_ratio\": {:.6}, \"generation_bumps\": {}, ",
-            "\"stale_handle_hits\": {}, \"gc_pause_ms\": {:.3}}},\n",
+            "\"gc_pause_ms\": {:.3}}},\n",
         ),
-        ut.probe_p50,
-        ut.probe_p99,
-        ut.tombstone_ratio,
-        ut.generation_bumps,
-        ut.stale_handle_hits,
-        ut.gc_pause_ms,
+        ut.probe_p50, ut.probe_p99, ut.tombstone_ratio, ut.generation_bumps, ut.gc_pause_ms,
     ));
     out.push_str(&format!(
         concat!(
@@ -836,7 +830,7 @@ mod tests {
              restored memo: {store:?}"
         );
         let json = ci_report_json(&rows, &pool, &serve, &store);
-        assert!(json.contains("\"schema\": \"qits-bench-ci/11\""));
+        assert!(json.contains("\"schema\": \"qits-bench-ci/12\""));
         assert!(json.contains("\"pool\": {\"family\": \"ghz\""));
         assert!(json.contains("\"serve\": {\"workers\": 2, \"jobs\": 100"));
         assert!(json.contains("\"store\": {\"snapshot_bytes\""));

@@ -181,11 +181,12 @@ pub struct Gate {
 }
 
 impl Gate {
-    /// Creates a gate, validating qubit disjointness.
+    /// Creates a gate, validating the base's size and qubit disjointness.
     ///
     /// # Panics
     ///
-    /// Panics if target count does not match the base, or any qubit is
+    /// Panics if target count does not match the base, a custom base's
+    /// matrix is not `2^k x 2^k` for its `k` targets, or any qubit is
     /// repeated among targets and controls.
     pub fn new(kind: GateKind, targets: Vec<u32>, controls: Vec<Control>) -> Gate {
         assert_eq!(
@@ -195,6 +196,15 @@ impl Gate {
             kind.mnemonic(),
             kind.n_targets()
         );
+        if let GateKind::Custom1(m) | GateKind::Custom2(m) = &kind {
+            let dim = 1 << kind.n_targets();
+            assert_eq!(
+                m.dim(),
+                dim,
+                "{} requires a {dim}x{dim} matrix",
+                kind.mnemonic()
+            );
+        }
         let mut all: Vec<u32> = targets
             .iter()
             .copied()
@@ -312,8 +322,11 @@ impl Gate {
     }
 
     /// An arbitrary single-qubit matrix on `q` (need not be unitary).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `m` is 2x2 (checked by [`Gate::new`]).
     pub fn custom1(q: u32, m: Mat) -> Gate {
-        assert_eq!(m.dim(), 2, "custom1 requires a 2x2 matrix");
         Gate::single(GateKind::Custom1(m), q)
     }
 
@@ -504,6 +517,12 @@ mod tests {
     #[should_panic(expected = "distinct")]
     fn rejects_overlapping_qubits() {
         let _ = Gate::cx(1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "U2 requires a 4x4 matrix")]
+    fn rejects_a_custom_base_of_the_wrong_size() {
+        let _ = Gate::new(GateKind::Custom2(Mat::identity(2)), vec![0, 1], vec![]);
     }
 
     #[test]

@@ -537,7 +537,9 @@ impl Engine {
     /// compiled branches and chain, and every subspace in `kept` (all
     /// untouched — collection never moves a node). Anything else on the
     /// manager is swept: a subspace the caller still uses must be in
-    /// `kept`.
+    /// `kept`. One that was not is refused with
+    /// [`QitsError::StaleHandle`] by [`Engine::image_of`],
+    /// [`Engine::check_invariant`] and [`Engine::subspace_from_states`].
     pub fn collect(&mut self, kept: &[&Subspace]) -> GcOutcome {
         self.revalidate();
         let mut holders: Vec<&dyn EdgeHolder> = vec![&self.qts, &self.compiled];
@@ -546,7 +548,7 @@ impl Engine {
     }
 
     /// Spans a subspace from states on this session's manager, validating
-    /// that every state fits the session register (the check
+    /// that every state is live and fits the session register (the checks
     /// [`Subspace::try_absorb`] performs).
     pub fn subspace_from_states(&mut self, states: &[Edge]) -> Result<Subspace, QitsError> {
         let (m, n) = (&mut self.m, self.qts.n_qubits());

@@ -70,6 +70,17 @@ pub enum QitsError {
         /// The configured bound that was hit.
         capacity: usize,
     },
+    /// A subspace or state names a node a collection swept: it was not
+    /// among the holders handed to [`qits_tdd::TddManager::collect`] (or
+    /// kept by [`crate::Engine::collect`]), so its handle is stale
+    /// ([`qits_tdd::TddManager::is_live`]) and reading it would read
+    /// whatever node recycled the slot. Detected before any diagram
+    /// operation runs; rebuild the subspace or state on the session.
+    StaleHandle {
+        /// What carried the stale handle (input subspace, invariant,
+        /// state, ...).
+        context: String,
+    },
     /// A job submitted to an [`crate::EnginePool`] panicked inside its
     /// worker, or its worker died before delivering a result. The failure
     /// is isolated to the one job: the worker rebuilds its engine from the
@@ -170,6 +181,9 @@ impl fmt::Display for QitsError {
                     f,
                     "node arena exhausted: {allocated} slots allocated of capacity {capacity}"
                 )
+            }
+            QitsError::StaleHandle { context } => {
+                write!(f, "stale handle: {context} names a node a collection swept")
             }
             QitsError::JobFailure { detail } => {
                 write!(f, "a pool job failed in its worker: {detail}")
@@ -285,6 +299,12 @@ mod tests {
                     capacity: 64,
                 },
                 "exhausted",
+            ),
+            (
+                QitsError::StaleHandle {
+                    context: "the input subspace".into(),
+                },
+                "stale handle: the input subspace",
             ),
             (
                 QitsError::JobFailure {

@@ -14,7 +14,7 @@ use qits_tensornet::{
 
 use crate::error::QitsError;
 use crate::mc::Chain;
-use crate::subspace::Subspace;
+use crate::subspace::{ensure_live, swept, Subspace};
 
 /// Which image-computation method to run (the three columns of Table I).
 ///
@@ -145,11 +145,6 @@ pub struct ImageStats {
     /// turns [`ImageStats::tombstones`] into a load ratio (the rehash
     /// trigger keeps `live + tombstones` at or below 3/4 of this).
     pub index_cells: usize,
-    /// Operation-cache entries written before an earlier collection and
-    /// rejected during this computation because their value's node had
-    /// been swept — each one a dead node detected by its generation
-    /// instead of a dangling read.
-    pub stale_handle_hits: u64,
 }
 
 impl ImageStats {
@@ -184,7 +179,6 @@ impl ImageStats {
         self.probe_p99 = self.probe_p99.max(other.probe_p99);
         self.tombstones = other.tombstones;
         self.index_cells = other.index_cells;
-        self.stale_handle_hits += other.stale_handle_hits;
     }
 }
 
@@ -253,15 +247,10 @@ impl Compiled {
     /// the chain's kets; the next call computes them again. One liveness
     /// check per cached edge.
     pub(crate) fn drop_if_stale(&mut self, m: &TddManager) {
-        let swept = |h: &dyn EdgeHolder| {
-            let mut stale = false;
-            h.gc_edges(&mut |e| stale |= !m.is_live(e));
-            stale
-        };
-        if self.branches.iter().any(|b| swept(b)) {
+        if self.branches.iter().any(|b| swept(m, b)) {
             self.branches.clear();
         }
-        if self.chain.as_ref().is_some_and(|c| swept(c)) {
+        if self.chain.as_ref().is_some_and(|c| swept(m, c)) {
             self.chain = None;
         }
     }
@@ -419,7 +408,8 @@ impl Branch {
 /// [`QitsError::RegisterMismatch`] when any operation's width differs
 /// from the input's (checked in release builds),
 /// [`QitsError::EmptyKrausSet`] for an operation with zero Kraus
-/// operators, and [`QitsError::DimensionOverflow`] when an addition
+/// operators, [`QitsError::StaleHandle`] when a collection swept the
+/// input's kets, and [`QitsError::DimensionOverflow`] when an addition
 /// partition's `k` cannot index its `2^k` slices.
 pub fn try_image(
     m: &mut TddManager,
@@ -493,6 +483,7 @@ pub(crate) fn try_image_into(
             context: "the image target subspace".to_string(),
         });
     }
+    ensure_live(m, input, "the input subspace")?;
     if let Strategy::Addition { k } = strategy {
         if k >= usize::BITS as usize {
             return Err(QitsError::DimensionOverflow { bits: k as u32 });
@@ -558,7 +549,6 @@ pub(crate) fn try_image_into(
     stats.probe_p99 = moved.probe_hist.p99();
     stats.tombstones = m.stats().tombstones;
     stats.index_cells = m.stats().index_cells;
-    stats.stale_handle_hits = moved.stale_handle_hits;
     stats.elapsed = start.elapsed();
     Ok(stats)
 }

@@ -85,7 +85,7 @@ use qits_tdd::{Edge, EdgeHolder, TddManager};
 use crate::error::QitsError;
 use crate::image::{try_image_into, Compiled, ImageStats, Strategy};
 use crate::qts::QuantumTransitionSystem;
-use crate::subspace::Subspace;
+use crate::subspace::{ensure_live, Subspace};
 
 /// Result of a reachability analysis bounded by `max_iterations`.
 #[derive(Debug, Clone)]
@@ -266,7 +266,8 @@ pub(crate) fn fixpoint_with(
 /// # Errors
 ///
 /// [`QitsError::RegisterMismatch`] when the invariant's width differs from
-/// the system's, and every condition the image kernel reports.
+/// the system's, [`QitsError::StaleHandle`] when a collection swept the
+/// invariant's edges, and every condition the image kernel reports.
 pub fn try_check_invariant(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
@@ -303,6 +304,7 @@ pub(crate) fn check_invariant_with(
             context: "the invariant subspace".to_string(),
         });
     }
+    ensure_live(m, invariant, "the invariant subspace")?;
     let reach = fixpoint_with(m, qts, max_iterations, compiled, chain)?;
     let holds = reach.space.is_subspace_of(m, invariant);
     Ok((holds, reach))

@@ -1306,9 +1306,9 @@ const COLLECT_MIN_OCCUPIED: usize = 20_000;
 /// once its arena holds more than twice the live nodes its last
 /// collection left and more than [`COLLECT_MIN_OCCUPIED`] occupied slots,
 /// it collects, keeping the system, the compiled branches and the chain
-/// ([`Engine::collect`]), and then clears its operation caches, which by
-/// then hold almost nothing but entries naming swept nodes. Returns
-/// whether it collected.
+/// ([`Engine::collect`]); the collection also clears the operation caches,
+/// which by then hold almost nothing but entries naming swept nodes.
+/// Returns whether it collected.
 ///
 /// Between jobs nothing else is live, so the arena shrinks to the
 /// session's own state. Collecting inside a fixpoint instead, between its
@@ -1325,7 +1325,6 @@ fn collect_between_jobs(engine: &mut Engine) -> bool {
         return false;
     }
     engine.collect(&[]);
-    engine.manager_mut().clear_caches();
     true
 }
 

@@ -218,22 +218,25 @@ impl Engine {
 // Byte codecs for the crate's result types.
 // ----------------------------------------------------------------------
 
+/// A [`CacheStats`]'s byte form; the retired purge counter keeps its word
+/// after `evictions`, written as zero.
 fn encode_cache_stats(w: &mut ByteWriter, c: &CacheStats) {
     w.put_u64(c.hits);
     w.put_u64(c.misses);
     w.put_u64(c.inserts);
     w.put_u64(c.evictions);
-    w.put_u64(c.purged);
+    w.put_retired(1);
 }
 
 fn decode_cache_stats(r: &mut ByteReader<'_>) -> Result<CacheStats, StoreError> {
-    Ok(CacheStats {
+    let stats = CacheStats {
         hits: r.get_u64()?,
         misses: r.get_u64()?,
         inserts: r.get_u64()?,
         evictions: r.get_u64()?,
-        purged: r.get_u64()?,
-    })
+    };
+    r.skip_retired(1)?;
+    Ok(stats)
 }
 
 /// Serialises an [`ImageStats`] into the shared byte form. `f64`-free by
@@ -241,9 +244,9 @@ fn decode_cache_stats(r: &mut ByteReader<'_>) -> Result<CacheStats, StoreError> 
 /// subsecond nanoseconds, so the round trip is exact. Retired counters
 /// keep their words, written as zeros, so the layout stays the same: the
 /// reclaimed nodes before `safepoints`, the in-image collections and
-/// their reclaim after it, the generation bumps before
-/// `stale_handle_hits`, and the GC time plus two reordering counters
-/// (level swaps and sifting passes) at the end.
+/// their reclaim after it, and five words at the end — the generation
+/// bumps, the stale-entry rejections, the GC time and two reordering
+/// counters (level swaps and sifting passes).
 fn encode_image_stats(w: &mut ByteWriter, st: &ImageStats) {
     w.put_u64(st.max_nodes as u64);
     w.put_u64(st.elapsed.as_secs());
@@ -262,9 +265,7 @@ fn encode_image_stats(w: &mut ByteWriter, st: &ImageStats) {
     w.put_u32(st.probe_p99);
     w.put_u64(st.tombstones as u64);
     w.put_u64(st.index_cells as u64);
-    w.put_retired(1);
-    w.put_u64(st.stale_handle_hits);
-    w.put_retired(3);
+    w.put_retired(5);
 }
 
 /// Inverse of [`encode_image_stats`]; the retired counters are read and
@@ -286,9 +287,7 @@ fn decode_image_stats(r: &mut ByteReader<'_>) -> Result<ImageStats, StoreError> 
     let probe_p99 = r.get_u32()?;
     let tombstones = r.get_u64()? as usize;
     let index_cells = r.get_u64()? as usize;
-    r.skip_retired(1)?;
-    let stale_handle_hits = r.get_u64()?;
-    r.skip_retired(3)?;
+    r.skip_retired(5)?;
     Ok(ImageStats {
         max_nodes,
         elapsed,
@@ -304,7 +303,6 @@ fn decode_image_stats(r: &mut ByteReader<'_>) -> Result<ImageStats, StoreError> 
         probe_p99,
         tombstones,
         index_cells,
-        stale_handle_hits,
     })
 }
 
@@ -467,9 +465,9 @@ mod tests {
             ..ImageStats::default()
         };
         st.cont_cache.hits = 101;
-        st.add_cache.purged = 7;
+        st.add_cache.evictions = 7;
         st.probe_p99 = 12;
-        st.stale_handle_hits = u64::MAX;
+        st.safepoints = u64::MAX;
         st
     }
 

@@ -384,8 +384,10 @@ impl Subspace {
     /// `absorb` silently trusts this (a wider ket corrupts the projector
     /// bookkeeping); here it is validated and reported as a
     /// [`QitsError::RegisterMismatch`] value. [`crate::Engine`]'s
-    /// subspace constructor routes through this check.
+    /// subspace constructor routes through this check. A `psi` a
+    /// collection swept is reported as [`QitsError::StaleHandle`].
     pub fn try_absorb(&mut self, m: &mut TddManager, psi: Edge) -> Result<bool, QitsError> {
+        ensure_live(m, &psi, "the state")?;
         for v in m.support(psi).iter() {
             if v.position() != 0 {
                 // Not a width problem at all: the tensor carries a
@@ -574,6 +576,30 @@ impl Subspace {
         s.projector = Projector::judge(m, projector, s.basis_nodes);
         s
     }
+}
+
+/// Whether a collection that did not hold `h` swept any of its edges: one
+/// liveness check per edge, and no diagram operation.
+pub(crate) fn swept(m: &TddManager, h: &dyn EdgeHolder) -> bool {
+    let mut stale = false;
+    h.gc_edges(&mut |e| stale |= !m.is_live(e));
+    stale
+}
+
+/// [`QitsError::StaleHandle`] naming `context` if a collection swept any
+/// edge of `h` — the check a fallible entry point runs on what its caller
+/// hands it, in release builds too.
+pub(crate) fn ensure_live(
+    m: &TddManager,
+    h: &dyn EdgeHolder,
+    context: &str,
+) -> Result<(), QitsError> {
+    if swept(m, h) {
+        return Err(QitsError::StaleHandle {
+            context: context.to_string(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! Mature decision-diagram packages keep *all* operation memos on the
 //! manager, not on the call stack: a memo entry for `f op g` is valid for
-//! the lifetime of the unique table, so discarding it after one top-level
+//! as long as the nodes it names live, so discarding it after one top-level
 //! call throws away exactly the reuse that repeated image computations
 //! (same blocks against many basis states, same sub-diagrams across Kraus
 //! branches) depend on. This module is that subsystem for `qits-tdd`:
@@ -34,22 +34,12 @@
 //!
 //! # Garbage collection
 //!
-//! Cache keys and values name generational [`NodeId`]s. A collection never
-//! renumbers a node (see [`crate::gc`]) — it can only sweep unreachable
-//! slots, bumping their generations — so an entry written before a
-//! collection is *usually* still correct afterwards. Entries are therefore
-//! **epoch-tagged** but kept across collections: [`OpCaches::on_collect`]
-//! only bumps the epoch, and a lookup that finds an old-epoch entry
-//! ([`CacheLookup::Stale`]) hands the decision to the manager, which
-//! re-admits the entry ([`OpCache::admit`]) when the cached value's node is
-//! still live — sound because marking is transitive, so a live root implies
-//! the whole memoised subgraph survived — and drops it otherwise
-//! ([`OpCache::reject_stale`], counted as a stale-handle hit in
-//! [`crate::ManagerStats`]). [`OpCache::retain_with`] backs the manager's
-//! targeted [`crate::TddManager::purge_stale`], evicting only
-//! dead-generation entries (counted in [`CacheStats::purged`]). The
-//! interners survive collections untouched — they key on variables, never
-//! on nodes.
+//! Cache keys and values name generational [`NodeId`]s, and a collection
+//! sweeps every node its holders do not reach (see [`crate::gc`]). So
+//! [`crate::TddManager::collect`] clears every table ([`OpCaches::clear`])
+//! and no entry outlives a collection: a probe never has to ask whether
+//! the node it names is still live. The interners survive collections
+//! untouched — they key on variables, never on nodes.
 
 use std::hash::Hash;
 
@@ -72,26 +62,6 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Entries dropped by capacity flushes.
     pub evictions: u64,
-    /// Entries evicted by [`crate::TddManager::purge_stale`] because their
-    /// key or value named a swept (dead-generation) node.
-    pub purged: u64,
-}
-
-/// Outcome of an epoch-aware cache probe ([`OpCache::probe`]).
-///
-/// `Stale` is the interesting case: the key matched but the entry was
-/// written before the last collection. With generational handles the value
-/// is usually still correct (collections never relocate), so the manager —
-/// which alone can check generation liveness — decides between
-/// [`OpCache::admit`] and [`OpCache::reject_stale`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLookup<V> {
-    /// No entry for this key.
-    Miss,
-    /// A current-epoch entry answered.
-    Hit(V),
-    /// A pre-collection entry matched the key; the caller must validate it.
-    Stale(V),
 }
 
 impl CacheStats {
@@ -117,7 +87,6 @@ impl CacheStats {
             misses: self.misses.saturating_sub(earlier.misses),
             inserts: self.inserts.saturating_sub(earlier.inserts),
             evictions: self.evictions.saturating_sub(earlier.evictions),
-            purged: self.purged.saturating_sub(earlier.purged),
         }
     }
 
@@ -127,7 +96,6 @@ impl CacheStats {
         self.misses += other.misses;
         self.inserts += other.inserts;
         self.evictions += other.evictions;
-        self.purged += other.purged;
     }
 }
 
@@ -147,28 +115,15 @@ const MIN_SLOTS: usize = 1 << 12;
 ///
 /// Values must be `Copy` (they are [`Edge`]s in practice) so a hit never
 /// borrows the table.
-///
-/// Entries are **epoch-tagged**: each carries the GC epoch it was written
-/// in. With generational node handles a collection never invalidates an
-/// entry wholesale — it can only sweep the nodes an entry names — so
-/// [`OpCaches::on_collect`] merely bumps the epoch and **keeps** every
-/// entry. A probe that matches an old-epoch entry reports it as
-/// [`CacheLookup::Stale`] rather than answering, and the manager either
-/// re-admits it (promoting it to the current epoch via [`OpCache::admit`])
-/// after checking the cached value's generation, or rejects it. This turns
-/// the old purge-everything collection tax into a per-entry liveness check
-/// on the entries actually touched again.
 #[derive(Debug)]
 pub struct OpCache<K, V> {
     /// Power-of-two slot array; empty until the first insert so idle
-    /// caches cost nothing. Each entry carries the epoch it was written in.
-    slots: Vec<Option<(K, V, u32)>>,
+    /// caches cost nothing.
+    slots: Vec<Option<(K, V)>>,
     /// Occupied slot count.
     len: usize,
     /// Maximum slot count (power of two; `0` disables the cache).
     capacity: usize,
-    /// Current GC epoch; entries from older epochs are stale.
-    epoch: u32,
     stats: CacheStats,
 }
 
@@ -185,7 +140,6 @@ impl<K: Eq + Hash + Copy, V: Copy> OpCache<K, V> {
             slots: Vec::new(),
             len: 0,
             capacity,
-            epoch: 0,
             stats: CacheStats::default(),
         }
     }
@@ -197,64 +151,22 @@ impl<K: Eq + Hash + Copy, V: Copy> OpCache<K, V> {
         (h as usize) & (self.slots.len() - 1)
     }
 
-    /// Looks `key` up. A current-epoch match counts a hit; no match counts
-    /// a miss; an old-epoch match is returned as [`CacheLookup::Stale`]
-    /// **uncounted** — the caller must follow up with [`OpCache::admit`]
-    /// (counts the hit) or [`OpCache::reject_stale`] (counts the miss).
+    /// Looks `key` up, counting a hit or a miss.
     #[inline]
-    pub fn probe(&mut self, key: &K) -> CacheLookup<V> {
+    pub fn get(&mut self, key: &K) -> Option<V> {
         if !self.slots.is_empty() {
-            if let Some((k, v, e)) = self.slots[self.slot_of(key)] {
+            if let Some((k, v)) = self.slots[self.slot_of(key)] {
                 if k == *key {
-                    if e == self.epoch {
-                        self.stats.hits += 1;
-                        return CacheLookup::Hit(v);
-                    }
-                    return CacheLookup::Stale(v);
+                    self.stats.hits += 1;
+                    return Some(v);
                 }
             }
         }
         self.stats.misses += 1;
-        CacheLookup::Miss
+        None
     }
 
-    /// Looks `key` up, counting a hit or miss; stale entries count as
-    /// misses. The epoch-oblivious entry point for callers that cannot
-    /// validate stale values (tests, capacity-0 probes).
-    #[inline]
-    pub fn get(&mut self, key: &K) -> Option<V> {
-        match self.probe(key) {
-            CacheLookup::Hit(v) => Some(v),
-            CacheLookup::Stale(_) => {
-                self.stats.misses += 1;
-                None
-            }
-            CacheLookup::Miss => None,
-        }
-    }
-
-    /// Promotes a validated stale entry to the current epoch and counts the
-    /// hit [`OpCache::probe`] deferred. The entry re-lands in its own slot
-    /// (same key, same hash), so `len` is unchanged.
-    #[inline]
-    pub fn admit(&mut self, key: K, value: V) {
-        self.stats.hits += 1;
-        if self.slots.is_empty() {
-            return;
-        }
-        let idx = self.slot_of(&key);
-        self.slots[idx] = Some((key, value, self.epoch));
-    }
-
-    /// Counts the miss [`OpCache::probe`] deferred for a stale entry the
-    /// caller rejected. The entry itself is left to be overwritten.
-    #[inline]
-    pub fn reject_stale(&mut self) {
-        self.stats.misses += 1;
-    }
-
-    /// Records `key -> value` in the current epoch, replacing at most the
-    /// one colliding entry.
+    /// Records `key -> value`, replacing at most the one colliding entry.
     #[inline]
     pub fn insert(&mut self, key: K, value: V) {
         if self.capacity == 0 {
@@ -268,10 +180,10 @@ impl<K: Eq + Hash + Copy, V: Copy> OpCache<K, V> {
         let idx = self.slot_of(&key);
         match &self.slots[idx] {
             None => self.len += 1,
-            Some((k, _, e)) if *e != self.epoch || *k != key => self.stats.evictions += 1,
+            Some((k, _)) if *k != key => self.stats.evictions += 1,
             Some(_) => {}
         }
-        self.slots[idx] = Some((key, value, self.epoch));
+        self.slots[idx] = Some((key, value));
         self.stats.inserts += 1;
     }
 
@@ -294,35 +206,6 @@ impl<K: Eq + Hash + Copy, V: Copy> OpCache<K, V> {
     pub fn clear(&mut self) {
         self.slots = Vec::new();
         self.len = 0;
-    }
-
-    /// Advances the GC epoch **without** purging: entries are kept and
-    /// become [`CacheLookup::Stale`] until re-validated. Called on every
-    /// collection.
-    pub fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-    }
-
-    /// Evicts every entry `keep` rejects, returning how many were dropped
-    /// (also counted in [`CacheStats::purged`]). Backs the manager's
-    /// targeted [`crate::TddManager::purge_stale`]: `keep` is a
-    /// generation-liveness check over the entry's key and value.
-    pub fn retain_with(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> u64 {
-        let mut purged = 0u64;
-        for slot in self.slots.iter_mut() {
-            if matches!(slot, Some((k, v, _)) if !keep(k, v)) {
-                *slot = None;
-                self.len -= 1;
-                purged += 1;
-            }
-        }
-        self.stats.purged += purged;
-        purged
-    }
-
-    /// The current GC epoch of this table.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Current number of live entries.
@@ -506,28 +389,15 @@ impl OpCaches {
         }
     }
 
-    /// Drops every entry of every table. Interners and counters are kept:
-    /// interned ids must stay stable for the manager's lifetime, and the
-    /// counters are cumulative telemetry.
+    /// Drops every entry of every table — what every collection does.
+    /// Interners and counters are kept: interned ids must stay stable for
+    /// the manager's lifetime, and the counters are cumulative telemetry.
     pub fn clear(&mut self) {
         self.add.clear();
         self.cont.clear();
         self.slice.clear();
         self.conj.clear();
         self.rename.clear();
-    }
-
-    /// Garbage-collection hook: bumps every table's epoch. Entries are
-    /// kept — generational handles never get renumbered, so each entry is
-    /// re-validated lazily on its next probe (or evicted wholesale by
-    /// [`crate::TddManager::purge_stale`]). Interners are untouched — they
-    /// key on variables, which collections never renumber.
-    pub fn on_collect(&mut self) {
-        self.add.bump_epoch();
-        self.cont.bump_epoch();
-        self.slice.bump_epoch();
-        self.conj.bump_epoch();
-        self.rename.bump_epoch();
     }
 
     /// Re-bounds every table.
@@ -611,48 +481,6 @@ mod tests {
         assert!(c.len() > 4000, "unexpected collision rate: {}", c.len());
         let hits = (0..5000u64).filter(|k| c.get(k).is_some()).count();
         assert_eq!(hits, c.len());
-    }
-
-    #[test]
-    fn epoch_bump_keeps_entries_as_stale_until_promoted() {
-        let mut c: OpCache<u32, u32> = OpCache::with_capacity(16);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        assert_eq!(c.len(), 2);
-        c.bump_epoch();
-        assert_eq!(c.epoch(), 1);
-        assert_eq!(c.len(), 2, "bump must not purge");
-        // A probe surfaces the old entry as stale, uncounted.
-        assert_eq!(c.probe(&1), CacheLookup::Stale(10));
-        assert_eq!(c.stats().hits, 0);
-        assert_eq!(c.stats().misses, 0);
-        // The caller validates and promotes it: a hit, and now current.
-        c.admit(1, 10);
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.probe(&1), CacheLookup::Hit(10));
-        // ...or rejects it: a miss.
-        assert_eq!(c.probe(&2), CacheLookup::Stale(20));
-        c.reject_stale();
-        assert_eq!(c.stats().misses, 1);
-        // The epoch-oblivious `get` treats stale as a plain miss.
-        assert_eq!(c.get(&2), None);
-    }
-
-    #[test]
-    fn retain_with_purges_rejected_entries() {
-        let mut c: OpCache<u32, u32> = OpCache::with_capacity(16);
-        for k in 0..6 {
-            c.insert(k, k * 10);
-        }
-        let before = c.len();
-        let purged = c.retain_with(|k, _| k % 2 == 0);
-        assert!(purged > 0);
-        assert_eq!(c.len() as u64, before as u64 - purged);
-        assert_eq!(c.stats().purged, purged);
-        assert_eq!(c.get(&1), None);
-        if before == 6 {
-            assert_eq!(c.get(&2), Some(20));
-        }
     }
 
     #[test]

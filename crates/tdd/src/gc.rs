@@ -51,15 +51,14 @@
 //! holders' edges by construction. A stale edge among the holders' edges
 //! names no node and is skipped.
 //!
-//! # Epoch-aware operation caches
+//! # Operation caches
 //!
-//! Operation-cache entries name generational node handles, so a collection
-//! no longer invalidates them wholesale: [`crate::cache::OpCaches`] only
-//! bumps its epoch, and each pre-collection entry is re-validated on its
-//! next probe (value generation current ⇒ the whole memoised subgraph
-//! survived, because marking is transitive) or evicted by the targeted
-//! [`TddManager::purge_stale`]. Interners and the complex table survive
-//! collections untouched (they key on variables and values, never nodes).
+//! Every collection clears the operation caches
+//! ([`crate::cache::OpCaches::clear`]): their entries name nodes, and the
+//! sweep may have freed any of them, so no entry outlives a collection.
+//! The next operations re-memoise what they need. Interners and the
+//! complex table survive collections untouched (they key on variables and
+//! values, never nodes).
 
 use std::time::Instant;
 
@@ -121,10 +120,10 @@ impl TddManager {
     ///
     /// Each unreachable node's slot generation is bumped (stale handles
     /// become detectable, never dangling) and the slot is recycled for
-    /// future nodes. Nothing moves, the unique index is not rebuilt, and
-    /// operation caches keep their entries for lazy re-validation.
-    /// Holders need no cleanup afterwards — their edges are untouched.
-    /// Counters are folded into [`crate::ManagerStats`].
+    /// future nodes. Nothing moves and the unique index is not rebuilt;
+    /// the operation caches are cleared, since their entries may name
+    /// swept nodes. Holders need no cleanup afterwards — their edges are
+    /// untouched. Counters are folded into [`crate::ManagerStats`].
     ///
     /// ```
     /// use qits_tdd::TddManager;
@@ -146,18 +145,12 @@ impl TddManager {
             h.gc_edges(&mut |e| edges.push(e));
         }
         let (live, reclaimed) = self.mark_and_sweep(&edges);
-        // Caches keep their entries; the epoch bump forces re-validation.
-        self.caches.on_collect();
+        self.caches.clear();
         self.stats.gc_runs += 1;
         self.stats.nodes_reclaimed += reclaimed as u64;
         self.stats.live_after_last_gc = live;
         self.stats.gc_nanos += start.elapsed().as_nanos() as u64;
         GcOutcome { reclaimed, live }
-    }
-
-    /// Collections performed so far (equals the current cache epoch).
-    pub fn gc_runs(&self) -> u64 {
-        self.stats.gc_runs
     }
 }
 
@@ -167,6 +160,7 @@ mod tests {
     use qits_num::Cplx;
     use qits_tensor::{Tensor, Var};
 
+    use crate::cache::CacheSizes;
     use crate::cnum::CIdx;
     use crate::node::NodeId;
 
@@ -258,29 +252,26 @@ mod tests {
     }
 
     #[test]
-    fn caches_survive_collection_and_purge_stale_evicts_dead_entries() {
+    fn collection_clears_the_caches_and_keeps_their_counters() {
         let mut m = TddManager::new();
         let a = m.from_tensor(&sample_tensor(10));
         let b = m.from_tensor(&sample_tensor(11));
         let r = m.add(a, b);
-        let entries = m.cache_sizes().total();
-        assert!(entries > 0);
+        assert!(m.cache_sizes().total() > 0);
+        assert_eq!(m.add(a, b), r, "a repeated add is answered by the cache");
+        let before = m.stats();
+        assert!(before.add_cache.hits > 0);
+        // Even a collection that keeps every operand and result empties
+        // every table.
         m.collect(&[&a, &b, &r]);
-        // Collection keeps every entry: they name generational handles and
-        // everything cached here is about held (surviving) diagrams.
-        assert_eq!(
-            m.cache_sizes().total(),
-            entries,
-            "collection must not flush caches"
-        );
-        assert_eq!(m.purge_stale(), 0, "no dead entries while everything lives");
-        // Collect again holding nothing: now every memo names dead nodes,
-        // and the targeted purge evicts exactly those.
-        m.collect(&[]);
-        let purged = m.purge_stale();
-        assert_eq!(purged, entries as u64, "all entries named swept nodes");
-        assert_eq!(m.cache_sizes().total(), 0);
-        assert!(m.stats().add_cache.purged > 0);
+        assert_eq!(m.cache_sizes(), CacheSizes::default());
+        // The lifetime counters survive the clear.
+        assert_eq!(m.stats().add_cache, before.add_cache);
+        assert_eq!(m.stats().cont_cache, before.cont_cache);
+        // The next add recomputes the same edge and memoises it again.
+        assert_eq!(m.add(a, b), r);
+        assert!(m.stats().add_cache.misses > before.add_cache.misses);
+        assert!(m.cache_sizes().add > 0);
     }
 
     #[test]
@@ -420,10 +411,9 @@ mod tests {
     #[test]
     fn gc_runs_counts_collections() {
         let mut m = TddManager::new();
-        assert_eq!(m.gc_runs(), 0);
+        assert_eq!(m.stats().gc_runs, 0);
         m.collect(&[]);
         m.collect(&[]);
-        assert_eq!(m.gc_runs(), 2);
         assert_eq!(m.stats().gc_runs, 2);
     }
 }

@@ -70,7 +70,7 @@ mod table;
 mod transfer;
 mod walk;
 
-pub use cache::{CacheLookup, CacheSizes, CacheStats, DEFAULT_CACHE_CAPACITY};
+pub use cache::{CacheSizes, CacheStats, DEFAULT_CACHE_CAPACITY};
 pub use cancel::{CancelToken, OperationCancelled};
 pub use cnum::{CIdx, ComplexTable};
 pub use dump::{DumpEdge, DumpError, DumpNode, TddDump};

@@ -6,7 +6,7 @@ use std::sync::Mutex;
 use qits_num::{Cplx, Mat};
 use qits_tensor::{Tensor, Var};
 
-use crate::cache::{CacheLookup, CacheSizes, OpCaches, RenameId, SumId, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{CacheSizes, OpCaches, DEFAULT_CACHE_CAPACITY};
 use crate::cancel::CancelToken;
 use crate::cnum::{CIdx, ComplexTable};
 use crate::node::{Edge, Node, NodeId, TERMINAL};
@@ -82,12 +82,9 @@ impl std::fmt::Display for ArenaExhausted {
 ///
 /// Operation caches are **manager-owned** (see [`crate::cache`]) so
 /// memoised results survive across top-level calls — the reuse repeated
-/// image computations depend on — and they are size-bounded and
-/// epoch-tagged. Entries even survive collections: a post-collection probe
-/// re-validates an entry against its value's generation instead of
-/// discarding the whole cache. [`TddManager::purge_stale`] evicts exactly
-/// the dead-generation entries, and [`TddManager::clear_caches`] still
-/// drops everything between phases if needed.
+/// image computations depend on — and they are size-bounded. A collection
+/// clears them, so no entry outlives the nodes it names;
+/// [`TddManager::clear_caches`] does the same without collecting.
 #[derive(Debug)]
 pub struct TddManager {
     /// Node storage and hash-consing index in one structure.
@@ -255,43 +252,12 @@ impl TddManager {
         }
     }
 
-    /// Drops every operation cache (unique table and node store are kept).
-    ///
-    /// Useful between phases of a long run to bound memory; results built so
-    /// far remain valid. Cache counters are cumulative and survive the
-    /// clear.
+    /// Drops every operation-cache entry (unique table and node store are
+    /// kept), as every collection does. Results built so far remain valid;
+    /// the next operations recompute and re-memoise what they need. Cache
+    /// counters are cumulative and survive the clear.
     pub fn clear_caches(&mut self) {
         self.caches.clear();
-    }
-
-    /// Evicts exactly the operation-cache entries whose key or value names
-    /// a swept (dead-generation) node, returning how many were dropped
-    /// (also counted per-cache in [`crate::CacheStats::purged`]).
-    ///
-    /// The targeted alternative to [`TddManager::clear_caches`] after a
-    /// collection: everything memoised about surviving diagrams is kept.
-    pub fn purge_stale(&mut self) -> u64 {
-        let unique = &self.unique;
-        let live = |n: NodeId| unique.is_live(n);
-        self.caches
-            .add
-            .retain_with(|k, v| live(k.0.node) && live(k.1.node) && live(v.node))
-            + self
-                .caches
-                .cont
-                .retain_with(|k, v| live(k.0) && live(k.1) && live(v.node))
-            + self
-                .caches
-                .slice
-                .retain_with(|k, v| live(k.0) && live(v.node))
-            + self
-                .caches
-                .conj
-                .retain_with(|k, v| live(*k) && live(v.node))
-            + self
-                .caches
-                .rename
-                .retain_with(|k, v| live(k.0) && live(v.node))
     }
 
     /// Re-bounds every operation cache to at most `capacity` entries.
@@ -306,106 +272,6 @@ impl TddManager {
     /// Live entry counts of every operation cache.
     pub fn cache_sizes(&self) -> CacheSizes {
         self.caches.sizes()
-    }
-
-    // ------------------------------------------------------------------
-    // Generation-validated cache probes (the ops.rs lookup path).
-    // ------------------------------------------------------------------
-
-    /// Re-validation rule for a pre-collection cache entry: admissible iff
-    /// the cached value's node generation is current. Liveness of the
-    /// value implies liveness of its whole subgraph — marking is
-    /// transitive, so a value that survived a collection survived with all
-    /// its descendants. Keys need no check: callers build them from edges
-    /// they currently hold.
-    #[inline]
-    fn stale_value_admissible(&self, v: Edge) -> bool {
-        self.unique.is_live(v.node)
-    }
-
-    #[inline]
-    pub(crate) fn cache_get_add(&mut self, key: &(Edge, Edge)) -> Option<Edge> {
-        match self.caches.add.probe(key) {
-            CacheLookup::Hit(v) => Some(v),
-            CacheLookup::Miss => None,
-            CacheLookup::Stale(v) if self.stale_value_admissible(v) => {
-                self.caches.add.admit(*key, v);
-                Some(v)
-            }
-            CacheLookup::Stale(_) => {
-                self.stats.stale_handle_hits += 1;
-                self.caches.add.reject_stale();
-                None
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn cache_get_cont(&mut self, key: &(NodeId, NodeId, SumId)) -> Option<Edge> {
-        match self.caches.cont.probe(key) {
-            CacheLookup::Hit(v) => Some(v),
-            CacheLookup::Miss => None,
-            CacheLookup::Stale(v) if self.stale_value_admissible(v) => {
-                self.caches.cont.admit(*key, v);
-                Some(v)
-            }
-            CacheLookup::Stale(_) => {
-                self.stats.stale_handle_hits += 1;
-                self.caches.cont.reject_stale();
-                None
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn cache_get_slice(&mut self, key: &(NodeId, Var, bool)) -> Option<Edge> {
-        match self.caches.slice.probe(key) {
-            CacheLookup::Hit(v) => Some(v),
-            CacheLookup::Miss => None,
-            CacheLookup::Stale(v) if self.stale_value_admissible(v) => {
-                self.caches.slice.admit(*key, v);
-                Some(v)
-            }
-            CacheLookup::Stale(_) => {
-                self.stats.stale_handle_hits += 1;
-                self.caches.slice.reject_stale();
-                None
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn cache_get_conj(&mut self, key: &NodeId) -> Option<Edge> {
-        match self.caches.conj.probe(key) {
-            CacheLookup::Hit(v) => Some(v),
-            CacheLookup::Miss => None,
-            CacheLookup::Stale(v) if self.stale_value_admissible(v) => {
-                self.caches.conj.admit(*key, v);
-                Some(v)
-            }
-            CacheLookup::Stale(_) => {
-                self.stats.stale_handle_hits += 1;
-                self.caches.conj.reject_stale();
-                None
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn cache_get_rename(&mut self, key: &(NodeId, RenameId)) -> Option<Edge> {
-        match self.caches.rename.probe(key) {
-            CacheLookup::Hit(v) => Some(v),
-            CacheLookup::Miss => None,
-            CacheLookup::Stale(v) if self.stale_value_admissible(v) => {
-                self.caches.rename.admit(*key, v);
-                Some(v)
-            }
-            CacheLookup::Stale(_) => {
-                self.stats.stale_handle_hits += 1;
-                self.caches.rename.reject_stale();
-                None
-            }
-        }
     }
 
     // ------------------------------------------------------------------

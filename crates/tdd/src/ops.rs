@@ -75,7 +75,7 @@ impl TddManager {
         }
         let ka = a.with_weight(CIdx::ONE);
         let kb = b.with_weight(beta);
-        if let Some(r) = self.cache_get_add(&(ka, kb)) {
+        if let Some(r) = self.caches.add.get(&(ka, kb)) {
             return self.mul_weight(r, a.weight);
         }
         // Branch on the topmost root variable (the terminal's sentinel
@@ -159,7 +159,7 @@ impl TddManager {
         // Weight-normalized key: both weights are factored into `w`, so one
         // entry serves every scalar multiple of this operand pair.
         let key = (a.node, b.node, suffixes[si]);
-        if let Some(r) = self.cache_get_cont(&key) {
+        if let Some(r) = self.caches.cont.get(&key) {
             return self.mul_weight(r, w);
         }
         let ka = a.with_weight(CIdx::ONE);
@@ -208,7 +208,7 @@ impl TddManager {
             return e;
         }
         let key = (e.node, var, value);
-        if let Some(r) = self.cache_get_slice(&key) {
+        if let Some(r) = self.caches.slice.get(&key) {
             return self.mul_weight(r, e.weight);
         }
         let n = *self.node(e.node);
@@ -249,7 +249,7 @@ impl TddManager {
         if e.is_terminal() {
             return Edge::ZERO.with_weight(w);
         }
-        if let Some(r) = self.cache_get_conj(&e.node) {
+        if let Some(r) = self.caches.conj.get(&e.node) {
             return self.mul_weight(r, w);
         }
         let n = *self.node(e.node);
@@ -295,7 +295,7 @@ impl TddManager {
             return e;
         }
         let key = (e.node, map_id);
-        if let Some(r) = self.cache_get_rename(&key) {
+        if let Some(r) = self.caches.rename.get(&key) {
             return self.mul_weight(r, e.weight);
         }
         let n = *self.node(e.node);

@@ -122,9 +122,6 @@ pub struct ManagerStats {
     pub tombstones_created: u64,
     /// Slot generations bumped (one per node swept).
     pub generation_bumps: u64,
-    /// Operation-cache entries rejected because their cached value's node
-    /// generation went stale (the generational analogue of an epoch purge).
-    pub stale_handle_hits: u64,
     /// Full unique-index rehashes (growth/tombstone purges). Collections
     /// never rebuild the index, so this moves only with table load.
     pub unique_rebuilds: u64,
@@ -173,7 +170,6 @@ impl ManagerStats {
         self.index_cells += other.index_cells;
         self.tombstones_created += other.tombstones_created;
         self.generation_bumps += other.generation_bumps;
-        self.stale_handle_hits += other.stale_handle_hits;
         self.unique_rebuilds += other.unique_rebuilds;
         self.add_calls += other.add_calls;
         self.cont_calls += other.cont_calls;
@@ -211,9 +207,6 @@ impl ManagerStats {
             generation_bumps: self
                 .generation_bumps
                 .saturating_sub(earlier.generation_bumps),
-            stale_handle_hits: self
-                .stale_handle_hits
-                .saturating_sub(earlier.stale_handle_hits),
             unique_rebuilds: self.unique_rebuilds.saturating_sub(earlier.unique_rebuilds),
             add_calls: self.add_calls.saturating_sub(earlier.add_calls),
             cont_calls: self.cont_calls.saturating_sub(earlier.cont_calls),
@@ -291,7 +284,6 @@ mod tests {
         let later = ManagerStats {
             nodes_created: 10,
             add_calls: 4,
-            stale_handle_hits: 6,
             cont_cache: CacheStats {
                 hits: 7,
                 ..Default::default()
@@ -301,7 +293,6 @@ mod tests {
         let earlier = ManagerStats {
             nodes_created: 6,
             add_calls: 1,
-            stale_handle_hits: 2,
             cont_cache: CacheStats {
                 hits: 2,
                 ..Default::default()
@@ -311,7 +302,6 @@ mod tests {
         let d = later.since(&earlier);
         assert_eq!(d.nodes_created, 4);
         assert_eq!(d.add_calls, 3);
-        assert_eq!(d.stale_handle_hits, 4);
         assert_eq!(d.cont_cache.hits, 5);
     }
 

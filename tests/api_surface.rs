@@ -12,8 +12,13 @@
 //!   for one, and keeps exactly the holders it is handed. The collection
 //!   policy, the incremental sweep, in-call collections and the root
 //!   registry they needed must not come back.
+//! * **Cache epochs.** A collection clears the operation caches, so no
+//!   entry outlives one. The epoch-tagged probe, the re-validation of
+//!   pre-collection entries and the targeted purge must not come back.
+//!   (The bare word "epoch" is not forbidden: the counting walk keeps a
+//!   stamp epoch of its own.)
 //!
-//! Neither may reappear as a public item, as `pub(crate)` plumbing, or
+//! None may reappear as a public item, as `pub(crate)` plumbing, or
 //! even as dead private code waiting to be resurrected. The tests walk
 //! every `crates/*/src` tree and fail on any occurrence, quoting file
 //! and line so a regression is a one-click fix.
@@ -61,6 +66,20 @@ fn automatic_collection_names() -> [&'static str; 10] {
         concat!("unpro", "tect"),
         concat!("collect_", "retaining"),
         concat!("image_of", "_keeping"),
+    ]
+}
+
+/// Identifiers of the retired cache-epoch machinery, assembled the same
+/// way.
+fn cache_epoch_names() -> [&'static str; 7] {
+    [
+        concat!("Cache", "Lookup"),
+        concat!("purge", "_stale"),
+        concat!("reject", "_stale"),
+        concat!("stale_value", "_admissible"),
+        concat!("bump", "_epoch"),
+        concat!("retain", "_with"),
+        concat!("on_", "collect"),
     ]
 }
 
@@ -150,6 +169,16 @@ fn automatic_collection_machinery_is_gone_from_every_crate() {
     assert!(
         hits.is_empty(),
         "retired automatic-collection identifiers resurfaced:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn cache_epoch_machinery_is_gone_from_every_crate() {
+    let hits = occurrences(&cache_epoch_names());
+    assert!(
+        hits.is_empty(),
+        "retired cache-epoch identifiers resurfaced:\n{}",
         hits.join("\n")
     );
 }

@@ -1,11 +1,11 @@
 //! Acceptance tests for the session-based engine API: error paths return
-//! `Err` (never panic, release builds included), the engine agrees
-//! bit-for-bit with the free-function baseline across the built-in
-//! strategies with collections forced around its images, both session
-//! constructors default to the contraction partition at `k1 = k2 = 4`,
-//! and the branches a session compiles once are reused, retained by its
-//! collections, rebuilt when a foreign collection swept them, and dropped
-//! with the strategy.
+//! `Err` (never panic, release builds included, a swept subspace or state
+//! among them), the engine agrees bit-for-bit with the free-function
+//! baseline across the built-in strategies with collections forced
+//! around its images, both session constructors default to the
+//! contraction partition at `k1 = k2 = 4`, and the branches a session
+//! compiles once are reused, retained by its collections, rebuilt when a
+//! foreign collection swept them, and dropped with the strategy.
 
 use std::sync::{Arc, Mutex};
 
@@ -663,6 +663,31 @@ fn a_swept_compile_cache_is_rebuilt_not_read() {
         (want.space.dim(), want.iterations, want.converged)
     );
     assert!(same_space(&engine, &r.space, &mut fresh, &want.space));
+}
+
+#[test]
+fn a_swept_subspace_or_state_is_a_stale_handle_error() {
+    // A collection through `manager_mut()` that keeps only the system
+    // sweeps a subspace and a ket built on the session. Every entry point
+    // handed them refuses them as a typed error, in release builds too,
+    // instead of reading whatever node recycled their slots.
+    let mut engine = EngineBuilder::new()
+        .build_from_spec(&generators::ghz(3))
+        .unwrap();
+    let amps = (Cplx::new(0.6, 0.0), Cplx::new(0.0, 0.8));
+    let space = engine
+        .subspace_from_product_states(&[vec![amps; 3]])
+        .unwrap();
+    let ket = space.basis()[0];
+    let system = engine.qts().clone();
+    assert!(engine.manager_mut().collect(&[&system]).reclaimed > 0);
+    assert!(!engine.manager().is_live(ket), "the ket must be swept");
+    let stale = |r: Result<_, QitsError>| matches!(r, Err(QitsError::StaleHandle { .. }));
+    assert!(stale(engine.image_of(&space).map(|_| ())));
+    assert!(stale(engine.check_invariant(&space, 4).map(|_| ())));
+    assert!(stale(engine.subspace_from_states(&[ket]).map(|_| ())));
+    // The session's own state was kept and still answers.
+    assert!(engine.image().is_ok());
 }
 
 #[test]

@@ -104,15 +104,15 @@ fn a_panicking_job_is_isolated_as_job_failure() {
     let jobs: Vec<Job> = (0..total)
         .map(|i| {
             if i == bad_index {
-                // A two-qubit gate base carrying a 2x2 matrix: `Gate::new`
-                // checks only the target count, so tensorizing it indexes
-                // past the matrix and panics inside the worker.
+                // A two-qubit gate base carrying a 2x2 matrix, built as a
+                // struct literal because `Gate::new` refuses it: tensorizing
+                // it indexes past the matrix and panics inside the worker.
                 let mut bad = Circuit::new(2);
-                bad.push(Gate::new(
-                    GateKind::Custom2(Mat::identity(2)),
-                    vec![0, 1],
-                    vec![],
-                ));
+                bad.push(Gate {
+                    kind: GateKind::Custom2(Mat::identity(2)),
+                    targets: vec![0, 1],
+                    controls: vec![],
+                });
                 Job::equivalence(bad, Circuit::new(2))
             } else {
                 Job::image()
