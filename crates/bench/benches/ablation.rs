@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use qits::Strategy;
-use qits_bench::{run_image, spec_for};
+use qits_bench::run_image;
+use qits_circuit::generators;
 
 fn ablation_gate_lowering(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/gate_lowering");
@@ -14,7 +15,7 @@ fn ablation_gate_lowering(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(1200));
     for family in ["grover", "grover-elem", "grover-ct"] {
-        let spec = spec_for(family, 6);
+        let spec = generators::family(family, 6).expect("a Grover family");
         group.bench_with_input(BenchmarkId::new(family, "contraction"), &spec, |b, spec| {
             b.iter(|| run_image(spec, Strategy::Contraction { k1: 4, k2: 4 }))
         });

@@ -4,15 +4,26 @@
 //! and deadline-expired slices) through a [`qits::ServiceHandle`] and
 //! audits the books: **every** job must resolve exactly once, nothing
 //! may genuinely fail, and the result memo must demonstrably serve
-//! duplicate traffic. Exits non-zero on any lost, duplicated, or failed
-//! result; tail latency is printed for the record (the hard latency gate
-//! lives in `bench_check`, against the committed `BENCH_ci.json`).
+//! duplicate traffic. Exits 1 on any lost, duplicated, or failed result,
+//! on a shed slice that did not land, or on a p99 completion latency
+//! above [`P99_CEILING_MS`].
 //!
 //! Usage:
 //!   cargo run --release -p qits-bench --bin serve_soak
 //!   cargo run --release -p qits-bench --bin serve_soak -- --jobs 5000 --workers 8
 
 use qits_bench::{run_serve_soak, SoakConfig};
+
+/// The p99 completion-latency ceiling of the soak, in milliseconds.
+///
+/// Completion latency includes queue wait, so the tail scales with the
+/// whole backlog: on a 2-vCPU box (release, 4 workers) the 2,000-job deck
+/// drains with p99 under a millisecond, and shared CI runners are several
+/// times slower and noisier. 2,000 ms keeps a wide cushion over that
+/// while still catching a genuine tail collapse (a lost wakeup, a starved
+/// lane, a memo regression serially recomputing the deck), which pushes
+/// p99 toward the full-drain time.
+const P99_CEILING_MS: f64 = 2000.0;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -64,6 +75,13 @@ fn main() {
             "soak: FAIL — the deliberate shed slices must land \
              (cancelled={}, expired={})",
             m.cancelled, m.expired
+        );
+        std::process::exit(1);
+    }
+    if m.p99_ms > P99_CEILING_MS {
+        eprintln!(
+            "soak: FAIL — p99 latency {:.3} ms is above the {P99_CEILING_MS} ms ceiling",
+            m.p99_ms
         );
         std::process::exit(1);
     }

@@ -6,16 +6,18 @@
 //!   cargo run -p qits-bench --release --bin table2 -- --size 15 --kmax 15   # paper setting
 //!   cargo run -p qits-bench --release --bin table2 -- --family adder --size 8
 //!
-//! `--family` accepts any [`spec_for`] name (default `grover-elem`), so
-//! the (k1, k2) sweep also runs over the scenario-frontend workloads
-//! (`adder`, `repcode`, `cliffordt`).
+//! `--family` accepts any [`generators::family`] name (default
+//! `grover-elem`), so the (k1, k2) sweep also runs over the
+//! scenario-frontend workloads (`adder`, `repcode`, `cliffordt`). An
+//! unknown family, or a size it does not support, exits 1.
 //!
 //! The paper's finding to reproduce: times are flat and small for
 //! moderate (k1, k2) and degrade as both grow (the blocks approach the
 //! monolithic operator).
 
 use qits::Strategy;
-use qits_bench::{fmt_count, run_image, spec_for};
+use qits_bench::{fmt_count, run_image};
+use qits_circuit::generators;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -38,7 +40,10 @@ fn main() {
         // Grover is flat).
         .unwrap_or_else(|| "grover-elem".to_string());
 
-    let spec = spec_for(&family, n);
+    let spec = generators::family(&family, n).unwrap_or_else(|e| {
+        eprintln!("table2: {e}");
+        std::process::exit(1)
+    });
     println!(
         "Table II reproduction: contraction-partition time (s) for {} over k1, k2 in 1..={kmax}",
         spec.name

@@ -1,14 +1,13 @@
 //! The serving soak: thousands of mixed jobs through the async front of
 //! an [`EnginePool`], with tail-latency accounting.
 //!
-//! This is the harness behind CI's `serve-soak` job and the `serve` row
-//! of `BENCH_ci.json` (schema v6). It drives the whole serving surface
-//! at once — priorities, deadlines, cancellation, the result memo — and
-//! then audits the books: every submitted job must resolve exactly once
-//! (no lost results, no duplicates — a ticket *is* a oneshot, so a
-//! second result per job has nowhere to land), nothing may fail, and the
-//! p50/p95/p99/max completion latencies are recorded for the regression
-//! gate (`bench_check`).
+//! This is the harness behind CI's `serve-soak` job (the `serve_soak`
+//! binary). It drives the whole serving surface at once — priorities,
+//! deadlines, cancellation, the result memo — and then audits the books:
+//! every submitted job must resolve exactly once (no lost results, no
+//! duplicates — a ticket *is* a oneshot, so a second result per job has
+//! nowhere to land), nothing may fail, and the p50/p95/p99/max completion
+//! latencies are recorded for the binary's p99 ceiling.
 
 use std::time::Duration;
 
@@ -39,8 +38,8 @@ impl Default for SoakConfig {
     }
 }
 
-/// The `serve` row of `BENCH_ci.json`: outcome accounting plus the
-/// completion-latency percentiles of the `Ok` jobs.
+/// One soak's outcome accounting plus the completion-latency percentiles
+/// of the `Ok` jobs.
 #[derive(Debug, Clone, Default)]
 pub struct ServeMeasurement {
     /// Pool worker threads.

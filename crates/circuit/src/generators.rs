@@ -3,12 +3,14 @@
 //!
 //! Every generator returns a [`QtsSpec`]: the operations of a quantum
 //! transition system plus the product states spanning the initial subspace
-//! ("the commonly used input states" of Section VI-A).
+//! ("the commonly used input states" of Section VI-A). [`family`] builds
+//! them by name and size, checking the size first.
 
 use qits_num::key::{Fnv128, KeyBits};
 use qits_num::{Cplx, Mat};
 
 use crate::circuit::Circuit;
+use crate::decompose::{elementarize, ElementarizeOptions};
 use crate::element::{Element, Operation};
 use crate::gate::{Gate, GateKind};
 use crate::tensorize::states;
@@ -510,6 +512,142 @@ pub fn bitflip_code() -> QtsSpec {
         spec.initial_states.push(state);
     }
     spec
+}
+
+/// Bit-flip probability of the `qrw` family and of the channel that ends
+/// each `cliffordt` circuit. The paper does not report its value; the
+/// image subspace is independent of it.
+const QRW_NOISE: f64 = 0.125;
+
+/// A generator of a system by size.
+type Generator = fn(u32) -> QtsSpec;
+
+/// Every system [`family`] builds: its name, the smallest and largest size
+/// it accepts (exactly the range its generator asserts; an elementarised
+/// variant takes its base family's, and `bitflip` ignores the size), and
+/// its generator.
+const FAMILIES: [(&str, u32, u32, Generator); 12] = [
+    ("grover", 3, u32::MAX, grover),
+    ("qft", 1, u32::MAX, qft),
+    ("bv", 2, u32::MAX, |n| bernstein_vazirani(n, &bv_secret(n))),
+    ("ghz", 2, u32::MAX, ghz),
+    ("qrw", 2, u32::MAX, |n| qrw(n, QRW_NOISE)),
+    ("bitflip", 0, u32::MAX, |_| bitflip_code()),
+    ("adder", 1, 63, |n| qft_adder(n, 1)),
+    ("repcode", 2, 16, repetition_code),
+    ("cliffordt", 2, u32::MAX, |n| {
+        random_clifford_t(n, 3 * n, QRW_NOISE, u64::from(n))
+    }),
+    ("grover-elem", 3, u32::MAX, |n| {
+        elementarized_grover(n, false)
+    }),
+    ("grover-ct", 3, u32::MAX, |n| elementarized_grover(n, true)),
+    ("qrw-elem", 2, u32::MAX, elementarized_qrw),
+];
+
+/// Builds a benchmark system by family name and size: the one name table
+/// behind `qits serve --family`, `qits export`, and the Table I/II
+/// binaries. The names follow Table I (`Grover15` is `family("grover",
+/// 15)`).
+///
+/// Beyond the paper's families (`grover`, `qft`, `bv`, `ghz`, `qrw`) and
+/// the bit-flip code of Fig. 3 (`bitflip`), it builds the scenario
+/// workloads `adder` (a Draper adder adding 1), `repcode` (the distance-`n`
+/// repetition code) and `cliffordt` (`random_clifford_t(n, 3n, 0.125, n)`),
+/// and three ablation variants that compile away the primitive
+/// multi-controlled tensors: `grover-elem` lowers every `C^k(X)` to a
+/// Toffoli ladder with ancillas, `grover-ct` further lowers Toffolis to
+/// Clifford+T, and `qrw-elem` elementarises every Kraus branch of the walk.
+///
+/// # Errors
+///
+/// An unknown name, or a size outside the family's range, is an error
+/// naming what is accepted; no generator assertion is reached.
+pub fn family(name: &str, n: u32) -> Result<QtsSpec, String> {
+    let Some(&(_, lo, hi, build)) = FAMILIES.iter().find(|f| f.0 == name) else {
+        let names: Vec<&str> = FAMILIES.iter().map(|f| f.0).collect();
+        return Err(format!(
+            "unknown family '{name}' (expected {})",
+            names.join(", ")
+        ));
+    };
+    if !(lo..=hi).contains(&n) {
+        let supported = if hi == u32::MAX {
+            format!(">= {lo}")
+        } else {
+            format!("{lo}..={hi}")
+        };
+        return Err(format!("{name} supports n {supported}, got {n}"));
+    }
+    Ok(build(n))
+}
+
+/// Pads every initial state with `|0>` ancilla wires.
+fn pad_states(rows: &[Vec<(Cplx, Cplx)>], pad: usize) -> Vec<Vec<(Cplx, Cplx)>> {
+    rows.iter()
+        .map(|amps| {
+            let mut a = amps.clone();
+            a.extend(std::iter::repeat_n(states::ZERO, pad));
+            a
+        })
+        .collect()
+}
+
+/// The Grover benchmark lowered to elementary gates (see
+/// [`crate::decompose::elementarize`]); ancilla wires extend the register
+/// and start in `|0>`.
+fn elementarized_grover(n: u32, clifford_t: bool) -> QtsSpec {
+    let base = grover(n);
+    let circuit = base.operations[0].kraus_branches().remove(0);
+    let elem = elementarize(&circuit, ElementarizeOptions { clifford_t });
+    let pad = (elem.n_qubits() - n) as usize;
+    QtsSpec {
+        name: format!(
+            "Grover{}{}{n}",
+            if clifford_t { "CT" } else { "Elem" },
+            if pad > 0 {
+                format!("+{pad}a ")
+            } else {
+                String::new()
+            }
+        ),
+        n_qubits: elem.n_qubits(),
+        operations: vec![Operation::from_circuit("grover-elem", &elem)],
+        initial_states: pad_states(&base.initial_states, pad),
+    }
+}
+
+/// The quantum-walk benchmark lowered to elementary gates. Every Kraus
+/// branch of the noisy operation becomes its own operation; the image of
+/// a subspace is the same join either way.
+fn elementarized_qrw(n: u32) -> QtsSpec {
+    let base = qrw(n, QRW_NOISE);
+    let circuits: Vec<Circuit> = base
+        .operations
+        .iter()
+        .flat_map(Operation::kraus_branches)
+        .map(|branch| elementarize(&branch, ElementarizeOptions::default()))
+        .collect();
+    let width = circuits
+        .iter()
+        .map(Circuit::n_qubits)
+        .max()
+        .expect("qrw has operations");
+    assert!(
+        circuits.iter().all(|c| c.n_qubits() == width),
+        "elementarised QRW branches must share a register"
+    );
+    let pad = (width - n) as usize;
+    QtsSpec {
+        name: format!("QRWElem{n}+{pad}a"),
+        n_qubits: width,
+        operations: circuits
+            .iter()
+            .enumerate()
+            .map(|(i, c)| Operation::from_circuit(format!("walk-elem-{i}"), c))
+            .collect(),
+        initial_states: pad_states(&base.initial_states, pad),
+    }
 }
 
 #[cfg(test)]

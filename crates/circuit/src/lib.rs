@@ -17,9 +17,10 @@
 //!   pure Kraus-operator circuits the image computation iterates over.
 //! * [`generators`] — GHZ, Grover, Bernstein–Vazirani, QFT, QFT adder,
 //!   quantum random walk, the bit-flip code of Fig. 3, the distance-d
-//!   repetition code, and random Clifford+T workloads.
-//! * [`parse`] — the textual frontends: the gate DSL shared with
-//!   `qits-serve` and the scenario file format the `qits` CLI reads; every
+//!   repetition code, and random Clifford+T workloads, plus
+//!   [`generators::family`], the one table that builds them by name.
+//! * [`parse`] — the textual frontends: the gate DSL of the serving
+//!   protocol and the scenario file format the `qits` CLI reads; every
 //!   malformed input is a typed [`parse::ParseError`], never a panic.
 //! * [`tensorize`] — gate → TDD construction, adding controls
 //!   symbolically so a 99-control Toffoli never materialises a matrix.

@@ -1,8 +1,8 @@
 //! Textual frontends: the gate DSL and the QTS scenario format.
 //!
 //! This module is the **single** parse layer for every textual surface of
-//! the workspace — the `qits-serve` protocol's circuit strings and the
-//! `qits` CLI's scenario files both come through here. Every malformed
+//! the workspace — the serving protocol's circuit strings and the `qits`
+//! CLI's scenario files both come through here. Every malformed
 //! input is a typed [`ParseError`], never a panic: wires are validated
 //! (arity, duplicates, register bounds) *before* any [`Gate`] constructor
 //! runs, so a client line like `"cx 0 0"` can no longer unwind a serving

@@ -68,7 +68,9 @@ use qits_tensor::Var;
 
 use crate::error::QitsError;
 use crate::image::{try_image, try_image_into, Compiled, ImageStats, Strategy};
-use crate::mc::{check_invariant_with, fixpoint_with, Chain, ReachabilityResult};
+use crate::mc::{
+    check_invariant_with, fixpoint_with, validate_invariant, Chain, ReachabilityResult,
+};
 use crate::qts::{Operations, QuantumTransitionSystem};
 use crate::subspace::Subspace;
 
@@ -488,12 +490,14 @@ impl Engine {
     /// `invariant`". Returns the verdict plus the witnessing reachability
     /// result (see
     /// [`crate::mc::try_check_invariant`]), read off or extending the
-    /// session's chain like [`Engine::reachable_space`].
+    /// session's chain like [`Engine::reachable_space`]. An invariant that
+    /// is refused (another width, or swept) leaves the chain as it was.
     pub fn check_invariant(
         &mut self,
         invariant: &Subspace,
         max_iterations: usize,
     ) -> Result<(bool, ReachabilityResult), QitsError> {
+        validate_invariant(&self.m, &self.qts, invariant)?;
         self.revalidate();
         let mut chain = self.take_chain();
         let (m, qts, compiled) = (&mut self.m, &self.qts, &mut self.compiled);

@@ -74,8 +74,8 @@
 //! a bounded queue refuses overload with [`QitsError::QueueFull`],
 //! deadlines shed stale work, [`qits_tdd::CancelToken`]s unwind running
 //! jobs at their next cancellation poll, and an optional fleet-wide [`ResultMemo`]
-//! short-circuits duplicate queries. The `qits-serve` binary exposes all
-//! of it as a JSON-lines protocol ([`serve::proto`]).
+//! short-circuits duplicate queries. The `qits serve` subcommand exposes
+//! all of it as a JSON-lines protocol ([`serve::proto`]).
 
 pub mod equiv;
 pub mod mc;
@@ -109,7 +109,7 @@ pub use qits_tdd::CancelToken;
 /// the async front ([`ServiceHandle`], [`JobRequest`], [`JobTicket`],
 /// [`Priority`]), the fleet-wide [`ResultMemo`], the aggregated
 /// [`PoolStats`], and the JSON-lines protocol ([`serve::proto`]) the
-/// `qits-serve` binary speaks. `use qits::serve::*;` pulls in the
+/// `qits serve` subcommand speaks. `use qits::serve::*;` pulls in the
 /// serving surface without the rest of the crate's namespace.
 pub mod serve {
     pub use crate::pool::proto;

@@ -275,6 +275,7 @@ pub fn try_check_invariant(
     strategy: Strategy,
     max_iterations: usize,
 ) -> Result<(bool, ReachabilityResult), QitsError> {
+    validate_invariant(m, qts, invariant)?;
     check_invariant_with(
         m,
         qts,
@@ -285,10 +286,28 @@ pub fn try_check_invariant(
     )
 }
 
+/// Refuses an invariant that cannot be checked against `qts`: one of
+/// another width, or one a collection swept. Runs before any fixpoint
+/// work, so a refusal leaves a session's chain untouched.
+pub(crate) fn validate_invariant(
+    m: &TddManager,
+    qts: &QuantumTransitionSystem,
+    invariant: &Subspace,
+) -> Result<(), QitsError> {
+    if invariant.n_qubits() != qts.n_qubits() {
+        return Err(QitsError::RegisterMismatch {
+            expected: qts.n_qubits(),
+            found: invariant.n_qubits(),
+            context: "the invariant subspace".to_string(),
+        });
+    }
+    ensure_live(m, invariant, "the invariant subspace")
+}
+
 /// [`try_check_invariant`] on a given chain, with the branches compiled
 /// into (or reused from) `compiled` — the session state of
-/// [`crate::Engine`]. As with [`fixpoint_with`], an error leaves the
-/// chain unusable.
+/// [`crate::Engine`] — for an invariant [`validate_invariant`] accepted.
+/// As with [`fixpoint_with`], an error leaves the chain unusable.
 pub(crate) fn check_invariant_with(
     m: &mut TddManager,
     qts: &QuantumTransitionSystem,
@@ -297,14 +316,6 @@ pub(crate) fn check_invariant_with(
     compiled: &mut Compiled,
     chain: &mut Chain,
 ) -> Result<(bool, ReachabilityResult), QitsError> {
-    if invariant.n_qubits() != qts.n_qubits() {
-        return Err(QitsError::RegisterMismatch {
-            expected: qts.n_qubits(),
-            found: invariant.n_qubits(),
-            context: "the invariant subspace".to_string(),
-        });
-    }
-    ensure_live(m, invariant, "the invariant subspace")?;
     let reach = fixpoint_with(m, qts, max_iterations, compiled, chain)?;
     let holds = reach.space.is_subspace_of(m, invariant);
     Ok((holds, reach))

@@ -363,7 +363,7 @@ impl ServiceHandle {
     ///
     /// The file is a plain [`crate::store::Snapshot`], so it round-trips
     /// through [`ServiceHandle::load_snapshot`],
-    /// [`super::PoolBuilder::warm_start`], and the `qits-serve` `save` /
+    /// [`super::PoolBuilder::warm_start`], and the `qits serve` `save` /
     /// `load` protocol ops interchangeably.
     pub fn save_snapshot(
         &self,

@@ -1,5 +1,5 @@
 //! A JSON-lines serving protocol over [`ServiceHandle`] — the wire shape
-//! of the `qits-serve` binary.
+//! of the `qits serve` subcommand.
 //!
 //! One request per input line, one event per output line, everything
 //! UTF-8 JSON. Results **stream in completion order**, not request
@@ -667,7 +667,7 @@ pub fn serve(
         let pending = pending.clone();
         let draining = draining.clone();
         std::thread::Builder::new()
-            .name("qits-serve-poller".to_string())
+            .name("qits-events".to_string())
             .spawn(move || loop {
                 let mut done: Vec<(String, Result<JobOutput, crate::QitsError>, JobTicket)> =
                     Vec::new();
@@ -717,7 +717,7 @@ pub fn serve(
                 escape_json(&e)
             ))?,
             Ok(Request::Stats) => emit(stats_json(&handle.stats()))?,
-            Ok(Request::Save { path }) => match handle.save_snapshot(&path, "qits-serve") {
+            Ok(Request::Save { path }) => match handle.save_snapshot(&path, "qits serve") {
                 Ok(entries) => emit(format!(
                     "{{\"event\": \"saved\", \"path\": \"{}\", \"entries\": {entries}}}",
                     escape_json(&path)

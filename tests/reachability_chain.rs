@@ -243,6 +243,35 @@ fn aggressive_gc_interleaving_keeps_the_chain() {
 }
 
 #[test]
+fn a_refused_invariant_keeps_the_chain() {
+    // An invariant of the wrong width and one a collection swept are
+    // refused before any fixpoint work: the chain the first reach built
+    // still answers the second without an image.
+    let spec = generators::qrw(4, 0.25);
+    let mut engine = fresh(&spec);
+    let first = engine.reachable_space(1000).unwrap();
+    assert!(first.converged && !first.stats.is_empty());
+
+    let err = engine
+        .check_invariant(&Subspace::zero(3), 1000)
+        .unwrap_err();
+    assert!(matches!(err, QitsError::RegisterMismatch { .. }), "{err}");
+
+    let amps = (Cplx::new(0.6, 0.0), Cplx::new(0.0, 0.8));
+    let swept = engine
+        .subspace_from_product_states(&[vec![amps; 4]])
+        .unwrap();
+    assert!(engine.collect(&[]).reclaimed > 0);
+    assert!(!engine.manager().is_live(swept.basis()[0]), "swept");
+    let err = engine.check_invariant(&swept, 1000).unwrap_err();
+    assert!(matches!(err, QitsError::StaleHandle { .. }), "{err}");
+
+    let again = engine.reachable_space(1000).unwrap();
+    assert!(again.stats.is_empty(), "the refusals kept the chain");
+    assert_eq!(key(&again), key(&first));
+}
+
+#[test]
 fn a_swept_chain_is_recomputed() {
     // A collection through `manager_mut()` that retains only the system
     // sweeps the chain; the next reach notices and computes it again.

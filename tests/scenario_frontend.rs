@@ -119,9 +119,11 @@ fn pool_path_agrees_with_serial_on_samples() {
     }
 }
 
-/// Render → parse must be a fixpoint: the committed files are their own
-/// `qits export` output, and re-rendering a parsed scenario reproduces
-/// the same system, circuits, and properties.
+/// Render → parse must be a fixpoint: re-rendering a parsed scenario
+/// reproduces the same system, circuits, and properties. `adder3` and
+/// `repcode5` are exactly `qits export` output (CI diffs them); `cliffordt4`
+/// is `random_clifford_t(4, 12, 0.125, 42)`, where the family table seeds
+/// with `n`, kept for its sharper pinned verdicts.
 #[test]
 fn committed_scenarios_render_round_trip() {
     for (file, _, _) in SAMPLES {

@@ -222,42 +222,33 @@ fn one_deep_queue_refuses_with_queue_full() {
     // One worker, depth 1: job A occupies the worker (we wait for its
     // dequeue via the live queue-depth stat), job B fills the queue, and
     // job C must then be refused at admission — a submission-time error,
-    // not a failed ticket. If the worker finishes A before C is even
-    // submitted (pathological scheduling on a loaded CI box), retry with
-    // a fresh pool rather than flake.
-    for _attempt in 0..5 {
-        let pool = EnginePool::builder(qrw_spec())
-            .workers(1)
-            .queue_depth(1)
-            .build()
-            .unwrap();
-        let handle = pool.handle();
-        let a = handle.submit(Job::reachability(64));
-        while handle.stats().queue_depth > 0 {
-            std::thread::yield_now();
-        }
-        let b = handle.submit(Job::image());
-        match handle.try_submit(Job::image()) {
-            Err(QitsError::QueueFull { depth }) => {
-                assert_eq!(depth, 1);
-                assert!(a.join().is_ok());
-                assert!(b.join().is_ok());
-                let stats = pool.shutdown();
-                assert_eq!(stats.jobs_rejected, 1);
-                assert_eq!(stats.jobs_submitted, 2, "a refused job is never submitted");
-                assert_eq!(stats.jobs_completed, 2);
-                return;
-            }
-            Ok(c) => {
-                // The worker drained A and B already: no backlog existed
-                // at C's admission. Clean up and try again.
-                let _ = (a.join(), b.join(), c.join());
-                pool.shutdown();
-            }
-            Err(other) => panic!("expected QueueFull, got {other:?}"),
-        }
+    // not a failed ticket. A is an unbounded fixpoint over a walk on 2^39
+    // positions, which gains a few dimensions per iteration and so runs
+    // until it is cancelled: it is still running when C arrives, however
+    // the threads are scheduled.
+    let pool = EnginePool::builder(EngineSpec::new(qits_circuit::generators::qrw(40, 0.125)))
+        .workers(1)
+        .queue_depth(1)
+        .build()
+        .unwrap();
+    let handle = pool.handle();
+    let a = handle.submit(Job::reachability(usize::MAX));
+    while handle.stats().queue_depth > 0 {
+        std::thread::yield_now();
     }
-    panic!("could not provoke QueueFull in five attempts");
+    let b = handle.submit(Job::image());
+    match handle.try_submit(Job::image()) {
+        Err(QitsError::QueueFull { depth }) => assert_eq!(depth, 1),
+        other => panic!("expected QueueFull, got {other:?}"),
+    }
+    a.cancel();
+    assert_eq!(a.join().unwrap_err(), QitsError::Cancelled);
+    assert!(b.join().is_ok());
+    let stats = pool.shutdown();
+    assert_eq!(stats.jobs_rejected, 1);
+    assert_eq!(stats.jobs_submitted, 2, "a refused job is never submitted");
+    assert_eq!(stats.jobs_cancelled, 1, "A unwound at a cancellation poll");
+    assert_eq!(stats.jobs_completed, 1);
 }
 
 #[test]
