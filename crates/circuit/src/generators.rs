@@ -8,6 +8,7 @@
 
 use qits_num::key::{Fnv128, KeyBits};
 use qits_num::{Cplx, Mat};
+use qits_tensor::Var;
 
 use crate::circuit::Circuit;
 use crate::decompose::{elementarize, ElementarizeOptions};
@@ -522,27 +523,38 @@ const QRW_NOISE: f64 = 0.125;
 /// A generator of a system by size.
 type Generator = fn(u32) -> QtsSpec;
 
+/// Largest size of an elementarised family: from 4 qubits on, its
+/// Toffoli ladders append `n - 2` ancillas, so its register of `2n - 2`
+/// qubits is as wide as a diagram variable can address.
+const MAX_ELEM_N: u32 = Var::MAX_POS / 2 + 1;
+
 /// Every system [`family`] builds: its name, the smallest and largest size
-/// it accepts (exactly the range its generator asserts; an elementarised
-/// variant takes its base family's, and `bitflip` ignores the size), and
-/// its generator.
+/// it accepts, and its generator. The smallest is the one its generator
+/// asserts (an elementarised variant takes its base family's); the largest
+/// is the widest register the engine holds ([`Var::MAX_POS`] qubits,
+/// ancillas included), or the generator's own bound where that is lower.
+/// `bitflip` ignores the size.
 const FAMILIES: [(&str, u32, u32, Generator); 12] = [
-    ("grover", 3, u32::MAX, grover),
-    ("qft", 1, u32::MAX, qft),
-    ("bv", 2, u32::MAX, |n| bernstein_vazirani(n, &bv_secret(n))),
-    ("ghz", 2, u32::MAX, ghz),
-    ("qrw", 2, u32::MAX, |n| qrw(n, QRW_NOISE)),
+    ("grover", 3, Var::MAX_POS, grover),
+    ("qft", 1, Var::MAX_POS, qft),
+    ("bv", 2, Var::MAX_POS, |n| {
+        bernstein_vazirani(n, &bv_secret(n))
+    }),
+    ("ghz", 2, Var::MAX_POS, ghz),
+    ("qrw", 2, Var::MAX_POS, |n| qrw(n, QRW_NOISE)),
     ("bitflip", 0, u32::MAX, |_| bitflip_code()),
     ("adder", 1, 63, |n| qft_adder(n, 1)),
     ("repcode", 2, 16, repetition_code),
-    ("cliffordt", 2, u32::MAX, |n| {
+    ("cliffordt", 2, Var::MAX_POS, |n| {
         random_clifford_t(n, 3 * n, QRW_NOISE, u64::from(n))
     }),
-    ("grover-elem", 3, u32::MAX, |n| {
+    ("grover-elem", 3, MAX_ELEM_N, |n| {
         elementarized_grover(n, false)
     }),
-    ("grover-ct", 3, u32::MAX, |n| elementarized_grover(n, true)),
-    ("qrw-elem", 2, u32::MAX, elementarized_qrw),
+    ("grover-ct", 3, MAX_ELEM_N, |n| {
+        elementarized_grover(n, true)
+    }),
+    ("qrw-elem", 2, MAX_ELEM_N, elementarized_qrw),
 ];
 
 /// Builds a benchmark system by family name and size: the one name table
@@ -562,7 +574,8 @@ const FAMILIES: [(&str, u32, u32, Generator); 12] = [
 /// # Errors
 ///
 /// An unknown name, or a size outside the family's range, is an error
-/// naming what is accepted; no generator assertion is reached.
+/// naming what is accepted; neither a generator assertion nor the spec of
+/// a register too wide for the engine is reached.
 pub fn family(name: &str, n: u32) -> Result<QtsSpec, String> {
     let Some(&(_, lo, hi, build)) = FAMILIES.iter().find(|f| f.0 == name) else {
         let names: Vec<&str> = FAMILIES.iter().map(|f| f.0).collect();
@@ -572,12 +585,7 @@ pub fn family(name: &str, n: u32) -> Result<QtsSpec, String> {
         ));
     };
     if !(lo..=hi).contains(&n) {
-        let supported = if hi == u32::MAX {
-            format!(">= {lo}")
-        } else {
-            format!("{lo}..={hi}")
-        };
-        return Err(format!("{name} supports n {supported}, got {n}"));
+        return Err(format!("{name} supports n {lo}..={hi}, got {n}"));
     }
     Ok(build(n))
 }
@@ -654,6 +662,30 @@ fn elementarized_qrw(n: u32) -> QtsSpec {
 mod tests {
     use super::*;
     use crate::sim;
+
+    #[test]
+    fn family_refuses_registers_the_engine_cannot_hold() {
+        let err = family("qft", 70_000).err().unwrap();
+        assert_eq!(err, "qft supports n 1..=65536, got 70000");
+        // The first grover-elem size whose padded register, 2n - 2 qubits,
+        // is wider than a variable addresses.
+        let first_too_wide = (Var::MAX_POS + 2) / 2 + 1;
+        let err = family("grover-elem", first_too_wide).err().unwrap();
+        assert_eq!(err, "grover-elem supports n 3..=32769, got 32770");
+        assert_eq!(first_too_wide, MAX_ELEM_N + 1);
+    }
+
+    #[test]
+    fn elementarised_families_append_n_minus_2_ancillas() {
+        for name in ["grover-elem", "grover-ct", "qrw-elem"] {
+            for n in 4..8 {
+                let spec = family(name, n).unwrap();
+                assert_eq!(spec.n_qubits, 2 * n - 2, "{name} at n = {n}");
+            }
+        }
+        assert_eq!(family("grover-elem", 3).unwrap().n_qubits, 3);
+        assert_eq!(family("qrw-elem", 3).unwrap().n_qubits, 3);
+    }
 
     #[test]
     fn ghz_prepares_ghz_state() {

@@ -548,16 +548,19 @@ mod tests {
         for (family, n, supported) in [
             ("repcode", 40, "2..=16"),
             ("repcode", 1, "2..=16"),
-            ("qrw", 1, ">= 2"),
-            ("qrw-elem", 1, ">= 2"),
-            ("grover", 0, ">= 3"),
-            ("grover", 2, ">= 3"),
-            ("grover-elem", 2, ">= 3"),
-            ("grover-ct", 2, ">= 3"),
-            ("bv", 0, ">= 2"),
-            ("ghz", 1, ">= 2"),
-            ("cliffordt", 1, ">= 2"),
-            ("qft", 0, ">= 1"),
+            ("qrw", 1, "2..=65536"),
+            ("qrw-elem", 1, "2..=32769"),
+            ("grover", 0, "3..=65536"),
+            ("grover", 2, "3..=65536"),
+            ("grover-elem", 2, "3..=32769"),
+            ("grover-ct", 2, "3..=32769"),
+            ("bv", 0, "2..=65536"),
+            ("ghz", 1, "2..=65536"),
+            ("ghz", 70_000, "2..=65536"),
+            ("cliffordt", 1, "2..=65536"),
+            ("qft", 0, "1..=65536"),
+            ("qft", 70_000, "1..=65536"),
+            ("grover-ct", 32_770, "3..=32769"),
             ("adder", 64, "1..=63"),
         ] {
             let err = serve_pool(&serve_opts(family, n)).err().unwrap();
@@ -590,10 +593,13 @@ mod tests {
 
     #[test]
     fn a_register_wider_than_a_variable_can_address_fails_the_pool_build() {
-        // The width is refused before any worker mints a variable.
-        let mut opts = serve_opts("ghz", 70_000);
+        // The width is refused before any worker mints a variable. `--family`
+        // refuses this size before generating it (see
+        // `out_of_range_sizes_are_usage_errors`), so the spec is built here.
+        let mut opts = serve_opts("ghz", 3);
         opts.pool.workers = Some(1);
-        let err = serve_pool(&opts).unwrap().build().err().unwrap();
+        let builder = opts.pool.builder(generators::ghz(70_000)).unwrap();
+        let err = builder.build().err().unwrap();
         assert_eq!(
             err,
             QitsError::RegisterTooWide {

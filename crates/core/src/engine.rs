@@ -137,7 +137,8 @@ impl EngineBuilder {
     }
 
     /// Bounds every operation cache to at most this many entries
-    /// (`0` disables operation caching).
+    /// (`0` disables operation caching). A table grows toward the bound
+    /// only while its entries are reused.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = Some(capacity);
         self

@@ -32,6 +32,17 @@
 //! which is how the equivalence tests compare cached against uncached runs
 //! bit for bit.
 //!
+//! A table grows when it is **reused**, not when it fills: it starts at
+//! `MIN_SLOTS` and doubles (rehashing every entry) once the hits since its
+//! last growth reach half its slots, up to its capacity. Work that streams
+//! distinct lookups, such as a single wide image whose block-against-state
+//! contractions are seldom repeated, keeps a table that fits in cache and
+//! recomputes the few entries it loses to collisions; fixpoints, which
+//! reuse entries across iterations, earn their hits and grow their tables
+//! toward the bound. A smaller fixed bound cannot tell the two apart.
+//! Hash-consing makes a recomputed entry return the same node, so the
+//! growth rule moves time and memory, never a diagram.
+//!
 //! # Garbage collection
 //!
 //! Cache keys and values name generational [`NodeId`]s, and a collection
@@ -48,7 +59,9 @@ use qits_tensor::Var;
 use crate::hash::FastMap;
 use crate::node::{Edge, NodeId};
 
-/// Default per-table entry bound (~10⁶ entries per operation cache).
+/// Default per-table slot bound (~10⁶ slots per operation cache). A bound,
+/// not a size: a table grows toward it only while its entries earn hits
+/// (see the module's "Eviction" notes), so streaming work never reaches it.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
 /// Hit/miss/insert/eviction counters for one operation cache.
@@ -111,7 +124,9 @@ const MIN_SLOTS: usize = 1 << 12;
 /// individual entries to collisions (and gracefully recompute them) but
 /// never has its entire working set flushed out from under it, which a
 /// clear-on-full policy would do. The array starts at `MIN_SLOTS` and
-/// doubles (rehashing) until it reaches the configured capacity.
+/// doubles (rehashing) each time the hits since its last growth reach half
+/// its slots, never past the configured capacity: occupancy alone never
+/// grows it.
 ///
 /// Values must be `Copy` (they are [`Edge`]s in practice) so a hit never
 /// borrows the table.
@@ -122,6 +137,9 @@ pub struct OpCache<K, V> {
     slots: Vec<Option<(K, V)>>,
     /// Occupied slot count.
     len: usize,
+    /// Hits since the slot array last grew or was cleared: it doubles
+    /// once these reach half its slots.
+    hits_since_growth: usize,
     /// Maximum slot count (power of two; `0` disables the cache).
     capacity: usize,
     stats: CacheStats,
@@ -139,6 +157,7 @@ impl<K: Eq + Hash + Copy, V: Copy> OpCache<K, V> {
         OpCache {
             slots: Vec::new(),
             len: 0,
+            hits_since_growth: 0,
             capacity,
             stats: CacheStats::default(),
         }
@@ -158,6 +177,7 @@ impl<K: Eq + Hash + Copy, V: Copy> OpCache<K, V> {
             if let Some((k, v)) = self.slots[self.slot_of(key)] {
                 if k == *key {
                     self.stats.hits += 1;
+                    self.hits_since_growth += 1;
                     return Some(v);
                 }
             }
@@ -174,7 +194,8 @@ impl<K: Eq + Hash + Copy, V: Copy> OpCache<K, V> {
         }
         if self.slots.is_empty() {
             self.slots = vec![None; MIN_SLOTS.min(self.capacity)];
-        } else if self.len * 2 >= self.slots.len() && self.slots.len() < self.capacity {
+        } else if self.hits_since_growth * 2 >= self.slots.len() && self.slots.len() < self.capacity
+        {
             self.grow();
         }
         let idx = self.slot_of(&key);
@@ -187,11 +208,13 @@ impl<K: Eq + Hash + Copy, V: Copy> OpCache<K, V> {
         self.stats.inserts += 1;
     }
 
-    /// Doubles the slot array, rehashing live entries.
+    /// Doubles the slot array, rehashing live entries, and restarts the
+    /// hit count toward the next growth.
     fn grow(&mut self) {
         let doubled = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, vec![None; doubled]);
         self.len = 0;
+        self.hits_since_growth = 0;
         for entry in old.into_iter().flatten() {
             let idx = self.slot_of(&entry.0);
             if self.slots[idx].is_none() {
@@ -201,11 +224,13 @@ impl<K: Eq + Hash + Copy, V: Copy> OpCache<K, V> {
         }
     }
 
-    /// Drops every entry and releases the slot array (counters are kept —
-    /// they are lifetime telemetry).
+    /// Drops every entry and releases the slot array; the next insert
+    /// starts again at `MIN_SLOTS` with no hits toward growth (counters are
+    /// kept — they are lifetime telemetry).
     pub fn clear(&mut self) {
         self.slots = Vec::new();
         self.len = 0;
+        self.hits_since_growth = 0;
     }
 
     /// Current number of live entries.
@@ -470,17 +495,85 @@ mod tests {
         assert_eq!(live, c.len());
     }
 
+    /// Hits `c` on every key of `keys` it holds until the hits since its
+    /// last growth reach half its slots; returns the keys it holds.
+    fn hit_until_growth_is_due(c: &mut OpCache<u64, u64>, keys: std::ops::Range<u64>) -> Vec<u64> {
+        let held: Vec<u64> = keys.filter(|k| c.get(k).is_some()).collect();
+        assert!(!held.is_empty());
+        while c.hits_since_growth * 2 < c.slots.len() {
+            for k in &held {
+                assert_eq!(c.get(k), Some(*k));
+            }
+        }
+        held
+    }
+
     #[test]
-    fn grows_toward_capacity_without_losing_recent_entries() {
+    fn distinct_inserts_without_hits_never_grow_the_table() {
         let mut c: OpCache<u64, u64> = OpCache::with_capacity(1 << 16);
-        for k in 0..5000u64 {
+        for k in 0..100_000u64 {
             c.insert(k, k);
         }
-        // Load factor stays below 1/2 of the (grown) slot array, so the
-        // overwhelming majority of a working set this small survives.
-        assert!(c.len() > 4000, "unexpected collision rate: {}", c.len());
-        let hits = (0..5000u64).filter(|k| c.get(k).is_some()).count();
-        assert_eq!(hits, c.len());
+        assert_eq!(c.slots.len(), MIN_SLOTS, "a table nobody reads grew");
+        assert!(c.len() <= MIN_SLOTS);
+        assert_eq!(c.stats().inserts, c.len() as u64 + c.stats().evictions);
+    }
+
+    #[test]
+    fn hits_double_the_table_and_the_rehash_keeps_every_entry() {
+        let mut c: OpCache<u64, u64> = OpCache::with_capacity(1 << 16);
+        for k in 0..3000u64 {
+            c.insert(k, k);
+        }
+        let held = hit_until_growth_is_due(&mut c, 0..3000);
+        assert_eq!(c.slots.len(), MIN_SLOTS, "hits alone must not grow it");
+        // Re-inserting a held key evicts nothing, so after the doubling
+        // exactly the held keys remain.
+        c.insert(held[0], held[0]);
+        assert_eq!(c.slots.len(), 2 * MIN_SLOTS);
+        assert_eq!(c.hits_since_growth, 0);
+        assert_eq!(c.len(), held.len());
+        for k in &held {
+            assert_eq!(c.get(k), Some(*k), "key {k} lost in the rehash");
+        }
+        // The next doubling needs hits against the doubled table's size.
+        let held = hit_until_growth_is_due(&mut c, 0..3000);
+        assert!(c.hits_since_growth >= MIN_SLOTS);
+        assert_eq!(c.slots.len(), 2 * MIN_SLOTS);
+        c.insert(held[0], held[0]);
+        assert_eq!(c.slots.len(), 4 * MIN_SLOTS);
+    }
+
+    #[test]
+    fn reuse_never_grows_the_table_past_its_capacity() {
+        let capacity = 2 * MIN_SLOTS;
+        let mut c: OpCache<u64, u64> = OpCache::with_capacity(capacity);
+        for k in 0..50_000u64 {
+            c.insert(k, k);
+            assert_eq!(c.get(&k), Some(k));
+            assert!(c.slots.len() <= capacity);
+        }
+        assert_eq!(c.slots.len(), capacity);
+        assert!(c.len() <= capacity);
+    }
+
+    #[test]
+    fn clear_restarts_the_table_at_min_slots_with_no_hits() {
+        let mut c: OpCache<u64, u64> = OpCache::with_capacity(1 << 16);
+        for k in 0..3000u64 {
+            c.insert(k, k);
+        }
+        let held = hit_until_growth_is_due(&mut c, 0..3000);
+        c.insert(held[0], held[0]);
+        assert_eq!(c.slots.len(), 2 * MIN_SLOTS);
+        hit_until_growth_is_due(&mut c, 0..3000);
+        c.clear();
+        assert!(c.slots.is_empty() && c.is_empty());
+        assert_eq!(c.hits_since_growth, 0);
+        c.insert(0, 0);
+        assert_eq!(c.slots.len(), MIN_SLOTS);
+        assert_eq!(c.get(&0), Some(0));
+        assert_eq!(c.hits_since_growth, 1);
     }
 
     #[test]

@@ -112,3 +112,27 @@ fn caching_disabled_computes_the_same_image() {
         );
     }
 }
+
+#[test]
+fn a_streaming_image_keeps_its_contraction_table_small() {
+    // A ghz300 image makes tens of thousands of distinct contraction
+    // lookups and few hits: its table stays near its starting size, and
+    // the evicted entries it recomputes rebuild the very nodes an uncached
+    // run builds.
+    let run = |capacity: Option<usize>| {
+        let mut builder = EngineBuilder::new();
+        if let Some(c) = capacity {
+            builder = builder.cache_capacity(c);
+        }
+        let mut engine = builder.build_from_spec(&generators::ghz(300)).unwrap();
+        let (image, _) = engine.image().unwrap();
+        assert_eq!(image.dim(), 1);
+        let created = engine.manager().stats().nodes_created;
+        (created, engine.manager().cache_sizes().cont)
+    };
+    let (cached_nodes, cont_entries) = run(None);
+    let (uncached_nodes, _) = run(Some(0));
+    assert_eq!(cached_nodes, uncached_nodes);
+    assert_eq!(cached_nodes, 29_382);
+    assert!(cont_entries <= 8_192, "{cont_entries} contraction entries");
+}
